@@ -1,10 +1,12 @@
 """Exact tools for Lefschetz properties of Artinian Gorenstein algebras.
 
-Everything runs over the rationals with fractions.Fraction: Hilbert
-function classification, apolarity and catalecticants, higher Hessians,
+Everything is exact over the rationals: Hilbert function
+classification, apolarity and catalecticants, higher Hessians,
 Lefschetz certificates, point configurations in projective space, and a
 constructive route from any admissible Hilbert function to an algebra
-with the strong Lefschetz property.
+with the strong Lefschetz property.  Ranks and determinants come from
+one fraction-free integer elimination; fractions.Fraction carries the
+rational inputs and outputs.
 """
 
 from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,

@@ -10,7 +10,7 @@ iteration.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import RingMismatchError
@@ -39,10 +39,6 @@ def monomials_of_degree(n_vars: int, degree: int) -> List[Monomial]:
         for rest in monomials_of_degree(n_vars - 1, degree - first):
             out.append((first,) + rest)
     return out
-
-
-def count_monomials(n_vars: int, degree: int) -> int:
-    return comb(n_vars - 1 + degree, degree)
 
 
 def monomial_eval(m: Monomial, point: Sequence[Fraction]) -> Fraction:
@@ -265,9 +261,6 @@ class LinearFormR(_LinearForm):
 
     ring = RING_R
 
-    def power(self, d: int) -> Poly:
-        return power_of_linear(self, d)
-
 
 class LinearFormS(_LinearForm):
     """Linear form ell = sum a_i x_i in S (a Lefschetz candidate)."""
@@ -283,16 +276,6 @@ class LinearFormS(_LinearForm):
         if self.n_vars != L.n_vars:
             raise RingMismatchError("variable count mismatch")
         return sum((a * b for a, b in zip(self.coeffs, L.coeffs)), Fraction(0))
-
-    def power(self, k: int) -> Poly:
-        """ell^k expanded in S."""
-        n = self.n_vars
-        terms: Dict[Monomial, Fraction] = {}
-        for m in monomials_of_degree(n, k):
-            c = _multinomial(k, m) * monomial_eval(m, self.coeffs)
-            if c:
-                terms[m] = c
-        return Poly(n, RING_S, terms)
 
 
 def _multinomial(d: int, e: Monomial) -> int:
@@ -339,19 +322,3 @@ def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
                 out[m] = out.get(m, Fraction(0)) + coef
         g = Poly(f.n_vars, RING_R, out)
     return g
-
-
-def contract_power_formula_check(m: Monomial, L: LinearFormR, d: int) -> bool:
-    """Verify x^m o L^d = d!/(d-j)! * m(P_L) * L^(d-j) with j = |m|.
-
-    P_L is the coefficient point of L.  Returns the comparison verdict
-    computed from both sides independently.
-    """
-    j = monomial_degree(m)
-    if j > d:
-        lhs = contract_monomial(m, power_of_linear(L, d))
-        return lhs.is_zero()
-    lhs = contract_monomial(m, power_of_linear(L, d))
-    scale = Fraction(factorial(d), factorial(d - j)) * monomial_eval(m, L.coeffs)
-    rhs = power_of_linear(L, d - j).scale(scale)
-    return lhs == rhs

@@ -145,10 +145,10 @@ def _run_analyze(args) -> int:
     doc["d"] = d
     doc["hilbert"] = list(algebra.hilbert)
     doc["codimension"] = algebra.codimension()
-    slp = check_slp(f, rng, attempts=args.attempts, box=args.coord_box,
-                    seed=args.seed, d=d)
-    wlp = check_wlp(f, rng, attempts=args.attempts, box=args.coord_box,
-                    seed=args.seed, d=d)
+    slp = check_slp(algebra, rng, attempts=args.attempts, box=args.coord_box,
+                    seed=args.seed)
+    wlp = check_wlp(algebra, rng, attempts=args.attempts, box=args.coord_box,
+                    seed=args.seed)
     doc["slp"] = slp.to_json_dict()
     doc["wlp"] = wlp.to_json_dict()
     _emit(doc, args.out)

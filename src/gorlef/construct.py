@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import (LinearFormS, Monomial, Poly, RING_R, monomial_eval,
-                     power_of_linear)
+from .apolar import LinearFormS, Monomial, Poly, RING_R
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (DegreeRecord, GorensteinAlgebra, SlpCertificate,
@@ -27,6 +26,38 @@ from .gorenstein import (DegreeRecord, GorensteinAlgebra, SlpCertificate,
 from .hvector import HVector, hbar
 from .linalg import Mat
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
+
+
+def _exact(x: Fraction):
+    """An integral Fraction as an int, so integer data stays in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def power_sum(points: Sequence[Sequence[Fraction]],
+              alphas: Sequence[Fraction], d: int, n_vars: int) -> Poly:
+    """sum alpha_i L_i^d in R[n_vars] for the duals L_i of `points`.
+
+    The coefficient of X^m is multinomial(d; m) * sum_i alpha_i p_i^m.
+    The per-point products share their prefixes along a descending-lex
+    walk over the exponents, one variable at a time.
+    """
+    pows = [[[_exact(Fraction(p[k])) ** e for e in range(d + 1)] for p in points]
+            for k in range(n_vars)]
+    fact = [factorial(e) for e in range(d + 1)]
+    terms = {}
+
+    def walk(k: int, left: int, exps: Monomial, vec: list, denom: int):
+        if k == n_vars - 1:
+            total = sum(v * pw[left] for v, pw in zip(vec, pows[k]))
+            if total:
+                terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
+            return
+        for e in range(left, -1, -1):
+            nxt = vec if e == 0 else [v * pw[e] for v, pw in zip(vec, pows[k])]
+            walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
+
+    walk(0, d, (), [_exact(Fraction(a)) for a in alphas], 1)
+    return Poly(n_vars, RING_R, terms)
 
 
 @dataclass
@@ -54,10 +85,8 @@ class StructuredGenerator:
     @property
     def expanded(self) -> Poly:
         if self._expanded is None:
-            total = Poly.zero(self.x.n + 1, RING_R)
-            for a, L in zip(self.alphas, self.x.duals()):
-                total = total + power_of_linear(L, self.d).scale(a)
-            self._expanded = total
+            self._expanded = power_sum(self.x.points, self.alphas, self.d,
+                                       self.x.n + 1)
         return self._expanded
 
     def to_json_dict(self) -> dict:
@@ -76,33 +105,38 @@ def structured_hessian_at(points: Sequence[Sequence[Fraction]],
 
     Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
     v_u = b_u(P_L); summing over the points avoids expanding F and is
-    the workhorse for weight-indexed determinant studies.  Zero weights
-    are allowed here precisely to support those studies.
+    the workhorse for weight-indexed determinant studies.  The sum is
+    V^T diag(c) V, accumulated in integers for integral data (upper
+    triangle only, then mirrored) and scaled by d!/(d-2j)! once.  Zero
+    weights are allowed here precisely to support those studies.
     """
     if 2 * j > d:
         raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
     B = list(basis_monomials)
     size = len(B)
-    scale = Fraction(factorial(d), factorial(d - 2 * j))
-    p_ell = ell.point()
-    m = Mat.zero(size, size)
+    k = d - 2 * j
+    p_ell = [_exact(c) for c in ell.point()]
+    acc = [[0] * size for _ in range(size)]
     for alpha, pt in zip(alphas, points):
-        alpha = Fraction(alpha)
+        alpha = _exact(Fraction(alpha))
         if alpha == 0:
             continue
-        beta = sum((a * c for a, c in zip(p_ell, pt)), Fraction(0))
-        if beta == 0 and d > 2 * j:
+        pt = [_exact(Fraction(c)) for c in pt]
+        beta = sum(a * c for a, c in zip(p_ell, pt))
+        if beta == 0 and k > 0:
             continue
-        v = [monomial_eval(b, pt) for b in B]
-        c = alpha * scale * (beta ** (d - 2 * j))
-        for a_i in range(size):
-            va = v[a_i]
-            if va == 0:
-                continue
-            row = m.entries[a_i]
-            for b_i in range(size):
-                row[b_i] += c * va * v[b_i]
-    return m
+        v = [prod(c ** e for c, e in zip(pt, b)) for b in B]
+        c = alpha * beta ** k
+        for a_i, va in enumerate(v):
+            if va:
+                cva = c * va
+                row = acc[a_i]
+                row[a_i:] = [x + cva * y for x, y in zip(row[a_i:], v[a_i:])]
+    scale = factorial(d) // factorial(k)
+    for a_i, row in enumerate(acc):
+        for b_i in range(a_i, size):
+            row[b_i] = acc[b_i][a_i] = scale * row[b_i]
+    return Mat(acc)
 
 
 def structured_hessian_det(x: PointSet, alphas: Sequence[Fraction], d: int,

@@ -1,9 +1,12 @@
 """Artinian Gorenstein algebras from Macaulay dual generators.
 
 A nonzero form F of degree d in R defines A = S/Ann(F).  Catalecticant
-ranks give the Hilbert function, pivot rows give monomial bases of each
-graded piece, and higher Hessians evaluated at the point dual to a
-linear form ell decide the strong Lefschetz property:
+ranks give the Hilbert function and pivots give monomial bases of each
+graded piece.  Since Cat^(d-j) is the transpose of Cat^j, one
+elimination of Cat^(d-j) per degree j <= floor(d/2) yields both the
+basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).  Higher
+Hessians evaluated at the point dual to a linear form ell decide the
+strong Lefschetz property:
 
     ell is strong Lefschetz  iff  det Hess^j(F)(P_ell) != 0
                                   for all j <= floor(d/2).
@@ -19,11 +22,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     contract_monomial, monomial_eval, monomials_of_degree)
+                     contract_monomial, monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      ZeroGeneratorError)
 from .hvector import HVector
@@ -45,48 +49,49 @@ def catalecticant(f: Poly, j: int, d: Optional[int] = None) -> Mat:
     Rows run over degree-j monomials of S, columns over degree-(d-j)
     monomials, both in descending lex; entry (u, v) = (x^u x^v) o F,
     a scalar carrying the factorial constants of true differentiation.
+    Integral entries are stored as ints.
     """
     if f.ring != RING_R:
         raise ZeroGeneratorError("dual generator must live in R")
     d = _generator_degree(f, d)
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    rows = monomials_of_degree(f.n_vars, j)
+    scaled = {}
+    for e, c in f.terms.items():
+        k = 1
+        for x in e:
+            k *= factorial(x)
+        scaled[e] = c.numerator * k if c.denominator == 1 else c * k
     cols = monomials_of_degree(f.n_vars, d - j)
-    entries = []
-    for u in rows:
-        row = []
-        for v in cols:
-            e = tuple(a + b for a, b in zip(u, v))
-            c = f.terms.get(e)
-            if c is None:
-                row.append(Fraction(0))
-            else:
-                k = 1
-                for x in e:
-                    k *= factorial(x)
-                row.append(c * k)
-        entries.append(row)
-    return Mat(entries)
+    return Mat([[scaled.get(tuple(map(add, u, v)), 0) for v in cols]
+                for u in monomials_of_degree(f.n_vars, j)])
+
+
+def _mirrored(half: List[int], d: int) -> HVector:
+    """h(0..d) from h(0..floor(d/2)) by the symmetry h(j) = h(d-j)."""
+    return HVector(half + half[:(d + 1) // 2][::-1])
 
 
 def hilbert_function(f: Poly, d: Optional[int] = None) -> HVector:
-    """Hilbert function of A = S/Ann(F): h(j) = rank Cat^j_F."""
+    """Hilbert function of A = S/Ann(F): h(j) = rank Cat^j_F = h(d-j)."""
     if f.is_zero():
         raise ZeroGeneratorError("zero dual generator")
     d = _generator_degree(f, d)
-    return HVector([linalg.rank(catalecticant(f, j, d)) for j in range(d + 1)])
+    return _mirrored([len(basis(f, j, d)) for j in range(d // 2 + 1)], d)
 
 
 def basis(f: Poly, j: int, d: Optional[int] = None) -> List[Monomial]:
     """Monomial basis of A_j: pivot rows of the degree-j catalecticant.
 
-    Deterministic: descending-lex monomials with top-to-bottom pivoting.
+    Found as the pivot columns of Cat^(d-j) = (Cat^j)^T, so the same
+    elimination also gives h(j).  Deterministic: descending-lex
+    monomials with top-to-bottom pivoting.
     """
     d = _generator_degree(f, d)
-    cat = catalecticant(f, j, d)
+    if j < 0 or j > d:
+        raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
     rows = monomials_of_degree(f.n_vars, j)
-    return [rows[i] for i in linalg.pivot_rows(cat)]
+    return [rows[i] for i in linalg.pivot_columns(catalecticant(f, d - j, d))]
 
 
 def hessian_at(f: Poly, j: int, ell: LinearFormS,
@@ -130,30 +135,6 @@ def sample_linear_form(n_vars: int, rng: random.Random,
         coeffs = [rng.randint(-box, box) for _ in range(n_vars)]
         if any(coeffs):
             return LinearFormS(coeffs)
-
-
-def hessian_det_nonzero_as_polynomial(
-        f: Poly, j: int, rng: random.Random, trials: int = 20,
-        box: int = 50,
-        basis_monomials: Optional[Sequence[Monomial]] = None,
-        d: Optional[int] = None) -> Tuple[bool, Optional[LinearFormS], Optional[Fraction]]:
-    """Decide whether det Hess^j(F) is the nonzero polynomial in ell.
-
-    Schwartz-Zippel style: evaluate at `trials` random integer points.
-    Returns (True, witness, value) on the first nonzero evaluation and
-    (False, None, None) otherwise.  One-sided: a False verdict means
-    "no witness found", never a proof of vanishing.
-    """
-    if f.is_zero():
-        return (False, None, None)
-    d = _generator_degree(f, d)
-    B = list(basis_monomials) if basis_monomials is not None else basis(f, j, d)
-    for _ in range(trials):
-        ell = sample_linear_form(f.n_vars, rng, box)
-        val = linalg.det(hessian_at(f, j, ell, B, d))
-        if val != 0:
-            return (True, ell, val)
-    return (False, None, None)
 
 
 def multiplication_rank(f: Poly, i: int, k: int, ell: LinearFormS,
@@ -226,7 +207,11 @@ class SlpCertificate:
 
 
 class GorensteinAlgebra:
-    """A = S/Ann(F) with cached Hilbert function and graded bases."""
+    """A = S/Ann(F) with cached Hilbert function and graded bases.
+
+    Builds the bases of A_j for j <= floor(d/2), one catalecticant
+    elimination each, and reads the whole Hilbert function off them.
+    """
 
     def __init__(self, f: Poly, d: Optional[int] = None):
         if f.is_zero():
@@ -236,8 +221,10 @@ class GorensteinAlgebra:
         self.f = f
         self.d = _generator_degree(f, d)
         self.n_vars = f.n_vars
-        self.hilbert: HVector = hilbert_function(f, self.d)
-        self._bases: dict = {}
+        self._bases: dict = {j: basis(f, j, self.d)
+                             for j in range(self.d // 2 + 1)}
+        self.hilbert: HVector = _mirrored(
+            [len(self._bases[j]) for j in range(self.d // 2 + 1)], self.d)
 
     def basis(self, j: int) -> List[Monomial]:
         if j not in self._bases:
@@ -263,15 +250,21 @@ def _slp_lines_at(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRe
     return records
 
 
-def check_slp(f: Poly, rng: random.Random, attempts: int = 50,
+def _algebra_of(f, d: Optional[int]) -> GorensteinAlgebra:
+    return f if isinstance(f, GorensteinAlgebra) else GorensteinAlgebra(f, d)
+
+
+def check_slp(f, rng: random.Random, attempts: int = 50,
               box: int = 50, seed: Optional[int] = None,
               d: Optional[int] = None) -> SlpCertificate:
     """Search for a strong Lefschetz element of A = S/Ann(F).
 
-    Samples integer linear forms and certifies via Hessian determinants
-    at every j <= floor(d/2), cross-validated by multiplication ranks.
+    f is the dual generator F, or an already built GorensteinAlgebra
+    (then d is ignored).  Samples integer linear forms and certifies via
+    Hessian determinants at every j <= floor(d/2), cross-validated by
+    multiplication ranks.
     """
-    algebra = GorensteinAlgebra(f, d)
+    algebra = _algebra_of(f, d)
     cert = SlpCertificate(kind="slp", ell=None, seed=seed)
     for attempt in range(1, attempts + 1):
         ell = sample_linear_form(algebra.n_vars, rng, box)
@@ -287,11 +280,15 @@ def check_slp(f: Poly, rng: random.Random, attempts: int = 50,
     return cert
 
 
-def check_wlp(f: Poly, rng: random.Random, attempts: int = 50,
+def check_wlp(f, rng: random.Random, attempts: int = 50,
               box: int = 50, seed: Optional[int] = None,
               d: Optional[int] = None) -> SlpCertificate:
-    """Search for a weak Lefschetz element: x ell full rank in each degree."""
-    algebra = GorensteinAlgebra(f, d)
+    """Search for a weak Lefschetz element: x ell full rank in each degree.
+
+    f is the dual generator F or an already built GorensteinAlgebra, as
+    for check_slp.
+    """
+    algebra = _algebra_of(f, d)
     h = algebra.hilbert
     d_ = algebra.d
     cert = SlpCertificate(kind="wlp", ell=None, seed=seed)

@@ -1,34 +1,41 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Everything here works with fractions.Fraction entries, so ranks,
-determinants and kernels are exact.  Pivoting is deterministic
-(left-to-right, first nonzero row), which downstream modules rely on
-for reproducible basis selection.
+Matrix entries are Python ints or fractions.Fraction.  Every
+elimination runs through one fraction-free pass (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"): each row is cleared of denominators on entry, and the
+integer forward pass gives rank, pivot columns and the determinant
+together.  Only `nullspace` goes back to fractions, for its
+back-substitution.
+
+Pivoting is deterministic (left-to-right, first nonzero row), which
+downstream modules rely on for reproducible basis selection.  Every
+entry of the integer pass is a nonzero multiple of the matching entry
+of plain rational elimination, so the pivots are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .errors import NonSquareError
 
-Scalar = Fraction
 
-
-def _to_scalar(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _to_scalar(x):
+    if type(x) is int or isinstance(x, Fraction):
         return x
     return Fraction(x)
 
 
 class Mat:
-    """Dense rational matrix, row-major."""
+    """Dense rational matrix, row-major, with int or Fraction entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries: List[List[Fraction]] = [
+        self.entries: List[list] = [
             [_to_scalar(x) for x in row] for row in entries
         ]
         self.rows = len(self.entries)
@@ -39,21 +46,17 @@ class Mat:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
         m = cls.zero(n, n)
         for i in range(n):
-            m.entries[i][i] = Fraction(1)
+            m.entries[i][i] = 1
         return m
 
-    def copy_entries(self) -> List[List[Fraction]]:
-        return [row[:] for row in self.entries]
-
     def transpose(self) -> "Mat":
-        return Mat([[self.entries[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
+        return Mat([list(col) for col in zip(*self.entries)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat)
@@ -80,9 +83,66 @@ class Mat:
         return out
 
 
-def _det_small(a: List[List[Fraction]], n: int) -> Fraction:
+def _integer_rows(rows) -> Tuple[List[List[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those."""
+    out = []
+    scale = 1
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+    return out, scale
+
+
+def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int]:
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Returns the pivot columns and the sign of the row permutation.
+    After pivot step k every entry right of the pivots is a (k+1)-minor
+    of the input, so each division by the previous pivot is exact and
+    the last pivot of a nonsingular square matrix is its determinant.
+    A row with a zero in the pivot column is still scaled by
+    pivot/previous, or later divisions would not be exact.
+    """
+    n = len(a)
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        tail = top[c + 1:]
+        for i in range(r + 1, n):
+            row = a[i]
+            f = row[c]
+            if f:
+                row[c:] = [0] + [(p * x - f * y) // prev
+                                 for x, y in zip(row[c + 1:], tail)]
+            elif p != prev:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
+def _det_small(a: List[List[int]], n: int) -> int:
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return a[0][0]
     if n == 2:
@@ -93,77 +153,29 @@ def _det_small(a: List[List[Fraction]], n: int) -> Fraction:
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant via cofactor expansion (size <= 3) or Bareiss."""
+    """Determinant: cofactors up to size 3, else the fraction-free pass."""
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
     n = m.rows
+    a, scale = _integer_rows(m.entries)
     if n <= 3:
-        return _det_small(m.entries, n)
-    a = m.copy_entries()
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            ak = a[k]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                # Bareiss update: division by the previous pivot is exact.
-                ai[j] = (pivot * ai[j] - aik * ak[j]) / prev
-            ai[k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _echelon(entries: List[List[Fraction]], rows: int, cols: int):
-    """In-place forward elimination; returns the pivot column list."""
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if entries[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            entries[r], entries[pivot_row] = entries[pivot_row], entries[r]
-        p = entries[r][c]
-        for i in range(r + 1, rows):
-            f = entries[i][c]
-            if f == 0:
-                continue
-            ratio = f / p
-            ri = entries[i]
-            rr = entries[r]
-            for j in range(c, cols):
-                ri[j] -= ratio * rr[j]
-        pivots.append(c)
-        r += 1
-    return pivots
+        value = _det_small(a, n)
+        return Fraction(value, scale) if scale != 1 else Fraction(value)
+    pivots, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale)
 
 
 def rank(m: Mat) -> int:
-    a = m.copy_entries()
-    return len(_echelon(a, m.rows, m.cols))
+    a, _ = _integer_rows(m.entries)
+    return len(_eliminate(a, m.cols)[0])
 
 
 def pivot_columns(m: Mat) -> List[int]:
     """Pivot columns under deterministic left-to-right elimination."""
-    a = m.copy_entries()
-    return _echelon(a, m.rows, m.cols)
+    a, _ = _integer_rows(m.entries)
+    return _eliminate(a, m.cols)[0]
 
 
 def pivot_rows(m: Mat) -> List[int]:
@@ -172,14 +184,20 @@ def pivot_rows(m: Mat) -> List[int]:
     Equal to the pivot columns of the transpose; used to pick basis
     monomials from catalecticant rows.
     """
-    return pivot_columns(m.transpose())
+    a, _ = _integer_rows(zip(*m.entries))
+    return _eliminate(a, m.rows)[0]
 
 
 def nullspace(m: Mat) -> List[List[Fraction]]:
-    """Basis of the right kernel {v : m v = 0}."""
-    a = m.copy_entries()
-    piv = _echelon(a, m.rows, m.cols)
-    # Back-substitute to reduced form.
+    """Basis of the right kernel {v : m v = 0}.
+
+    The integer forward pass, then back-substitution to the reduced
+    echelon form over the rationals; that form is unique, so the basis
+    does not depend on how the forward pass scaled its rows.
+    """
+    a, _ = _integer_rows(m.entries)
+    piv, _ = _eliminate(a, m.cols)
+    a = [[Fraction(x) for x in row] for row in a[:len(piv)]]
     for idx in range(len(piv) - 1, -1, -1):
         c = piv[idx]
         p = a[idx][c]
@@ -202,12 +220,3 @@ def nullspace(m: Mat) -> List[List[Fraction]]:
             v[c] = -a[idx][fc]
         basis.append(v)
     return basis
-
-
-def mat_vec(m: Mat, v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((row[j] * v[j] for j in range(m.cols)), Fraction(0))
-            for row in m.entries]
-
-
-def from_rows(rows: Iterable[Iterable]) -> Mat:
-    return Mat([list(r) for r in rows])

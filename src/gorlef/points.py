@@ -103,14 +103,6 @@ class PointSet:
         return cls([[Fraction(c) for c in p] for p in data["points"]])
 
 
-def hilbert_of_points(x: PointSet, i: int) -> int:
-    return x.hilbert(i)
-
-
-def tau(x: PointSet) -> int:
-    return x.tau()
-
-
 # ---------------------------------------------------------------------------
 # Generators
 

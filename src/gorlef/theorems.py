@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import (LinearFormS, Poly, RING_R, contract_monomial,
-                     power_of_linear)
-from .construct import (StructuredGenerator, _nonzero_int,
+from .apolar import LinearFormS, contract_monomial
+from .construct import (StructuredGenerator, _nonzero_int, power_sum,
                         structured_hessian_det)
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
@@ -180,7 +179,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
                 f"h_A({i}) = {h[i]} exceeds the on-conic bound {display[i]}")
     display_match = tuple(h) == display
 
-    cert = check_slp(g.expanded, rng, attempts=attempts, box=box, d=d)
+    cert = check_slp(algebra, rng, attempts=attempts, box=box)
     if not cert.verdict:
         raise TheoremTensionError(
             f"no Lefschetz witness for two-line config ({s1},{s2},share={share})",
@@ -188,13 +187,8 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
 
     # Split F along the lines and test the decomposition identity.
     g1, g2 = _split_two_lines(x)
-    duals = x.duals()
-    f1 = Poly.zero(3, RING_R)
-    for i in g1:
-        f1 = f1 + power_of_linear(duals[i], d).scale(alphas[i])
-    f2 = Poly.zero(3, RING_R)
-    for i in g2:
-        f2 = f2 + power_of_linear(duals[i], d).scale(alphas[i])
+    f1, f2 = (power_sum([x.points[i] for i in g], [alphas[i] for i in g], d, 3)
+              for g in (g1, g2))
 
     f1p = contract_monomial((2, 0, 0), f1)
     f2p = contract_monomial((0, 2, 0), f2)

@@ -18,15 +18,20 @@ from typing import Dict, List, Sequence, Set, Tuple
 # Linear algebra oracles
 
 
-def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Row reduction with partial ordering by leading column, no Bareiss."""
+def gauss_pivot_columns(rows: Sequence[Sequence[Fraction]]) -> List[int]:
+    """Pivot columns of plain Gauss-Jordan reduction, no Bareiss.
+
+    Columns are scanned left to right and the first row with a nonzero
+    entry in the column becomes the pivot row.
+    """
     m = [list(map(Fraction, r)) for r in rows]
     if not m:
-        return 0
+        return []
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    pivots: List[int] = []
     col = 0
-    while rank < n_rows and col < n_cols:
+    while len(pivots) < n_rows and col < n_cols:
+        rank = len(pivots)
         pivot = None
         for r in range(rank, n_rows):
             if m[r][col] != 0:
@@ -42,9 +47,14 @@ def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
+        pivots.append(col)
         col += 1
-    return rank
+    return pivots
+
+
+def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Row reduction with partial ordering by leading column, no Bareiss."""
+    return len(gauss_pivot_columns(rows))
 
 
 def laplace_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -17,6 +17,8 @@ from gorlef.hvector import HVector
 from gorlef.points import (PointSet, gen_collinear, gen_generic, gen_rnc,
                            gen_two_lines)
 
+from oracles import linear_power_terms
+
 
 def F(*vals):
     return tuple(Fraction(v) for v in vals)
@@ -36,6 +38,18 @@ class TestStructuredGenerator:
             term = power_of_linear(L, 3).scale(a)
             total = term if total is None else total + term
         assert g.expanded.terms == total.terms
+
+    def test_expanded_rational_points_match_repeated_multiplication(self):
+        x = PointSet([F(1, Fraction(1, 2), Fraction(3, 7)), F(1, -2, 5),
+                      F(Fraction(2, 5), 1, Fraction(-1, 4))])
+        alphas = F(Fraction(1, 2), -3, Fraction(5, 4))
+        for d in range(5):
+            expected = {}
+            for a, p in zip(alphas, x.points):
+                for m, c in linear_power_terms(p, d).items():
+                    expected[m] = expected.get(m, 0) + a * c
+            g = StructuredGenerator(x=x, alphas=alphas, d=d)
+            assert g.expanded.terms == {m: c for m, c in expected.items() if c}
 
     def test_zero_weight_rejected(self):
         x = gen_collinear(2, 2)

@@ -1,0 +1,96 @@
+"""Golden stdout digests for CLI paths the benchmark reference does not cover.
+
+Each case pins the exit code and the SHA-256 of the full stdout of one
+fixed invocation, recorded from the Fraction-only implementation.  A
+change to the exact kernel, to the catalecticant bookkeeping or to the
+expansion of F that alters a single output byte fails here.  The
+rational `analyze` cases are the only ones that feed non-integral
+entries to the elimination kernel.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gorlef.cli import main
+
+
+_POLY_INT = json.dumps({"n_vars": 3, "ring": "R", "terms": [
+    {"exp": [2, 2, 0], "coef": "1"}, {"exp": [0, 1, 3], "coef": "-2"},
+    {"exp": [1, 0, 3], "coef": "5"}, {"exp": [0, 0, 4], "coef": "1"}]})
+_POLY_RATIONAL = json.dumps({"n_vars": 4, "ring": "R", "terms": [
+    {"exp": [1, 1, 1, 0], "coef": "1/3"}, {"exp": [0, 1, 1, 1], "coef": "-7/2"},
+    {"exp": [3, 0, 0, 0], "coef": "2"}, {"exp": [0, 0, 0, 3], "coef": "1"}]})
+_POLY_SMALL = json.dumps({"n_vars": 3, "ring": "R", "terms": [
+    {"exp": [2, 1, 1], "coef": "1"}, {"exp": [0, 3, 1], "coef": "1"}]})
+_POINTS_RATIONAL = json.dumps({"points": [
+    ["1", "1/2", "3/7"], ["1", "-2/3", "2"], ["2/5", "1", "-1/4"],
+    ["1", "3", "5/6"]]})
+
+GOLDEN = [
+    ("seq-si", ["seq", "check", "1,3,5,5,3,1"],
+     0, "c6e6ec142e7f6c2362b7bb6570a3923c1d3f9bf5d6e6a84bf391657bb34b4729"),
+    ("seq-not-si", ["seq", "check", "1,13,12,13,1"],
+     0, "89a8d5f13aa553252071c78910e70ce22fe02fa378f23896c48fd761f69082c6"),
+    ("seq-not-o", ["seq", "check", "1,2,5"],
+     0, "6cb4a71d7e6b83a341e9ce1f5b41c294f24f1354ffa42872685c716611454a43"),
+    ("seq-large", ["seq", "check", "1,4,10,15,15,15,10,4,1"],
+     0, "468fd32d1474f72b5c64f24d0e06086fe177d7afbe3748b1b71c0fc4e50ac2a3"),
+    ("analyze-poly", ["analyze", "--poly", _POLY_INT, "--seed", "3"],
+     0, "3a2588ff8a2d3c9a4ce8c563705883d6a7e173e52122b4a8e92140b3502f6a88"),
+    ("analyze-poly-rational",
+     ["analyze", "--poly", _POLY_RATIONAL, "--seed", "5", "--attempts", "10"],
+     0, "53e35eb3a45791f888f370dc63213c3017d8c556969bd092dc5e549f14f1d0a0"),
+    ("analyze-poly-small",
+     ["analyze", "--poly", _POLY_SMALL, "--seed", "1", "--attempts", "4"],
+     0, "f9381cf429b687246222b0c0b9708f1cfeeea6bcfeeef37665c3c3f0d3c1ea69"),
+    ("analyze-points-rational-d5",
+     ["analyze", "--points", _POINTS_RATIONAL, "--alphas", "1/2,-3,5/4,2",
+      "--d", "5", "--seed", "7"],
+     0, "c082f95910133fb306279f3eeb33e553eaa6ee8df6429827eaf2c12416b76540"),
+    ("analyze-points-rational-d4",
+     ["analyze", "--points", _POINTS_RATIONAL, "--alphas", "1/2,-3,5/4,2",
+      "--d", "4", "--seed", "2"],
+     0, "74e60454e548834d4184ea6fffb92b16cbc5604603db71bef018e32bafa906c3"),
+    ("points-generic",
+     ["points", "gen", "--kind", "generic", "--n", "2", "--s", "7",
+      "--seed", "4"],
+     0, "6202ae7540ebad9e50a8e824641991e0c40055302f625c297ab58194fa0ee083"),
+    ("points-collinear",
+     ["points", "gen", "--kind", "collinear", "--n", "3", "--s", "5"],
+     0, "5bb2f07943fc328738dfe66cb022f0414430ad75b56243f0cad7db82a8fb6caf"),
+    ("points-two-lines",
+     ["points", "gen", "--kind", "two-lines", "--s1", "4", "--s2", "3",
+      "--share"],
+     0, "34cf2bac2dd97371865eea14039c773cfb7472e5c95c55a5d6ddda4c982cb182"),
+    ("points-rnc",
+     ["points", "gen", "--kind", "rnc", "--n", "3", "--s", "8", "--seed", "6"],
+     0, "6b9bb04533075a0a4eceb90990bc6b955fd800aeb65645579e202a0b3e81f888"),
+    ("points-distraction",
+     ["points", "gen", "--kind", "distraction", "--delta", "1,3,4,2"],
+     0, "69813678e4f582bfa438595c13027924ca67647e4272804df9e3e1165cecf680"),
+    ("verify-rnc",
+     ["verify", "--theorem", "rnc", "--n", "3", "--s", "7", "--seed", "2"],
+     0, "b5cee1c0b254f65751a42d01c33c114163d2815f42bb8afcadc1c36395e61312"),
+    ("verify-families",
+     ["verify", "--theorem", "families", "--m", "2,3", "--seed", "1"],
+     0, "822c1d95afedc36342081df752743254a67991b26fe70dfa2670fd8775f9897a"),
+    ("verify-s-minus-1",
+     ["verify", "--theorem", "s-minus", "--s", "7", "--d", "6", "--j", "2",
+      "--seed", "3"],
+     0, "1d75b13d79a4a00c2f6a424178c339663afecd252297eed83c04912e62519b71"),
+    ("verify-s-minus-2",
+     ["verify", "--theorem", "s-minus", "--s", "8", "--d", "4", "--j", "2",
+      "--kind-num", "2", "--seed", "8"],
+     0, "d45c4c33024108e5f2175973e6bf9f356cc36aa48457e92da3c064198e1cfe31"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest",
+                         [case[1:] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_stdout_digest(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R,
                            monomials_of_degree, power_of_linear)
@@ -15,7 +16,7 @@ from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                sample_linear_form)
 from gorlef.linalg import rank
 
-from oracles import gauss_rank
+from oracles import gauss_pivot_columns, gauss_rank
 
 
 def rmono(n, exp, c=1):
@@ -212,3 +213,67 @@ class TestAlgebraContainer:
         f = X0X1X2 + rmono(3, (1, 0, 0))
         with pytest.raises(ZeroGeneratorError):
             GorensteinAlgebra(f)
+
+
+@st.composite
+def _sparse_forms(draw):
+    """Homogeneous F in 2-4 variables, not built from points."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 6 if n < 4 else 5))
+    mons = monomials_of_degree(n, d)
+    chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=6,
+                           unique=True))
+    coefs = draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+        min_size=len(chosen), max_size=len(chosen)))
+    return Poly(n, RING_R, dict(zip(chosen, coefs))), d
+
+
+class TestHalfCatalecticants:
+    """The algebra eliminates only Cat^(d-j), j <= d/2; check it in full."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_forms())
+    def test_mirrored_hilbert_and_bases(self, form):
+        f, d = form
+        full = [gauss_rank(catalecticant(f, j, d).entries) for j in range(d + 1)]
+        algebra = GorensteinAlgebra(f, d)
+        assert list(algebra.hilbert) == full
+        assert list(hilbert_function(f, d)) == full
+        for j in range(d // 2 + 1):
+            cat = catalecticant(f, j, d)
+            rows = monomials_of_degree(f.n_vars, j)
+            transposed = [list(col) for col in zip(*cat.entries)]
+            expected = [rows[i] for i in gauss_pivot_columns(transposed)]
+            assert algebra.basis(j) == expected
+            assert basis(f, j, d) == expected
+
+
+class TestSharedAlgebra:
+    def test_checks_accept_a_built_algebra(self):
+        f = rmono(3, (2, 1, 1)) + rmono(3, (0, 3, 1), 2)
+        algebra = GorensteinAlgebra(f)
+        for check in (check_slp, check_wlp):
+            from_f = check(f, random.Random(5), attempts=4, seed=5)
+            shared = check(algebra, random.Random(5), attempts=4, seed=5)
+            assert shared.to_json_dict() == from_f.to_json_dict()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", '
+         '"terms": [{"exp": [2, 1], "coef": "1"}]}'],
+        ["verify", "--theorem", "conic", "--s1", "2", "--s2", "2",
+         "--eval-points", "1"],
+    ], ids=["analyze", "conic"])
+    def test_one_algebra_per_call(self, capsys, monkeypatch, argv):
+        from gorlef import cli
+        built = []
+        init = GorensteinAlgebra.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GorensteinAlgebra, "__init__", counting_init)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
