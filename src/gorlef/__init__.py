@@ -24,8 +24,8 @@ from .apolar import (LinearFormR, LinearFormS, Poly, RING_R, RING_S,
                      power_of_linear)
 from .linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
-                         check_slp, check_wlp, hessian_at, hessian_det,
-                         hilbert_function, multiplication_rank)
+                         certify_at, check_slp, check_wlp, hessian_at,
+                         hessian_det, hilbert_function, multiplication_rank)
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
@@ -52,8 +52,8 @@ __all__ = [
     "RealizationMismatchError", "RingMismatchError", "ShapeMismatchError",
     "SlpCertificate", "StructuredGenerator", "TailReport",
     "TheoremTensionError", "ZeroGeneratorError", "binomial_expand",
-    "block_det_identity", "catalecticant", "check_slp", "check_wlp",
-    "construct_slp_algebra", "contract", "contract_linear_power",
+    "block_det_identity", "catalecticant", "certify_at", "check_slp",
+    "check_wlp", "construct_slp_algebra", "contract", "contract_linear_power",
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",
     "has_collinear_triple", "hbar", "hess_coefficient_criterion",

@@ -175,6 +175,12 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poly":
+        missing = {"n_vars", "ring", "terms"} - data.keys()
+        if missing:
+            raise ValueError(f"polynomial JSON lacks {sorted(missing)}")
+        if not all(isinstance(t, dict) and {"exp", "coef"} <= t.keys()
+                   for t in data["terms"]):
+            raise ValueError('every polynomial term needs "exp" and "coef"')
         terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
         return cls(int(data["n_vars"]), data["ring"], terms)
 
@@ -197,16 +203,8 @@ def contract(a: Poly, f: Poly) -> Poly:
         raise RingMismatchError(f"contract needs S operand and R target, got {a.ring}, {f.ring}")
     if a.n_vars != f.n_vars:
         raise RingMismatchError(f"variable count mismatch: {a.n_vars} vs {f.n_vars}")
-    out: Dict[Monomial, Fraction] = {}
-    for ea, ca in a.terms.items():
-        for ef, cf in f.terms.items():
-            if any(x < y for x, y in zip(ef, ea)):
-                continue
-            m = tuple(x - y for x, y in zip(ef, ea))
-            coef = ca * cf * _falling_product(ef, ea)
-            if coef:
-                out[m] = out.get(m, Fraction(0)) + coef
-    return Poly(f.n_vars, RING_R, out)
+    return sum((contract_monomial(e, f).scale(c) for e, c in a.terms.items()),
+               Poly.zero(f.n_vars, RING_R))
 
 
 def contract_monomial(e: Monomial, f: Poly) -> Poly:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested check or construction succeeds, 1 when
 a randomized search exhausts its budget or a verified property fails,
-2 for malformed input.  All randomness flows from --seed through named
+2 for malformed input; each GorlefError class carries its code as
+exit_code.  All randomness flows from --seed through named
 substreams, so identical invocations produce identical bytes.
 """
 
@@ -17,13 +18,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .construct import StructuredGenerator, construct_slp_algebra
-from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,
-                     DuplicateParameterError, HessianRankMismatchError,
-                     NonSquareError, NoWitnessFoundError, NotOSequenceError,
-                     NotPlaneConfigError, NotSIError,
-                     PreconditionViolatedError, RealizationMismatchError,
-                     RingMismatchError, ShapeMismatchError,
-                     TheoremTensionError, ZeroGeneratorError)
+from .errors import GorlefError
 from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import HVector, hbar, is_O_sequence, is_SI, is_differentiable
 from .apolar import Poly
@@ -32,16 +27,6 @@ from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
 from .theorems import (make_tail_config, verify_conic_slp,
                        verify_corollary_families, verify_prop_s_minus,
                        verify_rnc_slp, verify_tail_nonvanishing)
-
-_SEARCH_FAILURES = (NoWitnessFoundError, TheoremTensionError,
-                    RealizationMismatchError, ShapeMismatchError,
-                    HessianRankMismatchError)
-_INPUT_ERRORS = (NotSIError, NotOSequenceError, DuplicateParameterError,
-                 NotPlaneConfigError, BadSubsetSizeError,
-                 PreconditionViolatedError, ZeroGeneratorError,
-                 DegreeOutOfRangeError, RingMismatchError, NonSquareError,
-                 ValueError)
-
 
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=2) + "\n"
@@ -65,9 +50,14 @@ def _parse_ints(text: str) -> List[int]:
 def _load_json_arg(value: str) -> dict:
     """Inline JSON if the argument looks like JSON, else a file path."""
     stripped = value.strip()
-    if stripped.startswith("{"):
-        return json.loads(stripped)
-    return json.loads(Path(value).read_text())
+    try:
+        text = stripped if stripped.startswith("{") else Path(value).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object in {value!r}")
+    return doc
 
 
 def _point_set_doc(x: PointSet) -> dict:
@@ -155,24 +145,29 @@ def _run_analyze(args) -> int:
     return 0 if slp.verdict or wlp.verdict or not args.expect_slp else 1
 
 
+_POINT_FLAGS = {"generic": ("n", "s"), "collinear": ("n", "s"),
+                "two-lines": ("s1", "s2"), "rnc": ("n", "s"),
+                "distraction": ("delta",)}
+
+
 def _run_points(args) -> int:
     rng = _substream(args.seed, "points")
     kind = args.kind
+    needs = _POINT_FLAGS.get(kind, ())
+    if any(getattr(args, flag) is None for flag in needs):
+        raise ValueError(f"{kind} needs "
+                         + " and ".join(f"--{flag}" for flag in needs))
     if kind == "generic":
         x = gen_generic(args.n, args.s, rng, box=args.coord_box)
     elif kind == "collinear":
         x = gen_collinear(args.n, args.s)
     elif kind == "two-lines":
-        if args.s1 is None or args.s2 is None:
-            raise ValueError("two-lines needs --s1 and --s2")
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
         params = (_parse_ints(args.params) if args.params
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)
     elif kind == "distraction":
-        if args.delta is None:
-            raise ValueError("distraction needs --delta")
         delta = _parse_ints(args.delta)
         n_vars = args.n if args.n is not None else (
             delta[1] if len(delta) > 1 else 1)
@@ -194,6 +189,8 @@ def _run_verify(args) -> int:
     if t == "rnc":
         if args.s is None:
             raise ValueError("rnc needs --s")
+        if args.n < 1:
+            raise ValueError(f"rnc needs --n >= 1, got {args.n}")
         tau = -(-(args.s - 1) // args.n)
         d = args.d if args.d is not None else 2 * tau
         cert = verify_rnc_slp(args.n, args.s, d, rng, attempts=args.attempts,
@@ -367,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except _SEARCH_FAILURES as exc:
+    except (GorlefError, ValueError) as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         diagnostics = getattr(exc, "diagnostics", None)
         if diagnostics is not None:
@@ -375,11 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in diagnostics.items()}
         _emit(doc, getattr(args, "out", None))
-        return 1
-    except _INPUT_ERRORS as exc:
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        _emit(doc, getattr(args, "out", None))
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def console_main() -> None:

@@ -6,7 +6,9 @@ set, and take F = sum alpha_i L_i^d with random nonzero weights.  For
 degrees below the stabilization the Hessian determinants are checked
 directly; at and above it the multiplication maps act on the coordinate
 ring of the points and have full rank whenever ell separates the points.
-Both routes are recorded at every degree.
+gorenstein.certify_at builds the certificate lines, with the Hessians
+summed over the points: both routes are recorded at every degree, and a
+disagreement between them is raised, not retried.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormS, Monomial, Poly, RING_R
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
-from .gorenstein import (DegreeRecord, GorensteinAlgebra, SlpCertificate,
-                         basis as algebra_basis, multiplication_rank)
+from .gorenstein import (GorensteinAlgebra, SlpCertificate,
+                         basis as algebra_basis, certify_at)
 from .hvector import HVector, hbar
 from .linalg import Mat
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
@@ -187,18 +189,10 @@ class ConstructionResult:
         }
 
 
-def _certificate_lines(algebra: GorensteinAlgebra, g: StructuredGenerator,
-                       ell: LinearFormS, t: int) -> List[DegreeRecord]:
-    """Both routes at every degree; Hessians drive j < t, ranks j >= t."""
-    records = []
-    for j in range(algebra.d // 2 + 1):
-        det_val = structured_hessian_det(g.x, g.alphas, g.d, j,
-                                         algebra.basis(j), ell)
-        rk = multiplication_rank(algebra.f, j, algebra.d - 2 * j, ell, algebra.d)
-        method = "hessian-det" if j < t else "map-rank"
-        records.append(DegreeRecord(j=j, method=method, det=det_val,
-                                    rank=rk, required=algebra.hilbert[j]))
-    return records
+def _point_hessian(g: StructuredGenerator, ell: LinearFormS):
+    """hessian(j, basis) for certify_at, summed over g's points."""
+    return lambda j, b: structured_hessian_at(g.x.points, g.alphas, g.d, j,
+                                              b, ell)
 
 
 def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResult:
@@ -208,7 +202,7 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     g = StructuredGenerator(x=x, alphas=(Fraction(1),), d=d)
     algebra = GorensteinAlgebra(g.expanded, d)
     ell = LinearFormS([Fraction(1)])
-    records = _certificate_lines(algebra, g, ell, t=0)
+    records = certify_at(algebra, ell, _point_hessian(g, ell), t=0)
     cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                           verdict=all(r.ok() for r in records),
                           seed=seed, attempts=1)
@@ -253,7 +247,7 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
-        records = _certificate_lines(algebra, g, ell, t)
+        records = certify_at(algebra, ell, _point_hessian(g, ell), t)
         if all(r.ok() for r in records):
             cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                                   verdict=True, seed=seed, attempts=attempt)

@@ -2,7 +2,13 @@
 
 
 class GorlefError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    exit_code is the CLI's exit status for the error: 2 for malformed
+    input (the default), 1 for an exhausted search or a failed check.
+    """
+
+    exit_code = 2
 
 
 class NonSquareError(GorlefError):
@@ -36,6 +42,8 @@ class NoWitnessFoundError(GorlefError):
     property fails.  Carries diagnostics for reporting.
     """
 
+    exit_code = 1
+
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
@@ -43,6 +51,8 @@ class NoWitnessFoundError(GorlefError):
 
 class RealizationMismatchError(GorlefError):
     """A constructed object fails its runtime verification."""
+
+    exit_code = 1
 
 
 class DuplicateParameterError(GorlefError):
@@ -55,6 +65,8 @@ class NotPlaneConfigError(GorlefError):
 
 class ShapeMismatchError(GorlefError):
     """An h-vector or first-difference does not match the required shape."""
+
+    exit_code = 1
 
 
 class PreconditionViolatedError(GorlefError):
@@ -72,6 +84,8 @@ class TheoremTensionError(GorlefError):
     an implementation bug; never swallowed silently.
     """
 
+    exit_code = 1
+
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
@@ -83,3 +97,5 @@ class HessianRankMismatchError(GorlefError):
     The two routes are provably equivalent, so a mismatch always
     indicates an internal bug and is raised loudly.
     """
+
+    exit_code = 1

@@ -11,9 +11,12 @@ strong Lefschetz property:
     ell is strong Lefschetz  iff  det Hess^j(F)(P_ell) != 0
                                   for all j <= floor(d/2).
 
-Each Hessian verdict can be cross-checked by the rank of the actual
-multiplication map x ell^(d-2j): A_j -> A_(d-j); the two routes agree
-by the Hessian criterion and any disagreement is raised as a bug.
+certify_at builds every SLP certificate line, for check_slp and for
+the construct pipeline alike: at each degree it records the Hessian
+determinant and the rank of the multiplication map
+x ell^(d-2j): A_j -> A_(d-j).  The two routes agree by the Hessian
+criterion, so on every caller a disagreement is raised as a bug.
+check_slp and check_wlp share one attempt loop over sampled forms.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
@@ -235,77 +238,67 @@ class GorensteinAlgebra:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
 
 
-def _slp_lines_at(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
-    """Evaluate both routes at every j <= floor(d/2); raise on disagreement."""
+def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
+               hessian: Optional[Callable[[int, List[Monomial]], Mat]] = None,
+               t: Optional[int] = None) -> List[DegreeRecord]:
+    """SLP certificate lines at ell: both routes at every j <= floor(d/2).
+
+    The det route is det Hess^j(F)(P_ell) over the basis of A_j, from
+    `hessian(j, basis)` or, by default, from hessian_at by contraction;
+    the rank route is the rank of x ell^(d-2j): A_j -> A_(d-j).  Any
+    disagreement raises HessianRankMismatchError.  Degrees j < t are
+    labelled "hessian-det" and the rest "map-rank"; t=None labels all
+    "hessian-det".
+    """
     f, d, h = algebra.f, algebra.d, algebra.hilbert
     records = []
     for j in range(d // 2 + 1):
-        dv = linalg.det(hessian_at(f, j, ell, algebra.basis(j), d))
+        b = algebra.basis(j)
+        dv = linalg.det(hessian_at(f, j, ell, b, d) if hessian is None
+                        else hessian(j, b))
         rk = multiplication_rank(f, j, d - 2 * j, ell, d)
         if (dv != 0) != (rk == h[j]):
             raise HessianRankMismatchError(
                 f"j={j}: det={dv} but rank={rk}, required {h[j]}")
-        records.append(DegreeRecord(j=j, method="hessian-det", det=dv,
-                                    rank=rk, required=h[j]))
+        method = "hessian-det" if t is None or j < t else "map-rank"
+        records.append(DegreeRecord(j=j, method=method, det=dv, rank=rk,
+                                    required=h[j]))
     return records
 
 
-def _algebra_of(f, d: Optional[int]) -> GorensteinAlgebra:
-    return f if isinstance(f, GorensteinAlgebra) else GorensteinAlgebra(f, d)
+def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
+    """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d."""
+    f, d, h = algebra.f, algebra.d, algebra.hilbert
+    return [DegreeRecord(j=i, method="map-rank", det=None,
+                         rank=multiplication_rank(f, i, 1, ell, d),
+                         required=min(h[i], h[i + 1]))
+            for i in range(d)]
 
 
-def check_slp(f, rng: random.Random, attempts: int = 50,
-              box: int = 50, seed: Optional[int] = None,
-              d: Optional[int] = None) -> SlpCertificate:
-    """Search for a strong Lefschetz element of A = S/Ann(F).
-
-    f is the dual generator F, or an already built GorensteinAlgebra
-    (then d is ignored).  Samples integer linear forms and certifies via
-    Hessian determinants at every j <= floor(d/2), cross-validated by
-    multiplication ranks.
-    """
-    algebra = _algebra_of(f, d)
-    cert = SlpCertificate(kind="slp", ell=None, seed=seed)
+def _search(kind: str, lines, algebra: GorensteinAlgebra, rng: random.Random,
+            attempts: int, box: int, seed: Optional[int]) -> SlpCertificate:
+    """First sampled ell whose lines all pass, else the last failure."""
+    cert = SlpCertificate(kind=kind, ell=None, seed=seed)
     for attempt in range(1, attempts + 1):
         ell = sample_linear_form(algebra.n_vars, rng, box)
-        records = _slp_lines_at(algebra, ell)
         cert.attempts = attempt
-        if all(r.ok() for r in records):
+        cert.per_degree = lines(algebra, ell)
+        if all(r.ok() for r in cert.per_degree):
             cert.ell = ell
-            cert.per_degree = records
             cert.verdict = True
-            return cert
-        cert.per_degree = records  # keep the last failure for diagnostics
-    cert.verdict = False
+            break
     return cert
 
 
-def check_wlp(f, rng: random.Random, attempts: int = 50,
-              box: int = 50, seed: Optional[int] = None,
-              d: Optional[int] = None) -> SlpCertificate:
-    """Search for a weak Lefschetz element: x ell full rank in each degree.
+def check_slp(algebra: GorensteinAlgebra, rng: random.Random,
+              attempts: int = 50, box: int = 50,
+              seed: Optional[int] = None) -> SlpCertificate:
+    """Search for a strong Lefschetz element of A: certify_at per sample."""
+    return _search("slp", certify_at, algebra, rng, attempts, box, seed)
 
-    f is the dual generator F or an already built GorensteinAlgebra, as
-    for check_slp.
-    """
-    algebra = _algebra_of(f, d)
-    h = algebra.hilbert
-    d_ = algebra.d
-    cert = SlpCertificate(kind="wlp", ell=None, seed=seed)
-    for attempt in range(1, attempts + 1):
-        ell = sample_linear_form(algebra.n_vars, rng, box)
-        records = []
-        for i in range(d_):
-            rk = multiplication_rank(algebra.f, i, 1, ell, d_)
-            need = min(h[i], h[i + 1])
-            records.append(DegreeRecord(j=i, method="map-rank", det=None,
-                                        rank=rk, required=need))
-        cert.attempts = attempt
-        if all(r.ok() for r in records):
-            cert.ell = ell
-            cert.per_degree = records
-            cert.verdict = True
-            return cert
-        cert.per_degree = records
-    cert.verdict = False
-    return cert
+
+def check_wlp(algebra: GorensteinAlgebra, rng: random.Random,
+              attempts: int = 50, box: int = 50,
+              seed: Optional[int] = None) -> SlpCertificate:
+    """Search for a weak Lefschetz element: x ell full rank in each degree."""
+    return _search("wlp", _wlp_lines, algebra, rng, attempts, box, seed)

@@ -73,11 +73,6 @@ class HVector:
     def __repr__(self) -> str:
         return f"HVector({list(self.entries)})"
 
-    def first_difference(self) -> Tuple[int, ...]:
-        """Delta h: (h_0, h_1 - h_0, ...).  Entries may be negative."""
-        e = self.entries
-        return tuple(e[i] - (e[i - 1] if i else 0) for i in range(len(e)))
-
     def is_symmetric(self) -> bool:
         return self.entries == self.entries[::-1]
 

@@ -66,22 +66,6 @@ class Mat:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Mat({self.rows}x{self.cols}: {body})"
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = Mat.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == 0:
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    orow[j] += a * brow[j]
-        return out
-
 
 def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     """Each row times the lcm of its denominators, and the product of those."""

@@ -100,6 +100,8 @@ class PointSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointSet":
+        if "points" not in data:
+            raise ValueError('point-set JSON lacks "points"')
         return cls([[Fraction(c) for c in p] for p in data["points"]])
 
 

@@ -108,7 +108,8 @@ def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
     g = StructuredGenerator(
         x=x, alphas=tuple(Fraction(_nonzero_int(rng, alpha_box))
                           for _ in range(s)), d=d)
-    cert = check_slp(g.expanded, rng, attempts=attempts, box=box, d=d)
+    cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
+                     attempts=attempts, box=box)
     if not cert.verdict:
         raise TheoremTensionError(
             f"no Lefschetz witness for {s} curve points in P^{n}, d={d}",
@@ -411,7 +412,8 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
             alphas = tuple(Fraction(_nonzero_int(rng, alpha_box))
                            for _ in range(x.size))
             g = StructuredGenerator(x=x, alphas=alphas, d=d)
-            cert = check_slp(g.expanded, rng, attempts=attempts, box=box, d=d)
+            cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
+                             attempts=attempts, box=box)
             if not cert.verdict:
                 raise TheoremTensionError(
                     f"family {name}, m={m} has no Lefschetz witness",

@@ -13,6 +13,8 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Set, Tuple
 
+from gorlef.linalg import Mat
+
 
 # ---------------------------------------------------------------------------
 # Linear algebra oracles
@@ -55,6 +57,14 @@ def gauss_pivot_columns(rows: Sequence[Sequence[Fraction]]) -> List[int]:
 def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Row reduction with partial ordering by leading column, no Bareiss."""
     return len(gauss_pivot_columns(rows))
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """The matrix product a b by the schoolbook triple loop."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    return Mat([[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                 for col in zip(*b.entries)] for row in a.entries])
 
 
 def laplace_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

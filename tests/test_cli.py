@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gorlef import cli, errors
 from gorlef.cli import main
 
 
@@ -244,3 +245,58 @@ class TestPlumbing:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "gorlef" in out
+
+
+class TestErrorContract:
+    # 1: a search ran out or a checked property failed; 2: malformed input
+    EXIT_CODES = {
+        "NoWitnessFoundError": 1, "TheoremTensionError": 1,
+        "RealizationMismatchError": 1, "ShapeMismatchError": 1,
+        "HessianRankMismatchError": 1,
+        "NonSquareError": 2, "RingMismatchError": 2,
+        "DegreeOutOfRangeError": 2, "ZeroGeneratorError": 2,
+        "NotOSequenceError": 2, "NotSIError": 2,
+        "DuplicateParameterError": 2, "NotPlaneConfigError": 2,
+        "PreconditionViolatedError": 2, "BadSubsetSizeError": 2,
+    }
+
+    def test_every_error_class_has_its_code(self):
+        found = {name: cls.exit_code for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, errors.GorlefError)
+                 and cls is not errors.GorlefError}
+        assert found == self.EXIT_CODES
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES) + ["ValueError"])
+    def test_main_exits_with_the_code(self, capsys, monkeypatch, name):
+        cls = getattr(errors, name, ValueError)
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_run_seq", fail)
+        code, doc = run_json(capsys, "seq", "check", "1")
+        assert code == self.EXIT_CODES.get(name, 2)
+        assert doc["error"]["type"] == name
+        assert doc["error"]["message"] == "boom"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--poly", "missing.json"],
+        ["analyze", "--poly", '{"n_vars": 2}'],
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": [{}]}'],
+        ["analyze", "--points", '{"pts": []}', "--alphas", "1", "--d", "2"],
+        ["points", "gen", "--kind", "rnc", "--n", "2"],
+        ["points", "gen", "--kind", "rnc", "--s", "5"],
+        ["points", "gen", "--kind", "generic", "--s", "5"],
+        ["points", "gen", "--kind", "collinear", "--n", "2"],
+        ["verify", "--theorem", "rnc", "--s", "5", "--n", "0"],
+    ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
+            "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
+            "collinear-no-s", "rnc-n-zero"])
+    def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error" in json.loads(captured.out)
+        assert "Traceback" not in captured.err

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from gorlef.apolar import LinearFormS, power_of_linear
+from gorlef.apolar import LinearFormR, LinearFormS, power_of_linear
 from gorlef.construct import (ConstructionResult, StructuredGenerator,
                               construct_slp_algebra, hess_coefficient_criterion,
                               hilbert_formula_check, structured_hessian_at,
                               structured_hessian_det)
-from gorlef.errors import (BadSubsetSizeError, NoWitnessFoundError, NotSIError,
+from gorlef import gorenstein
+from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
+                           NoWitnessFoundError, NotSIError,
                            PreconditionViolatedError)
-from gorlef.gorenstein import GorensteinAlgebra, hessian_at
+from gorlef.gorenstein import GorensteinAlgebra, check_slp, hessian_at
 from gorlef.hvector import HVector
 from gorlef.points import (PointSet, gen_collinear, gen_generic, gen_rnc,
                            gen_two_lines)
@@ -260,3 +262,26 @@ class TestConstructSlpAlgebra:
     def test_accepts_plain_sequences(self):
         res = construct_slp_algebra((1, 3, 1), random.Random(95))
         assert tuple(res.algebra.hilbert) == (1, 3, 1)
+
+
+class TestRouteCheck:
+    """One certificate path: a det/rank disagreement raises on every caller."""
+
+    @pytest.fixture
+    def lying_rank(self, monkeypatch):
+        # rank + 1 contradicts the det route at j = 0 whatever the det is
+        true_rank = gorenstein.multiplication_rank
+        monkeypatch.setattr(gorenstein, "multiplication_rank",
+                            lambda *a, **kw: true_rank(*a, **kw) + 1)
+
+    @pytest.mark.parametrize("h", ["1,3,5,5,3,1", "1,1,1,1"],
+                             ids=["points", "trivial"])
+    def test_construct_raises(self, lying_rank, h):
+        with pytest.raises(HessianRankMismatchError):
+            construct_slp_algebra(HVector.parse(h), random.Random(96))
+
+    def test_check_slp_raises(self, lying_rank):
+        f = power_of_linear(LinearFormR([1, 2, 3]), 3) + power_of_linear(
+            LinearFormR([1, -1, 1]), 3)
+        with pytest.raises(HessianRankMismatchError):
+            check_slp(GorensteinAlgebra(f), random.Random(97), attempts=3)

@@ -1,11 +1,13 @@
-"""Golden stdout digests for CLI paths the benchmark reference does not cover.
+"""Golden stdout digests for CLI paths the benchmark does not always run.
 
 Each case pins the exit code and the SHA-256 of the full stdout of one
-fixed invocation, recorded from the Fraction-only implementation.  A
-change to the exact kernel, to the catalecticant bookkeeping or to the
-expansion of F that alters a single output byte fails here.  The
-rational `analyze` cases are the only ones that feed non-integral
-entries to the elimination kernel.
+fixed invocation.  A change to the exact kernel, to the catalecticant
+bookkeeping, to the expansion of F or to the certificate loop that
+alters a single output byte fails here.  The rational `analyze` cases
+are the only ones that feed non-integral entries to the elimination
+kernel; the Perazzo case exhausts the Lefschetz search; the trivial
+`construct` cases (h_1 = 1), whose digests are those of the benchmark
+reference, are drawn by the benchmark only in some passes.
 """
 
 import hashlib
@@ -24,6 +26,11 @@ _POLY_RATIONAL = json.dumps({"n_vars": 4, "ring": "R", "terms": [
     {"exp": [3, 0, 0, 0], "coef": "2"}, {"exp": [0, 0, 0, 3], "coef": "1"}]})
 _POLY_SMALL = json.dumps({"n_vars": 3, "ring": "R", "terms": [
     {"exp": [2, 1, 1], "coef": "1"}, {"exp": [0, 3, 1], "coef": "1"}]})
+# Perazzo's cubic X0 X3^2 + X1 X3 X4 + X2 X4^2: its algebra fails SLP and
+# WLP, so the search runs out and reports its last failing attempt.
+_POLY_PERAZZO = json.dumps({"n_vars": 5, "ring": "R", "terms": [
+    {"exp": [1, 0, 0, 2, 0], "coef": "1"}, {"exp": [0, 1, 0, 1, 1], "coef": "1"},
+    {"exp": [0, 0, 1, 0, 2], "coef": "1"}]})
 _POINTS_RATIONAL = json.dumps({"points": [
     ["1", "1/2", "3/7"], ["1", "-2/3", "2"], ["2/5", "1", "-1/4"],
     ["1", "3", "5/6"]]})
@@ -84,6 +91,37 @@ GOLDEN = [
      ["verify", "--theorem", "s-minus", "--s", "8", "--d", "4", "--j", "2",
       "--kind-num", "2", "--seed", "8"],
      0, "d45c4c33024108e5f2175973e6bf9f356cc36aa48457e92da3c064198e1cfe31"),
+    ("analyze-perazzo-no-witness",
+     ["analyze", "--poly", _POLY_PERAZZO, "--attempts", "3", "--seed", "4",
+      "--expect-slp"],
+     1, "c4b11637340125b7fa0aa4780923060b33f9e2fefa7fb1c0c17130fd2a0ce6f2"),
+    ("construct-trivial-1",
+     ["construct", "--h", "1", "--seed", "0"],
+     0, "f2d6f918802e613837ce9baa8025126923ccf0cb4642bec567a18445f79f40f4"),
+    ("construct-trivial-2",
+     ["construct", "--h", "1,1", "--seed", "1"],
+     0, "8f03b96a798274ac0d838e9dc0f154ee2202a9c4f96cf7d24a467207307f8b50"),
+    ("construct-trivial-3",
+     ["construct", "--h", "1,1,1", "--seed", "2"],
+     0, "d021e07ceb24f222ebc89028cf8cc2bde907f1b5846bcd0f9802b3c79bc9623d"),
+    ("construct-trivial-4",
+     ["construct", "--h", "1,1,1,1", "--seed", "6"],
+     0, "64de0274500b2908d27d5f1d0d0dd5d48fda85fb27fec9b2e2ea7c75e445f2cb"),
+    ("construct-trivial-5",
+     ["construct", "--h", "1,1,1,1,1", "--seed", "10"],
+     0, "3d13bc7251c6f3593fa68735fd38897a75459c5419ff7c424c3f7ff6bfc82700"),
+    ("construct-trivial-6",
+     ["construct", "--h", "1,1,1,1,1,1", "--seed", "24"],
+     0, "733ddc12773f5afd67134ad73fbcce229180adf430e5568199028e90a5cfc9ab"),
+    ("construct-trivial-7",
+     ["construct", "--h", "1,1,1,1,1,1,1", "--seed", "38"],
+     0, "0fa5c78d55957afa72ad74e2f9da3fbb2096a8a1b64b2621b2c18ecf9210f8e4"),
+    ("construct-trivial-8",
+     ["construct", "--h", "1,1,1,1,1,1,1,1", "--seed", "83"],
+     0, "2ae4c765aa96acd30d2bab67b4f4a1b8179937d5130b1200cb0b2c30c128c15a"),
+    ("construct-trivial-9",
+     ["construct", "--h", "1,1,1,1,1,1,1,1,1", "--seed", "128"],
+     0, "270a2714646ef6cc06401a0e20e9319249b8a4de818e0444894551ae3b6f3e17"),
 ]
 
 
