@@ -12,8 +12,8 @@ rational inputs and outputs.
 from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,
                      DuplicateParameterError, GorlefError,
                      HessianRankMismatchError, NonSquareError,
-                     NoWitnessFoundError, NotOSequenceError,
-                     NotPlaneConfigError, NotSIError,
+                     NoWitnessFoundError, NotHomogeneousError,
+                     NotOSequenceError, NotPlaneConfigError, NotSIError,
                      PreconditionViolatedError, RealizationMismatchError,
                      RingMismatchError, ShapeMismatchError,
                      TheoremTensionError, ZeroGeneratorError)
@@ -46,8 +46,9 @@ __all__ = [
     "DegreeOutOfRangeError", "DuplicateParameterError", "FamilyReport",
     "GorensteinAlgebra", "GorlefError", "HVector",
     "HessianRankMismatchError", "LinearFormR", "LinearFormS", "Mat",
-    "NonSquareError", "NoWitnessFoundError", "NotOSequenceError",
-    "NotPlaneConfigError", "NotSIError", "OrderIdeal", "PointSet", "Poly",
+    "NonSquareError", "NoWitnessFoundError", "NotHomogeneousError",
+    "NotOSequenceError", "NotPlaneConfigError", "NotSIError", "OrderIdeal",
+    "PointSet", "Poly",
     "PreconditionViolatedError", "PropReport", "RING_R", "RING_S",
     "RealizationMismatchError", "RingMismatchError", "ShapeMismatchError",
     "SlpCertificate", "StructuredGenerator", "TailReport",

@@ -50,6 +50,11 @@ def monomial_eval(m: Monomial, point: Sequence[Fraction]) -> Fraction:
     return out
 
 
+def exact(x: Fraction):
+    """An integral Fraction as an int, so integer data stays in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _sort_key(m: Monomial):
     # total degree, then descending lex (negated exponents sort lex-descending)
     return (sum(m), tuple(-e for e in m))
@@ -116,11 +121,7 @@ class Poly:
         return Poly(self.n_vars, self.ring, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return Poly(self.n_vars, self.ring, terms)
+        return self + -other
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
@@ -178,11 +179,18 @@ class Poly:
         missing = {"n_vars", "ring", "terms"} - data.keys()
         if missing:
             raise ValueError(f"polynomial JSON lacks {sorted(missing)}")
-        if not all(isinstance(t, dict) and {"exp", "coef"} <= t.keys()
-                   for t in data["terms"]):
-            raise ValueError('every polynomial term needs "exp" and "coef"')
-        terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
-        return cls(int(data["n_vars"]), data["ring"], terms)
+        terms = data["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(t, dict) and {"exp", "coef"} <= t.keys()
+                and isinstance(t["exp"], list)
+                and all(type(e) is int and e >= 0 for e in t["exp"]) for t in terms):
+            raise ValueError('polynomial terms must be a list of '
+                             '{"exp": [int, ...], "coef": ...} objects')
+        try:
+            return cls(int(data["n_vars"]), data["ring"],
+                       {tuple(t["exp"]): Fraction(t["coef"]) for t in terms})
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc}") from None
 
 
 def _falling_product(e_top: Monomial, e_low: Monomial) -> int:
@@ -303,20 +311,23 @@ def power_of_linear(L: LinearFormR, d: int) -> Poly:
 
 
 def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
-    """ell^k o f via k first-order passes; avoids expanding ell^k."""
+    """ell^k o f via k first-order passes; avoids expanding ell^k.
+
+    Integral coefficients of ell and f stay Python ints through the
+    passes; Fractions appear only for non-integral data.
+    """
     if f.ring != RING_R:
         raise RingMismatchError("target must live in R")
     if ell.n_vars != f.n_vars:
         raise RingMismatchError("variable count mismatch")
-    g = f
+    coeffs = [(i, exact(a)) for i, a in enumerate(ell.coeffs) if a]
+    g = {m: exact(c) for m, c in f.terms.items()}
     for _ in range(k):
-        out: Dict[Monomial, Fraction] = {}
-        for ef, cf in g.terms.items():
-            for i, a in enumerate(ell.coeffs):
-                if a == 0 or ef[i] == 0:
-                    continue
-                m = ef[:i] + (ef[i] - 1,) + ef[i + 1:]
-                coef = cf * a * ef[i]
-                out[m] = out.get(m, Fraction(0)) + coef
-        g = Poly(f.n_vars, RING_R, out)
-    return g
+        out = {}
+        for ef, cf in g.items():
+            for i, a in coeffs:
+                if ef[i]:
+                    m = ef[:i] + (ef[i] - 1,) + ef[i + 1:]
+                    out[m] = out.get(m, 0) + cf * a * ef[i]
+        g = {m: c for m, c in out.items() if c}
+    return Poly(f.n_vars, RING_R, g)

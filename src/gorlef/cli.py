@@ -3,8 +3,10 @@
 Exit codes: 0 when the requested check or construction succeeds, 1 when
 a randomized search exhausts its budget or a verified property fails,
 2 for malformed input; each GorlefError class carries its code as
-exit_code.  All randomness flows from --seed through named
-substreams, so identical invocations produce identical bytes.
+exit_code.  Any other exception is an internal error: exit 3 with an
+"InternalError" JSON document.  All randomness flows from --seed
+through named substreams, so identical invocations produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ def _substream(seed: int, name: str) -> random.Random:
 
 
 def _parse_fractions(text: str) -> List[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_ints(text: str) -> List[int]:
@@ -373,6 +378,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for k, v in diagnostics.items()}
         _emit(doc, getattr(args, "out", None))
         return getattr(exc, "exit_code", 2)
+    except Exception as exc:  # a bug, not bad input: stdout only, exit 3
+        _emit({"error": {"type": "InternalError",
+                         "message": f"{type(exc).__name__}: {exc}"}}, None)
+        return 3
 
 
 def console_main() -> None:

@@ -20,7 +20,7 @@ from math import factorial, prod
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, Monomial, Poly, RING_R
+from .apolar import LinearFormS, Monomial, Poly, RING_R, exact
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate,
@@ -28,11 +28,6 @@ from .gorenstein import (GorensteinAlgebra, SlpCertificate,
 from .hvector import HVector, hbar
 from .linalg import Mat
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
-
-
-def _exact(x: Fraction):
-    """An integral Fraction as an int, so integer data stays in ints."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def power_sum(points: Sequence[Sequence[Fraction]],
@@ -43,7 +38,7 @@ def power_sum(points: Sequence[Sequence[Fraction]],
     The per-point products share their prefixes along a descending-lex
     walk over the exponents, one variable at a time.
     """
-    pows = [[[_exact(Fraction(p[k])) ** e for e in range(d + 1)] for p in points]
+    pows = [[[exact(Fraction(p[k])) ** e for e in range(d + 1)] for p in points]
             for k in range(n_vars)]
     fact = [factorial(e) for e in range(d + 1)]
     terms = {}
@@ -58,7 +53,7 @@ def power_sum(points: Sequence[Sequence[Fraction]],
             nxt = vec if e == 0 else [v * pw[e] for v, pw in zip(vec, pows[k])]
             walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
 
-    walk(0, d, (), [_exact(Fraction(a)) for a in alphas], 1)
+    walk(0, d, (), [exact(Fraction(a)) for a in alphas], 1)
     return Poly(n_vars, RING_R, terms)
 
 
@@ -117,13 +112,13 @@ def structured_hessian_at(points: Sequence[Sequence[Fraction]],
     B = list(basis_monomials)
     size = len(B)
     k = d - 2 * j
-    p_ell = [_exact(c) for c in ell.point()]
+    p_ell = [exact(c) for c in ell.point()]
     acc = [[0] * size for _ in range(size)]
     for alpha, pt in zip(alphas, points):
-        alpha = _exact(Fraction(alpha))
+        alpha = exact(Fraction(alpha))
         if alpha == 0:
             continue
-        pt = [_exact(Fraction(c)) for c in pt]
+        pt = [exact(Fraction(c)) for c in pt]
         beta = sum(a * c for a, c in zip(p_ell, pt))
         if beta == 0 and k > 0:
             continue
@@ -237,7 +232,6 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         raise RealizationMismatchError(
             f"distraction has tau={t}, s={x.size}; expected {bar.t}, {bar.s}")
 
-    failures = 0
     for attempt in range(1, attempts + 1):
         alphas = tuple(Fraction(_nonzero_int(rng, alpha_box))
                        for _ in range(x.size))
@@ -254,11 +248,10 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
             return ConstructionResult(h=hv, ideal=ideal, x=x, generator=g,
                                       algebra=algebra, certificate=cert,
                                       attempts_used=attempt)
-        failures += 1
     raise NoWitnessFoundError(
         f"no Lefschetz witness for {list(hv.entries)} in {attempts} attempts",
         diagnostics={"h": list(hv.entries), "attempts": attempts,
-                     "failures": failures})
+                     "failures": attempts})
 
 
 def _nonzero_int(rng: random.Random, box: int) -> int:

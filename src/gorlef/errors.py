@@ -27,6 +27,10 @@ class ZeroGeneratorError(GorlefError):
     """The dual generator F is zero; no algebra is defined."""
 
 
+class NotHomogeneousError(GorlefError):
+    """The dual generator F is not a homogeneous form."""
+
+
 class NotOSequenceError(GorlefError):
     """The given sequence violates a Macaulay growth bound."""
 

@@ -11,6 +11,11 @@ strong Lefschetz property:
     ell is strong Lefschetz  iff  det Hess^j(F)(P_ell) != 0
                                   for all j <= floor(d/2).
 
+Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
+contraction gives the whole Hessian, read off a catalecticant:
+
+    Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
+
 certify_at builds every SLP certificate line, for check_slp and for
 the construct pipeline alike: at each degree it records the Hessian
 determinant and the rank of the multiplication map
@@ -30,9 +35,9 @@ from typing import Callable, List, Optional, Sequence
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     contract_monomial, monomials_of_degree)
+                     exact, monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
-                     ZeroGeneratorError)
+                     NotHomogeneousError, RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
 from .linalg import Mat
 
@@ -46,6 +51,26 @@ def _generator_degree(f: Poly, d: Optional[int]) -> int:
     return deg
 
 
+def _require_form(f: Poly, d: int) -> None:
+    """F must be a form of degree d; the zero polynomial passes."""
+    degrees = {sum(m) for m in f.terms}
+    if len(degrees) > 1:
+        raise NotHomogeneousError("dual generator must be homogeneous")
+    if degrees and degrees != {d}:
+        raise DegreeOutOfRangeError(f"F has degree {degrees.pop()}, not d = {d}")
+
+
+def _derivative_values(f: Poly) -> dict:
+    """e -> x^e o F = e! coef_F(X^e) for each term X^e of F; ints where integral."""
+    scaled = {}
+    for e, c in f.terms.items():
+        k = 1
+        for x in e:
+            k *= factorial(x)
+        scaled[e] = exact(c) * k
+    return scaled
+
+
 def catalecticant(f: Poly, j: int, d: Optional[int] = None) -> Mat:
     """Catalecticant matrix of F in degree j.
 
@@ -55,16 +80,11 @@ def catalecticant(f: Poly, j: int, d: Optional[int] = None) -> Mat:
     Integral entries are stored as ints.
     """
     if f.ring != RING_R:
-        raise ZeroGeneratorError("dual generator must live in R")
+        raise RingMismatchError("dual generator must live in R")
     d = _generator_degree(f, d)
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    scaled = {}
-    for e, c in f.terms.items():
-        k = 1
-        for x in e:
-            k *= factorial(x)
-        scaled[e] = c.numerator * k if c.denominator == 1 else c * k
+    scaled = _derivative_values(f)
     cols = monomials_of_degree(f.n_vars, d - j)
     return Mat([[scaled.get(tuple(map(add, u, v)), 0) for v in cols]
                 for u in monomials_of_degree(f.n_vars, j)])
@@ -105,24 +125,24 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
     Entry (u, v) = ((b_u b_v) o F)(P) over a monomial basis B_j of A_j
     (computed from F's catalecticant pivots unless supplied).  Passing
     an explicit basis is what lets callers probe degenerate generators
-    against a fixed frame.
+    against a fixed frame.  F must be a form of degree d (or zero), so
+    one contraction by ell^(d-2j) gives every entry:
+
+        Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
     """
     d = _generator_degree(f, d)
     if j < 0 or 2 * j > d:
         raise DegreeOutOfRangeError(f"Hessian degree {j} needs 0 <= 2j <= {d}")
     if ell.n_vars != f.n_vars:
-        raise DegreeOutOfRangeError("variable count mismatch")
+        raise RingMismatchError("variable count mismatch")
+    _require_form(f, d)
     B = list(basis_monomials) if basis_monomials is not None else basis(f, j, d)
-    p = ell.point()
-    size = len(B)
-    m = Mat.zero(size, size)
-    for a in range(size):
-        for b in range(a, size):
-            e = tuple(x + y for x, y in zip(B[a], B[b]))
-            val = contract_monomial(e, f).evaluate(p)
-            m.entries[a][b] = val
-            m.entries[b][a] = val
-    return m
+    if any(len(u) != f.n_vars or sum(u) != j for u in B):
+        raise DegreeOutOfRangeError(f"frame monomials must have degree {j}")
+    g = contract_linear_power(ell, d - 2 * j, f)
+    k_fact = factorial(d - 2 * j)
+    entry = {e: exact(Fraction(c, k_fact)) for e, c in _derivative_values(g).items()}
+    return Mat([[entry.get(tuple(map(add, u, v)), 0) for v in B] for u in B])
 
 
 def hessian_det(f: Poly, j: int, ell: LinearFormS,
@@ -219,10 +239,9 @@ class GorensteinAlgebra:
     def __init__(self, f: Poly, d: Optional[int] = None):
         if f.is_zero():
             raise ZeroGeneratorError("zero dual generator")
-        if not f.is_homogeneous():
-            raise ZeroGeneratorError("dual generator must be homogeneous")
         self.f = f
         self.d = _generator_degree(f, d)
+        _require_form(f, self.d)
         self.n_vars = f.n_vars
         self._bases: dict = {j: basis(f, j, self.d)
                              for j in range(self.d // 2 + 1)}
@@ -244,7 +263,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     """SLP certificate lines at ell: both routes at every j <= floor(d/2).
 
     The det route is det Hess^j(F)(P_ell) over the basis of A_j, from
-    `hessian(j, basis)` or, by default, from hessian_at by contraction;
+    `hessian(j, basis)` or, by default, from hessian_at;
     the rank route is the rank of x ell^(d-2j): A_j -> A_(d-j).  Any
     disagreement raises HessianRankMismatchError.  Degrees j < t are
     labelled "hessian-det" and the rest "map-rank"; t=None labels all

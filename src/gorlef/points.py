@@ -13,14 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormR, Monomial, monomial_eval, monomials_of_degree
 from .errors import (DuplicateParameterError, NotOSequenceError,
-                     NotPlaneConfigError, RealizationMismatchError)
+                     NotPlaneConfigError, PreconditionViolatedError,
+                     RealizationMismatchError)
 from .hvector import HVector, is_O_sequence, macaulay_bound
 from .linalg import Mat
 
@@ -123,12 +124,7 @@ def gen_collinear(n: int, s: int) -> PointSet:
     """s points (1 : k : 0 : ... : 0) on a line in P^n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    pts = []
-    for k in range(s):
-        p = [Fraction(0)] * (n + 1)
-        p[0], p[1] = Fraction(1), Fraction(k)
-        pts.append(p)
-    return PointSet(pts)
+    return PointSet([[1, k] + [0] * (n - 1) for k in range(s)])
 
 
 def gen_two_lines(s1: int, s2: int, share_intersection: bool) -> PointSet:
@@ -141,19 +137,10 @@ def gen_two_lines(s1: int, s2: int, share_intersection: bool) -> PointSet:
     """
     if s1 < 1 or s2 < 1:
         raise ValueError("each line needs at least one point")
-    pts: List[List[Fraction]] = []
-    if share_intersection:
-        pts.append([Fraction(0), Fraction(0), Fraction(1)])
-        for k in range(s1 - 1):
-            pts.append([Fraction(1), Fraction(0), Fraction(k)])
-        for k in range(s2 - 1):
-            pts.append([Fraction(0), Fraction(1), Fraction(k)])
-    else:
-        for k in range(s1):
-            pts.append([Fraction(1), Fraction(0), Fraction(k)])
-        for k in range(s2):
-            pts.append([Fraction(0), Fraction(1), Fraction(k)])
-    return PointSet(pts)
+    shared = int(share_intersection)
+    return PointSet([[0, 0, 1]] * shared
+                    + [[1, 0, k] for k in range(s1 - shared)]
+                    + [[0, 1, k] for k in range(s2 - shared)])
 
 
 def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
@@ -163,6 +150,9 @@ def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
     Rejection-sampled with integer affine coordinates and verified
     exactly before returning.
     """
+    if n < 0 or s > (2 * box + 1) ** min(n, s.bit_length()):
+        raise PreconditionViolatedError(
+            f"{s} distinct points need n >= 0 and s <= {2 * box + 1}^n, got n = {n}")
     for _ in range(attempts):
         seen = set()
         pts = []
@@ -261,14 +251,8 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
         for m in reversed(list(monomials_of_degree(n_vars, i))):
             if len(level) == need:
                 break
-            ok = True
-            for v in range(n_vars):
-                if m[v] > 0:
-                    q = m[:v] + (m[v] - 1,) + m[v + 1:]
-                    if q not in prev:
-                        ok = False
-                        break
-            if ok:
+            if all(m[:v] + (m[v] - 1,) + m[v + 1:] in prev
+                   for v in range(n_vars) if m[v]):
                 level.append(m)
         if len(level) < need:
             raise NotOSequenceError(
@@ -287,12 +271,8 @@ def gen_distraction(ideal: OrderIdeal) -> PointSet:
     pts = [(Fraction(1),) + tuple(Fraction(e) for e in m)
            for m in ideal.sorted_monomials()]
     x = PointSet(pts)
-    counts = ideal.degree_counts()
-    s = ideal.size
-    running = 0
-    for i in range(len(counts) + 1):
-        running += counts[i] if i < len(counts) else 0
-        expect = min(running, s)
+    expected = list(accumulate(ideal.degree_counts())) + [ideal.size]
+    for i, expect in enumerate(expected):
         if x.hilbert(i) != expect:
             raise RealizationMismatchError(
                 f"distraction Hilbert value {x.hilbert(i)} != {expect} in degree {i}")
@@ -307,13 +287,8 @@ def _curve_incidence(x: PointSet, coeffs: Sequence[Fraction],
                      degree: int) -> Tuple[int, ...]:
     """Indices of points where the plane curve of given degree vanishes."""
     mons = monomials_of_degree(x.n + 1, degree)
-    out = []
-    for idx, p in enumerate(x.points):
-        val = sum((c * monomial_eval(m, p) for c, m in zip(coeffs, mons)),
-                  Fraction(0))
-        if val == 0:
-            out.append(idx)
-    return tuple(out)
+    return tuple(idx for idx, p in enumerate(x.points)
+                 if sum(c * monomial_eval(m, p) for c, m in zip(coeffs, mons)) == 0)
 
 
 def find_subset_on_curve(x: PointSet, degree: int,
@@ -345,12 +320,8 @@ def find_subset_on_curve(x: PointSet, degree: int,
 def has_collinear_triple(x: PointSet) -> bool:
     if x.n != 2:
         raise NotPlaneConfigError("collinearity test requires P^2")
-    for i, j, k in combinations(range(x.size), 3):
-        a, b, c = x.points[i], x.points[j], x.points[k]
-        d = linalg.det(Mat([list(a), list(b), list(c)]))
-        if d == 0:
-            return True
-    return False
+    return any(linalg.det(Mat(triple)) == 0
+               for triple in combinations(x.points, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +358,7 @@ def davis_hint(x: PointSet) -> Optional[DavisHint]:
         raise NotPlaneConfigError("decomposition hint requires P^2")
     t = x.tau()
     h = [x.hilbert(i) for i in range(t + 2)]
-    t0 = None
-    for i in range(t + 2):
-        if h[i] < comb(x.n + i, i):
-            t0 = i
-            break
+    t0 = next((i for i in range(t + 2) if h[i] < comb(x.n + i, i)), None)
     if t0 is None:
         return None
     delta = [h[i] - (h[i - 1] if i else 0) for i in range(t + 2)]

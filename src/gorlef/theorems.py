@@ -54,12 +54,10 @@ class BlockPair:
         m = self.m
         n = 2 * m - 1
         a = Mat.zero(n, n)
-        for i in range(m):
-            for j in range(m):
-                a.entries[i][j] += self.b.entries[i][j]
-        for i in range(m):
-            for j in range(m):
-                a.entries[m - 1 + i][m - 1 + j] += self.c.entries[i][j]
+        for off, block in ((0, self.b), (m - 1, self.c)):
+            for i in range(m):
+                for j in range(m):
+                    a.entries[off + i][off + j] += block.entries[i][j]
         return a
 
 
@@ -74,12 +72,9 @@ def block_det_identity(pair: BlockPair) -> Tuple[Fraction, Fraction, bool]:
     B- drops the last row/column of B, C- the first of C; an empty
     determinant counts as 1.  Returns (lhs, rhs, equal).
     """
-    a = pair.assemble()
-    lhs = linalg.det(a)
-    b_minor = _minor(pair.b, pair.m - 1, pair.m - 1)
-    c_minor = _minor(pair.c, 0, 0)
-    det_b_minor = linalg.det(b_minor) if pair.m > 1 else Fraction(1)
-    det_c_minor = linalg.det(c_minor) if pair.m > 1 else Fraction(1)
+    lhs = linalg.det(pair.assemble())
+    det_b_minor = linalg.det(_minor(pair.b, pair.m - 1, pair.m - 1))
+    det_c_minor = linalg.det(_minor(pair.c, 0, 0))
     rhs = det_b_minor * linalg.det(pair.c) + linalg.det(pair.b) * det_c_minor
     return (lhs, rhs, lhs == rhs)
 

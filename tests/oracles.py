@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Set, Tuple
 
+from gorlef.apolar import Poly, contract_monomial
 from gorlef.linalg import Mat
 
 
@@ -307,3 +308,23 @@ def apply_monomial(terms: Dict[Tuple[int, ...], Fraction],
         for _ in range(e):
             terms = differentiate(terms, var)
     return terms
+
+
+def linear_power_contraction(coeffs: Sequence[Fraction], k: int,
+                             terms: Dict[Tuple[int, ...], Fraction]
+                             ) -> Dict[Tuple[int, ...], Fraction]:
+    """ell^k o F as k rounds of sum_i a_i d/dX_i, all in Fractions."""
+    for _ in range(k):
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for var, a in enumerate(coeffs):
+            for exp, c in differentiate(terms, var).items():
+                out[exp] = out.get(exp, Fraction(0)) + Fraction(a) * c
+        terms = {e: c for e, c in out.items() if c != 0}
+    return terms
+
+
+def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
+                           point: Sequence[Fraction]) -> List[List[Fraction]]:
+    """Hess^j(F)(P) entry by entry: ((b_u b_v) o F) evaluated at P."""
+    return [[contract_monomial(tuple(x + y for x, y in zip(u, v)), f).evaluate(point)
+             for v in frame] for u in frame]

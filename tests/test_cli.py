@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: JSON documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gorlef
 from gorlef import cli, errors
 from gorlef.cli import main
+
+XY = '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1"}]}'
 
 
 def run(capsys, *argv):
@@ -255,6 +262,7 @@ class TestErrorContract:
         "HessianRankMismatchError": 1,
         "NonSquareError": 2, "RingMismatchError": 2,
         "DegreeOutOfRangeError": 2, "ZeroGeneratorError": 2,
+        "NotHomogeneousError": 2,
         "NotOSequenceError": 2, "NotSIError": 2,
         "DuplicateParameterError": 2, "NotPlaneConfigError": 2,
         "PreconditionViolatedError": 2, "BadSubsetSizeError": 2,
@@ -289,9 +297,23 @@ class TestErrorContract:
         ["points", "gen", "--kind", "generic", "--s", "5"],
         ["points", "gen", "--kind", "collinear", "--n", "2"],
         ["verify", "--theorem", "rnc", "--s", "5", "--n", "0"],
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": 5}'],
+        ["analyze", "--poly",
+         '{"n_vars": 2, "ring": "R", "terms": [{"exp": 5, "coef": "1"}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1/0"}]}'],
+        ["analyze", "--points", '{"points": [[1, 0], [1, 1]]}',
+         "--alphas", "1/0", "--d", "2"],
+        ["analyze", "--poly", XY, "--d", "1"],
+        ["analyze", "--poly", XY, "--d", "3"],
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": ['
+         '{"exp": [1, 1], "coef": "1"}, {"exp": [1, 0], "coef": "1"}]}'],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
-            "collinear-no-s", "rnc-n-zero"])
+            "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
+            "poly-exp-not-a-list", "poly-coef-zero-denominator",
+            "alphas-zero-denominator", "poly-d-below-degree",
+            "poly-d-above-degree", "poly-not-homogeneous"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)
@@ -299,4 +321,33 @@ class TestErrorContract:
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in json.loads(captured.out)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["points", "gen", "--kind", "generic", "--n", "-1", "--s", "3"],
+        ["verify", "--theorem", "s-minus", "--s", "5", "--d", "4", "--j", "1",
+         "--n", "0"],
+    ], ids=["generic-n-negative", "s-minus-n-zero"])
+    def test_point_budget_beyond_the_box_is_exit_two(self, argv):
+        # these used to spin forever in gen_generic's rejection loop
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(gorlef.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "gorlef.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == \
+            "PreconditionViolatedError"
+        assert "Traceback" not in proc.stderr
+
+    def test_internal_error_is_exit_three(self, capsys, monkeypatch):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_run_seq", fail)
+        code = main(["seq", "check", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"error": {
+            "type": "InternalError", "message": "RuntimeError: boom"}}
         assert "Traceback" not in captured.err

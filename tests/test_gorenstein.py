@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R,
+from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R, RING_S,
                            monomials_of_degree, power_of_linear)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
+                           NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                check_slp, check_wlp, hessian_at, hessian_det,
@@ -48,6 +49,10 @@ class TestCatalecticant:
     def test_degree_out_of_range(self):
         with pytest.raises(DegreeOutOfRangeError):
             catalecticant(X0X1X2, 5)
+
+    def test_generator_in_s_is_a_ring_mismatch(self):
+        with pytest.raises(RingMismatchError):
+            catalecticant(Poly.monomial(3, RING_S, (1, 1, 1)), 1)
 
     def test_matches_gauss_oracle(self):
         rng = random.Random(60)
@@ -132,6 +137,25 @@ class TestHessian:
         m = hessian_at(f, 1, ell, frame, 4)
         assert rank(m) == 1
 
+    def test_non_form_rejected(self):
+        # lower-degree terms would be silently dropped by the contraction
+        ell = LinearFormS([1, 2, 3])
+        with pytest.raises(NotHomogeneousError):
+            hessian_at(X0X1X2 + rmono(3, (1, 0, 0)), 1, ell, [(1, 0, 0)], 3)
+        with pytest.raises(DegreeOutOfRangeError):
+            hessian_at(X0X1X2, 1, ell, [(1, 0, 0)], 4)
+        with pytest.raises(DegreeOutOfRangeError):
+            hessian_at(X0X1X2, 1, ell, [(1, 1, 0)], 3)
+
+    def test_zero_generator_gives_zero_matrix(self):
+        m = hessian_at(Poly.zero(3, RING_R), 1, LinearFormS([1, 2, 3]),
+                       [(1, 0, 0), (0, 1, 0)], 4)
+        assert m.entries == [[0, 0], [0, 0]]
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(RingMismatchError):
+            hessian_at(X0X1X2, 1, LinearFormS([1, 2]))
+
 
 class TestMultiplicationRank:
     def test_full_rank_for_separating_form(self):
@@ -211,8 +235,13 @@ class TestAlgebraContainer:
 
     def test_inhomogeneous_rejected(self):
         f = X0X1X2 + rmono(3, (1, 0, 0))
-        with pytest.raises(ZeroGeneratorError):
+        with pytest.raises(NotHomogeneousError):
             GorensteinAlgebra(f)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_degree_other_than_d_rejected(self, d):
+        with pytest.raises(DegreeOutOfRangeError):
+            GorensteinAlgebra(X0X1X2, d)
 
 
 @st.composite

@@ -1,18 +1,24 @@
-"""The fraction-free kernel against plain-Fraction oracles, by property.
+"""The integer kernels against plain-Fraction oracles, by property.
 
 Random rational matrices cover non-integral entries, huge integers,
 rank-deficient products, all-zero columns (the column-skip branch),
-wide, tall and 1x1 shapes, and pivots that need a row swap.  The
-oracles in `oracles.py` use Fraction arithmetic only.
+wide, tall and 1x1 shapes, and pivots that need a row swap.  Random
+forms and linear forms check the one-contraction Hessian and the
+integer ell^k contraction the same way.  The oracles in `oracles.py`
+use Fraction arithmetic only.
 """
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from gorlef.apolar import (LinearFormS, Poly, RING_R, contract_linear_power,
+                           monomials_of_degree)
+from gorlef.gorenstein import basis, hessian_at
 from gorlef.linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
 
-from oracles import gauss_pivot_columns, gauss_rank, laplace_det
+from oracles import (gauss_pivot_columns, gauss_rank, hessian_by_contraction,
+                     laplace_det, linear_power_contraction)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -111,3 +117,79 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
 @given(matrices(square=True))
 def test_det_nonzero_iff_full_rank(rows):
     assert (det(Mat(rows)) != 0) == (gauss_rank(rows) == len(rows))
+
+
+# ---------------------------------------------------------------------------
+# Hessians from one ell^(d-2j) contraction
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.integers(-2 ** 80, 2 ** 80),
+)
+ell_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+)
+
+
+@st.composite
+def forms(draw, homogeneous=True):
+    """(F, d): sparse F of degree d, or of degree <= d; possibly zero."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 6))
+    degrees = [d] if homogeneous else list(range(d + 1))
+    mons = [m for e in degrees for m in monomials_of_degree(n, e)]
+    chosen = draw(st.lists(st.sampled_from(mons), max_size=8, unique=True))
+    coefs = draw(st.lists(coefficients, min_size=len(chosen),
+                          max_size=len(chosen)))
+    return Poly(n, RING_R, dict(zip(chosen, coefs))), d
+
+
+@st.composite
+def linear_forms(draw, n):
+    coeffs = draw(st.lists(ell_coefficients, min_size=n, max_size=n)
+                  .filter(any))
+    return LinearFormS(coeffs)
+
+
+@st.composite
+def hessian_cases(draw):
+    f, d = draw(forms())
+    ell = draw(linear_forms(f.n_vars))
+    j = draw(st.integers(0, d // 2))
+    mons = monomials_of_degree(f.n_vars, j)
+    # a frame need not be a basis: any list of degree-j monomials, repeats too
+    frame = draw(st.one_of(st.none(), st.lists(st.sampled_from(mons),
+                                               max_size=5)))
+    return f, d, j, ell, frame
+
+
+CUBIC = Poly(2, RING_R, {(2, 1): Fraction(1, 3), (0, 3): 2 ** 79})
+
+
+@settings(max_examples=200, deadline=None)
+@given(hessian_cases())
+@example((CUBIC, 3, 0, LinearFormS([Fraction(1, 2), 0]), None))
+@example((CUBIC, 3, 1, LinearFormS([0, 3]), [(1, 0), (1, 0), (0, 1)]))
+@example((Poly(2, RING_R, {(2, 2): Fraction(-7, 2)}), 4, 2,
+          LinearFormS([1, Fraction(2, 3)]), [(2, 0), (1, 1), (0, 2)]))
+@example((Poly.zero(3, RING_R), 4, 1, LinearFormS([1, 0, 2]),
+          [(1, 0, 0), (0, 0, 1)]))
+def test_hessian_matches_per_entry_contraction(case):
+    f, d, j, ell, frame = case
+    m = hessian_at(f, j, ell, frame, d)
+    b = basis(f, j, d) if frame is None else frame
+    assert m.entries == hessian_by_contraction(f, b, ell.point())
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms(homogeneous=False), st.data())
+def test_integer_contraction_matches_fractions(form, data):
+    f, d = form
+    ell = data.draw(linear_forms(f.n_vars))
+    k = data.draw(st.integers(0, d + 1))
+    g = contract_linear_power(ell, k, f)
+    assert g.terms == linear_power_contraction(ell.coeffs, k, f.terms)
+    assert all(type(c) is Fraction for c in g.terms.values())
