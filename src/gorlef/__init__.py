@@ -5,8 +5,8 @@ classification, apolarity and catalecticants, higher Hessians,
 Lefschetz certificates, point configurations in projective space, and a
 constructive route from any admissible Hilbert function to an algebra
 with the strong Lefschetz property.  Ranks and determinants come from
-one fraction-free integer elimination; fractions.Fraction carries the
-rational inputs and outputs.
+one fraction-free integer elimination.  Stored scalars are ints when
+integral, otherwise fractions.Fraction, and det returns a Fraction.
 """
 
 from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,

@@ -4,16 +4,19 @@ S acts on R by differentiation: x_i acts as d/dX_i (true derivatives,
 with factorial constants; characteristic zero throughout).  Monomials
 are exponent tuples; polynomials are sparse exponent->coefficient maps
 with a fixed degree-then-descending-lex term order for deterministic
-iteration.
+iteration.  Coefficients are stored as ints when integral and as
+Fractions otherwise (linalg.exact, applied by the constructors), so
+the expansion and contraction kernels run in integers on integer data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from math import factorial, prod
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import RingMismatchError
+from .linalg import exact
 
 Monomial = Tuple[int, ...]
 
@@ -41,18 +44,9 @@ def monomials_of_degree(n_vars: int, degree: int) -> List[Monomial]:
     return out
 
 
-def monomial_eval(m: Monomial, point: Sequence[Fraction]) -> Fraction:
+def monomial_eval(m: Monomial, point: Sequence):
     """Evaluate the monomial at a coordinate tuple."""
-    out = Fraction(1)
-    for e, p in zip(m, point):
-        if e:
-            out *= Fraction(p) ** e
-    return out
-
-
-def exact(x: Fraction):
-    """An integral Fraction as an int, so integer data stays in ints."""
-    return x.numerator if x.denominator == 1 else x
+    return prod(p ** e for e, p in zip(m, point) if e)
 
 
 def _sort_key(m: Monomial):
@@ -73,7 +67,7 @@ class Poly:
         self.terms: Dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c == 0:
                     continue
                 if len(m) != n_vars:
@@ -86,11 +80,11 @@ class Poly:
 
     @classmethod
     def monomial(cls, n_vars: int, ring: str, m: Monomial, coef=1) -> "Poly":
-        return cls(n_vars, ring, {tuple(m): Fraction(coef)})
+        return cls(n_vars, ring, {tuple(m): coef})
 
     @classmethod
     def constant(cls, n_vars: int, ring: str, c) -> "Poly":
-        return cls(n_vars, ring, {(0,) * n_vars: Fraction(c)})
+        return cls(n_vars, ring, {(0,) * n_vars: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,7 +111,7 @@ class Poly:
         self._check_compat(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly(self.n_vars, self.ring, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -129,11 +123,11 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(self.n_vars, self.ring, terms)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = exact(c)
         return Poly(self.n_vars, self.ring,
                     {m: v * c for m, v in self.terms.items()})
 
@@ -145,14 +139,10 @@ class Poly:
                 and self.n_vars == other.n_vars and self.terms == other.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        pt = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            total += c * monomial_eval(m, pt)
-        return total
+        return sum(c * monomial_eval(m, point) for m, c in self.terms.items())
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+        return self.terms.get(tuple(m), 0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -188,7 +178,7 @@ class Poly:
                              '{"exp": [int, ...], "coef": ...} objects')
         try:
             return cls(int(data["n_vars"]), data["ring"],
-                       {tuple(t["exp"]): Fraction(t["coef"]) for t in terms})
+                       {tuple(t["exp"]): t["coef"] for t in terms})
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
 
@@ -224,7 +214,7 @@ def contract_monomial(e: Monomial, f: Poly) -> Poly:
         m = tuple(x - y for x, y in zip(ef, e))
         coef = cf * _falling_product(ef, e)
         if coef:
-            out[m] = out.get(m, Fraction(0)) + coef
+            out[m] = out.get(m, 0) + coef
     return Poly(f.n_vars, RING_R, out)
 
 
@@ -235,7 +225,7 @@ class _LinearForm:
     ring = RING_R
 
     def __init__(self, coeffs: Sequence):
-        self.coeffs: Tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+        self.coeffs: Tuple[Fraction, ...] = tuple(exact(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("empty coefficient vector")
         if all(c == 0 for c in self.coeffs):
@@ -281,33 +271,41 @@ class LinearFormS(_LinearForm):
         """ell o L = sum a_i b_i, the first-order contraction."""
         if self.n_vars != L.n_vars:
             raise RingMismatchError("variable count mismatch")
-        return sum((a * b for a, b in zip(self.coeffs, L.coeffs)), Fraction(0))
+        return sum(a * b for a, b in zip(self.coeffs, L.coeffs))
 
 
-def _multinomial(d: int, e: Monomial) -> int:
-    out = factorial(d)
-    for x in e:
-        out //= factorial(x)
-    return out
+def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
+              n_vars: int) -> Poly:
+    """sum alpha_i L_i^d in R[n_vars] for the duals L_i of `points`.
+
+    The coefficient of X^m is multinomial(d; m) * sum_i alpha_i p_i^m.
+    The per-point products share their prefixes along a descending-lex
+    walk over the exponents, one variable at a time.
+    """
+    pows = [[[p[k] ** e for e in range(d + 1)] for p in points]
+            for k in range(n_vars)]
+    fact = [factorial(e) for e in range(d + 1)]
+    terms = {}
+
+    def walk(k: int, left: int, exps: Monomial, vec: list, denom: int):
+        if k == n_vars - 1:
+            total = sum(v * pw[left] for v, pw in zip(vec, pows[k]))
+            if total:
+                terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
+            return
+        for e in range(left, -1, -1):
+            nxt = vec if e == 0 else [v * pw[e] for v, pw in zip(vec, pows[k])]
+            walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
+
+    walk(0, d, (), list(alphas), 1)
+    return Poly(n_vars, RING_R, terms)
 
 
 def power_of_linear(L: LinearFormR, d: int) -> Poly:
-    """Expand L^d by the multinomial theorem.
-
-    Exact and far cheaper than repeated multiplication for the dense
-    powers this package builds constantly.
-    """
+    """L^d by the multinomial theorem: power_sum at one point, weight 1."""
     if d < 0:
         raise ValueError("negative power")
-    n = L.n_vars
-    if d == 0:
-        return Poly.constant(n, RING_R, 1)
-    terms: Dict[Monomial, Fraction] = {}
-    for m in monomials_of_degree(n, d):
-        c = _multinomial(d, m) * monomial_eval(m, L.coeffs)
-        if c:
-            terms[m] = c
-    return Poly(n, RING_R, terms)
+    return power_sum([L.coeffs], [1], d, L.n_vars)
 
 
 def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
@@ -320,8 +318,8 @@ def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
         raise RingMismatchError("target must live in R")
     if ell.n_vars != f.n_vars:
         raise RingMismatchError("variable count mismatch")
-    coeffs = [(i, exact(a)) for i, a in enumerate(ell.coeffs) if a]
-    g = {m: exact(c) for m, c in f.terms.items()}
+    coeffs = [(i, a) for i, a in enumerate(ell.coeffs) if a]
+    g = f.terms
     for _ in range(k):
         out = {}
         for ef, cf in g.items():

@@ -4,7 +4,8 @@ Exit codes: 0 when the requested check or construction succeeds, 1 when
 a randomized search exhausts its budget or a verified property fails,
 2 for malformed input; each GorlefError class carries its code as
 exit_code.  Any other exception is an internal error: exit 3 with an
-"InternalError" JSON document.  All randomness flows from --seed
+"InternalError" JSON document.  An unwritable --out path is malformed
+input: one JSON error on stdout, exit 2.  All randomness flows from --seed
 through named substreams, so identical invocations produce identical
 bytes.
 """
@@ -17,12 +18,13 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .construct import StructuredGenerator, construct_slp_algebra
 from .errors import GorlefError
 from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
-from .hvector import HVector, hbar, is_O_sequence, is_SI, is_differentiable
+from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
+                      is_differentiable)
 from .apolar import Poly
 from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
                      gen_generic, gen_rnc, gen_two_lines, lex_order_ideal)
@@ -31,10 +33,11 @@ from .theorems import (make_tail_config, verify_conic_slp,
                        verify_rnc_slp, verify_tail_nonvanishing)
 
 def _emit(doc: dict, out: Optional[str]) -> None:
+    """Write the document to `out`, then to stdout: a bad path prints nothing."""
     text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _substream(seed: int, name: str) -> random.Random:
@@ -70,7 +73,7 @@ def _point_set_doc(x: PointSet) -> dict:
     t = x.tau()
     h = list(x.hilbert_vector(t))
     doc["hilbert"] = h
-    doc["delta"] = [h[i] - (h[i - 1] if i else 0) for i in range(len(h))]
+    doc["delta"] = first_difference(h)
     doc["tau"] = t
     doc["size"] = x.size
     if x.n == 2:
@@ -88,7 +91,7 @@ def _point_set_doc(x: PointSet) -> dict:
 # Subcommand handlers
 
 
-def _run_seq(args) -> int:
+def _run_seq(args) -> Tuple[dict, int]:
     hv = HVector.parse(args.sequence)
     doc = {
         "h": list(hv),
@@ -106,21 +109,19 @@ def _run_seq(args) -> int:
         }
     else:
         doc["hbar"] = None
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def _run_construct(args) -> int:
+def _run_construct(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, "construct")
     result = construct_slp_algebra(HVector.parse(args.h), rng,
                                    attempts=args.attempts,
                                    box=args.coord_box,
                                    alpha_box=args.alpha_box, seed=args.seed)
-    _emit(result.to_json_dict(), args.out)
-    return 0
+    return result.to_json_dict(), 0
 
 
-def _run_analyze(args) -> int:
+def _run_analyze(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, "analyze")
     doc: dict = {}
     if args.poly is not None:
@@ -146,8 +147,7 @@ def _run_analyze(args) -> int:
                     seed=args.seed)
     doc["slp"] = slp.to_json_dict()
     doc["wlp"] = wlp.to_json_dict()
-    _emit(doc, args.out)
-    return 0 if slp.verdict or wlp.verdict or not args.expect_slp else 1
+    return doc, 0 if slp.verdict or wlp.verdict or not args.expect_slp else 1
 
 
 _POINT_FLAGS = {"generic": ("n", "s"), "collinear": ("n", "s"),
@@ -155,7 +155,7 @@ _POINT_FLAGS = {"generic": ("n", "s"), "collinear": ("n", "s"),
                 "distraction": ("delta",)}
 
 
-def _run_points(args) -> int:
+def _run_points(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, "points")
     kind = args.kind
     needs = _POINT_FLAGS.get(kind, ())
@@ -184,11 +184,10 @@ def _run_points(args) -> int:
     doc.update(_point_set_doc(x))
     if kind == "distraction":
         doc["order_ideal"] = [list(m) for m in ideal.sorted_monomials()]
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, f"verify:{args.theorem}")
     t = args.theorem
     if t == "rnc":
@@ -261,8 +260,7 @@ def _run_verify(args) -> int:
                "det": str(report.det)}
     else:
         raise ValueError(f"unknown theorem {t!r}")
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +365,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits on --help and bad flags
         code = exc.code
         return code if isinstance(code, int) else 2
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
     except (GorlefError, ValueError) as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         diagnostics = getattr(exc, "diagnostics", None)
@@ -376,12 +375,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc["error"]["diagnostics"] = {
                 k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in diagnostics.items()}
-        _emit(doc, getattr(args, "out", None))
-        return getattr(exc, "exit_code", 2)
+        code = getattr(exc, "exit_code", 2)
     except Exception as exc:  # a bug, not bad input: stdout only, exit 3
-        _emit({"error": {"type": "InternalError",
-                         "message": f"{type(exc).__name__}: {exc}"}}, None)
-        return 3
+        doc = {"error": {"type": "InternalError",
+                         "message": f"{type(exc).__name__}: {exc}"}}
+        code, out = 3, None
+    try:
+        _emit(doc, out)
+    except OSError as exc:  # an unwritable --out is malformed input
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, None)
+        return 2
+    return code
 
 
 def console_main() -> None:

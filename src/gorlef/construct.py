@@ -16,45 +16,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, Monomial, Poly, RING_R, exact
+from .apolar import LinearFormS, Monomial, Poly, monomial_eval, power_sum
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate,
                          basis as algebra_basis, certify_at)
 from .hvector import HVector, hbar
-from .linalg import Mat
+from .linalg import Mat, exact
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
-
-
-def power_sum(points: Sequence[Sequence[Fraction]],
-              alphas: Sequence[Fraction], d: int, n_vars: int) -> Poly:
-    """sum alpha_i L_i^d in R[n_vars] for the duals L_i of `points`.
-
-    The coefficient of X^m is multinomial(d; m) * sum_i alpha_i p_i^m.
-    The per-point products share their prefixes along a descending-lex
-    walk over the exponents, one variable at a time.
-    """
-    pows = [[[exact(Fraction(p[k])) ** e for e in range(d + 1)] for p in points]
-            for k in range(n_vars)]
-    fact = [factorial(e) for e in range(d + 1)]
-    terms = {}
-
-    def walk(k: int, left: int, exps: Monomial, vec: list, denom: int):
-        if k == n_vars - 1:
-            total = sum(v * pw[left] for v, pw in zip(vec, pows[k]))
-            if total:
-                terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
-            return
-        for e in range(left, -1, -1):
-            nxt = vec if e == 0 else [v * pw[e] for v, pw in zip(vec, pows[k])]
-            walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
-
-    walk(0, d, (), [exact(Fraction(a)) for a in alphas], 1)
-    return Poly(n_vars, RING_R, terms)
 
 
 @dataclass
@@ -70,7 +43,7 @@ class StructuredGenerator:
     d: int
 
     def __post_init__(self):
-        self.alphas = tuple(Fraction(a) for a in self.alphas)
+        self.alphas = tuple(exact(a) for a in self.alphas)
         if len(self.alphas) != self.x.size:
             raise ValueError(f"need {self.x.size} weights, got {len(self.alphas)}")
         if any(a == 0 for a in self.alphas):
@@ -112,17 +85,15 @@ def structured_hessian_at(points: Sequence[Sequence[Fraction]],
     B = list(basis_monomials)
     size = len(B)
     k = d - 2 * j
-    p_ell = [exact(c) for c in ell.point()]
+    p_ell = ell.point()
     acc = [[0] * size for _ in range(size)]
     for alpha, pt in zip(alphas, points):
-        alpha = exact(Fraction(alpha))
         if alpha == 0:
             continue
-        pt = [exact(Fraction(c)) for c in pt]
         beta = sum(a * c for a, c in zip(p_ell, pt))
         if beta == 0 and k > 0:
             continue
-        v = [prod(c ** e for c, e in zip(pt, b)) for b in B]
+        v = [monomial_eval(b, pt) for b in B]
         c = alpha * beta ** k
         for a_i, va in enumerate(v):
             if va:
@@ -193,10 +164,10 @@ def _point_hessian(g: StructuredGenerator, ell: LinearFormS):
 def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResult:
     """h = (1) or h_1 = 1: one point in P^0 and F = X_0^d."""
     d = hv.socle_degree
-    x = PointSet([[Fraction(1)]])
-    g = StructuredGenerator(x=x, alphas=(Fraction(1),), d=d)
+    x = PointSet([[1]])
+    g = StructuredGenerator(x=x, alphas=(1,), d=d)
     algebra = GorensteinAlgebra(g.expanded, d)
-    ell = LinearFormS([Fraction(1)])
+    ell = LinearFormS([1])
     records = certify_at(algebra, ell, _point_hessian(g, ell), t=0)
     cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                           verdict=all(r.ok() for r in records),
@@ -233,8 +204,7 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
             f"distraction has tau={t}, s={x.size}; expected {bar.t}, {bar.s}")
 
     for attempt in range(1, attempts + 1):
-        alphas = tuple(Fraction(_nonzero_int(rng, alpha_box))
-                       for _ in range(x.size))
+        alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
         ell = _separating_form(x, rng, box)
         g = StructuredGenerator(x=x, alphas=alphas, d=d)
         algebra = GorensteinAlgebra(g.expanded, d)
@@ -269,7 +239,7 @@ def _separating_form(x: PointSet, rng: random.Random, box: int,
         if not any(coeffs):
             continue
         ell = LinearFormS(coeffs)
-        if all(sum((a * c for a, c in zip(coeffs, p)), Fraction(0)) != 0
+        if all(sum(a * c for a, c in zip(coeffs, p)) != 0
                for p in x.points):
             return ell
     raise NoWitnessFoundError("could not sample a point-separating linear form")
@@ -299,11 +269,10 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
         raise BadSubsetSizeError(
             f"need |I| = h(j) = {x.hilbert(j)}, got {len(idx)}")
 
-    ones = StructuredGenerator(x=x, alphas=(Fraction(1),) * x.size, d=d)
+    ones = StructuredGenerator(x=x, alphas=(1,) * x.size, d=d)
     frame = algebra_basis(ones.expanded, j, d)
     chosen = set(idx)
-    indicator = [Fraction(1) if i in chosen else Fraction(0)
-                 for i in range(x.size)]
+    indicator = [int(i in chosen) for i in range(x.size)]
     det_route = False
     for _ in range(trials):
         coeffs = [rng.randint(-box, box) for _ in range(x.n + 1)]

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     exact, monomials_of_degree)
+                     monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
@@ -61,13 +61,13 @@ def _require_form(f: Poly, d: int) -> None:
 
 
 def _derivative_values(f: Poly) -> dict:
-    """e -> x^e o F = e! coef_F(X^e) for each term X^e of F; ints where integral."""
+    """e -> x^e o F = e! coef_F(X^e) for each term X^e of F."""
     scaled = {}
     for e, c in f.terms.items():
         k = 1
         for x in e:
             k *= factorial(x)
-        scaled[e] = exact(c) * k
+        scaled[e] = c * k
     return scaled
 
 
@@ -97,10 +97,7 @@ def _mirrored(half: List[int], d: int) -> HVector:
 
 def hilbert_function(f: Poly, d: Optional[int] = None) -> HVector:
     """Hilbert function of A = S/Ann(F): h(j) = rank Cat^j_F = h(d-j)."""
-    if f.is_zero():
-        raise ZeroGeneratorError("zero dual generator")
-    d = _generator_degree(f, d)
-    return _mirrored([len(basis(f, j, d)) for j in range(d // 2 + 1)], d)
+    return GorensteinAlgebra(f, d).hilbert
 
 
 def basis(f: Poly, j: int, d: Optional[int] = None) -> List[Monomial]:
@@ -141,7 +138,7 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
         raise DegreeOutOfRangeError(f"frame monomials must have degree {j}")
     g = contract_linear_power(ell, d - 2 * j, f)
     k_fact = factorial(d - 2 * j)
-    entry = {e: exact(Fraction(c, k_fact)) for e, c in _derivative_values(g).items()}
+    entry = {e: Fraction(c, k_fact) for e, c in _derivative_values(g).items()}
     return Mat([[entry.get(tuple(map(add, u, v)), 0) for v in B] for u in B])
 
 

@@ -151,6 +151,11 @@ def first_macaulay_violation(h) -> Optional[int]:
     return None
 
 
+def first_difference(h: Sequence[int]) -> List[int]:
+    """Delta h(i) = h(i) - h(i-1), with h(-1) = 0."""
+    return [b - a for a, b in zip([0, *h], h)]
+
+
 def is_O_sequence(h) -> bool:
     """Macaulay's criterion: h_0 = 1 and h_{i+1} <= h_i^<i> for i >= 1."""
     e = _entries(h)
@@ -161,8 +166,7 @@ def is_O_sequence(h) -> bool:
 
 def is_differentiable(h) -> bool:
     """True when the first difference is nonnegative and an O-sequence."""
-    e = _entries(h)
-    delta = tuple(e[i] - (e[i - 1] if i else 0) for i in range(len(e)))
+    delta = first_difference(_entries(h))
     if any(x < 0 for x in delta):
         return False
     return is_O_sequence(delta)
@@ -193,8 +197,7 @@ class Hbar:
 
     def delta(self) -> Tuple[int, ...]:
         """First difference through degree t; zero afterwards."""
-        v = self.values
-        return tuple(v[i] - (v[i - 1] if i else 0) for i in range(len(v)))
+        return tuple(first_difference(self.values))
 
 
 def hbar(h) -> Hbar:

@@ -1,7 +1,12 @@
 """Exact linear algebra over the rationals, computed in integers.
 
-Matrix entries are Python ints or fractions.Fraction.  Every
-elimination runs through one fraction-free pass (Bareiss 1968,
+Stored scalars, here and in every module, are Python ints when
+integral and fractions.Fraction otherwise.  `exact` is the one place
+that decides, and it runs only in the constructors that store scalars
+(Mat entries, Poly terms, linear forms, points, weights); the kernels
+convert nothing.  `det` returns a Fraction.
+
+Every elimination runs through one fraction-free pass (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination"): each row is cleared of denominators on entry, and the
 integer forward pass gives rank, pivot columns and the determinant
@@ -23,10 +28,18 @@ from typing import List, Sequence, Tuple
 from .errors import NonSquareError
 
 
-def _to_scalar(x):
-    if type(x) is int or isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def exact(x):
+    """x as an int when integral, else as a Fraction.
+
+    Accepts anything Fraction accepts: ints, Fractions, decimal or
+    "p/q" strings, floats.
+    """
+    if type(x) is not int:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
 
 
 class Mat:
@@ -36,7 +49,7 @@ class Mat:
 
     def __init__(self, entries: Sequence[Sequence]):
         self.entries: List[list] = [
-            [_to_scalar(x) for x in row] for row in entries
+            [exact(x) for x in row] for row in entries
         ]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -81,10 +94,11 @@ def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
-def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int]:
+def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
     """Fraction-free forward elimination of integer rows, in place.
 
-    Returns the pivot columns and the sign of the row permutation.
+    Returns the pivot columns, the sign of the row permutation and the
+    last pivot (1 when there is none).
     After pivot step k every entry right of the pivots is a (k+1)-minor
     of the input, so each division by the previous pivot is exact and
     the last pivot of a nonsingular square matrix is its determinant.
@@ -121,34 +135,21 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int]:
         prev = p
         pivots.append(c)
         r += 1
-    return pivots, sign
-
-
-def _det_small(a: List[List[int]], n: int) -> int:
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    return pivots, sign, prev
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant: cofactors up to size 3, else the fraction-free pass."""
+    """Determinant as a Fraction: the last pivot of the fraction-free pass.
+
+    The determinant of a 0x0 matrix is 1.
+    """
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
-    n = m.rows
     a, scale = _integer_rows(m.entries)
-    if n <= 3:
-        value = _det_small(a, n)
-        return Fraction(value, scale) if scale != 1 else Fraction(value)
-    pivots, sign = _eliminate(a, n)
-    if len(pivots) < n:
+    pivots, sign, last = _eliminate(a, m.cols)
+    if len(pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * a[-1][-1], scale)
+    return Fraction(sign * last, scale)
 
 
 def rank(m: Mat) -> int:
@@ -180,7 +181,7 @@ def nullspace(m: Mat) -> List[List[Fraction]]:
     does not depend on how the forward pass scaled its rows.
     """
     a, _ = _integer_rows(m.entries)
-    piv, _ = _eliminate(a, m.cols)
+    piv = _eliminate(a, m.cols)[0]
     a = [[Fraction(x) for x in row] for row in a[:len(piv)]]
     for idx in range(len(piv) - 1, -1, -1):
         c = piv[idx]

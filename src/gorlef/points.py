@@ -22,15 +22,15 @@ from .apolar import LinearFormR, Monomial, monomial_eval, monomials_of_degree
 from .errors import (DuplicateParameterError, NotOSequenceError,
                      NotPlaneConfigError, PreconditionViolatedError,
                      RealizationMismatchError)
-from .hvector import HVector, is_O_sequence, macaulay_bound
-from .linalg import Mat
+from .hvector import first_difference, is_O_sequence
+from .linalg import Mat, exact
 
 
 def _normalize(coords: Sequence) -> Tuple[Fraction, ...]:
-    v = [Fraction(c) for c in coords]
+    v = [exact(c) for c in coords]
     for c in v:
         if c != 0:
-            return tuple(x / c for x in v)
+            return tuple(exact(Fraction(x, c)) for x in v)
     raise ValueError("zero coordinate vector is not a projective point")
 
 
@@ -103,7 +103,7 @@ class PointSet:
     def from_json_dict(cls, data: dict) -> "PointSet":
         if "points" not in data:
             raise ValueError('point-set JSON lacks "points"')
-        return cls([[Fraction(c) for c in p] for p in data["points"]])
+        return cls(data["points"])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ class PointSet:
 
 def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
     """s points (1 : t : t^2 : ... : t^n) on the rational normal curve."""
-    ts = [Fraction(t) for t in params]
+    ts = list(params)
     if len(ts) != s:
         raise ValueError(f"need {s} parameters, got {len(ts)}")
     if len(set(ts)) != len(ts):
@@ -157,8 +157,7 @@ def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
         seen = set()
         pts = []
         while len(pts) < s:
-            p = (Fraction(1),) + tuple(Fraction(rng.randint(-box, box))
-                                       for _ in range(n))
+            p = (1,) + tuple(rng.randint(-box, box) for _ in range(n))
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
@@ -268,9 +267,7 @@ def gen_distraction(ideal: OrderIdeal) -> PointSet:
     The resulting points satisfy h_{A(X)}(i) = sum of the ideal's degree
     counts through i (capped at s); verified exactly before returning.
     """
-    pts = [(Fraction(1),) + tuple(Fraction(e) for e in m)
-           for m in ideal.sorted_monomials()]
-    x = PointSet(pts)
+    x = PointSet([(1,) + m for m in ideal.sorted_monomials()])
     expected = list(accumulate(ideal.degree_counts())) + [ideal.size]
     for i, expect in enumerate(expected):
         if x.hilbert(i) != expect:
@@ -361,7 +358,7 @@ def davis_hint(x: PointSet) -> Optional[DavisHint]:
     t0 = next((i for i in range(t + 2) if h[i] < comb(x.n + i, i)), None)
     if t0 is None:
         return None
-    delta = [h[i] - (h[i - 1] if i else 0) for i in range(t + 2)]
+    delta = first_difference(h)
     for j in range(t0, t):  # need j+1 <= tau so the repeat is genuine
         r = delta[j]
         if r >= 1 and delta[j + 1] == r:

@@ -14,14 +14,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, contract_monomial
-from .construct import (StructuredGenerator, _nonzero_int, power_sum,
+from .apolar import LinearFormS, contract_monomial, power_sum
+from .construct import (StructuredGenerator, _nonzero_int,
                         structured_hessian_det)
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, check_slp,
                          hessian_at, sample_linear_form)
+from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
                      has_collinear_triple)
@@ -101,8 +102,8 @@ def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
     if d < 2 * t:
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
     g = StructuredGenerator(
-        x=x, alphas=tuple(Fraction(_nonzero_int(rng, alpha_box))
-                          for _ in range(s)), d=d)
+        x=x, alphas=tuple(_nonzero_int(rng, alpha_box) for _ in range(s)),
+        d=d)
     cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
                      attempts=attempts, box=box)
     if not cert.verdict:
@@ -164,7 +165,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
     t = x.tau()
     if d < 2 * t:
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
-    alphas = tuple(Fraction(_nonzero_int(rng, alpha_box)) for _ in range(s))
+    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(s))
     g = StructuredGenerator(x=x, alphas=alphas, d=d)
     algebra = GorensteinAlgebra(g.expanded, d)
     h = algebra.hilbert
@@ -256,19 +257,17 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     for _ in range(attempts):
         if kind == "conic":
             params = rng.sample(range(-(on_count + 3), on_count + 4), on_count)
-            base = [(Fraction(1), Fraction(p), Fraction(p) ** 2) for p in params]
+            base = [(1, p, p * p) for p in params]
             def on_curve(q):  # the smooth conic x0 x2 = x1^2
                 return q[0] * q[2] == q[1] ** 2
         else:
-            base = [(Fraction(1), Fraction(i), Fraction(0))
-                    for i in range(on_count)]
+            base = [(1, i, 0) for i in range(on_count)]
             def on_curve(q):  # the line x2 = 0
                 return q[2] == 0
         pts = list(base)
         seen = set(pts)
         while len(pts) < on_count + off:
-            q = (Fraction(1), Fraction(rng.randint(-box, box)),
-                 Fraction(rng.randint(-box, box)))
+            q = (1, rng.randint(-box, box), rng.randint(-box, box))
             if q in seen or on_curve(q):
                 continue
             seen.add(q)
@@ -277,8 +276,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         t = x.tau()
         if t != tau_target:
             continue
-        h = [x.hilbert(i) for i in range(t + 1)]
-        delta = [h[i] - (h[i - 1] if i else 0) for i in range(t + 1)]
+        delta = first_difference(x.hilbert_vector(t))
         k = t
         while k - 1 >= 1 and delta[k - 1] == r:
             k -= 1
@@ -310,8 +308,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
     t = x.tau()
     if d < 2 * t:
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
-    h = [x.hilbert(i) for i in range(t + 1)]
-    delta = [h[i] - (h[i - 1] if i else 0) for i in range(t + 1)]
+    delta = first_difference(x.hilbert_vector(t))
     if not 1 <= k <= t:
         raise ShapeMismatchError(f"need 1 <= k <= tau = {t}, got k={k}")
     if any(delta[i] != r for i in range(k, t + 1)):
@@ -327,7 +324,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
             f"no degree-{r} curve through exactly {curve_count} points")
     off = tuple(i for i in range(x.size) if i not in set(curve))
 
-    alphas = tuple(Fraction(_nonzero_int(rng, alpha_box)) for _ in range(x.size))
+    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
     g = StructuredGenerator(x=x, alphas=alphas, d=d)
     algebra = GorensteinAlgebra(g.expanded, d)
 
@@ -354,9 +351,9 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
         for j in range(k - 1, d // 2 + 1):
             frame = algebra.basis(j)
             for _ in range(trials):
-                trial_alphas = [Fraction(_nonzero_int(rng, alpha_box))
+                trial_alphas = [_nonzero_int(rng, alpha_box)
                                 for _ in range(x.size)]
-                trial_alphas[i] = Fraction(0)
+                trial_alphas[i] = 0
                 ell = sample_linear_form(3, rng, box)
                 val = structured_hessian_det(x, trial_alphas, d, j, frame, ell)
                 if val != 0:
@@ -404,8 +401,7 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
             if t != len(delta) - 1:
                 raise ShapeMismatchError(f"family {name}, m={m}: tau={t}")
             d = 2 * t
-            alphas = tuple(Fraction(_nonzero_int(rng, alpha_box))
-                           for _ in range(x.size))
+            alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
             g = StructuredGenerator(x=x, alphas=alphas, d=d)
             cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
                              attempts=attempts, box=box)
@@ -453,7 +449,7 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
         if has_collinear_triple(x):
             raise PreconditionViolatedError("points must be in general linear position")
     target = x.size - kind
-    alphas = tuple(Fraction(_nonzero_int(rng, alpha_box)) for _ in range(x.size))
+    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
     g = StructuredGenerator(x=x, alphas=alphas, d=d)
     algebra = GorensteinAlgebra(g.expanded, d)
     if algebra.hilbert[j] != target:

@@ -351,3 +351,24 @@ class TestErrorContract:
         assert json.loads(captured.out) == {"error": {
             "type": "InternalError", "message": "RuntimeError: boom"}}
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["seq", "check", "1,2,1"],
+        ["construct", "--h", "1,2,3"],
+    ], ids=["result", "error"])
+    def test_unwritable_out_is_one_error_and_exit_two(self, capsys, tmp_path,
+                                                      argv):
+        # the result (or error) document must not reach stdout before the
+        # write fails, and the error document is not retried at the path
+        bad = tmp_path / "missing" / "x.json"
+        code = main([*argv, "--out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "FileNotFoundError"
+        assert "Traceback" not in captured.err
+        assert not bad.parent.exists()
+
+    def test_out_gets_the_stdout_bytes(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["seq", "check", "1,2,1", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
