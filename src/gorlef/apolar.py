@@ -24,10 +24,6 @@ RING_S = "S"  # differential operators, variables x_i
 RING_R = "R"  # forms being differentiated, variables X_i
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomials_of_degree(n_vars: int, degree: int) -> List[Monomial]:
     """All degree-`degree` monomials in n_vars variables, descending lex.
 
@@ -82,10 +78,6 @@ class Poly:
     def monomial(cls, n_vars: int, ring: str, m: Monomial, coef=1) -> "Poly":
         return cls(n_vars, ring, {tuple(m): coef})
 
-    @classmethod
-    def constant(cls, n_vars: int, ring: str, c) -> "Poly":
-        return cls(n_vars, ring, {(0,) * n_vars: c})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -94,10 +86,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: _sort_key(mc[0]))
@@ -234,16 +222,6 @@ class _LinearForm:
     @property
     def n_vars(self) -> int:
         return len(self.coeffs)
-
-    def to_poly(self) -> Poly:
-        n = self.n_vars
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Poly(n, self.ring, terms)
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self.coeffs == other.coeffs

@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -276,7 +277,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="also write the JSON here")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once, on the first main call; main looks up the handlers."""
     parser = argparse.ArgumentParser(
         prog="gorlef",
         description="Exact Lefschetz-property toolkit over the rationals")
@@ -287,14 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = seq_sub.add_parser("check", help="O-sequence / SI classification")
     p_check.add_argument("sequence", help="comma-separated, e.g. 1,3,5,5,3,1")
     _add_common(p_check)
-    p_check.set_defaults(func=_run_seq)
 
     p_con = sub.add_parser("construct",
                            help="realize an SI-sequence by an SLP algebra")
     p_con.add_argument("--h", dest="h", required=True,
                        help="target Hilbert function, comma-separated")
     _add_common(p_con)
-    p_con.set_defaults(func=_run_construct)
 
     p_an = sub.add_parser("analyze",
                           help="Hilbert function and Lefschetz certificates")
@@ -308,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--expect-slp", action="store_true",
                       help="exit 1 when neither Lefschetz check verifies")
     _add_common(p_an)
-    p_an.set_defaults(func=_run_analyze)
 
     p_pts = sub.add_parser("points", help="point-set generators")
     pts_sub = p_pts.add_subparsers(dest="points_command", required=True)
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--delta", default=None,
                        help="distraction: target first difference")
     _add_common(p_gen)
-    p_gen.set_defaults(func=_run_points)
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("--theorem", required=True,
@@ -353,21 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--eval-points", type=int, default=20,
                        help="conic: evaluation points per degree")
     _add_common(p_ver)
-    p_ver.set_defaults(func=_run_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and bad flags
         code = exc.code
         return code if isinstance(code, int) else 2
     out = getattr(args, "out", None)
+    handler = {"seq": _run_seq, "construct": _run_construct,
+               "analyze": _run_analyze, "points": _run_points,
+               "verify": _run_verify}[args.command]
     try:
-        doc, code = args.func(args)
+        doc, code = handler(args)
     except (GorlefError, ValueError) as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         diagnostics = getattr(exc, "diagnostics", None)

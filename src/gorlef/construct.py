@@ -2,7 +2,11 @@
 
 Pipeline: flatten the SI-sequence at its first non-increase, realize
 the flattened sequence as the Hilbert function of a distraction point
-set, and take F = sum alpha_i L_i^d with random nonzero weights.  For
+set, and take F = sum alpha_i L_i^d with random nonzero weights.  As
+Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha) V_j and an SI-sequence has
+d >= 2 tau, the algebra's bases are the pivot columns of the points'
+evaluation matrices V_j (GorensteinAlgebra.of_points); only
+hilbert_formula_check, a tautology there, takes catalecticants.  For
 degrees below the stabilization the Hessian determinants are checked
 directly; at and above it the multiplication maps act on the coordinate
 ring of the points and have full rank whenever ell separates the points.
@@ -23,8 +27,7 @@ from . import linalg
 from .apolar import LinearFormS, Monomial, Poly, monomial_eval, power_sum
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
-from .gorenstein import (GorensteinAlgebra, SlpCertificate,
-                         basis as algebra_basis, certify_at)
+from .gorenstein import GorensteinAlgebra, SlpCertificate, certify_at
 from .hvector import HVector, hbar
 from .linalg import Mat, exact
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
@@ -166,7 +169,7 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     d = hv.socle_degree
     x = PointSet([[1]])
     g = StructuredGenerator(x=x, alphas=(1,), d=d)
-    algebra = GorensteinAlgebra(g.expanded, d)
+    algebra = GorensteinAlgebra.of_points(g)
     ell = LinearFormS([1])
     records = certify_at(algebra, ell, _point_hessian(g, ell), t=0)
     cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
@@ -207,7 +210,7 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
         ell = _separating_form(x, rng, box)
         g = StructuredGenerator(x=x, alphas=alphas, d=d)
-        algebra = GorensteinAlgebra(g.expanded, d)
+        algebra = GorensteinAlgebra.of_points(g)
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
@@ -269,8 +272,7 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
         raise BadSubsetSizeError(
             f"need |I| = h(j) = {x.hilbert(j)}, got {len(idx)}")
 
-    ones = StructuredGenerator(x=x, alphas=(1,) * x.size, d=d)
-    frame = algebra_basis(ones.expanded, j, d)
+    frame = x.basis(j)  # A_j's basis for all nonzero weights: d - j >= tau
     chosen = set(idx)
     indicator = [int(i in chosen) for i in range(x.size)]
     det_route = False

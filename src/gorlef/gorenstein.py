@@ -4,9 +4,19 @@ A nonzero form F of degree d in R defines A = S/Ann(F).  Catalecticant
 ranks give the Hilbert function and pivots give monomial bases of each
 graded piece.  Since Cat^(d-j) is the transpose of Cat^j, one
 elimination of Cat^(d-j) per degree j <= floor(d/2) yields both the
-basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).  Higher
-Hessians evaluated at the point dual to a linear form ell decide the
-strong Lefschetz property:
+basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).
+
+For F = sum alpha_i L_i^d over points X, every alpha_i != 0, the
+catalecticant factors through the evaluation matrices V_k of X
+(Iarrobino-Kanev 1999):  Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha) V_j.
+If tau(X) <= ceil(d/2), V_(d-j) has rank |X| for all j <= floor(d/2),
+so Cat^(d-j) and V_j share their pivot columns: of_points reads the
+bases off the points, and refuses below that bound.  construct and the
+rnc, conic, tails and families verifiers (d >= 2 tau) take it; analyze
+(no points, any d), hilbert_formula_check (a tautology there) and
+s-minus (any d) keep the catalecticant.  Higher Hessians evaluated at
+the point dual to a linear form ell decide the strong Lefschetz
+property:
 
     ell is strong Lefschetz  iff  det Hess^j(F)(P_ell) != 0
                                   for all j <= floor(d/2).
@@ -37,7 +47,8 @@ from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
                      monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
-                     NotHomogeneousError, RingMismatchError, ZeroGeneratorError)
+                     NotHomogeneousError, PreconditionViolatedError,
+                     RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
 from .linalg import Mat
 
@@ -230,20 +241,35 @@ class GorensteinAlgebra:
     """A = S/Ann(F) with cached Hilbert function and graded bases.
 
     Builds the bases of A_j for j <= floor(d/2), one catalecticant
-    elimination each, and reads the whole Hilbert function off them.
+    elimination each (or takes them from of_points), and reads the
+    whole Hilbert function off them.
     """
 
-    def __init__(self, f: Poly, d: Optional[int] = None):
+    def __init__(self, f: Poly, d: Optional[int] = None, *,
+                 _bases: Optional[dict] = None):
         if f.is_zero():
             raise ZeroGeneratorError("zero dual generator")
         self.f = f
         self.d = _generator_degree(f, d)
         _require_form(f, self.d)
         self.n_vars = f.n_vars
-        self._bases: dict = {j: basis(f, j, self.d)
-                             for j in range(self.d // 2 + 1)}
+        self._bases: dict = _bases if _bases is not None else {
+            j: basis(f, j, self.d) for j in range(self.d // 2 + 1)}
         self.hilbert: HVector = _mirrored(
             [len(self._bases[j]) for j in range(self.d // 2 + 1)], self.d)
+
+    @classmethod
+    def of_points(cls, g) -> "GorensteinAlgebra":
+        """A for a StructuredGenerator g, its bases read off g.x.
+
+        Raises PreconditionViolatedError unless tau(X) <= ceil(d/2).
+        """
+        x, d = g.x, g.d
+        if 2 * x.tau() > d + 1:
+            raise PreconditionViolatedError(
+                f"point-side bases need tau = {x.tau()} <= ceil(d/2), got d={d}")
+        return cls(g.expanded, d,
+                   _bases={j: list(x.basis(j)) for j in range(d // 2 + 1)})
 
     def basis(self, j: int) -> List[Monomial]:
         if j not in self._bases:

@@ -49,10 +49,6 @@ class HVector:
     def socle_degree(self) -> int:
         return len(self.entries) - 1
 
-    @property
-    def peak(self) -> int:
-        return max(self.entries)
-
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
 
@@ -189,11 +185,6 @@ class Hbar:
     values: Tuple[int, ...]  # h_0 .. h_t
     t: int
     s: int
-
-    def value(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("negative index")
-        return self.values[i] if i <= self.t else self.s
 
     def delta(self) -> Tuple[int, ...]:
         """First difference through degree t; zero afterwards."""

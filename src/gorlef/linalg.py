@@ -32,11 +32,15 @@ def exact(x):
     """x as an int when integral, else as a Fraction.
 
     Accepts anything Fraction accepts: ints, Fractions, decimal or
-    "p/q" strings, floats.
+    "p/q" strings, finite floats.  An infinite float is a ValueError,
+    as a NaN already is.
     """
     if type(x) is not int:
         if not isinstance(x, Fraction):
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except OverflowError:
+                raise ValueError(f"{x!r} is not a finite rational number") from None
         if x.denominator == 1:
             return x.numerator
     return x

@@ -1,8 +1,9 @@
 """Finite point sets in projective space and their Hilbert functions.
 
-h_{A(X)}(i) is the rank of the evaluation matrix of degree-i monomials
-at the points; it increases to s = |X| and stabilizes there from the
-regularity degree tau(X) on.  Generators produce the standard
+h_{A(X)}(i) is the rank of the evaluation matrix V_i of degree-i
+monomials at the points; it increases to s = |X| and stabilizes there
+from the regularity degree tau(X) on.  The pivot columns of V_i, kept
+as monomials, are a basis of A(X)_i.  Generators produce the standard
 configurations (rational normal curves, two lines, distractions of
 monomial order ideals) used by the realization pipeline and the
 theorem verifiers.
@@ -48,9 +49,10 @@ class PointSet:
             raise ValueError("duplicate projective points")
         self.points: Tuple[Tuple[Fraction, ...], ...] = tuple(norm)
         self.n = n_coords - 1
-        self._hilbert: Dict[int, int] = {0: 1}
-        self._tau: Optional[int] = None
-        self._tau = self.tau()  # eager; also fills the hilbert cache
+        self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
+        self._tau = 0  # eager; fills the basis cache through degree tau
+        while self.hilbert(self._tau) < self.size:
+            self._tau += 1
 
     @property
     def size(self) -> int:
@@ -64,25 +66,23 @@ class PointSet:
         mons = monomials_of_degree(self.n + 1, i)
         return Mat([[monomial_eval(m, p) for m in mons] for p in self.points])
 
+    def basis(self, i: int) -> Tuple[Monomial, ...]:
+        """Degree-i monomials whose columns of V_i pivot, in descending lex."""
+        if i not in self._bases:
+            mons = monomials_of_degree(self.n + 1, i)
+            self._bases[i] = tuple(mons[c] for c in linalg.pivot_columns(
+                self.evaluation_matrix(i)))
+        return self._bases[i]
+
     def hilbert(self, i: int) -> int:
-        if i < 0:
-            return 0
-        if i not in self._hilbert:
-            self._hilbert[i] = linalg.rank(self.evaluation_matrix(i))
-        return self._hilbert[i]
+        return len(self.basis(i)) if i >= 0 else 0
 
     def hilbert_vector(self, through: int) -> Tuple[int, ...]:
         return tuple(self.hilbert(i) for i in range(through + 1))
 
     def tau(self) -> int:
         """Least degree where the Hilbert function reaches s."""
-        if self._tau is not None:
-            return self._tau
-        i = 0
-        while self.hilbert(i) < self.size:
-            i += 1
-        self._tau = i
-        return i
+        return self._tau
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         return PointSet([self.points[i] for i in indices])

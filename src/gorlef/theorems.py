@@ -24,8 +24,8 @@ from .gorenstein import (GorensteinAlgebra, SlpCertificate, check_slp,
                          hessian_at, sample_linear_form)
 from .hvector import first_difference
 from .linalg import Mat
-from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
-                     has_collinear_triple)
+from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
+                     gen_two_lines, has_collinear_triple, lex_order_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
     g = StructuredGenerator(
         x=x, alphas=tuple(_nonzero_int(rng, alpha_box) for _ in range(s)),
         d=d)
-    cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
+    cert = check_slp(GorensteinAlgebra.of_points(g), rng,
                      attempts=attempts, box=box)
     if not cert.verdict:
         raise TheoremTensionError(
@@ -167,7 +167,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
     alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(s))
     g = StructuredGenerator(x=x, alphas=alphas, d=d)
-    algebra = GorensteinAlgebra(g.expanded, d)
+    algebra = GorensteinAlgebra.of_points(g)
     h = algebra.hilbert
     display = tuple(min(2 * i + 1, 2 * (d - i) + 1, s) for i in range(d + 1))
     for i in range(d + 1):
@@ -326,7 +326,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
 
     alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
     g = StructuredGenerator(x=x, alphas=alphas, d=d)
-    algebra = GorensteinAlgebra(g.expanded, d)
+    algebra = GorensteinAlgebra.of_points(g)
 
     report = TailReport(kind=kind, x=x, d=d, k=k, tau=t,
                         curve_indices=tuple(curve), off_indices=off)
@@ -391,7 +391,6 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
                               attempts: int = 50, alpha_box: int = 20,
                               box: int = 50) -> List[FamilyReport]:
     """All five flat-tail Delta families give SLP algebras at d = 2 tau."""
-    from .points import gen_distraction, lex_order_ideal
     out = []
     for name, make in _FAMILIES:
         for m in m_values:
@@ -403,7 +402,7 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
             d = 2 * t
             alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
             g = StructuredGenerator(x=x, alphas=alphas, d=d)
-            cert = check_slp(GorensteinAlgebra(g.expanded, d), rng,
+            cert = check_slp(GorensteinAlgebra.of_points(g), rng,
                              attempts=attempts, box=box)
             if not cert.verdict:
                 raise TheoremTensionError(

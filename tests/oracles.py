@@ -323,6 +323,18 @@ def linear_power_contraction(coeffs: Sequence[Fraction], k: int,
     return terms
 
 
+def is_homogeneous(f: Poly) -> bool:
+    """All terms of f share one total degree (the zero polynomial passes)."""
+    return len({sum(m) for m in f.terms}) <= 1
+
+
+def linear_form_poly(ell) -> Poly:
+    """sum a_i x_i (or X_i) as a Poly in the linear form's ring."""
+    n = ell.n_vars
+    return Poly(n, ell.ring, {tuple(int(k == i) for k in range(n)): c
+                              for i, c in enumerate(ell.coeffs)})
+
+
 def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
                            point: Sequence[Fraction]) -> List[List[Fraction]]:
     """Hess^j(F)(P) entry by entry: ((b_u b_v) o F) evaluated at P."""

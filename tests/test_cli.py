@@ -308,12 +308,20 @@ class TestErrorContract:
         ["analyze", "--poly", XY, "--d", "3"],
         ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": ['
          '{"exp": [1, 1], "coef": "1"}, {"exp": [1, 0], "coef": "1"}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1], "coef": Infinity}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1], "coef": -Infinity}]}'],
+        ["analyze", "--points", '{"points": [[1, Infinity], [1, 2]]}',
+         "--alphas", "1,1", "--d", "2"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
             "poly-exp-not-a-list", "poly-coef-zero-denominator",
             "alphas-zero-denominator", "poly-d-below-degree",
-            "poly-d-above-degree", "poly-not-homogeneous"])
+            "poly-d-above-degree", "poly-not-homogeneous",
+            "poly-coef-infinity", "poly-coef-minus-infinity",
+            "point-infinity"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)
@@ -372,3 +380,33 @@ class TestErrorContract:
         out = tmp_path / "x.json"
         assert main(["seq", "check", "1,2,1", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["seq", "check", "1,3,5,5,3,1"],
+        ["construct", "--h", "1,3,1", "--seed", "2"],
+        ["points", "gen", "--kind", "nope"],  # an argparse error
+        ["verify", "--theorem", "rnc", "--n", "2", "--s", "4"],
+        ["seq", "check", "1,2,3"],
+        ["analyze", "--poly", XY],
+        ["construct"],  # a missing required flag
+        ["points", "gen", "--kind", "two-lines", "--s1", "2", "--s2", "3"],
+    ]
+
+    @staticmethod
+    def _call(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_per_process_same_output(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._call(capsys, argv))
+        cli.build_parser.cache_clear()
+        reused = [self._call(capsys, argv) for argv in self.ARGVS]
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0, 2, 0]

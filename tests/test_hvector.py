@@ -143,7 +143,7 @@ class TestHVectorParsing:
     def test_socle_degree_and_peak(self):
         hv = HVector((1, 3, 5, 5, 3, 1))
         assert hv.socle_degree == 5
-        assert hv.peak == 5
+        assert max(hv) == 5
 
 
 class TestExpansionAgainstExhaustiveSearch:

@@ -5,17 +5,25 @@ rank-deficient products, all-zero columns (the column-skip branch),
 wide, tall and 1x1 shapes, and pivots that need a row swap.  Random
 forms and linear forms check the one-contraction Hessian and the
 integer ell^k contraction the same way.  The oracles in `oracles.py`
-use Fraction arithmetic only.
+use Fraction arithmetic only.  Random weighted point sets check that
+the point-side bases of a power sum equal its catalecticant bases.
 """
 
+import random
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from gorlef import construct
 from gorlef.apolar import (LinearFormS, Poly, RING_R, contract_linear_power,
-                           monomials_of_degree)
-from gorlef.gorenstein import basis, hessian_at
+                           monomials_of_degree, power_sum)
+from gorlef.construct import StructuredGenerator, construct_slp_algebra
+from gorlef.errors import HessianRankMismatchError, PreconditionViolatedError
+from gorlef.gorenstein import GorensteinAlgebra, basis, hessian_at
+from gorlef.hvector import HVector, is_SI
 from gorlef.linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
+from gorlef.points import PointSet
 
 from oracles import (gauss_pivot_columns, gauss_rank, hessian_by_contraction,
                      laplace_det, linear_power_contraction)
@@ -194,3 +202,83 @@ def test_integer_contraction_matches_fractions(form, data):
     assert g.terms == linear_power_contraction(ell.coeffs, k, f.terms)
     assert all(type(c) is (int if c.denominator == 1 else Fraction)
                for c in g.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Point-side bases of F = sum alpha_i L_i^d
+
+coordinates = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+weights = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+).filter(bool)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 8 distinct points of P^n, n <= 3; coordinates as drawn, so
+    the first one is rarely 1 and sometimes 0 before normalization."""
+    n = draw(st.integers(0, 3))
+    pts = draw(st.lists(st.lists(coordinates, min_size=n + 1, max_size=n + 1)
+                        .filter(any), min_size=1, max_size=8))
+    try:
+        return PointSet(pts)
+    except ValueError:  # two draws gave the same projective point
+        assume(False)
+
+
+@st.composite
+def power_sums(draw, d_range):
+    x = draw(point_sets())
+    alphas = draw(st.lists(weights, min_size=x.size, max_size=x.size))
+    lo, hi = d_range(x.tau())
+    assume(lo <= hi)
+    return StructuredGenerator(x=x, alphas=tuple(alphas),
+                               d=draw(st.integers(lo, hi)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(power_sums(lambda t: (max(0, 2 * t - 1), 2 * t + 3)))
+@example(StructuredGenerator(x=PointSet([[2, 1], [3, -1], [0, 5]]),
+                             alphas=(Fraction(-1, 2), 3, -7), d=3))
+def test_point_side_bases_match_catalecticants(g):
+    # tau <= ceil(d/2): the pivot columns of V_j are the basis of A_j
+    by_points = GorensteinAlgebra.of_points(g)
+    by_catalecticants = GorensteinAlgebra(g.expanded, g.d)
+    assert by_points.hilbert == by_catalecticants.hilbert
+    for j in range(g.d + 1):
+        assert by_points.basis(j) == by_catalecticants.basis(j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_sums(lambda t: (0, 2 * t - 2)))
+def test_point_side_bases_refused_below_the_precondition(g):
+    with pytest.raises(PreconditionViolatedError):
+        GorensteinAlgebra.of_points(g)
+
+
+SI_CASES = ("1,2,1", "1,3,1", "1,2,2,1", "1,3,3,1", "1,3,5,3,1",
+            "1,3,4,4,3,1", "1,3,6,6,3,1", "1,4,5,5,4,1", "1,2,3,3,2,1")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SI_CASES), st.integers(0, 2 ** 16), st.data())
+def test_a_term_missing_from_f_fails_the_rank_audit(h, seed, data):
+    # bases and h come from the points, so only certify_at's rank route,
+    # taken on the expanded F, can see that F lost a point's term
+    assert is_SI(HVector.parse(h))
+    s = max(HVector.parse(h))
+    drop = data.draw(st.integers(0, s - 1))
+
+    def without_one(points, alphas, d, n_vars):
+        keep = [i for i in range(len(points)) if i != drop]
+        return power_sum([points[i] for i in keep], [alphas[i] for i in keep],
+                         d, n_vars)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "power_sum", without_one)
+        with pytest.raises(HessianRankMismatchError):
+            construct_slp_algebra(HVector.parse(h), random.Random(seed))
