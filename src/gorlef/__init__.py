@@ -25,14 +25,14 @@ from .apolar import (LinearFormR, LinearFormS, Poly, RING_R, RING_S,
 from .linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
                          certify_at, check_slp, check_wlp, hessian_at,
-                         hessian_det, hilbert_function, multiplication_rank)
+                         hilbert_function, multiplication_rank,
+                         structured_hessian_at)
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
 from .construct import (ConstructionResult, StructuredGenerator,
                         construct_slp_algebra, hess_coefficient_criterion,
-                        hilbert_formula_check, structured_hessian_at,
-                        structured_hessian_det)
+                        hilbert_formula_check)
 from .theorems import (BlockPair, ConicReport, FamilyReport, PropReport,
                        TailReport, block_det_identity, make_tail_config,
                        verify_conic_slp, verify_corollary_families,
@@ -58,12 +58,12 @@ __all__ = [
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",
     "has_collinear_triple", "hbar", "hess_coefficient_criterion",
-    "hessian_at", "hessian_det", "hilbert_formula_check",
+    "hessian_at", "hilbert_formula_check",
     "hilbert_function", "is_O_sequence", "is_SI", "is_differentiable",
     "lex_order_ideal", "macaulay_bound", "make_tail_config",
     "monomials_of_degree", "multiplication_rank", "nullspace",
     "pivot_columns", "pivot_rows", "power_of_linear", "rank",
-    "structured_hessian_at", "structured_hessian_det", "verify_conic_slp",
+    "structured_hessian_at", "verify_conic_slp",
     "verify_corollary_families", "verify_prop_s_minus", "verify_rnc_slp",
     "verify_tail_nonvanishing",
 ]

@@ -10,9 +10,9 @@ hilbert_formula_check, a tautology there, takes catalecticants.  For
 degrees below the stabilization the Hessian determinants are checked
 directly; at and above it the multiplication maps act on the coordinate
 ring of the points and have full rank whenever ell separates the points.
-gorenstein.certify_at builds the certificate lines, with the Hessians
-summed over the points: both routes are recorded at every degree, and a
-disagreement between them is raised, not retried.
+gorenstein.certify_at builds the certificate lines: both routes are
+recorded at every degree, the Hessians summed over the points by the
+algebra itself, and a disagreement between them is raised, not retried.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, Monomial, Poly, monomial_eval, power_sum
+from .apolar import LinearFormS, Poly, power_sum
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
-from .gorenstein import GorensteinAlgebra, SlpCertificate, certify_at
+from .gorenstein import (GorensteinAlgebra, SlpCertificate, certify_at,
+                         structured_hessian_at)
 from .hvector import HVector, hbar
-from .linalg import Mat, exact
+from .linalg import exact
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
 
 
@@ -68,53 +68,6 @@ class StructuredGenerator:
             "alphas": [str(a) for a in self.alphas],
             "d": self.d,
         }
-
-
-def structured_hessian_at(points: Sequence[Sequence[Fraction]],
-                          alphas: Sequence[Fraction], d: int, j: int,
-                          basis_monomials: Sequence[Monomial],
-                          ell: LinearFormS) -> Mat:
-    """Hessian of sum alpha_i L_i^d at P_ell, assembled from rank-one pieces.
-
-    Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
-    v_u = b_u(P_L); summing over the points avoids expanding F and is
-    the workhorse for weight-indexed determinant studies.  The sum is
-    V^T diag(c) V, accumulated in integers for integral data (upper
-    triangle only, then mirrored) and scaled by d!/(d-2j)! once.  Zero
-    weights are allowed here precisely to support those studies.
-    """
-    if 2 * j > d:
-        raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
-    B = list(basis_monomials)
-    size = len(B)
-    k = d - 2 * j
-    p_ell = ell.point()
-    acc = [[0] * size for _ in range(size)]
-    for alpha, pt in zip(alphas, points):
-        if alpha == 0:
-            continue
-        beta = sum(a * c for a, c in zip(p_ell, pt))
-        if beta == 0 and k > 0:
-            continue
-        v = [monomial_eval(b, pt) for b in B]
-        c = alpha * beta ** k
-        for a_i, va in enumerate(v):
-            if va:
-                cva = c * va
-                row = acc[a_i]
-                row[a_i:] = [x + cva * y for x, y in zip(row[a_i:], v[a_i:])]
-    scale = factorial(d) // factorial(k)
-    for a_i, row in enumerate(acc):
-        for b_i in range(a_i, size):
-            row[b_i] = acc[b_i][a_i] = scale * row[b_i]
-    return Mat(acc)
-
-
-def structured_hessian_det(x: PointSet, alphas: Sequence[Fraction], d: int,
-                           j: int, basis_monomials: Sequence[Monomial],
-                           ell: LinearFormS) -> Fraction:
-    return linalg.det(structured_hessian_at(x.points, alphas, d, j,
-                                            basis_monomials, ell))
 
 
 def hilbert_formula_check(g: StructuredGenerator) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...]]:
@@ -158,12 +111,6 @@ class ConstructionResult:
         }
 
 
-def _point_hessian(g: StructuredGenerator, ell: LinearFormS):
-    """hessian(j, basis) for certify_at, summed over g's points."""
-    return lambda j, b: structured_hessian_at(g.x.points, g.alphas, g.d, j,
-                                              b, ell)
-
-
 def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResult:
     """h = (1) or h_1 = 1: one point in P^0 and F = X_0^d."""
     d = hv.socle_degree
@@ -171,7 +118,7 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     g = StructuredGenerator(x=x, alphas=(1,), d=d)
     algebra = GorensteinAlgebra.of_points(g)
     ell = LinearFormS([1])
-    records = certify_at(algebra, ell, _point_hessian(g, ell), t=0)
+    records = certify_at(algebra, ell, t=0)
     cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                           verdict=all(r.ok() for r in records),
                           seed=seed, attempts=1)
@@ -214,7 +161,7 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
-        records = certify_at(algebra, ell, _point_hessian(g, ell), t)
+        records = certify_at(algebra, ell, t)
         if all(r.ok() for r in records):
             cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                                   verdict=True, seed=seed, attempts=attempt)
@@ -228,6 +175,8 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
 
 
 def _nonzero_int(rng: random.Random, box: int) -> int:
+    if box < 1:
+        raise ValueError(f"weight box must be at least 1, got {box}")
     while True:
         v = rng.randint(-box, box)
         if v:
@@ -237,6 +186,8 @@ def _nonzero_int(rng: random.Random, box: int) -> int:
 def _separating_form(x: PointSet, rng: random.Random, box: int,
                      tries: int = 1000) -> LinearFormS:
     """Integer form with ell o L_i != 0 for every point dual."""
+    if box < 1:
+        raise ValueError(f"coefficient box must be at least 1, got {box}")
     for _ in range(tries):
         coeffs = [rng.randint(-box, box) for _ in range(x.n + 1)]
         if not any(coeffs):
@@ -281,7 +232,8 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
         if not any(coeffs):
             continue
         ell = LinearFormS(coeffs)
-        if structured_hessian_det(x, indicator, d, j, frame, ell) != 0:
+        if linalg.det(structured_hessian_at(x.points, indicator, d, j,
+                                            frame, ell)) != 0:
             det_route = True
             break
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)

@@ -22,16 +22,20 @@ property:
                                   for all j <= floor(d/2).
 
 Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
-contraction gives the whole Hessian, read off a catalecticant:
+contraction gives the whole Hessian over a basis B of A_j (hessian_at);
+for a power sum it is also a sum of rank-one pieces, with v_i the
+monomials of B evaluated at the i-th point (structured_hessian_at):
 
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
+                     = d!/(d-2j)! sum_i alpha_i L_i(P_ell)^(d-2j) v_i v_i^T
 
-certify_at builds every SLP certificate line, for check_slp and for
-the construct pipeline alike: at each degree it records the Hessian
-determinant and the rank of the multiplication map
-x ell^(d-2j): A_j -> A_(d-j).  The two routes agree by the Hessian
-criterion, so on every caller a disagreement is raised as a bug.
-check_slp and check_wlp share one attempt loop over sampled forms.
+GorensteinAlgebra.hessian sums over the points of an of_points algebra
+and contracts F otherwise.  certify_at builds every SLP certificate
+line, for check_slp and construct alike: at each degree it records
+det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on
+the expanded F.  The two routes agree by the Hessian criterion, so on
+every caller a disagreement is raised as a bug.  check_slp and
+check_wlp share one attempt loop over sampled forms.
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import add
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     monomials_of_degree)
+                     monomial_eval, monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
@@ -153,15 +157,51 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
     return Mat([[entry.get(tuple(map(add, u, v)), 0) for v in B] for u in B])
 
 
-def hessian_det(f: Poly, j: int, ell: LinearFormS,
-                basis_monomials: Optional[Sequence[Monomial]] = None,
-                d: Optional[int] = None) -> Fraction:
-    return linalg.det(hessian_at(f, j, ell, basis_monomials, d))
+def structured_hessian_at(points: Sequence[Sequence[Fraction]],
+                          alphas: Sequence[Fraction], d: int, j: int,
+                          basis_monomials: Sequence[Monomial],
+                          ell: LinearFormS) -> Mat:
+    """Hessian of sum alpha_i L_i^d at P_ell, assembled from rank-one pieces.
+
+    Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
+    v_u = b_u(P_L); summing over the points avoids expanding F and is
+    the workhorse for weight-indexed determinant studies.  The sum is
+    V^T diag(c) V, accumulated in integers for integral data (upper
+    triangle only, then mirrored) and scaled by d!/(d-2j)! once.  Zero
+    weights are allowed here precisely to support those studies.
+    """
+    if 2 * j > d:
+        raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
+    B = list(basis_monomials)
+    size = len(B)
+    k = d - 2 * j
+    p_ell = ell.point()
+    acc = [[0] * size for _ in range(size)]
+    for alpha, pt in zip(alphas, points):
+        if alpha == 0:
+            continue
+        beta = sum(a * c for a, c in zip(p_ell, pt))
+        if beta == 0 and k > 0:
+            continue
+        v = [monomial_eval(b, pt) for b in B]
+        c = alpha * beta ** k
+        for a_i, va in enumerate(v):
+            if va:
+                cva = c * va
+                row = acc[a_i]
+                row[a_i:] = [x + cva * y for x, y in zip(row[a_i:], v[a_i:])]
+    scale = factorial(d) // factorial(k)
+    for a_i, row in enumerate(acc):
+        for b_i in range(a_i, size):
+            row[b_i] = acc[b_i][a_i] = scale * row[b_i]
+    return Mat(acc)
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,
                        box: int = 50) -> LinearFormS:
     """Uniform integer coefficients in [-box, box], not all zero."""
+    if box < 1:
+        raise ValueError(f"coefficient box must be at least 1, got {box}")
     while True:
         coeffs = [rng.randint(-box, box) for _ in range(n_vars)]
         if any(coeffs):
@@ -241,22 +281,25 @@ class GorensteinAlgebra:
     """A = S/Ann(F) with cached Hilbert function and graded bases.
 
     Builds the bases of A_j for j <= floor(d/2), one catalecticant
-    elimination each (or takes them from of_points), and reads the
+    elimination each, or reads them off the points of a power-sum
+    generator (of_points, which keeps it as `generator`), and reads the
     whole Hilbert function off them.
     """
 
     def __init__(self, f: Poly, d: Optional[int] = None, *,
-                 _bases: Optional[dict] = None):
+                 _generator=None):
         if f.is_zero():
             raise ZeroGeneratorError("zero dual generator")
         self.f = f
         self.d = _generator_degree(f, d)
         _require_form(f, self.d)
         self.n_vars = f.n_vars
-        self._bases: dict = _bases if _bases is not None else {
-            j: basis(f, j, self.d) for j in range(self.d // 2 + 1)}
+        self.generator = _generator
+        half = range(self.d // 2 + 1)
+        self._bases: dict = {j: basis(f, j, self.d) if _generator is None
+                             else list(_generator.x.basis(j)) for j in half}
         self.hilbert: HVector = _mirrored(
-            [len(self._bases[j]) for j in range(self.d // 2 + 1)], self.d)
+            [len(self._bases[j]) for j in half], self.d)
 
     @classmethod
     def of_points(cls, g) -> "GorensteinAlgebra":
@@ -268,26 +311,31 @@ class GorensteinAlgebra:
         if 2 * x.tau() > d + 1:
             raise PreconditionViolatedError(
                 f"point-side bases need tau = {x.tau()} <= ceil(d/2), got d={d}")
-        return cls(g.expanded, d,
-                   _bases={j: list(x.basis(j)) for j in range(d // 2 + 1)})
+        return cls(g.expanded, d, _generator=g)
 
     def basis(self, j: int) -> List[Monomial]:
         if j not in self._bases:
             self._bases[j] = basis(self.f, j, self.d)
         return self._bases[j]
 
+    def hessian(self, j: int, ell: LinearFormS) -> Mat:
+        """Hess^j(F)(P_ell) over basis(j); summed over the points if any."""
+        g = self.generator
+        if g is None:
+            return hessian_at(self.f, j, ell, self.basis(j), self.d)
+        return structured_hessian_at(g.x.points, g.alphas, self.d, j,
+                                     self.basis(j), ell)
+
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
 
 
 def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
-               hessian: Optional[Callable[[int, List[Monomial]], Mat]] = None,
                t: Optional[int] = None) -> List[DegreeRecord]:
     """SLP certificate lines at ell: both routes at every j <= floor(d/2).
 
-    The det route is det Hess^j(F)(P_ell) over the basis of A_j, from
-    `hessian(j, basis)` or, by default, from hessian_at;
-    the rank route is the rank of x ell^(d-2j): A_j -> A_(d-j).  Any
+    The det route is det algebra.hessian(j, ell); the rank route is the
+    rank of x ell^(d-2j): A_j -> A_(d-j) on the expanded F.  Any
     disagreement raises HessianRankMismatchError.  Degrees j < t are
     labelled "hessian-det" and the rest "map-rank"; t=None labels all
     "hessian-det".
@@ -295,9 +343,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     f, d, h = algebra.f, algebra.d, algebra.hilbert
     records = []
     for j in range(d // 2 + 1):
-        b = algebra.basis(j)
-        dv = linalg.det(hessian_at(f, j, ell, b, d) if hessian is None
-                        else hessian(j, b))
+        dv = linalg.det(algebra.hessian(j, ell))
         rk = multiplication_rank(f, j, d - 2 * j, ell, d)
         if (dv != 0) != (rk == h[j]):
             raise HessianRankMismatchError(

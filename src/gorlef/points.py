@@ -280,14 +280,6 @@ def gen_distraction(ideal: OrderIdeal) -> PointSet:
 # Incidence helpers (plane configurations)
 
 
-def _curve_incidence(x: PointSet, coeffs: Sequence[Fraction],
-                     degree: int) -> Tuple[int, ...]:
-    """Indices of points where the plane curve of given degree vanishes."""
-    mons = monomials_of_degree(x.n + 1, degree)
-    return tuple(idx for idx, p in enumerate(x.points)
-                 if sum(c * monomial_eval(m, p) for c, m in zip(coeffs, mons)) == 0)
-
-
 def find_subset_on_curve(x: PointSet, degree: int,
                          count: int) -> Optional[Tuple[int, ...]]:
     """First index subset of exactly `count` points on a degree-r curve.
@@ -305,7 +297,8 @@ def find_subset_on_curve(x: PointSet, degree: int,
     for idxs in combinations(range(x.size), probe):
         sub = Mat([list(ev.entries[i]) for i in idxs])
         for v in linalg.nullspace(sub):
-            inc = _curve_incidence(x, v, degree)
+            inc = tuple(idx for idx, row in enumerate(ev.entries)
+                        if sum(c * e for c, e in zip(v, row)) == 0)
             if inc in seen:
                 continue
             seen.add(inc)

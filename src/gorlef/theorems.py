@@ -15,13 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormS, contract_monomial, power_sum
-from .construct import (StructuredGenerator, _nonzero_int,
-                        structured_hessian_det)
+from .construct import StructuredGenerator, _nonzero_int
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, check_slp,
-                         hessian_at, sample_linear_form)
+                         hessian_at, sample_linear_form, structured_hessian_at)
 from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
@@ -331,11 +330,10 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
     report = TailReport(kind=kind, x=x, d=d, k=k, tau=t,
                         curve_indices=tuple(curve), off_indices=off)
     for j in range(k - 1, d // 2 + 1):
-        frame = algebra.basis(j)
         found = False
         for _ in range(trials):
             ell = sample_linear_form(3, rng, box)
-            val = structured_hessian_det(x, alphas, d, j, frame, ell)
+            val = linalg.det(algebra.hessian(j, ell))
             if val != 0:
                 report.witnesses[j] = (ell, val)
                 found = True
@@ -355,7 +353,8 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
                                 for _ in range(x.size)]
                 trial_alphas[i] = 0
                 ell = sample_linear_form(3, rng, box)
-                val = structured_hessian_det(x, trial_alphas, d, j, frame, ell)
+                val = linalg.det(structured_hessian_at(
+                    x.points, trial_alphas, d, j, frame, ell))
                 if val != 0:
                     raise TheoremTensionError(
                         f"det survives zeroing off-curve weight {i} at j={j}")
@@ -391,6 +390,8 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
                               attempts: int = 50, alpha_box: int = 20,
                               box: int = 50) -> List[FamilyReport]:
     """All five flat-tail Delta families give SLP algebras at d = 2 tau."""
+    if any(m < 0 for m in m_values):
+        raise ValueError(f"need every m >= 0, got {list(m_values)}")
     out = []
     for name, make in _FAMILIES:
         for m in m_values:
@@ -457,7 +458,8 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
     frame = algebra.basis(j)
     for _ in range(trials):
         ell = sample_linear_form(x.n + 1, rng, box)
-        val = structured_hessian_det(x, alphas, d, j, frame, ell)
+        val = linalg.det(structured_hessian_at(x.points, alphas, d, j, frame,
+                                               ell))
         if val != 0:
             return PropReport(kind=kind, j=j, d=d, ell=ell, det=val)
     raise NoWitnessFoundError(

@@ -17,12 +17,13 @@ from math import comb
 from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.cli import main as cli_main
 from gorlef.construct import (StructuredGenerator, hess_coefficient_criterion,
-                              hilbert_formula_check, structured_hessian_det)
+                              hilbert_formula_check)
 from gorlef.gorenstein import (GorensteinAlgebra, catalecticant,
-                               multiplication_rank, sample_linear_form)
+                               multiplication_rank, sample_linear_form,
+                               structured_hessian_at)
 from gorlef.hvector import (HVector, binomial_expand, is_O_sequence, is_SI,
                             macaulay_bound)
-from gorlef.linalg import Mat, rank
+from gorlef.linalg import Mat, det, rank
 from gorlef.points import (PointSet, gen_collinear, gen_generic, gen_rnc,
                            gen_two_lines)
 from gorlef.theorems import (BlockPair, block_det_identity, make_tail_config,
@@ -266,8 +267,8 @@ def test_criterion_06_multilinearity():
             for shift in (0, 1, 2):
                 weights = list(base)
                 weights[i] = base[i] + shift
-                vals.append(structured_hessian_det(x, weights, d, j, frame,
-                                                   ell))
+                vals.append(det(structured_hessian_at(x.points, weights, d, j,
+                                                      frame, ell)))
             assert vals[2] - 2 * vals[1] + vals[0] == 0, (trial, i)
     print("criterion 06: PASS (50 instances, every weight)")
 

@@ -348,6 +348,29 @@ class TestErrorContract:
             "PreconditionViolatedError"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--h", "1,2,1", "--alpha-box", "0"],
+        ["construct", "--h", "1,3,1", "--coord-box", "0"],
+        ["verify", "--theorem", "rnc", "--s", "5", "--coord-box", "0"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
+         "--off", "1", "--coord-box", "0"],
+        ["analyze", "--points", '{"points": [[1, 0], [1, 1], [1, 2]]}',
+         "--alphas", "1,2,3", "--d", "2", "--coord-box", "0"],
+        ["verify", "--theorem", "families", "--m", "-1"],
+    ], ids=["construct-alpha-box-zero", "construct-coord-box-zero",
+            "rnc-coord-box-zero", "tails-coord-box-zero",
+            "analyze-coord-box-zero", "families-m-negative"])
+    def test_empty_sampling_box_is_exit_two(self, argv):
+        # a zero box used to spin forever drawing a nonzero value
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(gorlef.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "gorlef.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+        assert "Traceback" not in proc.stderr
+
     def test_internal_error_is_exit_three(self, capsys, monkeypatch):
         def fail(args):
             raise RuntimeError("boom")

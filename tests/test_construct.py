@@ -8,14 +8,15 @@ import pytest
 from gorlef.apolar import LinearFormR, LinearFormS, power_of_linear
 from gorlef.construct import (ConstructionResult, StructuredGenerator,
                               construct_slp_algebra, hess_coefficient_criterion,
-                              hilbert_formula_check, structured_hessian_at,
-                              structured_hessian_det)
+                              hilbert_formula_check)
 from gorlef import gorenstein
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
                            NoWitnessFoundError, NotSIError,
                            PreconditionViolatedError)
-from gorlef.gorenstein import GorensteinAlgebra, check_slp, hessian_at
+from gorlef.gorenstein import (GorensteinAlgebra, check_slp, hessian_at,
+                               structured_hessian_at)
 from gorlef.hvector import HVector
+from gorlef.linalg import det
 from gorlef.points import (PointSet, gen_collinear, gen_generic, gen_rnc,
                            gen_two_lines)
 
@@ -121,7 +122,8 @@ class TestStructuredHessian:
             for shift in (0, 1, 2):
                 a = list(base)
                 a[i] = base[i] + shift
-                vals.append(structured_hessian_det(x, a, d, j, frame, ell))
+                vals.append(det(structured_hessian_at(x.points, a, d, j,
+                                                      frame, ell)))
             assert vals[2] - 2 * vals[1] + vals[0] == 0
 
 

@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R,
                            contract_linear_power, monomials_of_degree,
                            power_sum)
-from gorlef.construct import StructuredGenerator, structured_hessian_at
+from gorlef.construct import StructuredGenerator
+from gorlef.gorenstein import structured_hessian_at
 from gorlef.linalg import Mat, det
 from gorlef.points import PointSet
 

@@ -6,8 +6,9 @@ bookkeeping, to the expansion of F or to the certificate loop that
 alters a single output byte fails here.  The rational `analyze` cases
 are the only ones that feed non-integral entries to the elimination
 kernel; the Perazzo case exhausts the Lefschetz search; the trivial
-`construct` cases (h_1 = 1), whose digests are those of the benchmark
-reference, are drawn by the benchmark only in some passes.
+`construct` cases (h_1 = 1) and the conic case, whose digests are those
+of the benchmark reference, are drawn by the benchmark only in some
+passes.
 """
 
 import hashlib
@@ -80,6 +81,9 @@ GOLDEN = [
     ("verify-rnc",
      ["verify", "--theorem", "rnc", "--n", "3", "--s", "7", "--seed", "2"],
      0, "b5cee1c0b254f65751a42d01c33c114163d2815f42bb8afcadc1c36395e61312"),
+    ("verify-conic",
+     ["verify", "--theorem", "conic", "--s1", "3", "--s2", "2", "--seed", "8"],
+     0, "6caa9d95eae069ed795f24520ebe7c779b6308621495934c83cca89565eebb23"),
     ("verify-families",
      ["verify", "--theorem", "families", "--m", "2,3", "--seed", "1"],
      0, "822c1d95afedc36342081df752743254a67991b26fe70dfa2670fd8775f9897a"),

@@ -12,10 +12,10 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
-                               check_slp, check_wlp, hessian_at, hessian_det,
+                               check_slp, check_wlp, hessian_at,
                                hilbert_function, multiplication_rank,
                                sample_linear_form)
-from gorlef.linalg import rank
+from gorlef.linalg import det, rank
 
 from oracles import gauss_pivot_columns, gauss_rank
 
@@ -110,11 +110,11 @@ class TestBasis:
 class TestHessian:
     def test_monomial_product_hand_case(self):
         ell = LinearFormS([1, 1, 1])
-        assert hessian_det(X0X1X2, 1, ell) == 2
+        assert det(hessian_at(X0X1X2, 1, ell)) == 2
 
     def test_degenerate_direction(self):
         ell = LinearFormS([1, 0, 0])
-        assert hessian_det(X0X1X2, 1, ell) == 0
+        assert det(hessian_at(X0X1X2, 1, ell)) == 0
 
     def test_hess0_is_evaluation(self):
         ell = LinearFormS([2, 1, 1])

@@ -6,7 +6,8 @@ wide, tall and 1x1 shapes, and pivots that need a row swap.  Random
 forms and linear forms check the one-contraction Hessian and the
 integer ell^k contraction the same way.  The oracles in `oracles.py`
 use Fraction arithmetic only.  Random weighted point sets check that
-the point-side bases of a power sum equal its catalecticant bases.
+the point-side bases and Hessians of a power sum equal its catalecticant
+bases and one-contraction Hessians.
 """
 
 import random
@@ -24,6 +25,7 @@ from gorlef.gorenstein import GorensteinAlgebra, basis, hessian_at
 from gorlef.hvector import HVector, is_SI
 from gorlef.linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
 from gorlef.points import PointSet
+from gorlef.theorems import verify_corollary_families, verify_rnc_slp
 
 from oracles import (gauss_pivot_columns, gauss_rank, hessian_by_contraction,
                      laplace_det, linear_power_contraction)
@@ -241,16 +243,25 @@ def power_sums(draw, d_range):
 
 
 @settings(max_examples=120, deadline=None)
-@given(power_sums(lambda t: (max(0, 2 * t - 1), 2 * t + 3)))
+@given(power_sums(lambda t: (max(0, 2 * t - 1), 2 * t + 3)),
+       st.lists(ell_coefficients, min_size=4, max_size=4))
 @example(StructuredGenerator(x=PointSet([[2, 1], [3, -1], [0, 5]]),
-                             alphas=(Fraction(-1, 2), 3, -7), d=3))
-def test_point_side_bases_match_catalecticants(g):
+                             alphas=(Fraction(-1, 2), 3, -7), d=3),
+         [3, Fraction(-2, 5), 0, 0])
+def test_point_side_bases_match_catalecticants(g, ell_coeffs):
+    ell_coeffs = ell_coeffs[:g.x.n + 1]
+    assume(any(ell_coeffs))
     # tau <= ceil(d/2): the pivot columns of V_j are the basis of A_j
     by_points = GorensteinAlgebra.of_points(g)
     by_catalecticants = GorensteinAlgebra(g.expanded, g.d)
     assert by_points.hilbert == by_catalecticants.hilbert
     for j in range(g.d + 1):
         assert by_points.basis(j) == by_catalecticants.basis(j)
+    # the sum over the points equals the one-contraction Hessian of F
+    ell = LinearFormS(ell_coeffs)
+    for j in range(g.d // 2 + 1):
+        assert by_points.hessian(j, ell).entries == hessian_at(
+            g.expanded, j, ell, by_points.basis(j), g.d).entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,6 +275,15 @@ SI_CASES = ("1,2,1", "1,3,1", "1,2,2,1", "1,3,3,1", "1,3,5,3,1",
             "1,3,4,4,3,1", "1,3,6,6,3,1", "1,4,5,5,4,1", "1,2,3,3,2,1")
 
 
+def _without_point(drop):
+    """power_sum that leaves out the term of point `drop` (mod |X|)."""
+    def without_one(points, alphas, d, n_vars):
+        keep = [i for i in range(len(points)) if i != drop % len(points)]
+        return power_sum([points[i] for i in keep], [alphas[i] for i in keep],
+                         d, n_vars)
+    return without_one
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SI_CASES), st.integers(0, 2 ** 16), st.data())
 def test_a_term_missing_from_f_fails_the_rank_audit(h, seed, data):
@@ -272,13 +292,28 @@ def test_a_term_missing_from_f_fails_the_rank_audit(h, seed, data):
     assert is_SI(HVector.parse(h))
     s = max(HVector.parse(h))
     drop = data.draw(st.integers(0, s - 1))
-
-    def without_one(points, alphas, d, n_vars):
-        keep = [i for i in range(len(points)) if i != drop]
-        return power_sum([points[i] for i in keep], [alphas[i] for i in keep],
-                         d, n_vars)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "power_sum", without_one)
+        mp.setattr(construct, "power_sum", _without_point(drop))
         with pytest.raises(HessianRankMismatchError):
             construct_slp_algebra(HVector.parse(h), random.Random(seed))
+
+
+VERIFIERS = {
+    "rnc": lambda rng: verify_rnc_slp(2, 5, 4, rng),
+    "rnc-p3": lambda rng: verify_rnc_slp(3, 7, 4, rng),
+    "families": lambda rng: verify_corollary_families([1, 2], rng),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(VERIFIERS)), st.integers(0, 2 ** 16),
+       st.integers(0, 2 ** 8))
+def test_a_term_missing_from_f_fails_the_verifiers_rank_audit(name, seed,
+                                                              drop):
+    # check_slp on an of_points algebra takes its Hessians from the points
+    # too: the lost term is a det/rank disagreement (a bug), not a
+    # theorem instance without a Lefschetz witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "power_sum", _without_point(drop))
+        with pytest.raises(HessianRankMismatchError):
+            VERIFIERS[name](random.Random(seed))
