@@ -12,6 +12,7 @@ the expansion and contraction kernels run in integers on integer data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,20 +25,19 @@ RING_S = "S"  # differential operators, variables x_i
 RING_R = "R"  # forms being differentiated, variables X_i
 
 
-def monomials_of_degree(n_vars: int, degree: int) -> List[Monomial]:
+@lru_cache(maxsize=None)
+def monomials_of_degree(n_vars: int, degree: int) -> Tuple[Monomial, ...]:
     """All degree-`degree` monomials in n_vars variables, descending lex.
 
     Descending lex with x_0 > x_1 > ... : (d,0,..) first, (0,..,0,d) last.
+    Cached, hence a tuple: every caller shares the one result.
     """
     if n_vars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     if n_vars == 1:
-        return [(degree,)]
-    out: List[Monomial] = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(n_vars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+        return ((degree,),)
+    return tuple((first,) + rest for first in range(degree, -1, -1)
+                 for rest in monomials_of_degree(n_vars - 1, degree - first))
 
 
 def monomial_eval(m: Monomial, point: Sequence):

@@ -134,11 +134,13 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
                           seed: Optional[int] = None) -> ConstructionResult:
     """Realize an SI-sequence as the Hilbert function of an SLP algebra.
 
-    Raises NotSIError for inputs outside the SI class and
-    NoWitnessFoundError (with diagnostics) if every randomized attempt
-    fails; success always carries a verdict-true certificate and an
-    algebra whose Hilbert function equals h exactly.
+    Raises ValueError when attempts < 1, NotSIError for inputs outside
+    the SI class and NoWitnessFoundError (with diagnostics) if every
+    randomized attempt fails; success always carries a verdict-true
+    certificate and an algebra whose Hilbert function equals h exactly.
     """
+    if attempts < 1:
+        raise ValueError(f"need attempts >= 1, got {attempts}")
     hv = h if isinstance(h, HVector) else HVector(h)
     bar = hbar(hv)  # raises NotSIError when h is not SI
     d = hv.socle_degree

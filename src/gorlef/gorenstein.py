@@ -366,6 +366,8 @@ def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecor
 def _search(kind: str, lines, algebra: GorensteinAlgebra, rng: random.Random,
             attempts: int, box: int, seed: Optional[int]) -> SlpCertificate:
     """First sampled ell whose lines all pass, else the last failure."""
+    if attempts < 1:
+        raise ValueError(f"need attempts >= 1, got {attempts}")
     cert = SlpCertificate(kind=kind, ell=None, seed=seed)
     for attempt in range(1, attempts + 1):
         ell = sample_linear_form(algebra.n_vars, rng, box)

@@ -247,7 +247,7 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
     for i in range(1, len(counts)):
         need = counts[i]
         level: List[Monomial] = []
-        for m in reversed(list(monomials_of_degree(n_vars, i))):
+        for m in reversed(monomials_of_degree(n_vars, i)):
             if len(level) == need:
                 break
             if all(m[:v] + (m[v] - 1,) + m[v + 1:] in prev

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, contract_monomial, power_sum
+from .apolar import LinearFormS, contract_monomial, monomial_eval, power_sum
 from .construct import StructuredGenerator, _nonzero_int
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
@@ -159,6 +159,8 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
     F1' = x0^2 o F1, F2' = x1^2 o F2, over the monomial frame
     {x0^j, .., x0 x2^(j-1), x2^j, x2^(j-1) x1, .., x1^j}.
     """
+    if eval_points < 1:
+        raise ValueError(f"need eval_points >= 1, got {eval_points}")
     x = gen_two_lines(s1, s2, share)
     s = x.size
     t = x.tau()
@@ -293,14 +295,19 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
 
     For a tail of r's (r = 1 line, r = 2 conic) from degree k <= tau:
     every j in [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing
-    any off-curve weight kills the determinant identically (checked at
-    `trials` random forms).  The curve subset of exactly r*tau+1 points
-    is found by exact search, never trusted from the generator; that is
-    what keeps the boundary case k = tau sound, where the Hilbert
-    function alone would not pin down the geometry.
+    any off-curve weight kills the determinant identically.  The latter is
+    proven by one exact rank per (weight, degree), not sampled: the other
+    points' evaluation matrix on the basis of A_j has rank below h_A(j).
+    `zero_forcing_checks` counts the `trials` draws per (weight, degree)
+    that the proof covers.  The curve subset of exactly r*tau+1 points is
+    found by exact search, never trusted from the generator; that is what
+    keeps the boundary case k = tau sound, where the Hilbert function
+    alone would not pin down the geometry.
     """
     if kind not in _TAIL_R:
         raise ValueError(f"unknown tail kind {kind!r}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if x.n != 2:
         raise NotPlaneConfigError("tail theorems live in P^2")
     r = _TAIL_R[kind]
@@ -343,22 +350,19 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
                 f"no nonzero Hess^{j} witness in {trials} trials",
                 diagnostics={"kind": kind, "j": j, "d": d})
 
-    # Factorization side: each off-curve weight divides the determinant.
+    # Zero-forcing: Hess^j = V^T diag(c) V, c_s ~ alpha_s L_s(P_ell)^(d-2j), so
+    # det = sum_S prod_S c_s det(V_S)^2 (Cauchy-Binet) dies for all weights
+    # and ell with alpha_i = 0 iff the rows of V off P_i have rank < |B|.
     checks = 0
     for i in off:
+        rest = [p for q, p in enumerate(x.points) if q != i]
         for j in range(k - 1, d // 2 + 1):
             frame = algebra.basis(j)
-            for _ in range(trials):
-                trial_alphas = [_nonzero_int(rng, alpha_box)
-                                for _ in range(x.size)]
-                trial_alphas[i] = 0
-                ell = sample_linear_form(3, rng, box)
-                val = linalg.det(structured_hessian_at(
-                    x.points, trial_alphas, d, j, frame, ell))
-                if val != 0:
-                    raise TheoremTensionError(
-                        f"det survives zeroing off-curve weight {i} at j={j}")
-                checks += 1
+            v = Mat([[monomial_eval(b, p) for b in frame] for p in rest])
+            if linalg.rank(v) == len(frame):
+                raise TheoremTensionError(
+                    f"det survives zeroing off-curve weight {i} at j={j}")
+            checks += trials
     report.zero_forcing_checks = checks
     return report
 
@@ -439,6 +443,8 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if not 0 <= 2 * j <= d:
         raise PreconditionViolatedError(f"need 0 <= 2j <= d, got j={j}, d={d}")
     if kind == 2:

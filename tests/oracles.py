@@ -13,7 +13,10 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Set, Tuple
 
+from gorlef import linalg
 from gorlef.apolar import Poly, contract_monomial
+from gorlef.construct import _nonzero_int
+from gorlef.gorenstein import sample_linear_form, structured_hessian_at
 from gorlef.linalg import Mat
 
 
@@ -340,3 +343,29 @@ def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
     """Hess^j(F)(P) entry by entry: ((b_u b_v) o F) evaluated at P."""
     return [[contract_monomial(tuple(x + y for x, y in zip(u, v)), f).evaluate(point)
              for v in frame] for u in frame]
+
+
+# ---------------------------------------------------------------------------
+# Zero-forcing by sampling
+
+
+def sampled_zero_forcing(points: Sequence[Sequence[Fraction]], d: int, j: int,
+                         frame: Sequence[Tuple[int, ...]], i: int, rng,
+                         trials: int, alpha_box: int = 20,
+                         box: int = 50) -> int:
+    """How many of `trials` draws with weight i zeroed leave det Hess^j != 0.
+
+    Each draw takes fresh nonzero weights, sets weight i to 0, samples
+    ell and evaluates the determinant of the structured Hessian: the
+    sampled counterpart of the rank proof in verify_tail_nonvanishing.
+    """
+    nonzero = 0
+    for _ in range(trials):
+        trial_alphas = [_nonzero_int(rng, alpha_box) for _ in range(len(points))]
+        trial_alphas[i] = 0
+        ell = sample_linear_form(3, rng, box)
+        val = linalg.det(structured_hessian_at(
+            points, trial_alphas, d, j, frame, ell))
+        if val != 0:
+            nonzero += 1
+    return nonzero

@@ -39,10 +39,10 @@ class TestMonomials:
         assert all(sum(m) == 2 for m in ms)
 
     def test_one_variable(self):
-        assert monomials_of_degree(1, 4) == [(4,)]
+        assert monomials_of_degree(1, 4) == ((4,),)
 
     def test_degree_zero(self):
-        assert monomials_of_degree(3, 0) == [(0, 0, 0)]
+        assert monomials_of_degree(3, 0) == ((0, 0, 0),)
 
 
 class TestContraction:

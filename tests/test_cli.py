@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import gorlef
-from gorlef import cli, errors
+from gorlef import cli, construct, errors
 from gorlef.cli import main
+from gorlef.gorenstein import DegreeRecord
 
 XY = '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1"}]}'
 
@@ -87,12 +88,16 @@ class TestConstruct:
         assert code == 2
         assert doc["error"]["type"] == "NotSIError"
 
-    def test_exhausted_search_is_exit_one(self, capsys):
+    def test_exhausted_search_is_exit_one(self, capsys, monkeypatch):
+        # Every sampled ell fails its degree-0 line.
+        monkeypatch.setattr(
+            construct, "certify_at",
+            lambda algebra, ell, t: [DegreeRecord(0, "hessian-det", 0, 0, 1)])
         code, doc = run_json(capsys, "construct", "--h", "1,2,1",
-                             "--attempts", "0")
+                             "--attempts", "2")
         assert code == 1
         assert doc["error"]["type"] == "NoWitnessFoundError"
-        assert doc["error"]["diagnostics"]["attempts"] == 0
+        assert doc["error"]["diagnostics"]["attempts"] == 2
 
 
 class TestAnalyze:
@@ -126,8 +131,13 @@ class TestAnalyze:
         assert doc["slp"]["verdict"] is True
 
     def test_expect_slp_fails_without_witness(self, capsys):
-        code, doc = run_json(capsys, "analyze", "--poly", self.POLY,
-                             "--attempts", "0", "--expect-slp")
+        # Perazzo's cubic X0 X3^2 + X1 X3 X4 + X2 X4^2 fails SLP and WLP.
+        perazzo = json.dumps({"n_vars": 5, "ring": "R", "terms": [
+            {"exp": [1, 0, 0, 2, 0], "coef": "1"},
+            {"exp": [0, 1, 0, 1, 1], "coef": "1"},
+            {"exp": [0, 0, 1, 0, 2], "coef": "1"}]})
+        code, doc = run_json(capsys, "analyze", "--poly", perazzo,
+                             "--attempts", "1", "--expect-slp")
         assert code == 1
         assert doc["slp"]["verdict"] is False
 
@@ -329,6 +339,26 @@ class TestErrorContract:
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in json.loads(captured.out)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--h", "1,3,1", "--attempts", "-3"],
+        ["construct", "--h", "1,3,1", "--attempts", "0"],
+        ["analyze", "--poly", XY, "--attempts", "0"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "2",
+         "--trials", "0"],
+        ["verify", "--theorem", "s-minus", "--s", "7", "--d", "6", "--j", "2",
+         "--trials", "0"],
+        ["verify", "--theorem", "conic", "--s1", "2", "--s2", "2",
+         "--eval-points", "-1"],
+    ], ids=["construct-attempts-negative", "construct-attempts-zero",
+            "analyze-attempts-zero", "tails-trials-zero",
+            "s-minus-trials-zero", "conic-eval-points-negative"])
+    def test_budget_below_one_is_exit_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "ValueError"
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [

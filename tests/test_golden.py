@@ -6,9 +6,9 @@ bookkeeping, to the expansion of F or to the certificate loop that
 alters a single output byte fails here.  The rational `analyze` cases
 are the only ones that feed non-integral entries to the elimination
 kernel; the Perazzo case exhausts the Lefschetz search; the trivial
-`construct` cases (h_1 = 1) and the conic case, whose digests are those
-of the benchmark reference, are drawn by the benchmark only in some
-passes.
+`construct` cases (h_1 = 1), the conic case and the two largest tails
+cases, whose digests are those of the benchmark reference, are drawn by
+the benchmark only in some passes.
 """
 
 import hashlib
@@ -84,6 +84,14 @@ GOLDEN = [
     ("verify-conic",
      ["verify", "--theorem", "conic", "--s1", "3", "--s2", "2", "--seed", "8"],
      0, "6caa9d95eae069ed795f24520ebe7c779b6308621495934c83cca89565eebb23"),
+    ("verify-tails-conic",
+     ["verify", "--theorem", "tails", "--kind", "conic", "--tau", "4",
+      "--off", "3", "--trials", "30", "--seed", "6"],
+     0, "87bc041000adf61674440c3b43c92097faad136b545a2f9619a31e6376783816"),
+    ("verify-tails-line",
+     ["verify", "--theorem", "tails", "--kind", "line", "--tau", "4",
+      "--off", "3", "--trials", "30", "--seed", "13"],
+     0, "7c5844063701be305433762ec1852d37808bdfb67b73727b8e07b321716e8aad"),
     ("verify-families",
      ["verify", "--theorem", "families", "--m", "2,3", "--seed", "1"],
      0, "822c1d95afedc36342081df752743254a67991b26fe70dfa2670fd8775f9897a"),

@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from gorlef import linalg
+from gorlef import linalg, theorems
 from gorlef.errors import (NotPlaneConfigError, PreconditionViolatedError,
                            ShapeMismatchError, TheoremTensionError)
 from gorlef.linalg import Mat
-from gorlef.points import PointSet, gen_generic
+from gorlef.points import PointSet, find_subset_on_curve, gen_generic
 from gorlef.theorems import (BlockPair, block_det_identity, make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_prop_s_minus, verify_rnc_slp,
                              verify_tail_nonvanishing)
 
-from oracles import laplace_det
+from oracles import laplace_det, sampled_zero_forcing
 
 
 def fmat(rows):
@@ -177,6 +177,54 @@ class TestTailConfigs:
                          (1, 0, 1, 0), (1, 0, 0, 1))]
         with pytest.raises(NotPlaneConfigError):
             verify_tail_nonvanishing("line", PointSet(pts), 6, 1, rng)
+
+
+# The (kind, tau, off) cells of acceptance criterion 10.
+CRITERION_10_CELLS = (
+    ("conic", 2, 0), ("conic", 3, 0), ("conic", 4, 0), ("conic", 3, 1),
+    ("conic", 4, 1), ("conic", 4, 2), ("conic", 4, 3), ("line", 2, 1),
+    ("line", 3, 1), ("line", 3, 2), ("line", 3, 3), ("line", 4, 1),
+    ("line", 4, 2), ("line", 4, 3))
+
+
+class TestZeroForcing:
+    @pytest.mark.parametrize("idx", range(len(CRITERION_10_CELLS)))
+    def test_rank_proof_agrees_with_sampling(self, monkeypatch, idx):
+        kind, tau, off = CRITERION_10_CELLS[idx]
+        x, k = make_tail_config(kind, tau, off, random.Random(idx))
+        d, trials = 2 * tau, 30
+        degrees = range(k - 1, d // 2 + 1)
+        det, det_calls = linalg.det, []
+
+        def counting_det(m):
+            det_calls.append(m.rows)
+            return det(m)
+
+        monkeypatch.setattr(linalg, "det", counting_det)
+        rep = verify_tail_nonvanishing(kind, x, d, k, random.Random(idx),
+                                       trials=trials)
+        monkeypatch.undo()
+        # Only the witness search evaluates determinants.
+        assert len(det_calls) <= len(degrees) * trials
+        assert rep.zero_forcing_checks == off * len(degrees) * trials
+        rng = random.Random(1000 + idx)
+        for i in rep.off_indices:
+            for j in degrees:
+                assert sampled_zero_forcing(x.points, d, j, x.basis(j), i,
+                                            rng, trials) == 0, (i, j)
+
+    def test_wrong_curve_subset_is_refuted(self, monkeypatch):
+        x, k = make_tail_config("line", 2, 1, random.Random(0))
+        assert find_subset_on_curve(x, 1, 3) == (0, 1, 2)
+        # Swap curve point 0 for the off-curve point 3.
+        monkeypatch.setattr(theorems, "find_subset_on_curve",
+                            lambda *args: (1, 2, 3))
+        with pytest.raises(TheoremTensionError,
+                           match="off-curve weight 0 at j=1$"):
+            verify_tail_nonvanishing("line", x, 4, k, random.Random(1),
+                                     trials=30)
+        assert sampled_zero_forcing(x.points, 4, 1, x.basis(1), 0,
+                                    random.Random(2), 30) == 30
 
 
 class TestFamilies:
