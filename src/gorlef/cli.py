@@ -127,19 +127,17 @@ def _run_analyze(args) -> Tuple[dict, int]:
     doc: dict = {}
     if args.poly is not None:
         f = Poly.from_json_dict(_load_json_arg(args.poly))
-        d = args.d if args.d is not None else f.degree()
         doc["input"] = f.to_json_dict()
+        algebra = GorensteinAlgebra(f, args.d)
     else:
         if args.points is None or args.alphas is None or args.d is None:
             raise ValueError("need --poly, or --points with --alphas and --d")
         x = PointSet.from_json_dict(_load_json_arg(args.points))
         alphas = _parse_fractions(args.alphas)
         g = StructuredGenerator(x=x, alphas=tuple(alphas), d=args.d)
-        f = g.expanded
-        d = args.d
         doc["input"] = g.to_json_dict()
-    algebra = GorensteinAlgebra(f, d)
-    doc["d"] = d
+        algebra = GorensteinAlgebra.of_points(g)
+    doc["d"] = algebra.d
     doc["hilbert"] = list(algebra.hilbert)
     doc["codimension"] = algebra.codimension()
     slp = check_slp(algebra, rng, attempts=args.attempts, box=args.coord_box,

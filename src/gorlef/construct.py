@@ -2,11 +2,13 @@
 
 Pipeline: flatten the SI-sequence at its first non-increase, realize
 the flattened sequence as the Hilbert function of a distraction point
-set, and take F = sum alpha_i L_i^d with random nonzero weights.  As
-Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha) V_j and an SI-sequence has
-d >= 2 tau, the algebra's bases are the pivot columns of the points'
-evaluation matrices V_j (GorensteinAlgebra.of_points); only
-hilbert_formula_check, a tautology there, takes catalecticants.  For
+set, and take F = sum alpha_i L_i^d with random nonzero weights
+(random_power_sum, which every power-sum verifier shares).  The algebra
+is built by GorensteinAlgebra.of_points, which picks its bases from tau
+and d: an SI-sequence has d >= 2 tau, so by Cat^(d-j)(F) =
+d! V_(d-j)^T diag(alpha) V_j they are the pivot columns of the points'
+evaluation matrices V_j.  Only hilbert_formula_check, the audit of
+that formula, takes the catalecticants of the expanded F.  For
 degrees below the stabilization the Hessian determinants are checked
 directly; at and above it the multiplication maps act on the coordinate
 ring of the points and have full rank whenever ell separates the points.
@@ -27,6 +29,7 @@ from .apolar import LinearFormS, Poly, power_sum
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, certify_at,
+                         first_witness, sample_linear_form,
                          structured_hessian_at)
 from .hvector import HVector, hbar
 from .linalg import exact
@@ -93,10 +96,13 @@ class ConstructionResult:
     h: HVector
     ideal: Optional[OrderIdeal]
     x: PointSet
-    generator: StructuredGenerator
     algebra: GorensteinAlgebra
     certificate: SlpCertificate
     attempts_used: int
+
+    @property
+    def generator(self) -> StructuredGenerator:
+        return self.algebra.generator
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,8 +121,7 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     """h = (1) or h_1 = 1: one point in P^0 and F = X_0^d."""
     d = hv.socle_degree
     x = PointSet([[1]])
-    g = StructuredGenerator(x=x, alphas=(1,), d=d)
-    algebra = GorensteinAlgebra.of_points(g)
+    algebra = GorensteinAlgebra.of_points(StructuredGenerator(x, (1,), d))
     ell = LinearFormS([1])
     records = certify_at(algebra, ell, t=0)
     cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
@@ -124,9 +129,8 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
                           seed=seed, attempts=1)
     if not cert.verdict or tuple(algebra.hilbert) != hv.entries:
         raise RealizationMismatchError("trivial realization failed")
-    return ConstructionResult(h=hv, ideal=None, x=x, generator=g,
-                              algebra=algebra, certificate=cert,
-                              attempts_used=1)
+    return ConstructionResult(h=hv, ideal=None, x=x, algebra=algebra,
+                              certificate=cert, attempts_used=1)
 
 
 def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
@@ -156,10 +160,8 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
             f"distraction has tau={t}, s={x.size}; expected {bar.t}, {bar.s}")
 
     for attempt in range(1, attempts + 1):
-        alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
+        algebra = random_power_sum(x, d, rng, alpha_box)
         ell = _separating_form(x, rng, box)
-        g = StructuredGenerator(x=x, alphas=alphas, d=d)
-        algebra = GorensteinAlgebra.of_points(g)
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
@@ -167,9 +169,8 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         if all(r.ok() for r in records):
             cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
                                   verdict=True, seed=seed, attempts=attempt)
-            return ConstructionResult(h=hv, ideal=ideal, x=x, generator=g,
-                                      algebra=algebra, certificate=cert,
-                                      attempts_used=attempt)
+            return ConstructionResult(h=hv, ideal=ideal, x=x, algebra=algebra,
+                                      certificate=cert, attempts_used=attempt)
     raise NoWitnessFoundError(
         f"no Lefschetz witness for {list(hv.entries)} in {attempts} attempts",
         diagnostics={"h": list(hv.entries), "attempts": attempts,
@@ -185,17 +186,19 @@ def _nonzero_int(rng: random.Random, box: int) -> int:
             return v
 
 
+def random_power_sum(x: PointSet, d: int, rng: random.Random,
+                     box: int = 20) -> GorensteinAlgebra:
+    """A for F = sum alpha_i L_i^d over x, alpha_i nonzero in [-box, box]."""
+    alphas = tuple(_nonzero_int(rng, box) for _ in range(x.size))
+    return GorensteinAlgebra.of_points(StructuredGenerator(x, alphas, d))
+
+
 def _separating_form(x: PointSet, rng: random.Random, box: int,
                      tries: int = 1000) -> LinearFormS:
     """Integer form with ell o L_i != 0 for every point dual."""
-    if box < 1:
-        raise ValueError(f"coefficient box must be at least 1, got {box}")
     for _ in range(tries):
-        coeffs = [rng.randint(-box, box) for _ in range(x.n + 1)]
-        if not any(coeffs):
-            continue
-        ell = LinearFormS(coeffs)
-        if all(sum(a * c for a, c in zip(coeffs, p)) != 0
+        ell = sample_linear_form(x.n + 1, rng, box)
+        if all(sum(a * c for a, c in zip(ell.coeffs, p)) != 0
                for p in x.points):
             return ell
     raise NoWitnessFoundError("could not sample a point-separating linear form")
@@ -228,15 +231,9 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     frame = x.basis(j)  # A_j's basis for all nonzero weights: d - j >= tau
     chosen = set(idx)
     indicator = [int(i in chosen) for i in range(x.size)]
-    det_route = False
-    for _ in range(trials):
-        coeffs = [rng.randint(-box, box) for _ in range(x.n + 1)]
-        if not any(coeffs):
-            continue
-        ell = LinearFormS(coeffs)
-        if linalg.det(structured_hessian_at(x.points, indicator, d, j,
-                                            frame, ell)) != 0:
-            det_route = True
-            break
+    det_route = first_witness(
+        lambda ell: linalg.det(structured_hessian_at(x.points, indicator, d, j,
+                                                     frame, ell)),
+        x.n + 1, rng, trials, box) is not None
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)
     return (det_route, hilbert_route)

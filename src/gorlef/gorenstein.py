@@ -10,13 +10,13 @@ For F = sum alpha_i L_i^d over points X, every alpha_i != 0, the
 catalecticant factors through the evaluation matrices V_k of X
 (Iarrobino-Kanev 1999):  Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha) V_j.
 If tau(X) <= ceil(d/2), V_(d-j) has rank |X| for all j <= floor(d/2),
-so Cat^(d-j) and V_j share their pivot columns: of_points reads the
-bases off the points, and refuses below that bound.  construct and the
-rnc, conic, tails and families verifiers (d >= 2 tau) take it; analyze
-(no points, any d), hilbert_formula_check (a tautology there) and
-s-minus (any d) keep the catalecticant.  Higher Hessians evaluated at
-the point dual to a linear form ell decide the strong Lefschetz
-property:
+so Cat^(d-j) and V_j share their pivot columns.  GorensteinAlgebra
+decides the route in one place: an algebra built by of_points reads its
+bases off the points when 2 tau <= d+1 and eliminates catalecticants
+below that.  Every power-sum caller builds through of_points; only
+hilbert_formula_check, the audit of the point formula, takes the
+catalecticants of the expanded F.  Higher Hessians evaluated at the
+point dual to a linear form ell decide the strong Lefschetz property:
 
     ell is strong Lefschetz  iff  det Hess^j(F)(P_ell) != 0
                                   for all j <= floor(d/2).
@@ -30,12 +30,13 @@ monomials of B evaluated at the i-th point (structured_hessian_at):
                      = d!/(d-2j)! sum_i alpha_i L_i(P_ell)^(d-2j) v_i v_i^T
 
 GorensteinAlgebra.hessian sums over the points of an of_points algebra
-and contracts F otherwise.  certify_at builds every SLP certificate
-line, for check_slp and construct alike: at each degree it records
-det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on
-the expanded F.  The two routes agree by the Hessian criterion, so on
-every caller a disagreement is raised as a bug.  check_slp and
-check_wlp share one attempt loop over sampled forms.
+(any d) and contracts F otherwise.  certify_at builds every SLP
+certificate line, for check_slp and construct alike: at each degree it
+records det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j)
+on the expanded F.  The two routes agree by the Hessian criterion, so
+on every caller a disagreement is raised as a bug.  check_slp and
+check_wlp share one attempt loop; first_witness is the one search for
+a sampled form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import add
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
@@ -208,6 +209,20 @@ def sample_linear_form(n_vars: int, rng: random.Random,
             return LinearFormS(coeffs)
 
 
+def first_witness(value: Callable[[LinearFormS], Fraction], n_vars: int,
+                  rng: random.Random, trials: int,
+                  box: int = 50) -> Optional[Tuple[LinearFormS, Fraction]]:
+    """First of `trials` sampled (ell, value(ell)) with value != 0, else None."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    for _ in range(trials):
+        ell = sample_linear_form(n_vars, rng, box)
+        val = value(ell)
+        if val != 0:
+            return ell, val
+    return None
+
+
 def multiplication_rank(f: Poly, i: int, k: int, ell: LinearFormS,
                         d: Optional[int] = None) -> int:
     """Rank of x ell^k : A_i -> A_(i+k), computed without Hessians.
@@ -282,8 +297,8 @@ class GorensteinAlgebra:
 
     Builds the bases of A_j for j <= floor(d/2), one catalecticant
     elimination each, or reads them off the points of a power-sum
-    generator (of_points, which keeps it as `generator`), and reads the
-    whole Hilbert function off them.
+    generator (of_points, which keeps it as `generator`) when tau(X) <=
+    ceil(d/2), and reads the whole Hilbert function off them.
     """
 
     def __init__(self, f: Poly, d: Optional[int] = None, *,
@@ -294,24 +309,18 @@ class GorensteinAlgebra:
         self.d = _generator_degree(f, d)
         _require_form(f, self.d)
         self.n_vars = f.n_vars
-        self.generator = _generator
+        self.generator = g = _generator
+        on_points = g is not None and 2 * g.x.tau() <= self.d + 1
         half = range(self.d // 2 + 1)
-        self._bases: dict = {j: basis(f, j, self.d) if _generator is None
-                             else list(_generator.x.basis(j)) for j in half}
+        self._bases: dict = {j: list(g.x.basis(j)) if on_points
+                             else basis(f, j, self.d) for j in half}
         self.hilbert: HVector = _mirrored(
             [len(self._bases[j]) for j in half], self.d)
 
     @classmethod
     def of_points(cls, g) -> "GorensteinAlgebra":
-        """A for a StructuredGenerator g, its bases read off g.x.
-
-        Raises PreconditionViolatedError unless tau(X) <= ceil(d/2).
-        """
-        x, d = g.x, g.d
-        if 2 * x.tau() > d + 1:
-            raise PreconditionViolatedError(
-                f"point-side bases need tau = {x.tau()} <= ceil(d/2), got d={d}")
-        return cls(g.expanded, d, _generator=g)
+        """A for a StructuredGenerator g, any d; its Hessians sum over g.x."""
+        return cls(g.expanded, g.d, _generator=g)
 
     def basis(self, j: int) -> List[Monomial]:
         if j not in self._bases:

@@ -15,12 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormS, contract_monomial, monomial_eval, power_sum
-from .construct import StructuredGenerator, _nonzero_int
+from .construct import random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
-from .gorenstein import (GorensteinAlgebra, SlpCertificate, check_slp,
-                         hessian_at, sample_linear_form, structured_hessian_at)
+from .gorenstein import (SlpCertificate, check_slp, first_witness, hessian_at,
+                         sample_linear_form)
 from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
@@ -100,10 +100,7 @@ def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
         raise ShapeMismatchError(f"tau = {t}, expected {expected_tau}")
     if d < 2 * t:
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
-    g = StructuredGenerator(
-        x=x, alphas=tuple(_nonzero_int(rng, alpha_box) for _ in range(s)),
-        d=d)
-    cert = check_slp(GorensteinAlgebra.of_points(g), rng,
+    cert = check_slp(random_power_sum(x, d, rng, alpha_box), rng,
                      attempts=attempts, box=box)
     if not cert.verdict:
         raise TheoremTensionError(
@@ -166,9 +163,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
     t = x.tau()
     if d < 2 * t:
         raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
-    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(s))
-    g = StructuredGenerator(x=x, alphas=alphas, d=d)
-    algebra = GorensteinAlgebra.of_points(g)
+    algebra = random_power_sum(x, d, rng, alpha_box)
     h = algebra.hilbert
     display = tuple(min(2 * i + 1, 2 * (d - i) + 1, s) for i in range(d + 1))
     for i in range(d + 1):
@@ -184,9 +179,9 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
             certificate=cert)
 
     # Split F along the lines and test the decomposition identity.
-    g1, g2 = _split_two_lines(x)
+    alphas = algebra.generator.alphas
     f1, f2 = (power_sum([x.points[i] for i in g], [alphas[i] for i in g], d, 3)
-              for g in (g1, g2))
+              for g in _split_two_lines(x))
 
     f1p = contract_monomial((2, 0, 0), f1)
     f2p = contract_monomial((0, 2, 0), f2)
@@ -201,7 +196,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
         for _ in range(eval_points):
             ell = sample_linear_form(3, rng, box)
-            big = hessian_at(g.expanded, j, ell, frame, d)
+            big = hessian_at(algebra.f, j, ell, frame, d)
             b = hessian_at(f1, j, ell, b_frame, d)
             c = hessian_at(f2, j, ell, c_frame, d)
             pair = BlockPair(m=j + 1, b=b, c=c)
@@ -251,8 +246,12 @@ def make_tail_config(kind: str, tau_target: int, off: int,
 
     Returns (X, k) where Delta h_{A(X)} ends with the value r from
     degree k < tau through tau.  Raises when the requested combination
-    cannot produce such a shape (small caps make some impossible).
+    cannot produce such a shape (small caps make some impossible), and
+    before any draw on an unknown kind, off < 0 or tau_target < 1.
     """
+    if kind not in _TAIL_R or off < 0 or tau_target < 1:
+        raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
+                         f"tau >= 1; got {kind!r}, off={off}, tau={tau_target}")
     r = _TAIL_R[kind]
     on_count = r * tau_target + 1
     for _ in range(attempts):
@@ -330,25 +329,18 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
             f"no degree-{r} curve through exactly {curve_count} points")
     off = tuple(i for i in range(x.size) if i not in set(curve))
 
-    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
-    g = StructuredGenerator(x=x, alphas=alphas, d=d)
-    algebra = GorensteinAlgebra.of_points(g)
+    algebra = random_power_sum(x, d, rng, alpha_box)
 
     report = TailReport(kind=kind, x=x, d=d, k=k, tau=t,
                         curve_indices=tuple(curve), off_indices=off)
     for j in range(k - 1, d // 2 + 1):
-        found = False
-        for _ in range(trials):
-            ell = sample_linear_form(3, rng, box)
-            val = linalg.det(algebra.hessian(j, ell))
-            if val != 0:
-                report.witnesses[j] = (ell, val)
-                found = True
-                break
-        if not found:
+        found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
+                              3, rng, trials, box)
+        if found is None:
             raise NoWitnessFoundError(
                 f"no nonzero Hess^{j} witness in {trials} trials",
                 diagnostics={"kind": kind, "j": j, "d": d})
+        report.witnesses[j] = found
 
     # Zero-forcing: Hess^j = V^T diag(c) V, c_s ~ alpha_s L_s(P_ell)^(d-2j), so
     # det = sum_S prod_S c_s det(V_S)^2 (Cauchy-Binet) dies for all weights
@@ -405,9 +397,7 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
             if t != len(delta) - 1:
                 raise ShapeMismatchError(f"family {name}, m={m}: tau={t}")
             d = 2 * t
-            alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
-            g = StructuredGenerator(x=x, alphas=alphas, d=d)
-            cert = check_slp(GorensteinAlgebra.of_points(g), rng,
+            cert = check_slp(random_power_sum(x, d, rng, alpha_box), rng,
                              attempts=attempts, box=box)
             if not cert.verdict:
                 raise TheoremTensionError(
@@ -455,19 +445,14 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
         if has_collinear_triple(x):
             raise PreconditionViolatedError("points must be in general linear position")
     target = x.size - kind
-    alphas = tuple(_nonzero_int(rng, alpha_box) for _ in range(x.size))
-    g = StructuredGenerator(x=x, alphas=alphas, d=d)
-    algebra = GorensteinAlgebra(g.expanded, d)
+    algebra = random_power_sum(x, d, rng, alpha_box)
     if algebra.hilbert[j] != target:
         raise PreconditionViolatedError(
             f"h_A({j}) = {algebra.hilbert[j]}, need {target}")
-    frame = algebra.basis(j)
-    for _ in range(trials):
-        ell = sample_linear_form(x.n + 1, rng, box)
-        val = linalg.det(structured_hessian_at(x.points, alphas, d, j, frame,
-                                               ell))
-        if val != 0:
-            return PropReport(kind=kind, j=j, d=d, ell=ell, det=val)
+    found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
+                          x.n + 1, rng, trials, box)
+    if found is not None:
+        return PropReport(kind=kind, j=j, d=d, ell=found[0], det=found[1])
     raise NoWitnessFoundError(
         f"no Hess^{j} witness for kind {kind} in {trials} trials",
         diagnostics={"kind": kind, "j": j, "d": d})

@@ -351,9 +351,16 @@ class TestErrorContract:
          "--trials", "0"],
         ["verify", "--theorem", "conic", "--s1", "2", "--s2", "2",
          "--eval-points", "-1"],
+        # an off-curve count or target tau that no shape can have; these
+        # used to exit 1 with ShapeMismatchError, some after 200 draws
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "2",
+         "--off", "-1"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "0"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "-1"],
     ], ids=["construct-attempts-negative", "construct-attempts-zero",
             "analyze-attempts-zero", "tails-trials-zero",
-            "s-minus-trials-zero", "conic-eval-points-negative"])
+            "s-minus-trials-zero", "conic-eval-points-negative",
+            "tails-off-negative", "tails-tau-zero", "tails-tau-negative"])
     def test_budget_below_one_is_exit_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

@@ -17,8 +17,9 @@ from gorlef.gorenstein import (GorensteinAlgebra, check_slp, hessian_at,
                                structured_hessian_at)
 from gorlef.hvector import HVector
 from gorlef.linalg import det
-from gorlef.points import (PointSet, gen_collinear, gen_generic, gen_rnc,
-                           gen_two_lines)
+from gorlef.points import (PointSet, gen_collinear, gen_distraction,
+                           gen_generic, gen_rnc, gen_two_lines,
+                           lex_order_ideal)
 
 from oracles import linear_power_terms
 
@@ -199,6 +200,13 @@ class TestCoefficientCriterion:
             hess_coefficient_criterion(x, 1, 2 * x.tau(), [0, 1, 1], rng)
         with pytest.raises(BadSubsetSizeError):
             hess_coefficient_criterion(x, 1, 2 * x.tau(), [0, 1, 99], rng)
+
+    def test_zero_trials_rejected(self):
+        # the det route used to report False without computing a determinant
+        x = gen_distraction(lex_order_ideal((1, 2, 3), 2))
+        with pytest.raises(ValueError, match="trials"):
+            hess_coefficient_criterion(x, 1, 2 * x.tau(), [0, 1, 2],
+                                       random.Random(0), trials=0)
 
     def test_degree_window_enforced(self):
         rng = random.Random(87)

@@ -8,15 +8,20 @@ are the only ones that feed non-integral entries to the elimination
 kernel; the Perazzo case exhausts the Lefschetz search; the trivial
 `construct` cases (h_1 = 1), the conic case and the two largest tails
 cases, whose digests are those of the benchmark reference, are drawn by
-the benchmark only in some passes.
+the benchmark only in some passes.  Every op of the benchmark reference
+is replayed here too.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from gorlef import gorenstein
 from gorlef.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 _POLY_INT = json.dumps({"n_vars": 3, "ring": "R", "terms": [
@@ -144,3 +149,34 @@ def test_stdout_digest(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _digest(capsys, argv):
+    code = main(list(argv))
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+# s-minus-1 has tau = 3 <= ceil(6/2), so its bases come off the points;
+# s-minus-2 has tau = 3 > ceil(4/2), so they come from catalecticants
+POINT_HESSIAN = [case for case in GOLDEN if case[0] in (
+    "analyze-points-rational-d5", "analyze-points-rational-d4",
+    "verify-s-minus-1", "verify-s-minus-2")]
+
+
+@pytest.mark.parametrize("argv, code, digest",
+                         [case[1:] for case in POINT_HESSIAN],
+                         ids=[case[0] for case in POINT_HESSIAN])
+def test_power_sums_take_the_point_side_hessian(capsys, monkeypatch, argv,
+                                                code, digest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("contracted F instead of summing over the points")
+
+    monkeypatch.setattr(gorenstein, "hessian_at", refuse)
+    assert _digest(capsys, argv) == (code, digest)
+
+
+def test_benchmark_reference_replays(capsys):
+    reference = json.loads(REFERENCE.read_text())
+    mismatched = [key for key, entry in reference.items()
+                  if _digest(capsys, key.split()) != (0, entry["sha256"])]
+    assert reference and mismatched == []

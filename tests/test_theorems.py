@@ -141,6 +141,15 @@ class TestTailConfigs:
         with pytest.raises(ShapeMismatchError):
             make_tail_config("conic", 2, 1, rng)
 
+    @pytest.mark.parametrize("kind, tau, off", [
+        ("cubic", 3, 1), ("line", 2, -1), ("line", 0, 1), ("conic", -1, 0)])
+    def test_malformed_request_raises_before_any_draw(self, kind, tau, off):
+        rng = random.Random(110)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            make_tail_config(kind, tau, off, rng)
+        assert rng.getstate() == state
+
     def test_verify_line_tail(self):
         rng = random.Random(111)
         x, k = make_tail_config("line", 3, 1, rng)
