@@ -15,6 +15,9 @@ ring of the points and have full rank whenever ell separates the points.
 gorenstein.certify_at builds the certificate lines: both routes are
 recorded at every degree, the Hessians summed over the points by the
 algebra itself, and a disagreement between them is raised, not retried.
+The attempts run in gorenstein._search, the one certificate loop: each
+draws the weights, then a point-separating ell (one first_witness
+search on prod_i (ell o L_i)); the trivial case draws ell = x_0 once.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormS, Poly, power_sum
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
-from .gorenstein import (GorensteinAlgebra, SlpCertificate, certify_at,
-                         first_witness, sample_linear_form,
-                         structured_hessian_at)
+from .gorenstein import (GorensteinAlgebra, SlpCertificate, _search,
+                         certify_at, first_witness, structured_hessian_at)
 from .hvector import HVector, hbar
 from .linalg import exact
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
@@ -98,11 +101,14 @@ class ConstructionResult:
     x: PointSet
     algebra: GorensteinAlgebra
     certificate: SlpCertificate
-    attempts_used: int
 
     @property
     def generator(self) -> StructuredGenerator:
         return self.algebra.generator
+
+    @property
+    def attempts_used(self) -> int:
+        return self.certificate.attempts
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,15 +128,12 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     d = hv.socle_degree
     x = PointSet([[1]])
     algebra = GorensteinAlgebra.of_points(StructuredGenerator(x, (1,), d))
-    ell = LinearFormS([1])
-    records = certify_at(algebra, ell, t=0)
-    cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
-                          verdict=all(r.ok() for r in records),
-                          seed=seed, attempts=1)
+    cert, _ = _search("slp", lambda a, ell: certify_at(a, ell, t=0),
+                      lambda: (algebra, LinearFormS([1])), 1, seed)
     if not cert.verdict or tuple(algebra.hilbert) != hv.entries:
         raise RealizationMismatchError("trivial realization failed")
     return ConstructionResult(h=hv, ideal=None, x=x, algebra=algebra,
-                              certificate=cert, attempts_used=1)
+                              certificate=cert)
 
 
 def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
@@ -159,22 +162,23 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
         raise RealizationMismatchError(
             f"distraction has tau={t}, s={x.size}; expected {bar.t}, {bar.s}")
 
-    for attempt in range(1, attempts + 1):
+    def draw() -> Tuple[GorensteinAlgebra, LinearFormS]:
         algebra = random_power_sum(x, d, rng, alpha_box)
         ell = _separating_form(x, rng, box)
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
-        records = certify_at(algebra, ell, t)
-        if all(r.ok() for r in records):
-            cert = SlpCertificate(kind="slp", ell=ell, per_degree=records,
-                                  verdict=True, seed=seed, attempts=attempt)
-            return ConstructionResult(h=hv, ideal=ideal, x=x, algebra=algebra,
-                                      certificate=cert, attempts_used=attempt)
-    raise NoWitnessFoundError(
-        f"no Lefschetz witness for {list(hv.entries)} in {attempts} attempts",
-        diagnostics={"h": list(hv.entries), "attempts": attempts,
-                     "failures": attempts})
+        return algebra, ell
+
+    cert, algebra = _search("slp", lambda a, ell: certify_at(a, ell, t), draw,
+                            attempts, seed)
+    if not cert.verdict:
+        raise NoWitnessFoundError(
+            f"no Lefschetz witness for {list(hv.entries)} in {attempts} attempts",
+            diagnostics={"h": list(hv.entries), "attempts": attempts,
+                         "failures": attempts})
+    return ConstructionResult(h=hv, ideal=ideal, x=x, algebra=algebra,
+                              certificate=cert)
 
 
 def _nonzero_int(rng: random.Random, box: int) -> int:
@@ -196,12 +200,11 @@ def random_power_sum(x: PointSet, d: int, rng: random.Random,
 def _separating_form(x: PointSet, rng: random.Random, box: int,
                      tries: int = 1000) -> LinearFormS:
     """Integer form with ell o L_i != 0 for every point dual."""
-    for _ in range(tries):
-        ell = sample_linear_form(x.n + 1, rng, box)
-        if all(sum(a * c for a, c in zip(ell.coeffs, p)) != 0
-               for p in x.points):
-            return ell
-    raise NoWitnessFoundError("could not sample a point-separating linear form")
+    found = first_witness(lambda ell: prod(map(ell.pair, x.duals())), x.n + 1,
+                          rng, tries, box)
+    if found is None:
+        raise NoWitnessFoundError("could not sample a point-separating linear form")
+    return found[0]
 
 
 def hess_coefficient_criterion(x: PointSet, j: int, d: int,

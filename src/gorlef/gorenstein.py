@@ -29,14 +29,15 @@ monomials of B evaluated at the i-th point (structured_hessian_at):
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
                      = d!/(d-2j)! sum_i alpha_i L_i(P_ell)^(d-2j) v_i v_i^T
 
-GorensteinAlgebra.hessian sums over the points of an of_points algebra
-(any d) and contracts F otherwise.  certify_at builds every SLP
-certificate line, for check_slp and construct alike: at each degree it
-records det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j)
-on the expanded F.  The two routes agree by the Hessian criterion, so
-on every caller a disagreement is raised as a bug.  check_slp and
-check_wlp share one attempt loop; first_witness is the one search for
-a sampled form with a nonzero value.
+Every power-sum Hessian sums over the points (GorensteinAlgebra.hessian
+for an of_points algebra, any d, and the conic verifier per line group);
+hessian_at contracts F only for an algebra built from a polynomial.
+certify_at builds every SLP certificate line: at each degree it records
+det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on the
+expanded F.  The two routes agree by the Hessian criterion, so on every
+caller a disagreement is raised as a bug.  _search, the one attempt
+loop, makes every SlpCertificate from a draw() of (algebra, ell);
+first_witness is the one search for a sampled form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -201,6 +202,8 @@ def structured_hessian_at(points: Sequence[Sequence[Fraction]],
 def sample_linear_form(n_vars: int, rng: random.Random,
                        box: int = 50) -> LinearFormS:
     """Uniform integer coefficients in [-box, box], not all zero."""
+    if n_vars < 1:
+        raise ValueError(f"a linear form needs at least 1 variable, got {n_vars}")
     if box < 1:
         raise ValueError(f"coefficient box must be at least 1, got {box}")
     while True:
@@ -372,32 +375,36 @@ def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecor
             for i in range(d)]
 
 
-def _search(kind: str, lines, algebra: GorensteinAlgebra, rng: random.Random,
-            attempts: int, box: int, seed: Optional[int]) -> SlpCertificate:
-    """First sampled ell whose lines all pass, else the last failure."""
+def _search(kind: str, lines, draw: Callable[[], tuple], attempts: int,
+            seed: Optional[int]) -> Tuple[SlpCertificate, GorensteinAlgebra]:
+    """First draw() = (algebra, ell) whose lines pass, else the last one."""
     if attempts < 1:
         raise ValueError(f"need attempts >= 1, got {attempts}")
     cert = SlpCertificate(kind=kind, ell=None, seed=seed)
     for attempt in range(1, attempts + 1):
-        ell = sample_linear_form(algebra.n_vars, rng, box)
+        algebra, ell = draw()
         cert.attempts = attempt
         cert.per_degree = lines(algebra, ell)
         if all(r.ok() for r in cert.per_degree):
             cert.ell = ell
             cert.verdict = True
             break
-    return cert
+    return cert, algebra
 
 
 def check_slp(algebra: GorensteinAlgebra, rng: random.Random,
               attempts: int = 50, box: int = 50,
               seed: Optional[int] = None) -> SlpCertificate:
     """Search for a strong Lefschetz element of A: certify_at per sample."""
-    return _search("slp", certify_at, algebra, rng, attempts, box, seed)
+    return _search("slp", certify_at,
+                   lambda: (algebra, sample_linear_form(algebra.n_vars, rng, box)),
+                   attempts, seed)[0]
 
 
 def check_wlp(algebra: GorensteinAlgebra, rng: random.Random,
               attempts: int = 50, box: int = 50,
               seed: Optional[int] = None) -> SlpCertificate:
     """Search for a weak Lefschetz element: x ell full rank in each degree."""
-    return _search("wlp", _wlp_lines, algebra, rng, attempts, box, seed)
+    return _search("wlp", _wlp_lines,
+                   lambda: (algebra, sample_linear_form(algebra.n_vars, rng, box)),
+                   attempts, seed)[0]

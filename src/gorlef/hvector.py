@@ -94,6 +94,22 @@ class BinomialExpansion:
         return sum(comb(m, k) for m, k in self.parts)
 
 
+def _largest_comb_at_most(rem: int, k: int) -> int:
+    """Largest m >= k with C(m, k) <= rem, for rem >= 1: the step from k
+    doubles until C(m, k) passes rem, then the bracket is bisected."""
+    lo, step = k, 1
+    while comb(k + step, k) <= rem:
+        lo, step = k + step, 2 * step
+    hi = k + step  # C(lo, k) <= rem < C(hi, k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid, k) <= rem:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def binomial_expand(h: int, i: int) -> BinomialExpansion:
     """Greedy i-binomial expansion of h >= 1 with i >= 1.
 
@@ -109,9 +125,7 @@ def binomial_expand(h: int, i: int) -> BinomialExpansion:
     while rem > 0:
         if k < 1:
             raise AssertionError(f"expansion of {h} at level {i} ran out of levels")
-        m = k
-        while comb(m + 1, k) <= rem:
-            m += 1
+        m = _largest_comb_at_most(rem, k)
         parts.append((m, k))
         rem -= comb(m, k)
         k -= 1

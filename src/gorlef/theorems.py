@@ -4,6 +4,10 @@ Each verifier builds its configuration, validates the hypotheses at
 runtime (loudly; never trusting the generator), certifies the claimed
 conclusion, and raises TheoremTensionError when a theorem instance
 unexpectedly fails.  Randomized nonvanishing verdicts remain one-sided.
+Every configuration is a power sum built by random_power_sum, and every
+Hessian here sums over its points (gorenstein.structured_hessian_at),
+the five of the conic decomposition included; only the independent rank
+route of the SLP certificates reads the expanded F.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, contract_monomial, monomial_eval, power_sum
+from .apolar import LinearFormS, monomial_eval
 from .construct import random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
-from .gorenstein import (SlpCertificate, check_slp, first_witness, hessian_at,
-                         sample_linear_form)
+from .gorenstein import (SlpCertificate, check_slp, first_witness,
+                         sample_linear_form, structured_hessian_at)
 from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
@@ -125,17 +129,16 @@ class ConicReport:
     decomposition_checks: int = 0
 
 
-def _split_two_lines(x: PointSet) -> Tuple[List[int], List[int]]:
-    """Recover the line groups; the shared point goes to group 1."""
-    g1, g2 = [], []
-    for i, p in enumerate(x.points):
-        if p[1] == 0:  # on {x1 = 0}, including (0:0:1)
-            g1.append(i)
-        elif p[0] == 0:
-            g2.append(i)
-        else:
+def _split_two_lines(x: PointSet, alphas: Sequence[Fraction]) -> tuple:
+    """Points and weights on {x1 = 0}, (0:0:1) included, then on {x0 = 0}."""
+    groups = (([], []), ([], []))
+    for p, a in zip(x.points, alphas):
+        if p[0] != 0 and p[1] != 0:
             raise ShapeMismatchError(f"point {p} on neither line")
-    return g1, g2
+        points, weights = groups[p[1] != 0]
+        points.append(p)
+        weights.append(a)
+    return groups
 
 
 def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
@@ -178,13 +181,12 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
             f"no Lefschetz witness for two-line config ({s1},{s2},share={share})",
             certificate=cert)
 
-    # Split F along the lines and test the decomposition identity.
+    # Split F along the lines; every Hessian sums over one group's points.
+    # x0^2 o L^d = d(d-1) a0^2 L^(d-2): F1' weighs P_i by d(d-1) p_i0^2.
     alphas = algebra.generator.alphas
-    f1, f2 = (power_sum([x.points[i] for i in g], [alphas[i] for i in g], d, 3)
-              for g in _split_two_lines(x))
-
-    f1p = contract_monomial((2, 0, 0), f1)
-    f2p = contract_monomial((0, 2, 0), f2)
+    (pts1, a1), (pts2, a2) = _split_two_lines(x, alphas)
+    a1p = [a * d * (d - 1) * p[0] ** 2 for a, p in zip(a1, pts1)]
+    a2p = [a * d * (d - 1) * p[1] ** 2 for a, p in zip(a2, pts2)]
 
     checks = 0
     for j in range(1, d // 2 + 1):
@@ -196,15 +198,17 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
         for _ in range(eval_points):
             ell = sample_linear_form(3, rng, box)
-            big = hessian_at(algebra.f, j, ell, frame, d)
-            b = hessian_at(f1, j, ell, b_frame, d)
-            c = hessian_at(f2, j, ell, c_frame, d)
+            big = structured_hessian_at(x.points, alphas, d, j, frame, ell)
+            b = structured_hessian_at(pts1, a1, d, j, b_frame, ell)
+            c = structured_hessian_at(pts2, a2, d, j, c_frame, ell)
             pair = BlockPair(m=j + 1, b=b, c=c)
             if pair.assemble() != big:
                 raise TheoremTensionError(
                     f"block assembly mismatch at j={j}")
-            det_b_minor = linalg.det(hessian_at(f1p, j - 1, ell, bm_frame, d - 2))
-            det_c_minor = linalg.det(hessian_at(f2p, j - 1, ell, cm_frame, d - 2))
+            det_b_minor = linalg.det(
+                structured_hessian_at(pts1, a1p, d - 2, j - 1, bm_frame, ell))
+            det_c_minor = linalg.det(
+                structured_hessian_at(pts2, a2p, d - 2, j - 1, cm_frame, ell))
             rhs = (det_b_minor * linalg.det(c)
                    + linalg.det(b) * det_c_minor)
             lhs = linalg.det(big)
@@ -237,6 +241,9 @@ class TailReport:
 
 
 _TAIL_R = {"line": 1, "conic": 2}
+# the line x2 = 0 and the smooth conic x0 x2 = x1^2
+_ON_TAIL_CURVE = {"line": lambda q: q[2] == 0,
+                  "conic": lambda q: q[0] * q[2] == q[1] ** 2}
 
 
 def make_tail_config(kind: str, tau_target: int, off: int,
@@ -247,23 +254,26 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     Returns (X, k) where Delta h_{A(X)} ends with the value r from
     degree k < tau through tau.  Raises when the requested combination
     cannot produce such a shape (small caps make some impossible), and
-    before any draw on an unknown kind, off < 0 or tau_target < 1.
+    before any draw on an unknown kind, off < 0, tau_target < 1 or more
+    off-curve points than the box [-box, box]^2 holds.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
         raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
                          f"tau >= 1; got {kind!r}, off={off}, tau={tau_target}")
+    on_curve = _ON_TAIL_CURVE[kind]
+    span = range(-box, box + 1)
+    room = sum(not on_curve((1, a, b)) for a in span for b in span)
+    if off > room:
+        raise ValueError(f"the box [-{box}, {box}]^2 holds {room} points off "
+                         f"the {kind}, got off={off}")
     r = _TAIL_R[kind]
     on_count = r * tau_target + 1
     for _ in range(attempts):
         if kind == "conic":
             params = rng.sample(range(-(on_count + 3), on_count + 4), on_count)
             base = [(1, p, p * p) for p in params]
-            def on_curve(q):  # the smooth conic x0 x2 = x1^2
-                return q[0] * q[2] == q[1] ** 2
         else:
             base = [(1, i, 0) for i in range(on_count)]
-            def on_curve(q):  # the line x2 = 0
-                return q[2] == 0
         pts = list(base)
         seen = set(pts)
         while len(pts) < on_count + off:

@@ -118,6 +118,21 @@ def exhaustive_binomial_expansions(h: int, i: int) -> List[List[Tuple[int, int]]
     return solutions
 
 
+def linear_scan_binomial_expansion(h: int, i: int) -> List[Tuple[int, int]]:
+    """The greedy i-binomial expansion of h, each m_k found by stepping
+    up from k one at a time while C(m + 1, k) still fits."""
+    parts: List[Tuple[int, int]] = []
+    rem, k = h, i
+    while rem > 0:
+        m = k
+        while comb(m + 1, k) <= rem:
+            m += 1
+        parts.append((m, k))
+        rem -= comb(m, k)
+        k -= 1
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # Monomial order ideals in <= 3 variables, enumerated as slice chains
 #

@@ -27,6 +27,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_subprocess(argv):
+    """The CLI in a fresh interpreter, so a request that used to hang fails
+    after 60 s instead of stalling the suite; no traceback reaches stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gorlef.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gorlef.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, json.loads(proc.stdout)
+
+
 class TestSeqCheck:
     def test_si_sequence(self, capsys):
         code, doc = run_json(capsys, "seq", "check", "1,3,5,5,3,1")
@@ -344,6 +355,9 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [
         ["construct", "--h", "1,3,1", "--attempts", "-3"],
         ["construct", "--h", "1,3,1", "--attempts", "0"],
+        # the budget is checked before the trivial path and before hbar
+        ["construct", "--h", "1,1", "--attempts", "0"],
+        ["construct", "--h", "1,2,5", "--attempts", "0"],
         ["analyze", "--poly", XY, "--attempts", "0"],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "2",
          "--trials", "0"],
@@ -358,6 +372,7 @@ class TestErrorContract:
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "0"],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "-1"],
     ], ids=["construct-attempts-negative", "construct-attempts-zero",
+            "construct-trivial-attempts-zero", "construct-not-si-attempts-zero",
             "analyze-attempts-zero", "tails-trials-zero",
             "s-minus-trials-zero", "conic-eval-points-negative",
             "tails-off-negative", "tails-tau-zero", "tails-tau-negative"])
@@ -375,15 +390,9 @@ class TestErrorContract:
     ], ids=["generic-n-negative", "s-minus-n-zero"])
     def test_point_budget_beyond_the_box_is_exit_two(self, argv):
         # these used to spin forever in gen_generic's rejection loop
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(gorlef.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "gorlef.cli", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env=env)
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["error"]["type"] == \
-            "PreconditionViolatedError"
-        assert "Traceback" not in proc.stderr
+        code, doc = run_subprocess(argv)
+        assert code == 2
+        assert doc["error"]["type"] == "PreconditionViolatedError"
 
     @pytest.mark.parametrize("argv", [
         ["construct", "--h", "1,2,1", "--alpha-box", "0"],
@@ -394,19 +403,28 @@ class TestErrorContract:
         ["analyze", "--points", '{"points": [[1, 0], [1, 1], [1, 2]]}',
          "--alphas", "1,2,3", "--d", "2", "--coord-box", "0"],
         ["verify", "--theorem", "families", "--m", "-1"],
+        ["analyze", "--poly",
+         '{"n_vars": 0, "ring": "R", "terms": [{"exp": [], "coef": 1}]}'],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "2",
+         "--off", "1000"],
     ], ids=["construct-alpha-box-zero", "construct-coord-box-zero",
             "rnc-coord-box-zero", "tails-coord-box-zero",
-            "analyze-coord-box-zero", "families-m-negative"])
+            "analyze-coord-box-zero", "families-m-negative",
+            "analyze-no-variables", "tails-off-beyond-the-box"])
     def test_empty_sampling_box_is_exit_two(self, argv):
-        # a zero box used to spin forever drawing a nonzero value
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(gorlef.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "gorlef.cli", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env=env)
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
-        assert "Traceback" not in proc.stderr
+        # a zero box used to spin forever drawing a nonzero value, as did a
+        # form in no variables and more distinct off-curve points than the
+        # coordinate box holds
+        code, doc = run_subprocess(argv)
+        assert code == 2
+        assert doc["error"]["type"] == "ValueError"
+
+    def test_huge_entry_is_checked_at_once(self):
+        # the Macaulay bound of 10^12 in degree 1 used to step through
+        # 10^12 binomials
+        code, doc = run_subprocess(["seq", "check", "1,1000000000000,1"])
+        assert code == 0
+        assert doc["h"] == [1, 10 ** 12, 1] and doc["is_O_sequence"]
 
     def test_internal_error_is_exit_three(self, capsys, monkeypatch):
         def fail(args):

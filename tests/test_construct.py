@@ -7,8 +7,9 @@ import pytest
 
 from gorlef.apolar import LinearFormR, LinearFormS, power_of_linear
 from gorlef.construct import (ConstructionResult, StructuredGenerator,
-                              construct_slp_algebra, hess_coefficient_criterion,
-                              hilbert_formula_check)
+                              _separating_form, construct_slp_algebra,
+                              hess_coefficient_criterion,
+                              hilbert_formula_check, random_power_sum)
 from gorlef import gorenstein
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
                            NoWitnessFoundError, NotSIError,
@@ -243,6 +244,16 @@ class TestConstructSlpAlgebra:
         assert methods[2] == "map-rank"
         for r in res.certificate.per_degree:
             assert r.ok()
+
+    def test_an_attempt_draws_the_weights_then_ell(self):
+        res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
+                                    random.Random(90))
+        assert res.attempts_used == res.certificate.attempts == 1
+        rng = random.Random(90)
+        algebra = random_power_sum(res.x, 5, rng)
+        ell = _separating_form(res.x, rng, 50)
+        assert res.generator.alphas == algebra.generator.alphas
+        assert res.certificate.ell.coeffs == ell.coeffs
 
     def test_plateau_and_codim_two(self):
         for text in ("1,2,2,1", "1,2,3,3,2,1", "1,4,4,1", "1,3,3,3,1"):

@@ -225,6 +225,15 @@ class TestLefschetzChecks:
         assert cert.attempts == 1
         assert isinstance(cert.verdict, bool)
 
+    @pytest.mark.parametrize("n_vars", [0, -1])
+    def test_no_variables_is_refused_before_any_draw(self, n_vars):
+        # the only coefficient vector used to be empty, redrawn forever
+        rng = random.Random(68)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="variable"):
+            sample_linear_form(n_vars, rng)
+        assert rng.getstate() == state
+
 
 class TestAlgebraContainer:
     def test_eager_hilbert_and_codim(self):

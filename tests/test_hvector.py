@@ -1,13 +1,14 @@
 """Sequence classification: Macaulay bounds, O-sequences, SI, flattening."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlef.errors import NotSIError
 from gorlef.hvector import (HVector, binomial_expand, first_macaulay_violation,
                             hbar, is_O_sequence, is_SI, is_differentiable,
                             macaulay_bound)
 
-from oracles import exhaustive_binomial_expansions
+from oracles import exhaustive_binomial_expansions, linear_scan_binomial_expansion
 
 
 class TestBinomialExpand:
@@ -21,6 +22,12 @@ class TestBinomialExpand:
         for h in (1, 2, 5, 13, 37, 60):
             for i in (1, 2, 3, 4, 5):
                 assert binomial_expand(h, i).value() == h
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 6))
+    def test_matches_the_linear_scan(self, h, i):
+        assert list(binomial_expand(h, i).parts) == \
+            linear_scan_binomial_expansion(h, i)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -141,14 +141,25 @@ class TestTailConfigs:
         with pytest.raises(ShapeMismatchError):
             make_tail_config("conic", 2, 1, rng)
 
+    # the box [-12, 12]^2 holds 625 points: 25 on the line x2 = 0 and 7 on
+    # the conic x0 x2 = x1^2, so at most 600 and 618 fit off the curve
     @pytest.mark.parametrize("kind, tau, off", [
-        ("cubic", 3, 1), ("line", 2, -1), ("line", 0, 1), ("conic", -1, 0)])
+        ("cubic", 3, 1), ("line", 2, -1), ("line", 0, 1), ("conic", -1, 0),
+        ("line", 2, 601), ("conic", 3, 619)])
     def test_malformed_request_raises_before_any_draw(self, kind, tau, off):
         rng = random.Random(110)
         state = rng.getstate()
         with pytest.raises(ValueError):
             make_tail_config(kind, tau, off, rng)
         assert rng.getstate() == state
+
+    def test_a_full_box_is_not_refused(self):
+        # [-1, 1]^2 holds 6 points off the line: off = 6 is searched (and
+        # gives no tail shape), off = 7 is refused before any draw
+        with pytest.raises(ShapeMismatchError):
+            make_tail_config("line", 2, 6, random.Random(113), box=1)
+        with pytest.raises(ValueError):
+            make_tail_config("line", 2, 7, random.Random(113), box=1)
 
     def test_verify_line_tail(self):
         rng = random.Random(111)
