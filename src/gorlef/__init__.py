@@ -19,14 +19,12 @@ from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,
                      TheoremTensionError, ZeroGeneratorError)
 from .hvector import (HVector, binomial_expand, hbar, is_O_sequence,
                       is_SI, is_differentiable, macaulay_bound)
-from .apolar import (LinearFormR, LinearFormS, Poly, RING_R, RING_S,
-                     contract, contract_linear_power, monomials_of_degree,
-                     power_of_linear)
-from .linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
+from .apolar import (LinearFormS, Poly, RING_R, RING_S, contract_linear_power,
+                     monomials_of_degree)
+from .linalg import Mat, det, nullspace, pivot_columns, rank
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
                          certify_at, check_slp, check_wlp, hessian_at,
-                         hilbert_function, multiplication_rank,
-                         structured_hessian_at)
+                         multiplication_rank, structured_hessian_at)
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
@@ -45,7 +43,7 @@ __all__ = [
     "BadSubsetSizeError", "BlockPair", "ConicReport", "ConstructionResult",
     "DegreeOutOfRangeError", "DuplicateParameterError", "FamilyReport",
     "GorensteinAlgebra", "GorlefError", "HVector",
-    "HessianRankMismatchError", "LinearFormR", "LinearFormS", "Mat",
+    "HessianRankMismatchError", "LinearFormS", "Mat",
     "NonSquareError", "NoWitnessFoundError", "NotHomogeneousError",
     "NotOSequenceError", "NotPlaneConfigError", "NotSIError", "OrderIdeal",
     "PointSet", "Poly",
@@ -54,15 +52,14 @@ __all__ = [
     "SlpCertificate", "StructuredGenerator", "TailReport",
     "TheoremTensionError", "ZeroGeneratorError", "binomial_expand",
     "block_det_identity", "catalecticant", "certify_at", "check_slp",
-    "check_wlp", "construct_slp_algebra", "contract", "contract_linear_power",
+    "check_wlp", "construct_slp_algebra", "contract_linear_power",
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",
     "has_collinear_triple", "hbar", "hess_coefficient_criterion",
-    "hessian_at", "hilbert_formula_check",
-    "hilbert_function", "is_O_sequence", "is_SI", "is_differentiable",
-    "lex_order_ideal", "macaulay_bound", "make_tail_config",
+    "hessian_at", "hilbert_formula_check", "is_O_sequence", "is_SI",
+    "is_differentiable", "lex_order_ideal", "macaulay_bound", "make_tail_config",
     "monomials_of_degree", "multiplication_rank", "nullspace",
-    "pivot_columns", "pivot_rows", "power_of_linear", "rank",
+    "pivot_columns", "rank",
     "structured_hessian_at", "verify_conic_slp",
     "verify_corollary_families", "verify_prop_s_minus", "verify_rnc_slp",
     "verify_tail_nonvanishing",

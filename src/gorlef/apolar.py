@@ -6,7 +6,13 @@ are exponent tuples; polynomials are sparse exponent->coefficient maps
 with a fixed degree-then-descending-lex term order for deterministic
 iteration.  Coefficients are stored as ints when integral and as
 Fractions otherwise (linalg.exact, applied by the constructors), so
-the expansion and contraction kernels run in integers on integer data.
+the kernels run in integers on integer data.
+
+The package needs two kernels: power_sum expands sum alpha_i L_i^d for
+the duals L_i of points, and contract_linear_power applies ell^k o F in
+k first-order passes.  Catalecticants read x^u o F off F's coefficients
+directly (gorenstein), so general contraction by an operator in S is
+not part of the package.
 """
 
 from __future__ import annotations
@@ -102,35 +108,14 @@ class Poly:
             terms[m] = terms.get(m, 0) + c
         return Poly(self.n_vars, self.ring, terms)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + -other
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly(self.n_vars, self.ring, terms)
-
     def scale(self, c) -> "Poly":
         c = exact(c)
         return Poly(self.n_vars, self.ring,
                     {m: v * c for m, v in self.terms.items()})
 
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.n_vars == other.n_vars and self.terms == other.terms)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        return sum(c * monomial_eval(m, point) for m, c in self.terms.items())
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), 0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -157,7 +142,9 @@ class Poly:
         missing = {"n_vars", "ring", "terms"} - data.keys()
         if missing:
             raise ValueError(f"polynomial JSON lacks {sorted(missing)}")
-        terms = data["terms"]
+        n_vars, terms = data["n_vars"], data["terms"]
+        if type(n_vars) is not int:
+            raise ValueError(f"polynomial n_vars must be an int, got {n_vars!r}")
         if not isinstance(terms, list) or not all(
                 isinstance(t, dict) and {"exp", "coef"} <= t.keys()
                 and isinstance(t["exp"], list)
@@ -165,52 +152,16 @@ class Poly:
             raise ValueError('polynomial terms must be a list of '
                              '{"exp": [int, ...], "coef": ...} objects')
         try:
-            return cls(int(data["n_vars"]), data["ring"],
+            return cls(n_vars, data["ring"],
                        {tuple(t["exp"]): t["coef"] for t in terms})
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
 
 
-def _falling_product(e_top: Monomial, e_low: Monomial) -> int:
-    """prod_k e_top_k * (e_top_k - 1) * ... over e_low_k factors."""
-    out = 1
-    for t, l in zip(e_top, e_low):
-        for step in range(l):
-            out *= t - step
-    return out
-
-
-def contract(a: Poly, f: Poly) -> Poly:
-    """Apply the differential operator a in S to f in R.
-
-    x^e acts as the mixed partial d^{|e|}/dX^e; extended bilinearly.
-    """
-    if a.ring != RING_S or f.ring != RING_R:
-        raise RingMismatchError(f"contract needs S operand and R target, got {a.ring}, {f.ring}")
-    if a.n_vars != f.n_vars:
-        raise RingMismatchError(f"variable count mismatch: {a.n_vars} vs {f.n_vars}")
-    return sum((contract_monomial(e, f).scale(c) for e, c in a.terms.items()),
-               Poly.zero(f.n_vars, RING_R))
-
-
-def contract_monomial(e: Monomial, f: Poly) -> Poly:
-    """Contraction by a single S-monomial, without building the operator."""
-    out: Dict[Monomial, Fraction] = {}
-    for ef, cf in f.terms.items():
-        if any(x < y for x, y in zip(ef, e)):
-            continue
-        m = tuple(x - y for x, y in zip(ef, e))
-        coef = cf * _falling_product(ef, e)
-        if coef:
-            out[m] = out.get(m, 0) + coef
-    return Poly(f.n_vars, RING_R, out)
-
-
-class _LinearForm:
-    """Shared guts of linear forms in either ring."""
+class LinearFormS:
+    """Linear form ell = sum a_i x_i in S (a Lefschetz candidate)."""
 
     __slots__ = ("coeffs",)
-    ring = RING_R
 
     def __init__(self, coeffs: Sequence):
         self.coeffs: Tuple[Fraction, ...] = tuple(exact(c) for c in coeffs)
@@ -223,33 +174,15 @@ class _LinearForm:
     def n_vars(self) -> int:
         return len(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({[str(c) for c in self.coeffs]})"
-
-
-class LinearFormR(_LinearForm):
-    """Linear form L = sum a_i X_i in R (dual of a point)."""
-
-    ring = RING_R
-
-
-class LinearFormS(_LinearForm):
-    """Linear form ell = sum a_i x_i in S (a Lefschetz candidate)."""
-
-    ring = RING_S
-
     def point(self) -> Tuple[Fraction, ...]:
         """Coordinates of the point in R-space dual to ell."""
         return self.coeffs
 
-    def pair(self, L: LinearFormR) -> Fraction:
-        """ell o L = sum a_i b_i, the first-order contraction."""
-        if self.n_vars != L.n_vars:
-            raise RingMismatchError("variable count mismatch")
-        return sum(a * b for a, b in zip(self.coeffs, L.coeffs))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearFormS) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"LinearFormS({[str(c) for c in self.coeffs]})"
 
 
 def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
@@ -277,13 +210,6 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
 
     walk(0, d, (), list(alphas), 1)
     return Poly(n_vars, RING_R, terms)
-
-
-def power_of_linear(L: LinearFormR, d: int) -> Poly:
-    """L^d by the multinomial theorem: power_sum at one point, weight 1."""
-    if d < 0:
-        raise ValueError("negative power")
-    return power_sum([L.coeffs], [1], d, L.n_vars)
 
 
 def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
@@ -199,9 +200,10 @@ def random_power_sum(x: PointSet, d: int, rng: random.Random,
 
 def _separating_form(x: PointSet, rng: random.Random, box: int,
                      tries: int = 1000) -> LinearFormS:
-    """Integer form with ell o L_i != 0 for every point dual."""
-    found = first_witness(lambda ell: prod(map(ell.pair, x.duals())), x.n + 1,
-                          rng, tries, box)
+    """Integer form with ell o L_i = <ell, P_i> != 0 for every point P_i."""
+    found = first_witness(
+        lambda ell: prod(sum(map(mul, ell.coeffs, p)) for p in x.points),
+        x.n + 1, rng, tries, box)
     if found is None:
         raise NoWitnessFoundError("could not sample a point-separating linear form")
     return found[0]

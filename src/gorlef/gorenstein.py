@@ -4,7 +4,11 @@ A nonzero form F of degree d in R defines A = S/Ann(F).  Catalecticant
 ranks give the Hilbert function and pivots give monomial bases of each
 graded piece.  Since Cat^(d-j) is the transpose of Cat^j, one
 elimination of Cat^(d-j) per degree j <= floor(d/2) yields both the
-basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).
+basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).  The
+algebra keeps exactly those bases: basis(j) for j > floor(d/2) is a
+DegreeOutOfRangeError, since no certificate needs one.  The module
+functions take the socle degree d explicitly; only the constructor
+reads it off F when it is not given.
 
 For F = sum alpha_i L_i^d over points X, every alpha_i != 0, the
 catalecticant factors through the evaluation matrices V_k of X
@@ -59,15 +63,6 @@ from .hvector import HVector
 from .linalg import Mat
 
 
-def _generator_degree(f: Poly, d: Optional[int]) -> int:
-    if d is not None:
-        return d
-    deg = f.degree()
-    if deg < 0:
-        raise ZeroGeneratorError("zero dual generator has no degree; pass d explicitly")
-    return deg
-
-
 def _require_form(f: Poly, d: int) -> None:
     """F must be a form of degree d; the zero polynomial passes."""
     degrees = {sum(m) for m in f.terms}
@@ -88,7 +83,7 @@ def _derivative_values(f: Poly) -> dict:
     return scaled
 
 
-def catalecticant(f: Poly, j: int, d: Optional[int] = None) -> Mat:
+def catalecticant(f: Poly, j: int, d: int) -> Mat:
     """Catalecticant matrix of F in degree j.
 
     Rows run over degree-j monomials of S, columns over degree-(d-j)
@@ -98,7 +93,6 @@ def catalecticant(f: Poly, j: int, d: Optional[int] = None) -> Mat:
     """
     if f.ring != RING_R:
         raise RingMismatchError("dual generator must live in R")
-    d = _generator_degree(f, d)
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
     scaled = _derivative_values(f)
@@ -112,19 +106,13 @@ def _mirrored(half: List[int], d: int) -> HVector:
     return HVector(half + half[:(d + 1) // 2][::-1])
 
 
-def hilbert_function(f: Poly, d: Optional[int] = None) -> HVector:
-    """Hilbert function of A = S/Ann(F): h(j) = rank Cat^j_F = h(d-j)."""
-    return GorensteinAlgebra(f, d).hilbert
-
-
-def basis(f: Poly, j: int, d: Optional[int] = None) -> List[Monomial]:
+def basis(f: Poly, j: int, d: int) -> List[Monomial]:
     """Monomial basis of A_j: pivot rows of the degree-j catalecticant.
 
     Found as the pivot columns of Cat^(d-j) = (Cat^j)^T, so the same
     elimination also gives h(j).  Deterministic: descending-lex
     monomials with top-to-bottom pivoting.
     """
-    d = _generator_degree(f, d)
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
     rows = monomials_of_degree(f.n_vars, j)
@@ -132,25 +120,23 @@ def basis(f: Poly, j: int, d: Optional[int] = None) -> List[Monomial]:
 
 
 def hessian_at(f: Poly, j: int, ell: LinearFormS,
-               basis_monomials: Optional[Sequence[Monomial]] = None,
-               d: Optional[int] = None) -> Mat:
+               basis_monomials: Sequence[Monomial], d: int) -> Mat:
     """j-th Hessian of F evaluated at the point dual to ell.
 
-    Entry (u, v) = ((b_u b_v) o F)(P) over a monomial basis B_j of A_j
-    (computed from F's catalecticant pivots unless supplied).  Passing
-    an explicit basis is what lets callers probe degenerate generators
-    against a fixed frame.  F must be a form of degree d (or zero), so
-    one contraction by ell^(d-2j) gives every entry:
+    Entry (u, v) = ((b_u b_v) o F)(P) over the degree-j monomials B
+    given, a basis of A_j for GorensteinAlgebra.hessian; any frame of
+    degree-j monomials is accepted, which lets callers probe degenerate
+    generators against a fixed frame.  F must be a form of degree d (or
+    zero), so one contraction by ell^(d-2j) gives every entry:
 
         Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
     """
-    d = _generator_degree(f, d)
     if j < 0 or 2 * j > d:
         raise DegreeOutOfRangeError(f"Hessian degree {j} needs 0 <= 2j <= {d}")
     if ell.n_vars != f.n_vars:
         raise RingMismatchError("variable count mismatch")
     _require_form(f, d)
-    B = list(basis_monomials) if basis_monomials is not None else basis(f, j, d)
+    B = list(basis_monomials)
     if any(len(u) != f.n_vars or sum(u) != j for u in B):
         raise DegreeOutOfRangeError(f"frame monomials must have degree {j}")
     g = contract_linear_power(ell, d - 2 * j, f)
@@ -227,14 +213,13 @@ def first_witness(value: Callable[[LinearFormS], Fraction], n_vars: int,
 
 
 def multiplication_rank(f: Poly, i: int, k: int, ell: LinearFormS,
-                        d: Optional[int] = None) -> int:
+                        d: int) -> int:
     """Rank of x ell^k : A_i -> A_(i+k), computed without Hessians.
 
     Uses the matrix [(x^u x^v ell^k) o F] with u over degree-i and v
     over degree-(d-i-k) monomials; spanning sets suffice because the
     apolarity pairing is perfect on A.
     """
-    d = _generator_degree(f, d)
     if i < 0 or k < 0 or i + k > d:
         raise DegreeOutOfRangeError(f"need 0 <= i, 0 <= k, i+k <= {d}")
     g = contract_linear_power(ell, k, f)  # degree d - k
@@ -309,16 +294,15 @@ class GorensteinAlgebra:
         if f.is_zero():
             raise ZeroGeneratorError("zero dual generator")
         self.f = f
-        self.d = _generator_degree(f, d)
+        self.d = f.degree() if d is None else d
         _require_form(f, self.d)
         self.n_vars = f.n_vars
         self.generator = g = _generator
         on_points = g is not None and 2 * g.x.tau() <= self.d + 1
-        half = range(self.d // 2 + 1)
-        self._bases: dict = {j: list(g.x.basis(j)) if on_points
-                             else basis(f, j, self.d) for j in half}
-        self.hilbert: HVector = _mirrored(
-            [len(self._bases[j]) for j in half], self.d)
+        self._bases: List[List[Monomial]] = [
+            list(g.x.basis(j)) if on_points else basis(f, j, self.d)
+            for j in range(self.d // 2 + 1)]
+        self.hilbert: HVector = _mirrored([len(b) for b in self._bases], self.d)
 
     @classmethod
     def of_points(cls, g) -> "GorensteinAlgebra":
@@ -326,8 +310,10 @@ class GorensteinAlgebra:
         return cls(g.expanded, g.d, _generator=g)
 
     def basis(self, j: int) -> List[Monomial]:
-        if j not in self._bases:
-            self._bases[j] = basis(self.f, j, self.d)
+        """The basis of A_j built by the constructor, 0 <= j <= floor(d/2)."""
+        if not 0 <= j <= self.d // 2:
+            raise DegreeOutOfRangeError(
+                f"bases are kept for degrees 0..{self.d // 2}, not {j}")
         return self._bases[j]
 
     def hessian(self, j: int, ell: LinearFormS) -> Mat:

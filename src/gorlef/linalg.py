@@ -33,9 +33,11 @@ def exact(x):
 
     Accepts anything Fraction accepts: ints, Fractions, decimal or
     "p/q" strings, finite floats.  An infinite float is a ValueError,
-    as a NaN already is.
+    as a NaN already is, and so is a bool: True is not the number 1.
     """
     if type(x) is not int:
+        if isinstance(x, bool):
+            raise ValueError(f"{x!r} is not a rational number")
         if not isinstance(x, Fraction):
             try:
                 x = Fraction(x)
@@ -165,16 +167,6 @@ def pivot_columns(m: Mat) -> List[int]:
     """Pivot columns under deterministic left-to-right elimination."""
     a, _ = _integer_rows(m.entries)
     return _eliminate(a, m.cols)[0]
-
-
-def pivot_rows(m: Mat) -> List[int]:
-    """Row indices that pivot when eliminating top-to-bottom.
-
-    Equal to the pivot columns of the transpose; used to pick basis
-    monomials from catalecticant rows.
-    """
-    a, _ = _integer_rows(zip(*m.entries))
-    return _eliminate(a, m.rows)[0]
 
 
 def nullspace(m: Mat) -> List[List[Fraction]]:

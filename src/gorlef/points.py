@@ -19,7 +19,7 @@ from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormR, Monomial, monomial_eval, monomials_of_degree
+from .apolar import Monomial, monomial_eval, monomials_of_degree
 from .errors import (DuplicateParameterError, NotOSequenceError,
                      NotPlaneConfigError, PreconditionViolatedError,
                      RealizationMismatchError)
@@ -57,10 +57,6 @@ class PointSet:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def duals(self) -> List[LinearFormR]:
-        """Linear forms L_i in R whose coefficients are the coordinates."""
-        return [LinearFormR(p) for p in self.points]
 
     def evaluation_matrix(self, i: int) -> Mat:
         mons = monomials_of_degree(self.n + 1, i)
@@ -101,9 +97,13 @@ class PointSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointSet":
-        if "points" not in data:
-            raise ValueError('point-set JSON lacks "points"')
-        return cls(data["points"])
+        pts = data.get("points")
+        if not (isinstance(pts, list) and pts and all(
+                isinstance(p, list)
+                and all(isinstance(c, (int, float, str)) for c in p) for p in pts)):
+            raise ValueError('point-set JSON needs "points": a non-empty list '
+                             'of coordinate lists')
+        return cls(pts)
 
 
 # ---------------------------------------------------------------------------

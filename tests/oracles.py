@@ -4,17 +4,20 @@ Everything here recomputes results through a route different from the
 package: plain Gaussian elimination instead of Bareiss, Laplace
 expansion instead of fraction-free pivoting, exhaustive search instead
 of greedy selection, and direct enumeration of monomial order ideals
-instead of Macaulay's growth bound.
+instead of Macaulay's growth bound.  General contraction by an operator
+in S and evaluation of a form at a point live only here: the package
+contracts only by powers of a linear form.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Dict, List, Sequence, Set, Tuple
 
 from gorlef import linalg
-from gorlef.apolar import Poly, contract_monomial
+from gorlef.apolar import Poly, RING_R, RING_S
+from gorlef.errors import RingMismatchError
 from gorlef.construct import _nonzero_int
 from gorlef.gorenstein import sample_linear_form, structured_hessian_at
 from gorlef.linalg import Mat
@@ -347,16 +350,54 @@ def is_homogeneous(f: Poly) -> bool:
 
 
 def linear_form_poly(ell) -> Poly:
-    """sum a_i x_i (or X_i) as a Poly in the linear form's ring."""
+    """sum a_i x_i as a Poly in S."""
     n = ell.n_vars
-    return Poly(n, ell.ring, {tuple(int(k == i) for k in range(n)): c
-                              for i, c in enumerate(ell.coeffs)})
+    return Poly(n, RING_S, {tuple(int(k == i) for k in range(n)): c
+                            for i, c in enumerate(ell.coeffs)})
+
+
+def evaluate(f: Poly, point: Sequence[Fraction]) -> Fraction:
+    """f at a coordinate tuple, term by term."""
+    return sum(c * prod(p ** e for e, p in zip(m, point))
+               for m, c in f.terms.items())
+
+
+def _falling_product(e_top: Tuple[int, ...], e_low: Tuple[int, ...]) -> int:
+    """prod_k e_top_k * (e_top_k - 1) * ... over e_low_k factors."""
+    out = 1
+    for t, l in zip(e_top, e_low):
+        for step in range(l):
+            out *= t - step
+    return out
+
+
+def contract_monomial(e: Tuple[int, ...], f: Poly) -> Poly:
+    """x^e o f: the mixed partial d^|e|/dX^e, by falling products."""
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for ef, cf in f.terms.items():
+        if any(x < y for x, y in zip(ef, e)):
+            continue
+        m = tuple(x - y for x, y in zip(ef, e))
+        coef = cf * _falling_product(ef, e)
+        if coef:
+            out[m] = out.get(m, 0) + coef
+    return Poly(f.n_vars, RING_R, out)
+
+
+def contract(a: Poly, f: Poly) -> Poly:
+    """Apply the differential operator a in S to f in R, bilinearly."""
+    if a.ring != RING_S or f.ring != RING_R:
+        raise RingMismatchError(f"contract needs S operand and R target, got {a.ring}, {f.ring}")
+    if a.n_vars != f.n_vars:
+        raise RingMismatchError(f"variable count mismatch: {a.n_vars} vs {f.n_vars}")
+    return sum((contract_monomial(e, f).scale(c) for e, c in a.terms.items()),
+               Poly.zero(f.n_vars, RING_R))
 
 
 def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
                            point: Sequence[Fraction]) -> List[List[Fraction]]:
     """Hess^j(F)(P) entry by entry: ((b_u b_v) o F) evaluated at P."""
-    return [[contract_monomial(tuple(x + y for x, y in zip(u, v)), f).evaluate(point)
+    return [[evaluate(contract_monomial(tuple(x + y for x, y in zip(u, v)), f), point)
              for v in frame] for u in frame]
 
 

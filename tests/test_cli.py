@@ -335,6 +335,25 @@ class TestErrorContract:
          '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1], "coef": -Infinity}]}'],
         ["analyze", "--points", '{"points": [[1, Infinity], [1, 2]]}',
          "--alphas", "1,1", "--d", "2"],
+        ["analyze", "--points", '{"points": 5}', "--alphas", "1", "--d", "2"],
+        ["analyze", "--points", '{"points": [null]}', "--alphas", "1",
+         "--d", "2"],
+        ["analyze", "--points", '{"points": [[1, null]]}', "--alphas", "1",
+         "--d", "2"],
+        ["analyze", "--points", '{"points": [[1, {}]]}', "--alphas", "1",
+         "--d", "2"],
+        ["analyze", "--points", '{"points": [[1, [2]]]}', "--alphas", "1",
+         "--d", "2"],
+        ["analyze", "--poly",
+         '{"n_vars": true, "ring": "R", "terms": [{"exp": [1], "coef": "1"}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": 1.9, "ring": "R", "terms": [{"exp": [1], "coef": "1"}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": "1", "ring": "R", "terms": [{"exp": [1], "coef": "1"}]}'],
+        ["analyze", "--poly",
+         '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1], "coef": true}]}'],
+        ["analyze", "--points", '{"points": [[1, true], [1, 2]]}',
+         "--alphas", "1,1", "--d", "2"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -342,7 +361,10 @@ class TestErrorContract:
             "alphas-zero-denominator", "poly-d-below-degree",
             "poly-d-above-degree", "poly-not-homogeneous",
             "poly-coef-infinity", "poly-coef-minus-infinity",
-            "point-infinity"])
+            "point-infinity", "points-not-a-list", "point-null",
+            "coordinate-null", "coordinate-object", "coordinate-list",
+            "n-vars-bool", "n-vars-float", "n-vars-string", "coef-bool",
+            "coordinate-bool"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)

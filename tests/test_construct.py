@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gorlef.apolar import LinearFormR, LinearFormS, power_of_linear
+from gorlef.apolar import LinearFormS, Poly, RING_R, power_sum
 from gorlef.construct import (ConstructionResult, StructuredGenerator,
                               _separating_form, construct_slp_algebra,
                               hess_coefficient_criterion,
@@ -39,8 +39,8 @@ class TestStructuredGenerator:
         x = gen_two_lines(2, 2, False)
         g = StructuredGenerator(x=x, alphas=F(1, -2, 3, 5), d=3)
         total = None
-        for a, L in zip(g.alphas, x.duals()):
-            term = power_of_linear(L, 3).scale(a)
+        for a, p in zip(g.alphas, x.points):
+            term = Poly(3, RING_R, linear_power_terms(p, 3)).scale(a)
             total = term if total is None else total + term
         assert g.expanded.terms == total.terms
 
@@ -302,7 +302,6 @@ class TestRouteCheck:
             construct_slp_algebra(HVector.parse(h), random.Random(96))
 
     def test_check_slp_raises(self, lying_rank):
-        f = power_of_linear(LinearFormR([1, 2, 3]), 3) + power_of_linear(
-            LinearFormR([1, -1, 1]), 3)
+        f = power_sum([[1, 2, 3], [1, -1, 1]], [1, 1], 3, 3)
         with pytest.raises(HessianRankMismatchError):
             check_slp(GorensteinAlgebra(f), random.Random(97), attempts=3)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R,
+from gorlef.apolar import (LinearFormS, Poly, RING_R,
                            contract_linear_power, monomials_of_degree,
                            power_sum)
 from gorlef.construct import StructuredGenerator
@@ -58,8 +58,7 @@ def test_poly_terms(coefs):
 @given(st.lists(scalars, min_size=1, max_size=5))
 def test_linear_form_coefficients(coeffs):
     assume(any(Fraction(c) for c in coeffs))
-    for cls in (LinearFormR, LinearFormS):
-        assert all_exact(cls(coeffs).coeffs)
+    assert all_exact(LinearFormS(coeffs).coeffs)
 
 
 @SETTINGS

@@ -6,18 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlef.apolar import (LinearFormR, LinearFormS, Poly, RING_R, RING_S,
-                           monomials_of_degree, power_of_linear)
+from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
+                           monomials_of_degree, power_sum)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                check_slp, check_wlp, hessian_at,
-                               hilbert_function, multiplication_rank,
-                               sample_linear_form)
+                               multiplication_rank, sample_linear_form)
+from gorlef.construct import StructuredGenerator
 from gorlef.linalg import det, rank
+from gorlef.points import PointSet
 
-from oracles import gauss_pivot_columns, gauss_rank
+from oracles import evaluate, gauss_pivot_columns, gauss_rank
 
 
 def rmono(n, exp, c=1):
@@ -25,41 +26,42 @@ def rmono(n, exp, c=1):
 
 
 X0X1X2 = rmono(3, (1, 1, 1))
+X0X1X2_B1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # basis of A_1, d = 3
 
 
 class TestCatalecticant:
     def test_hand_case(self):
         # F = X0 X1: Cat^1 over rows (x0, x1), cols (x0, x1)
         f = rmono(2, (1, 1))
-        m = catalecticant(f, 1)
+        m = catalecticant(f, 1, 2)
         assert m.rows == 2 and m.cols == 2
         assert [[int(v) for v in row] for row in m.entries] == [[0, 1], [1, 0]]
 
     def test_factorial_normalization(self):
         # F = X0^2: (x0 * x0) o F = 2, recorded with 2! not 1
         f = rmono(2, (2, 0))
-        m = catalecticant(f, 1)
+        m = catalecticant(f, 1, 2)
         assert m.entries[0][0] == 2
 
     def test_rank_symmetry(self):
         f = X0X1X2
         for j in range(4):
-            assert rank(catalecticant(f, j)) == rank(catalecticant(f, 3 - j))
+            assert rank(catalecticant(f, j, 3)) == rank(catalecticant(f, 3 - j, 3))
 
     def test_degree_out_of_range(self):
         with pytest.raises(DegreeOutOfRangeError):
-            catalecticant(X0X1X2, 5)
+            catalecticant(X0X1X2, 5, 3)
 
     def test_generator_in_s_is_a_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
-            catalecticant(Poly.monomial(3, RING_S, (1, 1, 1)), 1)
+            catalecticant(Poly.monomial(3, RING_S, (1, 1, 1)), 1, 3)
 
     def test_matches_gauss_oracle(self):
         rng = random.Random(60)
         for _ in range(15):
             f = _random_form(rng, 3, 4)
             for j in range(3):
-                m = catalecticant(f, j)
+                m = catalecticant(f, j, 4)
                 assert rank(m) == gauss_rank(m.entries)
 
 
@@ -76,62 +78,61 @@ def _random_form(rng, n, d):
 
 class TestHilbertFunction:
     def test_frozen_cases(self):
-        assert tuple(hilbert_function(rmono(1, (3,)))) == (1, 1, 1, 1)
-        assert tuple(hilbert_function(X0X1X2)) == (1, 3, 3, 1)
+        assert tuple(GorensteinAlgebra(rmono(1, (3,))).hilbert) == (1, 1, 1, 1)
+        assert tuple(GorensteinAlgebra(X0X1X2).hilbert) == (1, 3, 3, 1)
         f = rmono(2, (2, 0)) + rmono(2, (0, 2))
-        assert tuple(hilbert_function(f)) == (1, 2, 1)
+        assert tuple(GorensteinAlgebra(f).hilbert) == (1, 2, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroGeneratorError):
-            hilbert_function(Poly.zero(2, RING_R))
+            GorensteinAlgebra(Poly.zero(2, RING_R))
 
     def test_symmetric_always(self):
         rng = random.Random(61)
         for _ in range(20):
-            h = tuple(hilbert_function(_random_form(rng, rng.randint(1, 3),
-                                                    rng.randint(1, 5))))
+            f = _random_form(rng, rng.randint(1, 3), rng.randint(1, 5))
+            h = tuple(GorensteinAlgebra(f).hilbert)
             assert h == h[::-1]
 
 
 class TestBasis:
     def test_basis_size_is_hilbert_value(self):
         f = X0X1X2
-        h = hilbert_function(f)
+        h = GorensteinAlgebra(f).hilbert
         for j in range(4):
-            assert len(basis(f, j)) == h[j]
+            assert len(basis(f, j, 3)) == h[j]
 
     def test_basis_of_monomial_algebra(self):
         # F = X0^3: only powers of x0 survive
         f = rmono(2, (3, 0))
-        assert basis(f, 1) == [(1, 0)]
-        assert basis(f, 2) == [(2, 0)]
+        assert basis(f, 1, 3) == [(1, 0)]
+        assert basis(f, 2, 3) == [(2, 0)]
 
 
 class TestHessian:
     def test_monomial_product_hand_case(self):
         ell = LinearFormS([1, 1, 1])
-        assert det(hessian_at(X0X1X2, 1, ell)) == 2
+        assert det(hessian_at(X0X1X2, 1, ell, X0X1X2_B1, 3)) == 2
 
     def test_degenerate_direction(self):
         ell = LinearFormS([1, 0, 0])
-        assert det(hessian_at(X0X1X2, 1, ell)) == 0
+        assert det(hessian_at(X0X1X2, 1, ell, X0X1X2_B1, 3)) == 0
 
     def test_hess0_is_evaluation(self):
         ell = LinearFormS([2, 1, 1])
-        m = hessian_at(X0X1X2, 0, ell)
-        assert m.entries == [[X0X1X2.evaluate(ell.point())]]
+        m = hessian_at(X0X1X2, 0, ell, [(0, 0, 0)], 3)
+        assert m.entries == [[evaluate(X0X1X2, ell.point())]]
 
     def test_symmetric_matrix(self):
         rng = random.Random(62)
         f = _random_form(rng, 3, 4)
         ell = sample_linear_form(3, rng)
-        m = hessian_at(f, 2, ell)
+        m = hessian_at(f, 2, ell, basis(f, 2, 4), 4)
         assert m == m.transpose()
 
     def test_rank_one_for_pure_power(self):
         # Hess^j(L^d) has rank one wherever it is nonzero
-        L = LinearFormR([Fraction(1), Fraction(2), Fraction(3)])
-        f = power_of_linear(L, 4)
+        f = power_sum([[Fraction(1), Fraction(2), Fraction(3)]], [1], 4, 3)
         ell = LinearFormS([1, 1, 1])
         frame = monomials_of_degree(3, 1)
         m = hessian_at(f, 1, ell, frame, 4)
@@ -154,31 +155,31 @@ class TestHessian:
 
     def test_variable_count_mismatch(self):
         with pytest.raises(RingMismatchError):
-            hessian_at(X0X1X2, 1, LinearFormS([1, 2]))
+            hessian_at(X0X1X2, 1, LinearFormS([1, 2]), X0X1X2_B1, 3)
 
 
 class TestMultiplicationRank:
     def test_full_rank_for_separating_form(self):
         ell = LinearFormS([1, 1, 1])
-        h = hilbert_function(X0X1X2)
+        h = GorensteinAlgebra(X0X1X2).hilbert
         for i in range(3):
-            assert multiplication_rank(X0X1X2, i, 1, ell) == min(h[i], h[i + 1])
+            assert multiplication_rank(X0X1X2, i, 1, ell, 3) == min(h[i], h[i + 1])
 
     def test_annihilating_power(self):
         # x0^2 o X0 X1 X2 = 0, so ell = x0 gives rank 0 beyond one step
         ell = LinearFormS([1, 0, 0])
-        assert multiplication_rank(X0X1X2, 0, 2, ell) == 0
+        assert multiplication_rank(X0X1X2, 0, 2, ell, 3) == 0
 
     def test_k_zero_is_identity_rank(self):
         ell = LinearFormS([1, 2, 3])
-        h = hilbert_function(X0X1X2)
+        h = GorensteinAlgebra(X0X1X2).hilbert
         for i in range(4):
-            assert multiplication_rank(X0X1X2, i, 0, ell) == h[i]
+            assert multiplication_rank(X0X1X2, i, 0, ell, 3) == h[i]
 
     def test_out_of_range(self):
         ell = LinearFormS([1, 1, 1])
         with pytest.raises(DegreeOutOfRangeError):
-            multiplication_rank(X0X1X2, 2, 5, ell)
+            multiplication_rank(X0X1X2, 2, 5, ell, 3)
 
 
 class TestLefschetzChecks:
@@ -253,6 +254,34 @@ class TestAlgebraContainer:
             GorensteinAlgebra(X0X1X2, d)
 
 
+def _algebras():
+    """One algebra from a polynomial and one from points, d = 3 and 4."""
+    x = PointSet([[1, 0], [0, 1], [1, 1]])
+    return [GorensteinAlgebra(X0X1X2),
+            GorensteinAlgebra.of_points(StructuredGenerator(x, (1, 2, -1), 4))]
+
+
+class TestBasisRange:
+    """The algebra keeps the bases of A_j for 0 <= j <= floor(d/2) only."""
+
+    @pytest.mark.parametrize("algebra", _algebras(), ids=["poly", "points"])
+    def test_kept_degrees(self, algebra):
+        for j in range(algebra.d // 2 + 1):
+            assert len(algebra.basis(j)) == algebra.hilbert[j]
+
+    @pytest.mark.parametrize("algebra", _algebras(), ids=["poly", "points"])
+    def test_other_degrees_raise(self, algebra):
+        for j in (-1, algebra.d // 2 + 1):
+            with pytest.raises(DegreeOutOfRangeError):
+                algebra.basis(j)
+
+    @pytest.mark.parametrize("algebra", _algebras(), ids=["poly", "points"])
+    def test_hessian_past_half_raises(self, algebra):
+        ell = LinearFormS([1] * algebra.n_vars)
+        with pytest.raises(DegreeOutOfRangeError):
+            algebra.hessian(algebra.d // 2 + 1, ell)
+
+
 @st.composite
 def _sparse_forms(draw):
     """Homogeneous F in 2-4 variables, not built from points."""
@@ -277,7 +306,6 @@ class TestHalfCatalecticants:
         full = [gauss_rank(catalecticant(f, j, d).entries) for j in range(d + 1)]
         algebra = GorensteinAlgebra(f, d)
         assert list(algebra.hilbert) == full
-        assert list(hilbert_function(f, d)) == full
         for j in range(d // 2 + 1):
             cat = catalecticant(f, j, d)
             rows = monomials_of_degree(f.n_vars, j)

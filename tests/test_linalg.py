@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gorlef.errors import NonSquareError
-from gorlef.linalg import Mat, det, nullspace, pivot_columns, pivot_rows, rank
+from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
 
 from oracles import gauss_rank, laplace_det, matmul
 
@@ -110,13 +110,13 @@ class TestPivots:
         for _ in range(40):
             m = random_mat(rng, rng.randint(1, 6), rng.randint(1, 6), box=3)
             assert len(pivot_columns(m)) == rank(m)
-            assert len(pivot_rows(m)) == rank(m)
+            assert len(pivot_columns(m.transpose())) == rank(m)
 
     def test_pivot_rows_are_independent(self):
         rng = random.Random(108)
         for _ in range(20):
             m = random_mat(rng, rng.randint(2, 6), rng.randint(2, 6), box=3)
-            rows = pivot_rows(m)
+            rows = pivot_columns(m.transpose())
             sub = Mat([m.entries[i] for i in rows]) if rows else Mat.zero(0, m.cols)
             if rows:
                 assert rank(sub) == len(rows)
