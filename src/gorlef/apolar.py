@@ -151,9 +151,11 @@ class Poly:
                 and all(type(e) is int and e >= 0 for e in t["exp"]) for t in terms):
             raise ValueError('polynomial terms must be a list of '
                              '{"exp": [int, ...], "coef": ...} objects')
+        coeffs = {tuple(t["exp"]): t["coef"] for t in terms}
+        if len(coeffs) != len(terms):
+            raise ValueError("polynomial terms repeat an exponent")
         try:
-            return cls(n_vars, data["ring"],
-                       {tuple(t["exp"]): t["coef"] for t in terms})
+            return cls(n_vars, data["ring"], coeffs)
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
 

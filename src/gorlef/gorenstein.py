@@ -38,10 +38,12 @@ for an of_points algebra, any d, and the conic verifier per line group);
 hessian_at contracts F only for an algebra built from a polynomial.
 certify_at builds every SLP certificate line: at each degree it records
 det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on the
-expanded F.  The two routes agree by the Hessian criterion, so on every
-caller a disagreement is raised as a bug.  _search, the one attempt
-loop, makes every SlpCertificate from a draw() of (algebra, ell);
-first_witness is the one search for a sampled form with a nonzero value.
+expanded F: at most h(j), so proven by a rank mod a prime that reaches
+h(j), and recomputed exactly otherwise.  The two routes agree by the
+Hessian criterion, so on every caller a disagreement is raised as a
+bug.  _search, the one attempt loop, makes every SlpCertificate from a
+draw() of (algebra, ell); first_witness is the one search for a sampled
+form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -212,20 +214,28 @@ def first_witness(value: Callable[[LinearFormS], Fraction], n_vars: int,
     return None
 
 
-def multiplication_rank(f: Poly, i: int, k: int, ell: LinearFormS,
-                        d: int) -> int:
-    """Rank of x ell^k : A_i -> A_(i+k), computed without Hessians.
+def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
+                        ell: LinearFormS) -> int:
+    """Rank of x ell^k : A_i -> A_(i+k) on the expanded F, without Hessians.
 
     Uses the matrix [(x^u x^v ell^k) o F] with u over degree-i and v
     over degree-(d-i-k) monomials; spanning sets suffice because the
-    apolarity pairing is perfect on A.
+    apolarity pairing is perfect on A.  The map factors through A_i and
+    A_(i+k), so its rank is at most c = min(h[i], h[i+k]): h is F's
+    Hilbert function on the catalecticant route, and on the point route
+    h[j] = rank V_min(j,d-j) >= h_F(j) by Cat^(d-j)(F) = d! V_(d-j)^T
+    diag(alpha) V_j.  A rank mod PRIME (a lower bound) of c proves rank
+    c; otherwise the exact rank is returned.
     """
+    d, h = algebra.d, algebra.hilbert
     if i < 0 or k < 0 or i + k > d:
         raise DegreeOutOfRangeError(f"need 0 <= i, 0 <= k, i+k <= {d}")
-    g = contract_linear_power(ell, k, f)  # degree d - k
+    g = contract_linear_power(ell, k, algebra.f)  # degree d - k
     if g.is_zero():
         return 0
-    return linalg.rank(catalecticant(g, i, d - k))
+    cat = catalecticant(g, i, d - k)
+    c = min(h[i], h[i + k])
+    return c if linalg.rank(cat, linalg.PRIME) == c else linalg.rank(cat)
 
 
 @dataclass(frozen=True)
@@ -333,16 +343,17 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     """SLP certificate lines at ell: both routes at every j <= floor(d/2).
 
     The det route is det algebra.hessian(j, ell); the rank route is the
-    rank of x ell^(d-2j): A_j -> A_(d-j) on the expanded F.  Any
+    exact rank of x ell^(d-2j): A_j -> A_(d-j) on the expanded F, proven
+    mod PRIME when it reaches h(j) (multiplication_rank).  Any
     disagreement raises HessianRankMismatchError.  Degrees j < t are
     labelled "hessian-det" and the rest "map-rank"; t=None labels all
     "hessian-det".
     """
-    f, d, h = algebra.f, algebra.d, algebra.hilbert
+    d, h = algebra.d, algebra.hilbert
     records = []
     for j in range(d // 2 + 1):
         dv = linalg.det(algebra.hessian(j, ell))
-        rk = multiplication_rank(f, j, d - 2 * j, ell, d)
+        rk = multiplication_rank(algebra, j, d - 2 * j, ell)
         if (dv != 0) != (rk == h[j]):
             raise HessianRankMismatchError(
                 f"j={j}: det={dv} but rank={rk}, required {h[j]}")
@@ -354,9 +365,9 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
 
 def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
     """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d."""
-    f, d, h = algebra.f, algebra.d, algebra.hilbert
+    d, h = algebra.d, algebra.hilbert
     return [DegreeRecord(j=i, method="map-rank", det=None,
-                         rank=multiplication_rank(f, i, 1, ell, d),
+                         rank=multiplication_rank(algebra, i, 1, ell),
                          required=min(h[i], h[i + 1]))
             for i in range(d)]
 

@@ -6,11 +6,13 @@ that decides, and it runs only in the constructors that store scalars
 (Mat entries, Poly terms, linear forms, points, weights); the kernels
 convert nothing.  `det` returns a Fraction.
 
-Every elimination runs through one fraction-free pass (Bareiss 1968,
+Every elimination runs through one forward pass: each row is cleared
+of denominators on entry, and the pass gives rank, pivot columns and
+the determinant together.  Exact, it is fraction-free (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination"): each row is cleared of denominators on entry, and the
-integer forward pass gives rank, pivot columns and the determinant
-together.  Only `nullspace` goes back to fractions, for its
+elimination"); `rank(m, q)` runs it on residues mod a prime q instead,
+which gives only a lower bound: a minor nonzero mod q is a nonzero
+integer minor.  Only `nullspace` goes back to fractions, for its
 back-substitution.
 
 Pivoting is deterministic (left-to-right, first nonzero row), which
@@ -26,6 +28,8 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import NonSquareError
+
+PRIME = 1073741789  # largest prime below 2^30: residue products stay small
 
 
 def exact(x):
@@ -100,16 +104,18 @@ def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
-def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
-    """Fraction-free forward elimination of integer rows, in place.
+def _eliminate(a: List[List[int]], cols: int,
+               q: int = 0) -> Tuple[List[int], int, int]:
+    """Forward elimination of integer rows, in place; mod q unless q = 0.
 
     Returns the pivot columns, the sign of the row permutation and the
     last pivot (1 when there is none).
-    After pivot step k every entry right of the pivots is a (k+1)-minor
-    of the input, so each division by the previous pivot is exact and
-    the last pivot of a nonsingular square matrix is its determinant.
-    A row with a zero in the pivot column is still scaled by
-    pivot/previous, or later divisions would not be exact.
+    Exact (q = 0): after pivot step k every entry right of the pivots
+    is a (k+1)-minor of the input, so each division by the previous
+    pivot is exact and the last pivot of a nonsingular square matrix is
+    its determinant.  A row with a zero in the pivot column is still
+    scaled by pivot/previous, or later divisions would not be exact.
+    Mod q the rows hold residues, updated by (p x - f y) mod q alone.
     """
     n = len(a)
     pivots: List[int] = []
@@ -133,10 +139,13 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
         for i in range(r + 1, n):
             row = a[i]
             f = row[c]
-            if f:
+            if f and q:
+                row[c:] = [0] + [(p * x - f * y) % q
+                                 for x, y in zip(row[c + 1:], tail)]
+            elif f:
                 row[c:] = [0] + [(p * x - f * y) // prev
                                  for x, y in zip(row[c + 1:], tail)]
-            elif p != prev:
+            elif p != prev and not q:
                 row[c + 1:] = [p * x // prev for x in row[c + 1:]]
         prev = p
         pivots.append(c)
@@ -158,9 +167,12 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def rank(m: Mat) -> int:
+def rank(m: Mat, q: int = 0) -> int:
+    """Rank over the rationals, or mod the prime q (a lower bound) if q."""
     a, _ = _integer_rows(m.entries)
-    return len(_eliminate(a, m.cols)[0])
+    if q:
+        a = [[x % q for x in row] for row in a]
+    return len(_eliminate(a, m.cols, q)[0])
 
 
 def pivot_columns(m: Mat) -> List[int]:

@@ -19,7 +19,8 @@ from gorlef import linalg
 from gorlef.apolar import Poly, RING_R, RING_S
 from gorlef.errors import RingMismatchError
 from gorlef.construct import _nonzero_int
-from gorlef.gorenstein import sample_linear_form, structured_hessian_at
+from gorlef.gorenstein import (catalecticant, sample_linear_form,
+                               structured_hessian_at)
 from gorlef.linalg import Mat
 
 
@@ -342,6 +343,17 @@ def linear_power_contraction(coeffs: Sequence[Fraction], k: int,
                 out[exp] = out.get(exp, Fraction(0)) + Fraction(a) * c
         terms = {e: c for e, c in out.items() if c != 0}
     return terms
+
+
+def exact_multiplication_rank(f: Poly, i: int, k: int, ell, d: int) -> int:
+    """Rank of x ell^k: A_i -> A_(i+k) as the exact rank of Cat^i(ell^k o F).
+
+    ell^k o F by repeated first-order derivatives, then exact Bareiss
+    rank (itself checked against gauss_rank): no prime, and no ceiling
+    from the Hilbert function.
+    """
+    g = Poly(f.n_vars, RING_R, linear_power_contraction(ell.coeffs, k, f.terms))
+    return linalg.rank(catalecticant(g, i, d - k))
 
 
 def is_homogeneous(f: Poly) -> bool:

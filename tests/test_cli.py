@@ -354,6 +354,8 @@ class TestErrorContract:
          '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1], "coef": true}]}'],
         ["analyze", "--points", '{"points": [[1, true], [1, 2]]}',
          "--alphas", "1,1", "--d", "2"],
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": ['
+         '{"exp": [1, 1], "coef": "1"}, {"exp": [1, 1], "coef": "-1"}]}'],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -364,7 +366,7 @@ class TestErrorContract:
             "point-infinity", "points-not-a-list", "point-null",
             "coordinate-null", "coordinate-object", "coordinate-list",
             "n-vars-bool", "n-vars-float", "n-vars-string", "coef-bool",
-            "coordinate-bool"])
+            "coordinate-bool", "poly-repeated-exponent"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)

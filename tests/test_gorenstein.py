@@ -14,11 +14,14 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                check_slp, check_wlp, hessian_at,
                                multiplication_rank, sample_linear_form)
-from gorlef.construct import StructuredGenerator
+from gorlef import linalg
+from gorlef.construct import StructuredGenerator, construct_slp_algebra
+from gorlef.hvector import HVector
 from gorlef.linalg import det, rank
 from gorlef.points import PointSet
 
-from oracles import evaluate, gauss_pivot_columns, gauss_rank
+from oracles import (evaluate, exact_multiplication_rank, gauss_pivot_columns,
+                     gauss_rank)
 
 
 def rmono(n, exp, c=1):
@@ -159,27 +162,58 @@ class TestHessian:
 
 
 class TestMultiplicationRank:
+    A = GorensteinAlgebra(X0X1X2, 3)
+
     def test_full_rank_for_separating_form(self):
         ell = LinearFormS([1, 1, 1])
-        h = GorensteinAlgebra(X0X1X2).hilbert
+        h = self.A.hilbert
         for i in range(3):
-            assert multiplication_rank(X0X1X2, i, 1, ell, 3) == min(h[i], h[i + 1])
+            assert multiplication_rank(self.A, i, 1, ell) == min(h[i], h[i + 1])
 
     def test_annihilating_power(self):
         # x0^2 o X0 X1 X2 = 0, so ell = x0 gives rank 0 beyond one step
         ell = LinearFormS([1, 0, 0])
-        assert multiplication_rank(X0X1X2, 0, 2, ell, 3) == 0
+        assert multiplication_rank(self.A, 0, 2, ell) == 0
 
     def test_k_zero_is_identity_rank(self):
         ell = LinearFormS([1, 2, 3])
-        h = GorensteinAlgebra(X0X1X2).hilbert
+        h = self.A.hilbert
         for i in range(4):
-            assert multiplication_rank(X0X1X2, i, 0, ell, 3) == h[i]
+            assert multiplication_rank(self.A, i, 0, ell) == h[i]
 
     def test_out_of_range(self):
         ell = LinearFormS([1, 1, 1])
         with pytest.raises(DegreeOutOfRangeError):
-            multiplication_rank(X0X1X2, 2, 5, ell, 3)
+            multiplication_rank(self.A, 2, 5, ell)
+
+    @pytest.fixture
+    def rank_moduli(self, monkeypatch):
+        seen = []
+        real = linalg.rank
+
+        def spy(m, q=0):
+            seen.append(q)
+            return real(m, q)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        return seen
+
+    def test_rank_lost_mod_the_prime_falls_back_to_exact(self, rank_moduli):
+        # every catalecticant entry of PRIME * X0X1X2 is 0 mod PRIME
+        f = X0X1X2.scale(linalg.PRIME)
+        algebra = GorensteinAlgebra(f)
+        ell = LinearFormS([1, 2, 3])
+        for i, k in [(0, 1), (1, 1), (2, 1), (1, 0), (0, 3)]:
+            rank_moduli.clear()
+            rk = multiplication_rank(algebra, i, k, ell)
+            assert rank_moduli == [linalg.PRIME, 0]
+            assert rk == exact_multiplication_rank(f, i, k, ell, 3) > 0
+
+    def test_construct_audit_stays_mod_the_prime(self, rank_moduli):
+        res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
+                                    random.Random(7))
+        assert res.certificate.verdict
+        assert rank_moduli and 0 not in rank_moduli
 
 
 class TestLefschetzChecks:
