@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import RingMismatchError
@@ -44,11 +44,6 @@ def monomials_of_degree(n_vars: int, degree: int) -> Tuple[Monomial, ...]:
         return ((degree,),)
     return tuple((first,) + rest for first in range(degree, -1, -1)
                  for rest in monomials_of_degree(n_vars - 1, degree - first))
-
-
-def monomial_eval(m: Monomial, point: Sequence):
-    """Evaluate the monomial at a coordinate tuple."""
-    return prod(p ** e for e, p in zip(m, point) if e)
 
 
 def _sort_key(m: Monomial):
@@ -156,7 +151,7 @@ class Poly:
             raise ValueError("polynomial terms repeat an exponent")
         try:
             return cls(n_vars, data["ring"], coeffs)
-        except (TypeError, ZeroDivisionError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
 
 

@@ -27,6 +27,7 @@ from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
                       is_differentiable)
 from .apolar import Poly
+from .linalg import exact
 from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
                      gen_generic, gen_rnc, gen_two_lines, lex_order_ideal)
 from .theorems import (make_tail_config, verify_conic_slp,
@@ -46,10 +47,7 @@ def _substream(seed: int, name: str) -> random.Random:
 
 
 def _parse_fractions(text: str) -> List[Fraction]:
-    try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return [exact(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_ints(text: str) -> List[int]:

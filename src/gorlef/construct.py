@@ -237,8 +237,8 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     chosen = set(idx)
     indicator = [int(i in chosen) for i in range(x.size)]
     det_route = first_witness(
-        lambda ell: linalg.det(structured_hessian_at(x.points, indicator, d, j,
-                                                     frame, ell)),
+        lambda ell: linalg.det(structured_hessian_at(x, indicator, d, j, frame,
+                                                     ell)),
         x.n + 1, rng, trials, box) is not None
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)
     return (det_route, hilbert_route)

@@ -27,8 +27,9 @@ point dual to a linear form ell decide the strong Lefschetz property:
 
 Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
 contraction gives the whole Hessian over a basis B of A_j (hessian_at);
-for a power sum it is also a sum of rank-one pieces, with v_i the
-monomials of B evaluated at the i-th point (structured_hessian_at):
+for a power sum it is also a sum of rank-one pieces, with v_i the i-th
+row of x.values(B), B at the i-th point, cached across draws of ell
+(structured_hessian_at):
 
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
                      = d!/(d-2j)! sum_i alpha_i L_i(P_ell)^(d-2j) v_i v_i^T
@@ -57,7 +58,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     monomial_eval, monomials_of_degree)
+                     monomials_of_degree)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
@@ -147,39 +148,36 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
     return Mat([[entry.get(tuple(map(add, u, v)), 0) for v in B] for u in B])
 
 
-def structured_hessian_at(points: Sequence[Sequence[Fraction]],
-                          alphas: Sequence[Fraction], d: int, j: int,
-                          basis_monomials: Sequence[Monomial],
-                          ell: LinearFormS) -> Mat:
+def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
+                          frame: Sequence[Monomial], ell: LinearFormS) -> Mat:
     """Hessian of sum alpha_i L_i^d at P_ell, assembled from rank-one pieces.
 
     Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
-    v_u = b_u(P_L); summing over the points avoids expanding F and is
-    the workhorse for weight-indexed determinant studies.  The sum is
-    V^T diag(c) V, accumulated in integers for integral data (upper
-    triangle only, then mirrored) and scaled by d!/(d-2j)! once.  Zero
-    weights are allowed here precisely to support those studies.
+    v_u = b_u(P_L), a row of x.values(frame) for the PointSet x; summing
+    over the points avoids expanding F and is the workhorse for weight-
+    indexed determinant studies.  The sum is V^T diag(c) V, accumulated
+    in integers for integral data (upper triangle only, then mirrored)
+    and scaled by d!/(d-2j)! once.  Zero weights are allowed here
+    precisely to support those studies.
     """
     if 2 * j > d:
         raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
-    B = list(basis_monomials)
-    size = len(B)
+    size = len(frame)
     k = d - 2 * j
     p_ell = ell.point()
     acc = [[0] * size for _ in range(size)]
-    for alpha, pt in zip(alphas, points):
+    for alpha, pt, v in zip(alphas, x.points, x.values(frame)):
         if alpha == 0:
             continue
         beta = sum(a * c for a, c in zip(p_ell, pt))
         if beta == 0 and k > 0:
             continue
-        v = [monomial_eval(b, pt) for b in B]
         c = alpha * beta ** k
         for a_i, va in enumerate(v):
             if va:
                 cva = c * va
                 row = acc[a_i]
-                row[a_i:] = [x + cva * y for x, y in zip(row[a_i:], v[a_i:])]
+                row[a_i:] = [e + cva * y for e, y in zip(row[a_i:], v[a_i:])]
     scale = factorial(d) // factorial(k)
     for a_i, row in enumerate(acc):
         for b_i in range(a_i, size):
@@ -331,8 +329,8 @@ class GorensteinAlgebra:
         g = self.generator
         if g is None:
             return hessian_at(self.f, j, ell, self.basis(j), self.d)
-        return structured_hessian_at(g.x.points, g.alphas, self.d, j,
-                                     self.basis(j), ell)
+        return structured_hessian_at(g.x, g.alphas, self.d, j, self.basis(j),
+                                     ell)
 
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0

@@ -36,8 +36,8 @@ def exact(x):
     """x as an int when integral, else as a Fraction.
 
     Accepts anything Fraction accepts: ints, Fractions, decimal or
-    "p/q" strings, finite floats.  An infinite float is a ValueError,
-    as a NaN already is, and so is a bool: True is not the number 1.
+    "p/q" strings, finite floats.  Infinite floats, NaNs, zero
+    denominators and bools are ValueErrors: True is not the number 1.
     """
     if type(x) is not int:
         if isinstance(x, bool):
@@ -45,7 +45,7 @@ def exact(x):
         if not isinstance(x, Fraction):
             try:
                 x = Fraction(x)
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 raise ValueError(f"{x!r} is not a finite rational number") from None
         if x.denominator == 1:
             return x.numerator

@@ -3,10 +3,11 @@
 h_{A(X)}(i) is the rank of the evaluation matrix V_i of degree-i
 monomials at the points; it increases to s = |X| and stabilizes there
 from the regularity degree tau(X) on.  The pivot columns of V_i, kept
-as monomials, are a basis of A(X)_i.  Generators produce the standard
-configurations (rational normal curves, two lines, distractions of
-monomial order ideals) used by the realization pipeline and the
-theorem verifiers.
+as monomials, are a basis of A(X)_i.  PointSet.values, cached per
+frame, is the one place that evaluates monomials at points.
+Generators produce the standard configurations (rational normal
+curves, two lines, distractions of monomial order ideals) used by the
+realization pipeline and the theorem verifiers.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, prod
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import Monomial, monomial_eval, monomials_of_degree
+from .apolar import Monomial, monomials_of_degree
 from .errors import (DuplicateParameterError, NotOSequenceError,
                      NotPlaneConfigError, PreconditionViolatedError,
                      RealizationMismatchError)
@@ -50,6 +51,7 @@ class PointSet:
         self.points: Tuple[Tuple[Fraction, ...], ...] = tuple(norm)
         self.n = n_coords - 1
         self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
+        self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
         self._tau = 0  # eager; fills the basis cache through degree tau
         while self.hilbert(self._tau) < self.size:
             self._tau += 1
@@ -58,9 +60,17 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
+    def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
+        """The frame's monomials at each point, one row per point; cached."""
+        key = tuple(frame)
+        if key not in self._values:
+            self._values[key] = tuple(
+                tuple(prod(c ** e for c, e in zip(p, m) if e) for m in key)
+                for p in self.points)
+        return self._values[key]
+
     def evaluation_matrix(self, i: int) -> Mat:
-        mons = monomials_of_degree(self.n + 1, i)
-        return Mat([[monomial_eval(m, p) for m in mons] for p in self.points])
+        return Mat(self.values(monomials_of_degree(self.n + 1, i)))
 
     def basis(self, i: int) -> Tuple[Monomial, ...]:
         """Degree-i monomials whose columns of V_i pivot, in descending lex."""

@@ -4,10 +4,10 @@ Each verifier builds its configuration, validates the hypotheses at
 runtime (loudly; never trusting the generator), certifies the claimed
 conclusion, and raises TheoremTensionError when a theorem instance
 unexpectedly fails.  Randomized nonvanishing verdicts remain one-sided.
-Every configuration is a power sum built by random_power_sum, and every
-Hessian here sums over its points (gorenstein.structured_hessian_at),
-the five of the conic decomposition included; only the independent rank
-route of the SLP certificates reads the expanded F.
+Every configuration is a power sum built by random_power_sum.  Its
+Hessians (structured_hessian_at, the conic decomposition's five
+included) and zero-forcing ranks read PointSet.values once per frame,
+not per ell; only the SLP certificates' rank route reads the expanded F.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, monomial_eval
+from .apolar import LinearFormS
 from .construct import random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
@@ -130,15 +130,14 @@ class ConicReport:
 
 
 def _split_two_lines(x: PointSet, alphas: Sequence[Fraction]) -> tuple:
-    """Points and weights on {x1 = 0}, (0:0:1) included, then on {x0 = 0}."""
-    groups = (([], []), ([], []))
+    """Weights over x of F1 on {x1 = 0}, (0:0:1) included, and F2 on {x0 = 0}."""
+    w1, w2 = [], []
     for p, a in zip(x.points, alphas):
         if p[0] != 0 and p[1] != 0:
             raise ShapeMismatchError(f"point {p} on neither line")
-        points, weights = groups[p[1] != 0]
-        points.append(p)
-        weights.append(a)
-    return groups
+        w1.append(0 if p[1] else a)
+        w2.append(a if p[1] else 0)
+    return w1, w2
 
 
 def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
@@ -181,12 +180,12 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
             f"no Lefschetz witness for two-line config ({s1},{s2},share={share})",
             certificate=cert)
 
-    # Split F along the lines; every Hessian sums over one group's points.
+    # Split F along the lines: each part weighs all of x, zero off its line.
     # x0^2 o L^d = d(d-1) a0^2 L^(d-2): F1' weighs P_i by d(d-1) p_i0^2.
     alphas = algebra.generator.alphas
-    (pts1, a1), (pts2, a2) = _split_two_lines(x, alphas)
-    a1p = [a * d * (d - 1) * p[0] ** 2 for a, p in zip(a1, pts1)]
-    a2p = [a * d * (d - 1) * p[1] ** 2 for a, p in zip(a2, pts2)]
+    a1, a2 = _split_two_lines(x, alphas)
+    a1p = [a * d * (d - 1) * p[0] ** 2 for a, p in zip(a1, x.points)]
+    a2p = [a * d * (d - 1) * p[1] ** 2 for a, p in zip(a2, x.points)]
 
     checks = 0
     for j in range(1, d // 2 + 1):
@@ -198,17 +197,17 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
         for _ in range(eval_points):
             ell = sample_linear_form(3, rng, box)
-            big = structured_hessian_at(x.points, alphas, d, j, frame, ell)
-            b = structured_hessian_at(pts1, a1, d, j, b_frame, ell)
-            c = structured_hessian_at(pts2, a2, d, j, c_frame, ell)
+            big = structured_hessian_at(x, alphas, d, j, frame, ell)
+            b = structured_hessian_at(x, a1, d, j, b_frame, ell)
+            c = structured_hessian_at(x, a2, d, j, c_frame, ell)
             pair = BlockPair(m=j + 1, b=b, c=c)
             if pair.assemble() != big:
                 raise TheoremTensionError(
                     f"block assembly mismatch at j={j}")
             det_b_minor = linalg.det(
-                structured_hessian_at(pts1, a1p, d - 2, j - 1, bm_frame, ell))
+                structured_hessian_at(x, a1p, d - 2, j - 1, bm_frame, ell))
             det_c_minor = linalg.det(
-                structured_hessian_at(pts2, a2p, d - 2, j - 1, cm_frame, ell))
+                structured_hessian_at(x, a2p, d - 2, j - 1, cm_frame, ell))
             rhs = (det_b_minor * linalg.det(c)
                    + linalg.det(b) * det_c_minor)
             lhs = linalg.det(big)
@@ -357,10 +356,9 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
     # and ell with alpha_i = 0 iff the rows of V off P_i have rank < |B|.
     checks = 0
     for i in off:
-        rest = [p for q, p in enumerate(x.points) if q != i]
         for j in range(k - 1, d // 2 + 1):
             frame = algebra.basis(j)
-            v = Mat([[monomial_eval(b, p) for b in frame] for p in rest])
+            v = Mat([r for q, r in enumerate(x.values(frame)) if q != i])
             if linalg.rank(v) == len(frame):
                 raise TheoremTensionError(
                     f"det survives zeroing off-curve weight {i} at j={j}")

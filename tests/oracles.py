@@ -417,23 +417,24 @@ def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
 # Zero-forcing by sampling
 
 
-def sampled_zero_forcing(points: Sequence[Sequence[Fraction]], d: int, j: int,
-                         frame: Sequence[Tuple[int, ...]], i: int, rng,
+def sampled_zero_forcing(x, d: int, j: int, frame: Sequence[Tuple[int, ...]],
+                         i: int, rng,
                          trials: int, alpha_box: int = 20,
                          box: int = 50) -> int:
     """How many of `trials` draws with weight i zeroed leave det Hess^j != 0.
 
-    Each draw takes fresh nonzero weights, sets weight i to 0, samples
-    ell and evaluates the determinant of the structured Hessian: the
-    sampled counterpart of the rank proof in verify_tail_nonvanishing.
+    Each draw takes fresh nonzero weights over the PointSet x, sets weight
+    i to 0, samples ell and evaluates the determinant of the structured
+    Hessian: the sampled counterpart of the rank proof in
+    verify_tail_nonvanishing.
     """
     nonzero = 0
     for _ in range(trials):
-        trial_alphas = [_nonzero_int(rng, alpha_box) for _ in range(len(points))]
+        trial_alphas = [_nonzero_int(rng, alpha_box) for _ in range(x.size)]
         trial_alphas[i] = 0
         ell = sample_linear_form(3, rng, box)
         val = linalg.det(structured_hessian_at(
-            points, trial_alphas, d, j, frame, ell))
+            x, trial_alphas, d, j, frame, ell))
         if val != 0:
             nonzero += 1
     return nonzero

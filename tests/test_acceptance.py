@@ -266,8 +266,8 @@ def test_criterion_06_multilinearity():
             for shift in (0, 1, 2):
                 weights = list(base)
                 weights[i] = base[i] + shift
-                vals.append(det(structured_hessian_at(x.points, weights, d, j,
-                                                      frame, ell)))
+                vals.append(det(structured_hessian_at(x, weights, d, j, frame,
+                                                      ell)))
             assert vals[2] - 2 * vals[1] + vals[0] == 0, (trial, i)
     print("criterion 06: PASS (50 instances, every weight)")
 

@@ -356,6 +356,8 @@ class TestErrorContract:
          "--alphas", "1,1", "--d", "2"],
         ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": ['
          '{"exp": [1, 1], "coef": "1"}, {"exp": [1, 1], "coef": "-1"}]}'],
+        ["analyze", "--points", '{"points": [["1/0"]]}', "--alphas", "1",
+         "--d", "2"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -366,7 +368,8 @@ class TestErrorContract:
             "point-infinity", "points-not-a-list", "point-null",
             "coordinate-null", "coordinate-object", "coordinate-list",
             "n-vars-bool", "n-vars-float", "n-vars-string", "coef-bool",
-            "coordinate-bool", "poly-repeated-exponent"])
+            "coordinate-bool", "poly-repeated-exponent",
+            "points-zero-denominator"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)

@@ -91,22 +91,21 @@ class TestStructuredHessian:
                 ell = LinearFormS(coeffs)
                 for j in range(d // 2 + 1):
                     frame = algebra.basis(j)
-                    fast = structured_hessian_at(x.points, alphas, d, j,
-                                                 frame, ell)
+                    fast = structured_hessian_at(x, alphas, d, j, frame, ell)
                     slow = hessian_at(g.expanded, j, ell, frame, d)
                     assert fast.entries == slow.entries
 
     def test_zero_weights_allowed_in_assembly(self):
         x = gen_collinear(2, 3)
         ell = LinearFormS(F(1, 1, 1))
-        m = structured_hessian_at(x.points, F(0, 0, 0), 4, 1,
+        m = structured_hessian_at(x, F(0, 0, 0), 4, 1,
                                   [(1, 0, 0), (0, 1, 0)], ell)
         assert all(v == 0 for row in m.entries for v in row)
 
     def test_degree_bound_enforced(self):
         x = gen_collinear(2, 2)
         with pytest.raises(PreconditionViolatedError):
-            structured_hessian_at(x.points, F(1, 1), 3, 2,
+            structured_hessian_at(x, F(1, 1), 3, 2,
                                   [(1, 0, 0)], LinearFormS(F(1, 1, 1)))
 
     def test_affine_linear_in_each_weight(self):
@@ -124,8 +123,7 @@ class TestStructuredHessian:
             for shift in (0, 1, 2):
                 a = list(base)
                 a[i] = base[i] + shift
-                vals.append(det(structured_hessian_at(x.points, a, d, j,
-                                                      frame, ell)))
+                vals.append(det(structured_hessian_at(x, a, d, j, frame, ell)))
             assert vals[2] - 2 * vals[1] + vals[0] == 0
 
 

@@ -1,4 +1,5 @@
-"""Every public top-level def and class in gorlef has a caller in gorlef.
+"""Every public top-level def and class in gorlef has a caller in gorlef,
+and no module but `__init__.py` imports a name it never references.
 
 A name that only `__init__.py` re-exports, or only the tests call, is a
 helper that no CLI command or verifier reaches; tests that need such a
@@ -43,3 +44,32 @@ def test_every_public_helper_has_a_caller():
 def test_the_exemptions_are_still_defined():
     defined, _ = _public_definitions_and_references()
     assert PAPER_CHECKS <= defined.keys()
+
+
+def _unreferenced_imports(source: str):
+    """Names a module imports but never references, __future__ aside."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(gorlef.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unreferenced_imports(path.read_text())
+            if names:
+                unused[path.name] = names
+    assert unused == {}
+
+
+def test_the_import_check_sees_an_unused_import():
+    assert _unreferenced_imports(
+        "from math import factorial, prod\nfactorial(3)\n") == ["prod"]
+    assert _unreferenced_imports(
+        "from __future__ import annotations\nimport os.path\nos.sep\n") == []

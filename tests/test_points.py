@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
                            NotPlaneConfigError, RealizationMismatchError)
 from gorlef.points import (OrderIdeal, PointSet, davis_hint,
@@ -13,11 +15,42 @@ from gorlef.points import (OrderIdeal, PointSet, davis_hint,
                            gen_two_lines, has_collinear_triple,
                            lex_order_ideal)
 
-from oracles import collinear_triples
+from oracles import collinear_triples, evaluate
 
 
 def P(*coords):
     return [Fraction(c) for c in coords]
+
+
+coordinates = st.one_of(st.integers(-5, 5),
+                        st.fractions(min_value=-4, max_value=4,
+                                     max_denominator=6))
+
+
+@st.composite
+def points_and_frames(draw):
+    n_vars = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.lists(coordinates, min_size=n_vars,
+                                 max_size=n_vars).filter(any),
+                        min_size=1, max_size=5,
+                        unique_by=lambda p: PointSet([p]).points))
+    mons = [m for k in range(4) for m in monomials_of_degree(n_vars, k)]
+    return PointSet(pts), draw(st.lists(st.sampled_from(mons), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_and_frames())
+def test_values_are_the_frame_evaluated_at_each_point(case):
+    x, frame = case
+    rows = x.values(frame)
+    assert rows == tuple(
+        tuple(evaluate(Poly.monomial(x.n + 1, RING_R, m), p) for m in frame)
+        for p in x.points)
+    assert x.values(list(frame)) is rows  # cached per frame
+    for i in range(3):
+        mons = monomials_of_degree(x.n + 1, i)
+        assert x.evaluation_matrix(i).entries == [list(r) for r in
+                                                  x.values(mons)]
 
 
 class TestPointSet:

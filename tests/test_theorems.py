@@ -9,8 +9,10 @@ from gorlef import linalg, theorems
 from gorlef.errors import (NotPlaneConfigError, PreconditionViolatedError,
                            ShapeMismatchError, TheoremTensionError)
 from gorlef.linalg import Mat
-from gorlef.points import PointSet, find_subset_on_curve, gen_generic
-from gorlef.theorems import (BlockPair, block_det_identity, make_tail_config,
+from gorlef.points import (PointSet, find_subset_on_curve, gen_generic,
+                           gen_two_lines)
+from gorlef.theorems import (BlockPair, _split_two_lines, block_det_identity,
+                             make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_prop_s_minus, verify_rnc_slp,
                              verify_tail_nonvanishing)
@@ -112,9 +114,57 @@ class TestConicVerifier:
         assert rep.certificate.verdict is True
 
 
+    def test_each_frame_is_evaluated_once_whatever_eval_points(self,
+                                                              monkeypatch):
+        requests = []
+        real = PointSet.values
+
+        def spy(x, frame):
+            rows = real(x, frame)
+            requests.append((x, tuple(frame), rows))
+            return rows
+
+        monkeypatch.setattr(PointSet, "values", spy)
+        evaluated = {}
+        for eval_points in (1, 4):
+            requests.clear()
+            verify_conic_slp(3, 4, False, 6, random.Random(107),
+                             eval_points=eval_points)
+            rows_of = {}
+            for x, frame, rows in requests:
+                # a second evaluation would build new rows
+                assert rows_of.setdefault((id(x), frame), rows) is rows
+            evaluated[eval_points] = sorted(frame for _, frame in rows_of)
+            assert len(requests) > len(rows_of)
+        assert evaluated[1] == evaluated[4]
+
+
 def rep_tau(s1, s2, share):
-    from gorlef.points import gen_two_lines
     return gen_two_lines(s1, s2, share).tau()
+
+
+class TestConicSplit:
+    @pytest.mark.parametrize("share", [False, True])
+    def test_parts_sum_to_the_weights_with_disjoint_supports(self, share):
+        x = gen_two_lines(3, 4, share)
+        alphas = [Fraction(i + 1, 2) for i in range(x.size)]
+        w1, w2 = _split_two_lines(x, alphas)
+        assert [a + b for a, b in zip(w1, w2)] == alphas
+        assert all(a == 0 or b == 0 for a, b in zip(w1, w2))
+        assert all(p[1] == 0 for p, a in zip(x.points, w1) if a)
+        assert all(p[0] == 0 for p, a in zip(x.points, w2) if a)
+
+    def test_shared_intersection_is_in_f1_only(self):
+        x = gen_two_lines(3, 4, True)
+        q = x.points.index((0, 0, 1))
+        w1, w2 = _split_two_lines(x, [1] * x.size)
+        assert (w1[q], w2[q]) == (1, 0)
+        assert sum(w1) == 3 and sum(w2) == 3
+
+    def test_point_on_neither_line_raises(self):
+        x = PointSet([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+        with pytest.raises(ShapeMismatchError, match="neither line"):
+            _split_two_lines(x, [1, 1, 1])
 
 
 class TestTailConfigs:
@@ -230,7 +280,7 @@ class TestZeroForcing:
         rng = random.Random(1000 + idx)
         for i in rep.off_indices:
             for j in degrees:
-                assert sampled_zero_forcing(x.points, d, j, x.basis(j), i,
+                assert sampled_zero_forcing(x, d, j, x.basis(j), i,
                                             rng, trials) == 0, (i, j)
 
     def test_wrong_curve_subset_is_refuted(self, monkeypatch):
@@ -243,7 +293,7 @@ class TestZeroForcing:
                            match="off-curve weight 0 at j=1$"):
             verify_tail_nonvanishing("line", x, 4, k, random.Random(1),
                                      trials=30)
-        assert sampled_zero_forcing(x.points, 4, 1, x.basis(1), 0,
+        assert sampled_zero_forcing(x, 4, 1, x.basis(1), 0,
                                     random.Random(2), 30) == 30
 
 
