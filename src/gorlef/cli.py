@@ -16,16 +16,15 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .construct import StructuredGenerator, construct_slp_algebra
 from .errors import GorlefError
 from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
-                      is_differentiable)
+                      is_differentiable, parse_list)
 from .apolar import Poly
 from .linalg import exact
 from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
@@ -44,14 +43,6 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 def _substream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
-
-
-def _parse_fractions(text: str) -> List[Fraction]:
-    return [exact(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_ints(text: str) -> List[int]:
-    return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _load_json_arg(value: str) -> dict:
@@ -131,7 +122,7 @@ def _run_analyze(args) -> Tuple[dict, int]:
         if args.points is None or args.alphas is None or args.d is None:
             raise ValueError("need --poly, or --points with --alphas and --d")
         x = PointSet.from_json_dict(_load_json_arg(args.points))
-        alphas = _parse_fractions(args.alphas)
+        alphas = parse_list(args.alphas, exact)
         g = StructuredGenerator(x=x, alphas=tuple(alphas), d=args.d)
         doc["input"] = g.to_json_dict()
         algebra = GorensteinAlgebra.of_points(g)
@@ -166,11 +157,11 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "two-lines":
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
-        params = (_parse_ints(args.params) if args.params
+        params = (parse_list(args.params) if args.params
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)
     elif kind == "distraction":
-        delta = _parse_ints(args.delta)
+        delta = parse_list(args.delta)
         n_vars = args.n if args.n is not None else (
             delta[1] if len(delta) > 1 else 1)
         ideal = lex_order_ideal(delta, n_vars)
@@ -233,7 +224,7 @@ def _run_verify(args) -> Tuple[dict, int]:
                              for j, (ell, val) in sorted(report.witnesses.items())],
                "zero_forcing_checks": report.zero_forcing_checks}
     elif t == "families":
-        ms = _parse_ints(args.m) if args.m else [2, 3, 4]
+        ms = parse_list(args.m) if args.m else [2, 3, 4]
         reports = verify_corollary_families(ms, rng, attempts=args.attempts,
                                             alpha_box=args.alpha_box,
                                             box=args.coord_box)

@@ -40,11 +40,16 @@ hessian_at contracts F only for an algebra built from a polynomial.
 certify_at builds every SLP certificate line: at each degree it records
 det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on the
 expanded F: at most h(j), so proven by a rank mod a prime that reaches
-h(j), and recomputed exactly otherwise.  The two routes agree by the
-Hessian criterion, so on every caller a disagreement is raised as a
-bug.  _search, the one attempt loop, makes every SlpCertificate from a
-draw() of (algebra, ell); first_witness is the one search for a sampled
-form with a nonzero value.
+h(j), and recomputed exactly otherwise.  That rank mod the prime is
+taken on the h(j) x h(j) block Cat^j(ell^(d-2j) o F)[B, B], the matrix
+of the Hessian identity above: B spans A_j, so over Q the block has the
+rank of the whole catalecticant, and a nonzero minor mod the prime
+proves the rank whatever B is (multiplication_rank).  The rank route
+reads the expanded F and, for a power sum, the det route reads the
+points; the two agree by the Hessian criterion, so on every caller a
+disagreement is raised as a bug.  _search, the one attempt loop, makes
+every SlpCertificate from a draw() of (algebra, ell); first_witness is
+the one search for a sampled form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -86,22 +91,27 @@ def _derivative_values(f: Poly) -> dict:
     return scaled
 
 
-def catalecticant(f: Poly, j: int, d: int) -> Mat:
-    """Catalecticant matrix of F in degree j.
+def catalecticant(f: Poly, j: int, d: int,
+                  rows: Optional[Sequence[Monomial]] = None,
+                  cols: Optional[Sequence[Monomial]] = None) -> Mat:
+    """Catalecticant matrix of F in degree j, or its block over rows x cols.
 
     Rows run over degree-j monomials of S, columns over degree-(d-j)
-    monomials, both in descending lex; entry (u, v) = (x^u x^v) o F,
-    a scalar carrying the factorial constants of true differentiation.
-    Integral entries are stored as ints.
+    monomials, by default all of them in descending lex; entry (u, v) =
+    (x^u x^v) o F, a scalar carrying the factorial constants of true
+    differentiation.  Integral entries are stored as ints.
     """
     if f.ring != RING_R:
         raise RingMismatchError("dual generator must live in R")
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
     scaled = _derivative_values(f)
-    cols = monomials_of_degree(f.n_vars, d - j)
+    if rows is None:
+        rows = monomials_of_degree(f.n_vars, j)
+    if cols is None:
+        cols = monomials_of_degree(f.n_vars, d - j)
     return Mat([[scaled.get(tuple(map(add, u, v)), 0) for v in cols]
-                for u in monomials_of_degree(f.n_vars, j)])
+                for u in rows])
 
 
 def _mirrored(half: List[int], d: int) -> HVector:
@@ -216,14 +226,26 @@ def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
                         ell: LinearFormS) -> int:
     """Rank of x ell^k : A_i -> A_(i+k) on the expanded F, without Hessians.
 
-    Uses the matrix [(x^u x^v ell^k) o F] with u over degree-i and v
-    over degree-(d-i-k) monomials; spanning sets suffice because the
-    apolarity pairing is perfect on A.  The map factors through A_i and
-    A_(i+k), so its rank is at most c = min(h[i], h[i+k]): h is F's
-    Hilbert function on the catalecticant route, and on the point route
-    h[j] = rank V_min(j,d-j) >= h_F(j) by Cat^(d-j)(F) = d! V_(d-j)^T
-    diag(alpha) V_j.  A rank mod PRIME (a lower bound) of c proves rank
-    c; otherwise the exact rank is returned.
+    Uses the matrix Cat^i(g), g = ell^k o F, entry (u, v) = (x^u x^v
+    ell^k) o F with u over degree-i and v over degree-lo monomials, lo
+    = d-k-i.  The map factors through A_i and A_(i+k), so its rank is at
+    most c = min(h[i], h[i+k]): h is F's Hilbert function on the
+    catalecticant route, and on the point route h[j] = rank
+    V_min(j,d-j) >= h_F(j) by Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha)
+    V_j.  A rank mod PRIME (a lower bound) of c proves rank c;
+    otherwise the exact rank of the full Cat^i(g) is returned.
+
+    When i and lo are both at most floor(d/2), as on every SLP line,
+    the rank mod PRIME is taken on the block Cat^i(g)[B_i, B_lo] over
+    the kept bases, h(i) x h(lo) instead of N_i x N_lo.  A c-minor of
+    the block nonzero mod PRIME is a c-minor of Cat^i(g), so the proof
+    never depends on B.  Over Q the block also loses no rank: (a, b) ->
+    (a b ell^k) o F vanishes when a or b lies in Ann(F), and B_j spans
+    S_j modulo Ann(F)_j on both routes (the pivots of Cat^(d-j) =
+    Cat^j(F)^T, or the pivot columns of V_j, which span S_j modulo
+    I(X)_j, inside Ann(F)_j), so the rows in B_i and the columns in
+    B_lo span all of Cat^i(g)'s.  The exact fallback thus fires only
+    where the full matrix would need it too.
     """
     d, h = algebra.d, algebra.hilbert
     if i < 0 or k < 0 or i + k > d:
@@ -231,9 +253,14 @@ def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
     g = contract_linear_power(ell, k, algebra.f)  # degree d - k
     if g.is_zero():
         return 0
-    cat = catalecticant(g, i, d - k)
+    lo = d - k - i
+    block = max(i, lo) <= d // 2
+    m = (catalecticant(g, i, d - k, algebra.basis(i), algebra.basis(lo))
+         if block else catalecticant(g, i, d - k))
     c = min(h[i], h[i + k])
-    return c if linalg.rank(cat, linalg.PRIME) == c else linalg.rank(cat)
+    if linalg.rank(m, linalg.PRIME) == c:
+        return c
+    return linalg.rank(catalecticant(g, i, d - k) if block else m)
 
 
 @dataclass(frozen=True)

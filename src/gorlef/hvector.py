@@ -9,9 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import NotSIError
+
+
+def parse_list(text: str, convert: Callable[[str], object] = int) -> list:
+    """Comma-separated entries, stripped and converted; an empty one is a
+    ValueError, so "1,,2" is not read as the shorter "1,2"."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
+        raise ValueError(f"empty entry in the list {text!r}")
+    return [convert(tok) for tok in tokens]
 
 
 class HVector:
@@ -40,10 +49,7 @@ class HVector:
         t = text.strip()
         if t.startswith("[") and t.endswith("]"):
             t = t[1:-1]
-        parts = [p.strip() for p in t.split(",") if p.strip()]
-        if not parts:
-            raise ValueError(f"cannot parse h-vector from {text!r}")
-        return cls([int(p) for p in parts])
+        return cls(parse_list(t))
 
     @property
     def socle_degree(self) -> int:

@@ -3,8 +3,9 @@
 Stored scalars, here and in every module, are Python ints when
 integral and fractions.Fraction otherwise.  `exact` is the one place
 that decides, and it runs only in the constructors that store scalars
-(Mat entries, Poly terms, linear forms, points, weights); the kernels
-convert nothing.  `det` returns a Fraction.
+(Mat entries, Poly terms, linear forms, points, weights); Mat passes a
+plain int through as it is, and the kernels convert nothing.  `det`
+returns a Fraction.
 
 Every elimination runs through one forward pass: each row is cleared
 of denominators on entry, and the pass gives rank, pivot columns and
@@ -59,7 +60,8 @@ class Mat:
 
     def __init__(self, entries: Sequence[Sequence]):
         self.entries: List[list] = [
-            [exact(x) for x in row] for row in entries
+            [x if type(x) is int else exact(x) for x in row]
+            for row in entries
         ]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0

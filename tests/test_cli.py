@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: JSON documents, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gorlef
 from gorlef import cli, construct, errors
@@ -358,6 +361,15 @@ class TestErrorContract:
          '{"exp": [1, 1], "coef": "1"}, {"exp": [1, 1], "coef": "-1"}]}'],
         ["analyze", "--points", '{"points": [["1/0"]]}', "--alphas", "1",
          "--d", "2"],
+        # an empty list entry used to be dropped, reading a shorter list
+        ["seq", "check", "1,,2,1"],
+        ["seq", "check", "1,2,1,"],
+        ["construct", "--h", "1,3,,1"],
+        ["analyze", "--points", '{"points": [[1, 2], [1, 3]]}',
+         "--alphas", "1,,1", "--d", "2"],
+        ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "2",
+         "--params", "1,,2"],
+        ["points", "gen", "--kind", "distraction", "--delta", "1,2,"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -369,7 +381,9 @@ class TestErrorContract:
             "coordinate-null", "coordinate-object", "coordinate-list",
             "n-vars-bool", "n-vars-float", "n-vars-string", "coef-bool",
             "coordinate-bool", "poly-repeated-exponent",
-            "points-zero-denominator"])
+            "points-zero-denominator", "seq-empty-entry",
+            "seq-trailing-comma", "h-empty-entry", "alphas-empty-entry",
+            "params-empty-entry", "delta-trailing-comma"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)
@@ -485,6 +499,50 @@ class TestErrorContract:
         out = tmp_path / "x.json"
         assert main(["seq", "check", "1,2,1", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+
+# List entries a user might mistype: empty or blank tokens, non-finite and
+# non-integral numbers, a zero denominator, and ints past 64 bits or past
+# int()'s digit limit.  Small ints keep every valid request small.
+_TOKENS = st.one_of(
+    st.sampled_from(["", " ", "\t", "NaN", "nan", "Infinity", "-Infinity",
+                     "inf", "1/0", "1/2", "-1", "0", "1", "2", "3", " 2 ",
+                     "+1", "1.5", "1e3", "x"]),
+    st.integers(2 ** 64, 10 ** 40).map(str),
+    st.just("9" * 5000))
+_LISTS = st.builds(lambda toks, frame: frame.format(",".join(toks)),
+                   st.lists(_TOKENS, min_size=1, max_size=6),
+                   st.sampled_from(["{}", "[{}]", " {} ", "[ {} ]"]))
+_LIST_ARGVS = {
+    "seq": lambda v: ["seq", "check", v],
+    "h": lambda v: ["construct", "--h", v, "--attempts", "3"],
+    "alphas": lambda v: ["analyze", "--points", '{"points": [[1, 0], [1, 1]]}',
+                         "--alphas", v, "--d", "2", "--attempts", "3"],
+    "params": lambda v: ["points", "gen", "--kind", "rnc", "--n", "2",
+                         "--s", "3", "--params", v],
+    "delta": lambda v: ["points", "gen", "--kind", "distraction",
+                        "--delta", v],
+}
+
+
+class TestListArgumentFuzz:
+    """Any list argument gives exit 0, 1 or 2 and a JSON document, never a
+    traceback.  Argparse's own exit 2 (a value that looks like a flag, such
+    as "-Infinity,1") prints usage on stderr and leaves stdout empty."""
+
+    @pytest.mark.parametrize("flag", sorted(_LIST_ARGVS))
+    @settings(max_examples=60, deadline=5000)
+    @given(value=_LISTS)
+    @example(value=f"1,{2 ** 64},1")  # an SI-sequence in 2^64 - 1 variables
+    def test_exit_code_and_no_traceback(self, flag, value):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_LIST_ARGVS[flag](value))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if out.getvalue() or code != 2:
+            doc = json.loads(out.getvalue())
+            assert ("error" in doc) == (code != 0)
 
 
 class TestParserReuse:

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
                            monomials_of_degree, power_sum)
@@ -215,6 +216,21 @@ class TestMultiplicationRank:
         assert res.certificate.verdict
         assert rank_moduli and 0 not in rank_moduli
 
+    def test_construct_audit_ranks_the_basis_blocks(self, monkeypatch):
+        shapes = []
+        real = linalg.rank
+
+        def spy(m, q=0):
+            if q:
+                shapes.append((m.rows, m.cols))
+            return real(m, q)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        h = HVector.parse("1,3,5,5,3,1")
+        res = construct_slp_algebra(h, random.Random(7))
+        assert res.certificate.verdict
+        assert set(shapes) == {(h[j], h[j]) for j in range(3)}
+
 
 class TestLefschetzChecks:
     def test_slp_for_monomial_complete_intersections(self):
@@ -347,6 +363,77 @@ class TestHalfCatalecticants:
             expected = [rows[i] for i in gauss_pivot_columns(transposed)]
             assert algebra.basis(j) == expected
             assert basis(f, j, d) == expected
+
+
+@st.composite
+def _power_sums(draw, on_points):
+    """F = sum alpha_i L_i^d over 1-6 points of P^1 or P^2, with d on the
+    point-basis route (2 tau <= d+1) or below it (catalecticant route)."""
+    n = draw(st.integers(1, 2))
+    rest = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    x = PointSet([[1, *p] for p in draw(
+        st.lists(rest, min_size=1, max_size=6, unique_by=tuple))])
+    tau = x.tau()
+    assume(on_points or tau >= 2)
+    d = draw(st.integers(max(1, 2 * tau - 1), 2 * tau + 1) if on_points
+             else st.integers(1, 2 * tau - 2))
+    alphas = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=x.size,
+                           max_size=x.size))
+    return GorensteinAlgebra.of_points(StructuredGenerator(x, alphas, d))
+
+
+_ELLS = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+class TestBlockAudit:
+    """multiplication_rank takes its rank mod PRIME on the basis block when
+    both degrees are at most d/2: it must still give the exact rank of the
+    whole catalecticant on every line, WLP lines and degenerate ell too,
+    and fall back to an exact rank only where that rank is below the
+    ceiling, so the block loses no rank the full matrix has."""
+
+    @staticmethod
+    def _every_line(algebra, coeffs):
+        assume(any(coeffs[:algebra.n_vars]))
+        ell = LinearFormS(coeffs[:algebra.n_vars])
+        d, h = algebra.d, algebra.hilbert
+        moduli = []
+        real = linalg.rank
+
+        def spy(m, q=0):
+            moduli.append(q)
+            return real(m, q)
+
+        for i in range(d + 1):
+            for k in range(d + 1 - i):
+                moduli.clear()
+                with mock.patch.object(linalg, "rank", spy):
+                    rk = multiplication_rank(algebra, i, k, ell)
+                exact = exact_multiplication_rank(algebra.f, i, k, ell, d)
+                assert rk == exact
+                if moduli:  # no rank at all when ell^k o F = 0
+                    fell_back = exact < min(h[i], h[i + k])
+                    assert moduli == [linalg.PRIME] + [0] * fell_back
+
+    @settings(max_examples=60, deadline=None)
+    @given(_power_sums(on_points=True), _ELLS)
+    def test_point_basis_route(self, algebra, coeffs):
+        assert 2 * algebra.generator.x.tau() <= algebra.d + 1
+        self._every_line(algebra, coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_power_sums(on_points=False), _ELLS)
+    def test_catalecticant_basis_route(self, algebra, coeffs):
+        assert 2 * algebra.generator.x.tau() > algebra.d + 1
+        self._every_line(algebra, coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_forms(), st.lists(st.integers(-2, 2), min_size=4,
+                                     max_size=4))
+    def test_polynomial_algebras(self, form, coeffs):
+        f, d = form
+        assume(not f.is_zero())
+        self._every_line(GorensteinAlgebra(f, d), coeffs)
 
 
 class TestSharedAlgebra:

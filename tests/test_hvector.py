@@ -1,12 +1,15 @@
 """Sequence classification: Macaulay bounds, O-sequences, SI, flattening."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlef.errors import NotSIError
 from gorlef.hvector import (HVector, binomial_expand, first_macaulay_violation,
                             hbar, is_O_sequence, is_SI, is_differentiable,
-                            macaulay_bound)
+                            macaulay_bound, parse_list)
+from gorlef.linalg import exact
 
 from oracles import exhaustive_binomial_expansions, linear_scan_binomial_expansion
 
@@ -139,6 +142,17 @@ class TestHVectorParsing:
     def test_parse_forms(self):
         assert tuple(HVector.parse("1,3,5,5,3,1")) == (1, 3, 5, 5, 3, 1)
         assert tuple(HVector.parse("[1, 2, 1]")) == (1, 2, 1)
+
+    @pytest.mark.parametrize("text", ["1,,2,1", "1,2,1,", ",1", " , ", "",
+                                      "[]", "[1,,1]"])
+    def test_empty_entry_rejected(self, text):
+        with pytest.raises(ValueError, match="empty entry"):
+            HVector.parse(text)
+
+    def test_parse_list_converts_each_entry(self):
+        assert parse_list(" 1/2 , 3 ", exact) == [Fraction(1, 2), 3]
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_list("1,,1", exact)
 
     def test_trailing_zeros_trimmed(self):
         assert tuple(HVector((1, 2, 0, 0))) == (1, 2)
