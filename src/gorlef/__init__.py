@@ -16,7 +16,8 @@ from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,
                      NotOSequenceError, NotPlaneConfigError, NotSIError,
                      PreconditionViolatedError, RealizationMismatchError,
                      RingMismatchError, ShapeMismatchError,
-                     TheoremTensionError, ZeroGeneratorError)
+                     TheoremTensionError, WorkBudgetError,
+                     ZeroGeneratorError)
 from .hvector import (HVector, binomial_expand, hbar, is_O_sequence,
                       is_SI, is_differentiable, macaulay_bound)
 from .apolar import (LinearFormS, Poly, RING_R, RING_S, contract_linear_power,
@@ -50,7 +51,8 @@ __all__ = [
     "PreconditionViolatedError", "PropReport", "RING_R", "RING_S",
     "RealizationMismatchError", "RingMismatchError", "ShapeMismatchError",
     "SlpCertificate", "StructuredGenerator", "TailReport",
-    "TheoremTensionError", "ZeroGeneratorError", "binomial_expand",
+    "TheoremTensionError", "WorkBudgetError", "ZeroGeneratorError",
+    "binomial_expand",
     "block_det_identity", "catalecticant", "certify_at", "check_slp",
     "check_wlp", "construct_slp_algebra", "contract_linear_power",
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",

@@ -12,17 +12,22 @@ The package needs two kernels: power_sum expands sum alpha_i L_i^d for
 the duals L_i of points, and contract_linear_power applies ell^k o F in
 k first-order passes.  Catalecticants read x^u o F off F's coefficients
 directly (gorenstein), so general contraction by an operator in S is
-not part of the package.
+not part of the package.  Every table of monomials comes from
+monomials_of_degree or power_sum's walk, and both refuse one of more
+than MAX_MONOMIAL_CELLS exponents with a WorkBudgetError (exit 2), so a
+request in billions of variables fails at once instead of running out
+of memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import RingMismatchError
+from .errors import RingMismatchError, WorkBudgetError
 from .linalg import exact
 
 Monomial = Tuple[int, ...]
@@ -31,19 +36,45 @@ RING_S = "S"  # differential operators, variables x_i
 RING_R = "R"  # forms being differentiated, variables X_i
 
 
-@lru_cache(maxsize=None)
+# Exponents in one table of monomials, about 10 MB of tuples: 130 times
+# the largest table the test suite or the benchmark builds (6 variables,
+# degree 8, in power_sum).
+MAX_MONOMIAL_CELLS = 10 ** 6
+
+
+def _check_budget(n_vars: int, degree: int) -> None:
+    """WorkBudgetError when the degree-`degree` monomials in n_vars
+    variables hold more than MAX_MONOMIAL_CELLS exponents in all."""
+    if n_vars > 0 and degree >= 0:
+        cells = n_vars * comb(n_vars + degree - 1, degree)
+        if cells > MAX_MONOMIAL_CELLS:
+            raise WorkBudgetError(
+                f"degree-{degree} monomials in {n_vars} variables hold {cells}"
+                f" exponents, above the budget of {MAX_MONOMIAL_CELLS}")
+
+
 def monomials_of_degree(n_vars: int, degree: int) -> Tuple[Monomial, ...]:
     """All degree-`degree` monomials in n_vars variables, descending lex.
 
     Descending lex with x_0 > x_1 > ... : (d,0,..) first, (0,..,0,d) last.
-    Cached, hence a tuple: every caller shares the one result.
+    Cached, hence a tuple: every caller shares the one result.  A table
+    above the work budget is a WorkBudgetError before anything is built.
     """
-    if n_vars == 0:
-        return ((),) if degree == 0 else ()
-    if n_vars == 1:
-        return ((degree,),)
-    return tuple((first,) + rest for first in range(degree, -1, -1)
-                 for rest in monomials_of_degree(n_vars - 1, degree - first))
+    _check_budget(n_vars, degree)
+    return _monomials(n_vars, degree)
+
+
+@lru_cache(maxsize=None)
+def _monomials(n_vars: int, degree: int) -> Tuple[Monomial, ...]:
+    # Sorted variable multisets in lex order are exponents in descending
+    # lex; no recursion, so any number of variables within the budget.
+    table = []
+    for combo in combinations_with_replacement(range(n_vars), max(degree, 0)):
+        e = [0] * n_vars
+        for v in combo:
+            e[v] += 1
+        table.append(tuple(e))
+    return tuple(table) if degree >= 0 else ()
 
 
 def _sort_key(m: Monomial):
@@ -188,8 +219,11 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
 
     The coefficient of X^m is multinomial(d; m) * sum_i alpha_i p_i^m.
     The per-point products share their prefixes along a descending-lex
-    walk over the exponents, one variable at a time.
+    walk over the exponents, one variable at a time.  It visits every
+    degree-d exponent, so it keeps to the same budget as
+    monomials_of_degree.
     """
+    _check_budget(n_vars, d)
     pows = [[[p[k] ** e for e in range(d + 1)] for p in points]
             for k in range(n_vars)]
     fact = [factorial(e) for e in range(d + 1)]

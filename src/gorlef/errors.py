@@ -73,6 +73,10 @@ class ShapeMismatchError(GorlefError):
     exit_code = 1
 
 
+class WorkBudgetError(GorlefError):
+    """A request needs a bigger table of monomials than the budget allows."""
+
+
 class PreconditionViolatedError(GorlefError):
     """A documented precondition of the operation does not hold."""
 

@@ -44,7 +44,10 @@ h(j), and recomputed exactly otherwise.  That rank mod the prime is
 taken on the h(j) x h(j) block Cat^j(ell^(d-2j) o F)[B, B], the matrix
 of the Hessian identity above: B spans A_j, so over Q the block has the
 rank of the whole catalecticant, and a nonzero minor mod the prime
-proves the rank whatever B is (multiplication_rank).  The rank route
+proves the rank whatever B is (multiplication_rank; a WLP line away
+from the middle keeps a basis on the one side whose degree is at most
+floor(d/2)).  catalecticant builds both that block and hessian_at's
+matrix, so the package has one catalecticant builder.  The rank route
 reads the expanded F and, for a power sum, the det route reads the
 points; the two agree by the Hessian criterion, so on every caller a
 disagreement is raised as a bug.  _search, the one attempt loop, makes
@@ -57,7 +60,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import add
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -80,17 +83,6 @@ def _require_form(f: Poly, d: int) -> None:
         raise DegreeOutOfRangeError(f"F has degree {degrees.pop()}, not d = {d}")
 
 
-def _derivative_values(f: Poly) -> dict:
-    """e -> x^e o F = e! coef_F(X^e) for each term X^e of F."""
-    scaled = {}
-    for e, c in f.terms.items():
-        k = 1
-        for x in e:
-            k *= factorial(x)
-        scaled[e] = c * k
-    return scaled
-
-
 def catalecticant(f: Poly, j: int, d: int,
                   rows: Optional[Sequence[Monomial]] = None,
                   cols: Optional[Sequence[Monomial]] = None) -> Mat:
@@ -105,7 +97,7 @@ def catalecticant(f: Poly, j: int, d: int,
         raise RingMismatchError("dual generator must live in R")
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    scaled = _derivative_values(f)
+    scaled = {e: c * prod(map(factorial, e)) for e, c in f.terms.items()}
     if rows is None:
         rows = monomials_of_degree(f.n_vars, j)
     if cols is None:
@@ -152,10 +144,10 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
     B = list(basis_monomials)
     if any(len(u) != f.n_vars or sum(u) != j for u in B):
         raise DegreeOutOfRangeError(f"frame monomials must have degree {j}")
-    g = contract_linear_power(ell, d - 2 * j, f)
+    g = contract_linear_power(ell, d - 2 * j, f)  # degree 2j
     k_fact = factorial(d - 2 * j)
-    entry = {e: Fraction(c, k_fact) for e, c in _derivative_values(g).items()}
-    return Mat([[entry.get(tuple(map(add, u, v)), 0) for v in B] for u in B])
+    return Mat([[Fraction(x, k_fact) for x in row]
+                for row in catalecticant(g, j, 2 * j, B, B).entries])
 
 
 def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
@@ -235,17 +227,20 @@ def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
     V_j.  A rank mod PRIME (a lower bound) of c proves rank c;
     otherwise the exact rank of the full Cat^i(g) is returned.
 
-    When i and lo are both at most floor(d/2), as on every SLP line,
-    the rank mod PRIME is taken on the block Cat^i(g)[B_i, B_lo] over
-    the kept bases, h(i) x h(lo) instead of N_i x N_lo.  A c-minor of
-    the block nonzero mod PRIME is a c-minor of Cat^i(g), so the proof
-    never depends on B.  Over Q the block also loses no rank: (a, b) ->
-    (a b ell^k) o F vanishes when a or b lies in Ann(F), and B_j spans
-    S_j modulo Ann(F)_j on both routes (the pivots of Cat^(d-j) =
-    Cat^j(F)^T, or the pivot columns of V_j, which span S_j modulo
-    I(X)_j, inside Ann(F)_j), so the rows in B_i and the columns in
-    B_lo span all of Cat^i(g)'s.  The exact fallback thus fires only
-    where the full matrix would need it too.
+    The rank mod PRIME is taken on a block of Cat^i(g): its rows are
+    restricted to the kept basis B_i when i <= floor(d/2), its columns
+    to B_lo when lo <= floor(d/2).  Since i + lo = d - k <= d, one side
+    always is, and on every SLP line both are, so the block is h(i) x
+    h(lo) instead of N_i x N_lo.  A c-minor of the block nonzero mod
+    PRIME is a c-minor of Cat^i(g), so the proof never depends on B.
+    Over Q the block also loses no rank: (a, b) -> (a b ell^k) o F
+    vanishes when a or b lies in Ann(F), and B_j spans S_j modulo
+    Ann(F)_j on both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or
+    the pivot columns of V_j, which span S_j modulo I(X)_j, inside
+    Ann(F)_j), so the rows in B_i span all of Cat^i(g)'s rows and the
+    columns in B_lo all of its columns, each side on its own.  The
+    exact fallback thus fires only where the full matrix would need it
+    too.
     """
     d, h = algebra.d, algebra.hilbert
     if i < 0 or k < 0 or i + k > d:
@@ -253,14 +248,12 @@ def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
     g = contract_linear_power(ell, k, algebra.f)  # degree d - k
     if g.is_zero():
         return 0
-    lo = d - k - i
-    block = max(i, lo) <= d // 2
-    m = (catalecticant(g, i, d - k, algebra.basis(i), algebra.basis(lo))
-         if block else catalecticant(g, i, d - k))
+    rows, cols = (algebra.basis(j) if j <= d // 2 else None
+                  for j in (i, d - k - i))
     c = min(h[i], h[i + k])
-    if linalg.rank(m, linalg.PRIME) == c:
+    if linalg.rank(catalecticant(g, i, d - k, rows, cols), linalg.PRIME) == c:
         return c
-    return linalg.rank(catalecticant(g, i, d - k) if block else m)
+    return linalg.rank(catalecticant(g, i, d - k))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ realization pipeline and the theorem verifiers.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -253,10 +252,8 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
     if len(counts) > 1 and counts[1] > n_vars:
         raise NotOSequenceError(
             f"delta(1) = {counts[1]} needs at least that many variables, have {n_vars}")
-    if n_vars > sys.maxsize:
-        raise ValueError(f"{n_vars} variables do not fit in a monomial")
-    chosen: List[Monomial] = [(0,) * n_vars]
-    prev = {(0,) * n_vars}
+    chosen: List[Monomial] = list(monomials_of_degree(n_vars, 0))
+    prev = set(chosen)
     for i in range(1, len(counts)):
         need = counts[i]
         level: List[Monomial] = []

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
 
+from gorlef import apolar
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
                            contract_linear_power, monomials_of_degree,
                            power_sum)
-from gorlef.errors import RingMismatchError
+from gorlef.errors import RingMismatchError, WorkBudgetError
 
 from oracles import (apply_monomial, contract, contract_monomial, evaluate,
                      is_homogeneous, linear_form_poly, linear_power_terms)
@@ -43,6 +46,43 @@ class TestMonomials:
 
     def test_degree_zero(self):
         assert monomials_of_degree(3, 0) == ((0, 0, 0),)
+
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("deg", range(-1, 6))
+    def test_every_monomial_once_in_descending_lex(self, n, deg):
+        everything = [e for e in product(range(max(deg, 0) + 1), repeat=n)
+                      if sum(e) == deg]
+        assert list(monomials_of_degree(n, deg)) == sorted(everything,
+                                                           reverse=True)
+
+    def test_many_variables_within_the_budget(self):
+        # 1,000 variables used to exceed Python's recursion limit
+        ms = monomials_of_degree(1000, 1)
+        assert len(ms) == 1000 and ms[0][0] == 1 and ms[-1][-1] == 1
+
+
+class TestWorkBudget:
+    def test_default_is_pinned(self):
+        # far above the 7,722 exponents of the largest table the tests
+        # or the benchmark build, power_sum in 6 variables at degree 8
+        assert apolar.MAX_MONOMIAL_CELLS == 10 ** 6
+
+    def test_a_table_at_the_budget_is_built(self):
+        with mock.patch.object(apolar, "MAX_MONOMIAL_CELLS", 3 * 6):
+            assert len(monomials_of_degree(3, 2)) == 6
+
+    def test_a_table_above_the_budget_is_refused(self):
+        with mock.patch.object(apolar, "MAX_MONOMIAL_CELLS", 3 * 6 - 1):
+            with pytest.raises(WorkBudgetError):
+                monomials_of_degree(3, 2)
+            with pytest.raises(WorkBudgetError):
+                power_sum([[1, 2, 3]], [1], 2, 3)
+
+    def test_billions_of_variables_are_refused_before_building(self):
+        with pytest.raises(WorkBudgetError, match="10000000000 variables"):
+            monomials_of_degree(10 ** 10, 0)
+        with pytest.raises(WorkBudgetError):
+            power_sum([[1] * 3], [1], 2, 10 ** 10)
 
 
 class TestContraction:

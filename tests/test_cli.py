@@ -7,12 +7,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gorlef
-from gorlef import cli, construct, errors
+from gorlef import apolar, cli, construct, errors
 from gorlef.cli import main
 from gorlef.gorenstein import DegreeRecord
 
@@ -290,6 +291,7 @@ class TestErrorContract:
         "NotOSequenceError": 2, "NotSIError": 2,
         "DuplicateParameterError": 2, "NotPlaneConfigError": 2,
         "PreconditionViolatedError": 2, "BadSubsetSizeError": 2,
+        "WorkBudgetError": 2,
     }
 
     def test_every_error_class_has_its_code(self):
@@ -370,6 +372,12 @@ class TestErrorContract:
         ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "2",
          "--params", "1,,2"],
         ["points", "gen", "--kind", "distraction", "--delta", "1,2,"],
+        # above the monomial budget: a MemoryError, an OverflowError and
+        # two RecursionErrors used to exit 3
+        ["construct", "--h", "1,10000000000,1"],
+        ["construct", "--h", f"1,{2 ** 64},1"],
+        ["construct", "--h", "1,2000,2000,1"],
+        ["points", "gen", "--kind", "distraction", "--delta", "1,5000"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -383,7 +391,9 @@ class TestErrorContract:
             "coordinate-bool", "poly-repeated-exponent",
             "points-zero-denominator", "seq-empty-entry",
             "seq-trailing-comma", "h-empty-entry", "alphas-empty-entry",
-            "params-empty-entry", "delta-trailing-comma"])
+            "params-empty-entry", "delta-trailing-comma",
+            "h-ten-billion-variables", "h-two-to-the-64-variables",
+            "h-2000-variables", "delta-5000-variables"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)
@@ -502,12 +512,13 @@ class TestErrorContract:
 
 
 # List entries a user might mistype: empty or blank tokens, non-finite and
-# non-integral numbers, a zero denominator, and ints past 64 bits or past
-# int()'s digit limit.  Small ints keep every valid request small.
+# non-integral numbers, a zero denominator, and ints of every size up to
+# past 64 bits and past int()'s digit limit.
 _TOKENS = st.one_of(
     st.sampled_from(["", " ", "\t", "NaN", "nan", "Infinity", "-Infinity",
                      "inf", "1/0", "1/2", "-1", "0", "1", "2", "3", " 2 ",
                      "+1", "1.5", "1e3", "x"]),
+    st.integers(4, 2 ** 64).map(str),
     st.integers(2 ** 64, 10 ** 40).map(str),
     st.just("9" * 5000))
 _LISTS = st.builds(lambda toks, frame: frame.format(",".join(toks)),
@@ -528,15 +539,23 @@ _LIST_ARGVS = {
 class TestListArgumentFuzz:
     """Any list argument gives exit 0, 1 or 2 and a JSON document, never a
     traceback.  Argparse's own exit 2 (a value that looks like a flag, such
-    as "-Infinity,1") prints usage on stderr and leaves stdout empty."""
+    as "-Infinity,1") prints usage on stderr and leaves stdout empty.
+
+    An int like 50 in --h or --delta asks for a valid problem in 50
+    variables.  The monomial budget is lowered to 10,000 exponents here, so
+    every such request stays small: it is solved or refused with a
+    WorkBudgetError within the deadline.  The default budget bounds memory,
+    not time; the refusals at the default are tested below."""
 
     @pytest.mark.parametrize("flag", sorted(_LIST_ARGVS))
     @settings(max_examples=60, deadline=5000)
     @given(value=_LISTS)
+    @example(value="1,50,1")  # 49 variables: refused in degree 2
     @example(value=f"1,{2 ** 64},1")  # an SI-sequence in 2^64 - 1 variables
     def test_exit_code_and_no_traceback(self, flag, value):
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.object(apolar, "MAX_MONOMIAL_CELLS", 10_000):
             code = main(_LIST_ARGVS[flag](value))
         assert code in (0, 1, 2)
         assert "Traceback" not in out.getvalue() + err.getvalue()
