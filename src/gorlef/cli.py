@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the requested check or construction succeeds, 1 when
 a randomized search exhausts its budget or a verified property fails,
-2 for malformed input; each GorlefError class carries its code as
-exit_code.  Any other exception is an internal error: exit 3 with an
+2 for malformed input, bad flags included; each GorlefError class has
+its exit_code.  Any other exception is an internal error: exit 3 with an
 "InternalError" JSON document.  An unwritable --out path is malformed
 input: one JSON error on stdout, exit 2.  All randomness flows from --seed
 through named substreams, so identical invocations produce identical
@@ -264,10 +264,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="also write the JSON here")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag or value is malformed input like any other: exit 2 with
+    a JSON error on stdout, not argparse's usage on stderr."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """Built once, on the first main call; main looks up the handlers."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gorlef",
         description="Exact Lefschetz-property toolkit over the rationals")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,17 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    out = None
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits on --help and bad flags
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    out = getattr(args, "out", None)
-    handler = {"seq": _run_seq, "construct": _run_construct,
-               "analyze": _run_analyze, "points": _run_points,
-               "verify": _run_verify}[args.command]
-    try:
-        doc, code = handler(args)
+        out = args.out
+        doc, code = {"seq": _run_seq, "construct": _run_construct,
+                     "analyze": _run_analyze, "points": _run_points,
+                     "verify": _run_verify}[args.command](args)
+    except SystemExit:  # --help, the one exit argparse still takes
+        return 0
     except (GorlefError, ValueError) as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         diagnostics = getattr(exc, "diagnostics", None)

@@ -74,7 +74,7 @@ class ShapeMismatchError(GorlefError):
 
 
 class WorkBudgetError(GorlefError):
-    """A request needs a bigger table of monomials than the budget allows."""
+    """A request needs a bigger monomial table or elimination than allowed."""
 
 
 class PreconditionViolatedError(GorlefError):
@@ -100,9 +100,9 @@ class TheoremTensionError(GorlefError):
 
 
 class HessianRankMismatchError(GorlefError):
-    """Hessian-determinant and multiplication-rank verdicts disagree.
+    """Cat^j(ell^(d-2j) o F)[B, B] differs from (d-2j)! Hess^j(F)(P_ell).
 
-    The two routes are provably equivalent, so a mismatch always
+    The two routes' matrices are provably equal, so a mismatch always
     indicates an internal bug and is raised loudly.
     """
 

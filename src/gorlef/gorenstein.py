@@ -37,19 +37,17 @@ row of x.values(B), B at the i-th point, cached across draws of ell
 Every power-sum Hessian sums over the points (GorensteinAlgebra.hessian
 for an of_points algebra, any d, and the conic verifier per line group);
 hessian_at contracts F only for an algebra built from a polynomial.
-certify_at builds every SLP certificate line: at each degree it records
-det algebra.hessian and the rank of x ell^(d-2j): A_j -> A_(d-j) on the
-expanded F: at most h(j), so proven by a rank mod a prime that reaches
-h(j), and recomputed exactly otherwise.  That rank mod the prime is
-taken on the h(j) x h(j) block Cat^j(ell^(d-2j) o F)[B, B], the matrix
-of the Hessian identity above: B spans A_j, so over Q the block has the
-rank of the whole catalecticant, and a nonzero minor mod the prime
-proves the rank whatever B is (multiplication_rank; a WLP line away
-from the middle keeps a basis on the one side whose degree is at most
-floor(d/2)).  catalecticant builds both that block and hessian_at's
-matrix, so the package has one catalecticant builder.  The rank route
-reads the expanded F and, for a power sum, the det route reads the
-points; the two agree by the Hessian criterion, so on every caller a
+certify_at builds every SLP certificate line.  At each degree it
+builds the block Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the
+matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has
+the rank of the whole catalecticant; multiplication_rank), and requires
+it to equal (d-2j)! algebra.hessian(j, ell) entry for entry.  The det
+then proves the rank: a nonzero det is a nonzero h(j)-minor, and only a
+zero det needs an exact rank.  One chain of contractions, ell^2 per
+step of j, gives every block.  catalecticant builds both that block and
+hessian_at's matrix: catalecticants are built in one place only.  The
+block reads the expanded F and, for a power sum, the Hessian reads the
+points; the identity above makes them equal, so on every caller a
 disagreement is raised as a bug.  _search, the one attempt loop, makes
 every SlpCertificate from a draw() of (algebra, ell); first_witness is
 the one search for a sampled form with a nonzero value.
@@ -158,16 +156,15 @@ def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
     v_u = b_u(P_L), a row of x.values(frame) for the PointSet x; summing
     over the points avoids expanding F and is the workhorse for weight-
     indexed determinant studies.  The sum is V^T diag(c) V, accumulated
-    in integers for integral data (upper triangle only, then mirrored)
-    and scaled by d!/(d-2j)! once.  Zero weights are allowed here
-    precisely to support those studies.
+    in integers for integral data, row by row, and scaled by d!/(d-2j)!
+    once.  Zero weights are allowed here precisely to support those
+    studies.
     """
     if 2 * j > d:
         raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
-    size = len(frame)
     k = d - 2 * j
     p_ell = ell.point()
-    acc = [[0] * size for _ in range(size)]
+    acc = [[0] * len(frame) for _ in frame]
     for alpha, pt, v in zip(alphas, x.points, x.values(frame)):
         if alpha == 0:
             continue
@@ -178,13 +175,9 @@ def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
         for a_i, va in enumerate(v):
             if va:
                 cva = c * va
-                row = acc[a_i]
-                row[a_i:] = [e + cva * y for e, y in zip(row[a_i:], v[a_i:])]
+                acc[a_i] = [e + cva * y for e, y in zip(acc[a_i], v)]
     scale = factorial(d) // factorial(k)
-    for a_i, row in enumerate(acc):
-        for b_i in range(a_i, size):
-            row[b_i] = acc[b_i][a_i] = scale * row[b_i]
-    return Mat(acc)
+    return Mat([[scale * e for e in row] for row in acc])
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,
@@ -215,45 +208,28 @@ def first_witness(value: Callable[[LinearFormS], Fraction], n_vars: int,
 
 
 def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
-                        ell: LinearFormS) -> int:
-    """Rank of x ell^k : A_i -> A_(i+k) on the expanded F, without Hessians.
+                        g: Poly) -> int:
+    """Rank of x ell^k : A_i -> A_(i+k) on the expanded F, g = ell^k o F.
 
-    Uses the matrix Cat^i(g), g = ell^k o F, entry (u, v) = (x^u x^v
-    ell^k) o F with u over degree-i and v over degree-lo monomials, lo
-    = d-k-i.  The map factors through A_i and A_(i+k), so its rank is at
-    most c = min(h[i], h[i+k]): h is F's Hilbert function on the
-    catalecticant route, and on the point route h[j] = rank
-    V_min(j,d-j) >= h_F(j) by Cat^(d-j)(F) = d! V_(d-j)^T diag(alpha)
-    V_j.  A rank mod PRIME (a lower bound) of c proves rank c;
-    otherwise the exact rank of the full Cat^i(g) is returned.
-
-    The rank mod PRIME is taken on a block of Cat^i(g): its rows are
-    restricted to the kept basis B_i when i <= floor(d/2), its columns
-    to B_lo when lo <= floor(d/2).  Since i + lo = d - k <= d, one side
-    always is, and on every SLP line both are, so the block is h(i) x
-    h(lo) instead of N_i x N_lo.  A c-minor of the block nonzero mod
-    PRIME is a c-minor of Cat^i(g), so the proof never depends on B.
-    Over Q the block also loses no rank: (a, b) -> (a b ell^k) o F
-    vanishes when a or b lies in Ann(F), and B_j spans S_j modulo
-    Ann(F)_j on both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or
-    the pivot columns of V_j, which span S_j modulo I(X)_j, inside
-    Ann(F)_j), so the rows in B_i span all of Cat^i(g)'s rows and the
-    columns in B_lo all of its columns, each side on its own.  The
-    exact fallback thus fires only where the full matrix would need it
-    too.
+    The exact rank of a block of Cat^i(g), entry (u, v) = (x^u x^v
+    ell^k) o F with u of degree i and v of degree lo = d-k-i: its rows
+    are restricted to the kept basis B_i when i <= floor(d/2), its
+    columns to B_lo when lo <= floor(d/2).  Since i + lo = d - k <= d,
+    one side always is, and on every SLP line both are, so the block is
+    at most h(i) x h(lo) instead of N_i x N_lo.  Over Q the block has
+    the rank of the whole Cat^i(g): (a, b) -> (a b ell^k) o F vanishes
+    when a or b lies in Ann(F), and B_j spans S_j modulo Ann(F)_j on
+    both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or the pivot
+    columns of V_j, which span S_j modulo I(X)_j, inside Ann(F)_j), so
+    the rows in B_i span all of Cat^i(g)'s rows and the columns in B_lo
+    all of its columns, each side on its own.
     """
-    d, h = algebra.d, algebra.hilbert
+    d = algebra.d
     if i < 0 or k < 0 or i + k > d:
         raise DegreeOutOfRangeError(f"need 0 <= i, 0 <= k, i+k <= {d}")
-    g = contract_linear_power(ell, k, algebra.f)  # degree d - k
-    if g.is_zero():
-        return 0
     rows, cols = (algebra.basis(j) if j <= d // 2 else None
                   for j in (i, d - k - i))
-    c = min(h[i], h[i + k])
-    if linalg.rank(catalecticant(g, i, d - k, rows, cols), linalg.PRIME) == c:
-        return c
-    return linalg.rank(catalecticant(g, i, d - k))
+    return linalg.rank(catalecticant(g, i, d - k, rows, cols))
 
 
 @dataclass(frozen=True)
@@ -360,32 +336,49 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
                t: Optional[int] = None) -> List[DegreeRecord]:
     """SLP certificate lines at ell: both routes at every j <= floor(d/2).
 
-    The det route is det algebra.hessian(j, ell); the rank route is the
-    exact rank of x ell^(d-2j): A_j -> A_(d-j) on the expanded F, proven
-    mod PRIME when it reaches h(j) (multiplication_rank).  Any
-    disagreement raises HessianRankMismatchError.  Degrees j < t are
-    labelled "hessian-det" and the rest "map-rank"; t=None labels all
-    "hessian-det".
+    One contraction chain walks j down from floor(d/2): g = ell^(d-2j)
+    o F of the expanded F, then g <- ell^2 o g.  The rank route's matrix
+    M = Cat^j(g)[B, B] over B = basis(j) must equal (d-2j)! times the
+    det route's algebra.hessian(j, ell) entry for entry, or
+    HessianRankMismatchError is raised.  M is the matrix of x ell^(d-2j):
+    A_j -> A_(d-j) (multiplication_rank), of rank at most h(j), so a
+    nonzero det proves rank h(j) with no elimination; a zero det
+    records the exact rank of M.
+    Degrees j < t are labelled "hessian-det" and the rest "map-rank";
+    t=None labels all "hessian-det".  Lines come in ascending j.
     """
     d, h = algebra.d, algebra.hilbert
     records = []
-    for j in range(d // 2 + 1):
-        dv = linalg.det(algebra.hessian(j, ell))
-        rk = multiplication_rank(algebra, j, d - 2 * j, ell)
-        if (dv != 0) != (rk == h[j]):
+    g, deg = algebra.f, d  # g = ell^(d - deg) o F, of degree deg
+    for j in range(d // 2, -1, -1):
+        g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
+        B = algebra.basis(j)
+        m = catalecticant(g, j, deg, B, B)
+        hess = algebra.hessian(j, ell)
+        k_fact = factorial(d - deg)
+        if m.entries != [[k_fact * x for x in row] for row in hess.entries]:
             raise HessianRankMismatchError(
-                f"j={j}: det={dv} but rank={rk}, required {h[j]}")
+                f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
+                f" {d - deg}! Hess^j(F)(P_ell)")
+        dv = linalg.det(hess)
         method = "hessian-det" if t is None or j < t else "map-rank"
-        records.append(DegreeRecord(j=j, method=method, det=dv, rank=rk,
+        records.append(DegreeRecord(j=j, method=method, det=dv,
+                                    rank=h[j] if dv else linalg.rank(m),
                                     required=h[j]))
-    return records
+    return records[::-1]
 
 
 def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
-    """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d."""
+    """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d.
+
+    Cat^i(ell o F) is the transpose of Cat^(d-1-i)(ell o F), so the rank
+    at i is the one at d-1-i: only the lines i <= d-1-i are eliminated.
+    """
     d, h = algebra.d, algebra.hilbert
+    g = contract_linear_power(ell, 1, algebra.f)
+    half = [multiplication_rank(algebra, i, 1, g) for i in range((d + 1) // 2)]
     return [DegreeRecord(j=i, method="map-rank", det=None,
-                         rank=multiplication_rank(algebra, i, 1, ell),
+                         rank=half[min(i, d - 1 - i)],
                          required=min(h[i], h[i + 1]))
             for i in range(d)]
 

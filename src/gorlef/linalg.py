@@ -7,14 +7,14 @@ that decides, and it runs only in the constructors that store scalars
 plain int through as it is, and the kernels convert nothing.  `det`
 returns a Fraction.
 
-Every elimination runs through one forward pass: each row is cleared
-of denominators on entry, and the pass gives rank, pivot columns and
-the determinant together.  Exact, it is fraction-free (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination"); `rank(m, q)` runs it on residues mod a prime q instead,
-which gives only a lower bound: a minor nonzero mod q is a nonzero
-integer minor.  Only `nullspace` goes back to fractions, for its
-back-substitution.
+Every elimination runs through one exact forward pass: each row is
+cleared of denominators on entry, and the fraction-free pass (Bareiss
+1968, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination") gives rank, pivot columns and the determinant together.
+Only `nullspace` goes back to fractions, for its back-substitution.
+A matrix of more than MAX_ELIMINATION_CELLS entries is refused with a
+WorkBudgetError (exit 2) before the pass, whose cost grows with the
+cube of the size, starts.
 
 Pivoting is deterministic (left-to-right, first nonzero row), which
 downstream modules rely on for reproducible basis selection.  Every
@@ -28,9 +28,11 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .errors import NonSquareError
+from .errors import NonSquareError, WorkBudgetError
 
-PRIME = 1073741789  # largest prime below 2^30: residue products stay small
+# Entries in one elimination: 4.4 times the largest matrix the test suite
+# or the benchmark eliminates (a 120x120 catalecticant in the tests).
+MAX_ELIMINATION_CELLS = 64_000
 
 
 def exact(x):
@@ -106,20 +108,22 @@ def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
-def _eliminate(a: List[List[int]], cols: int,
-               q: int = 0) -> Tuple[List[int], int, int]:
-    """Forward elimination of integer rows, in place; mod q unless q = 0.
+def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
+    """Fraction-free forward elimination of integer rows, in place.
 
     Returns the pivot columns, the sign of the row permutation and the
-    last pivot (1 when there is none).
-    Exact (q = 0): after pivot step k every entry right of the pivots
-    is a (k+1)-minor of the input, so each division by the previous
-    pivot is exact and the last pivot of a nonsingular square matrix is
-    its determinant.  A row with a zero in the pivot column is still
-    scaled by pivot/previous, or later divisions would not be exact.
-    Mod q the rows hold residues, updated by (p x - f y) mod q alone.
+    last pivot (1 when there is none).  After pivot step k every entry
+    right of the pivots is a (k+1)-minor of the input, so each division
+    by the previous pivot is exact and the last pivot of a nonsingular
+    square matrix is its determinant.  A row with a zero in the pivot
+    column is still scaled by pivot/previous, or later divisions would
+    not be exact.
     """
     n = len(a)
+    if n * cols > MAX_ELIMINATION_CELLS:
+        raise WorkBudgetError(
+            f"a {n}x{cols} elimination is above the budget of"
+            f" {MAX_ELIMINATION_CELLS} entries")
     pivots: List[int] = []
     sign = 1
     prev = 1
@@ -141,13 +145,10 @@ def _eliminate(a: List[List[int]], cols: int,
         for i in range(r + 1, n):
             row = a[i]
             f = row[c]
-            if f and q:
-                row[c:] = [0] + [(p * x - f * y) % q
-                                 for x, y in zip(row[c + 1:], tail)]
-            elif f:
+            if f:
                 row[c:] = [0] + [(p * x - f * y) // prev
                                  for x, y in zip(row[c + 1:], tail)]
-            elif p != prev and not q:
+            elif p != prev:
                 row[c + 1:] = [p * x // prev for x in row[c + 1:]]
         prev = p
         pivots.append(c)
@@ -169,12 +170,10 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def rank(m: Mat, q: int = 0) -> int:
-    """Rank over the rationals, or mod the prime q (a lower bound) if q."""
+def rank(m: Mat) -> int:
+    """Rank over the rationals."""
     a, _ = _integer_rows(m.entries)
-    if q:
-        a = [[x % q for x in row] for row in a]
-    return len(_eliminate(a, m.cols, q)[0])
+    return len(_eliminate(a, m.cols)[0])
 
 
 def pivot_columns(m: Mat) -> List[int]:

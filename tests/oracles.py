@@ -348,9 +348,9 @@ def linear_power_contraction(coeffs: Sequence[Fraction], k: int,
 def exact_multiplication_rank(f: Poly, i: int, k: int, ell, d: int) -> int:
     """Rank of x ell^k: A_i -> A_(i+k) as the exact rank of Cat^i(ell^k o F).
 
-    ell^k o F by repeated first-order derivatives, then exact Bareiss
-    rank (itself checked against gauss_rank): no prime, and no ceiling
-    from the Hilbert function.
+    ell^k o F by repeated first-order derivatives, then the exact Bareiss
+    rank (itself checked against gauss_rank) of the whole catalecticant:
+    no basis block, and no ceiling from the Hilbert function.
     """
     g = Poly(f.n_vars, RING_R, linear_power_contraction(ell.coeffs, k, f.terms))
     return linalg.rank(catalecticant(g, i, d - k))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gorlef
-from gorlef import apolar, cli, construct, errors
+from gorlef import apolar, cli, construct, errors, linalg
 from gorlef.cli import main
 from gorlef.gorenstein import DegreeRecord
 
@@ -266,12 +266,25 @@ class TestPlumbing:
         assert out.endswith("\n")
 
     def test_unknown_command_is_exit_two(self, capsys):
-        assert main(["frobnicate"]) == 2
-        capsys.readouterr()
+        code, doc = run_json(capsys, "frobnicate")
+        assert code == 2 and "invalid choice" in doc["error"]["message"]
 
     def test_no_command_is_exit_two(self, capsys):
-        assert main([]) == 2
-        capsys.readouterr()
+        code, doc = run_json(capsys)
+        assert code == 2 and "required" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["seq"], ["construct"], ["points", "gen", "--kind", "nope"],
+        ["construct", "--h", "1,3,1", "--attempts", "x"],
+        ["seq", "check", "1,2,1", "--bogus"],
+    ], ids=["no-subcommand", "missing-flag", "bad-choice", "bad-int",
+            "unknown-flag"])
+    def test_argparse_error_is_a_json_exit_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "ValueError"
+        assert captured.err == ""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -293,6 +306,15 @@ class TestErrorContract:
         "PreconditionViolatedError": 2, "BadSubsetSizeError": 2,
         "WorkBudgetError": 2,
     }
+
+    def test_an_elimination_above_the_budget_is_exit_two(self, capsys):
+        # 1,20,1 takes 21 points in P^19: each evaluation matrix is over
+        # 100 entries, far below the default budget
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 100):
+            code, doc = run_json(capsys, "construct", "--h", "1,20,1")
+        assert code == 2
+        assert doc["error"]["type"] == "WorkBudgetError"
+        assert run_json(capsys, "construct", "--h", "1,20,1")[0] == 0
 
     def test_every_error_class_has_its_code(self):
         found = {name: cls.exit_code for name, cls in vars(errors).items()
@@ -538,8 +560,8 @@ _LIST_ARGVS = {
 
 class TestListArgumentFuzz:
     """Any list argument gives exit 0, 1 or 2 and a JSON document, never a
-    traceback.  Argparse's own exit 2 (a value that looks like a flag, such
-    as "-Infinity,1") prints usage on stderr and leaves stdout empty.
+    traceback.  Argparse's own errors (a value that looks like a flag, such
+    as "-Infinity,1") are JSON error documents with exit 2 too.
 
     An int like 50 in --h or --delta asks for a valid problem in 50
     variables.  The monomial budget is lowered to 10,000 exponents here, so
@@ -559,9 +581,8 @@ class TestListArgumentFuzz:
             code = main(_LIST_ARGVS[flag](value))
         assert code in (0, 1, 2)
         assert "Traceback" not in out.getvalue() + err.getvalue()
-        if out.getvalue() or code != 2:
-            doc = json.loads(out.getvalue())
-            assert ("error" in doc) == (code != 0)
+        doc = json.loads(out.getvalue())
+        assert ("error" in doc) == (code != 0)
 
 
 class TestParserReuse:

@@ -10,7 +10,6 @@ from gorlef.construct import (ConstructionResult, StructuredGenerator,
                               _separating_form, construct_slp_algebra,
                               hess_coefficient_criterion,
                               hilbert_formula_check, random_power_sum)
-from gorlef import gorenstein
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
                            NoWitnessFoundError, NotSIError,
                            PreconditionViolatedError)
@@ -284,22 +283,28 @@ class TestConstructSlpAlgebra:
 
 
 class TestRouteCheck:
-    """One certificate path: a det/rank disagreement raises on every caller."""
+    """One certificate path: a Hessian that differs from the catalecticant
+    block of ell^(d-2j) o F raises on every caller."""
 
     @pytest.fixture
-    def lying_rank(self, monkeypatch):
-        # rank + 1 contradicts the det route at j = 0 whatever the det is
-        true_rank = gorenstein.multiplication_rank
-        monkeypatch.setattr(gorenstein, "multiplication_rank",
-                            lambda *a, **kw: true_rank(*a, **kw) + 1)
+    def lying_hessian(self, monkeypatch):
+        # one entry off: the Hessian is no longer the catalecticant block
+        true_hessian = GorensteinAlgebra.hessian
+
+        def lie(algebra, j, ell):
+            m = true_hessian(algebra, j, ell)
+            m.entries[0][0] += 1
+            return m
+
+        monkeypatch.setattr(GorensteinAlgebra, "hessian", lie)
 
     @pytest.mark.parametrize("h", ["1,3,5,5,3,1", "1,1,1,1"],
                              ids=["points", "trivial"])
-    def test_construct_raises(self, lying_rank, h):
+    def test_construct_raises(self, lying_hessian, h):
         with pytest.raises(HessianRankMismatchError):
             construct_slp_algebra(HVector.parse(h), random.Random(96))
 
-    def test_check_slp_raises(self, lying_rank):
+    def test_check_slp_raises(self, lying_hessian):
         f = power_sum([[1, 2, 3], [1, -1, 1]], [1, 1], 3, 3)
         with pytest.raises(HessianRankMismatchError):
             check_slp(GorensteinAlgebra(f), random.Random(97), attempts=3)

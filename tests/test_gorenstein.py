@@ -2,20 +2,20 @@
 
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
-                           monomials_of_degree, power_sum)
+                           contract_linear_power, monomials_of_degree,
+                           power_sum)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
-                               check_slp, check_wlp, hessian_at,
+                               certify_at, check_slp, check_wlp, hessian_at,
                                multiplication_rank, sample_linear_form)
-from gorlef import linalg
+from gorlef import gorenstein, linalg
 from gorlef.construct import StructuredGenerator, construct_slp_algebra
 from gorlef.hvector import HVector
 from gorlef.linalg import det, rank
@@ -162,6 +162,12 @@ class TestHessian:
             hessian_at(X0X1X2, 1, LinearFormS([1, 2]), X0X1X2_B1, 3)
 
 
+def _rank(algebra, i, k, ell):
+    """multiplication_rank at ell, contracting ell^k o F for it."""
+    return multiplication_rank(algebra, i, k,
+                               contract_linear_power(ell, k, algebra.f))
+
+
 class TestMultiplicationRank:
     A = GorensteinAlgebra(X0X1X2, 3)
 
@@ -169,67 +175,51 @@ class TestMultiplicationRank:
         ell = LinearFormS([1, 1, 1])
         h = self.A.hilbert
         for i in range(3):
-            assert multiplication_rank(self.A, i, 1, ell) == min(h[i], h[i + 1])
+            assert _rank(self.A, i, 1, ell) == min(h[i], h[i + 1])
 
     def test_annihilating_power(self):
         # x0^2 o X0 X1 X2 = 0, so ell = x0 gives rank 0 beyond one step
         ell = LinearFormS([1, 0, 0])
-        assert multiplication_rank(self.A, 0, 2, ell) == 0
+        assert _rank(self.A, 0, 2, ell) == 0
 
     def test_k_zero_is_identity_rank(self):
         ell = LinearFormS([1, 2, 3])
         h = self.A.hilbert
         for i in range(4):
-            assert multiplication_rank(self.A, i, 0, ell) == h[i]
+            assert _rank(self.A, i, 0, ell) == h[i]
 
     def test_out_of_range(self):
-        ell = LinearFormS([1, 1, 1])
         with pytest.raises(DegreeOutOfRangeError):
-            multiplication_rank(self.A, 2, 5, ell)
+            multiplication_rank(self.A, 2, 5, Poly.zero(3, RING_R))
 
-    @pytest.fixture
-    def rank_moduli(self, monkeypatch):
-        seen = []
-        real = linalg.rank
-
-        def spy(m, q=0):
-            seen.append(q)
-            return real(m, q)
-
-        monkeypatch.setattr(linalg, "rank", spy)
-        return seen
-
-    def test_rank_lost_mod_the_prime_falls_back_to_exact(self, rank_moduli):
-        # every catalecticant entry of PRIME * X0X1X2 is 0 mod PRIME
-        f = X0X1X2.scale(linalg.PRIME)
+    def test_large_multiple_keeps_its_exact_rank(self):
+        # 1073741789 is prime: every entry of this F's catalecticants is
+        # 0 modulo it, so only an exact rank gets these right
+        f = X0X1X2.scale(1073741789)
         algebra = GorensteinAlgebra(f)
         ell = LinearFormS([1, 2, 3])
         for i, k in [(0, 1), (1, 1), (2, 1), (1, 0), (0, 3)]:
-            rank_moduli.clear()
-            rk = multiplication_rank(algebra, i, k, ell)
-            assert rank_moduli == [linalg.PRIME, 0]
+            rk = _rank(algebra, i, k, ell)
             assert rk == exact_multiplication_rank(f, i, k, ell, 3) > 0
 
-    def test_construct_audit_stays_mod_the_prime(self, rank_moduli):
-        res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
-                                    random.Random(7))
-        assert res.certificate.verdict
-        assert rank_moduli and 0 not in rank_moduli
-
     def test_construct_audit_ranks_the_basis_blocks(self, monkeypatch):
-        shapes = []
-        real = linalg.rank
+        # every det is nonzero on a verdict-true certificate, so the audit
+        # builds one h(j) x h(j) block per line and eliminates none of them
+        shapes, ranked = [], []
+        real = gorenstein.catalecticant
 
-        def spy(m, q=0):
-            if q:
-                shapes.append((m.rows, m.cols))
-            return real(m, q)
+        def spy(*args, **kwargs):
+            m = real(*args, **kwargs)
+            shapes.append((m.rows, m.cols))
+            return m
 
-        monkeypatch.setattr(linalg, "rank", spy)
+        monkeypatch.setattr(gorenstein, "catalecticant", spy)
+        monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(m))
         h = HVector.parse("1,3,5,5,3,1")
         res = construct_slp_algebra(h, random.Random(7))
         assert res.certificate.verdict
         assert set(shapes) == {(h[j], h[j]) for j in range(3)}
+        assert ranked == []
 
 
 class TestLefschetzChecks:
@@ -391,34 +381,20 @@ _ELLS = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
 
 
 class TestBlockAudit:
-    """multiplication_rank takes its rank mod PRIME on the basis block when
-    both degrees are at most d/2: it must still give the exact rank of the
-    whole catalecticant on every line, WLP lines and degenerate ell too,
-    and fall back to an exact rank only where that rank is below the
-    ceiling, so the block loses no rank the full matrix has."""
+    """multiplication_rank ranks a block of Cat^i(ell^k o F) over the kept
+    bases: it must still give the exact rank of the whole catalecticant on
+    every line, WLP lines and degenerate ell too, so the block loses no
+    rank the full matrix has."""
 
     @staticmethod
     def _every_line(algebra, coeffs):
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
-        d, h = algebra.d, algebra.hilbert
-        moduli = []
-        real = linalg.rank
-
-        def spy(m, q=0):
-            moduli.append(q)
-            return real(m, q)
-
+        d = algebra.d
         for i in range(d + 1):
             for k in range(d + 1 - i):
-                moduli.clear()
-                with mock.patch.object(linalg, "rank", spy):
-                    rk = multiplication_rank(algebra, i, k, ell)
-                exact = exact_multiplication_rank(algebra.f, i, k, ell, d)
-                assert rk == exact
-                if moduli:  # no rank at all when ell^k o F = 0
-                    fell_back = exact < min(h[i], h[i + k])
-                    assert moduli == [linalg.PRIME] + [0] * fell_back
+                rk = _rank(algebra, i, k, ell)
+                assert rk == exact_multiplication_rank(algebra.f, i, k, ell, d)
 
     @settings(max_examples=60, deadline=None)
     @given(_power_sums(on_points=True), _ELLS)
@@ -439,6 +415,64 @@ class TestBlockAudit:
         f, d = form
         assume(not f.is_zero())
         self._every_line(GorensteinAlgebra(f, d), coeffs)
+
+
+def _through(points):
+    """A linear form vanishing at the first point of P^1 or first two of P^2."""
+    if len(points[0]) == 2:
+        a0, a1 = points[0]
+        return [a1, -a0]
+    (a0, a1, a2), (b0, b1, b2) = points[:2]
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+class TestCertifiedRanks:
+    """certify_at records h(j) on a line with a nonzero det and the exact
+    rank of its block otherwise: on every SLP line that must be the rank
+    of the whole catalecticant of ell^(d-2j) o F.  Coordinate forms, and
+    forms through points of X, are where det = 0 lines turn up.  The WLP
+    lines past the middle reuse the rank of their mirror line, which must
+    be their own rank too."""
+
+    @staticmethod
+    def _every_line(algebra, data):
+        n, d, g = algebra.n_vars, algebra.d, algebra.generator
+        ells = [st.integers(0, n - 1).map(lambda i: [int(c == i)
+                                                     for c in range(n)]),
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n)]
+        if g is not None and g.x.size >= n - 1:
+            ells.append(st.permutations(g.x.points).map(_through))
+        coeffs = data.draw(st.one_of(ells))
+        assume(any(coeffs))
+        ell = LinearFormS(coeffs)
+        records = certify_at(algebra, ell)
+        assert [r.j for r in records] == list(range(d // 2 + 1))
+        for r in records:
+            assert r.rank == exact_multiplication_rank(
+                algebra.f, r.j, d - 2 * r.j, ell, d)
+            assert (r.det != 0) == (r.rank == r.required)
+        wlp = gorenstein._wlp_lines(algebra, ell)
+        assert [r.j for r in wlp] == list(range(d))
+        for r in wlp:
+            assert r.rank == exact_multiplication_rank(algebra.f, r.j, 1,
+                                                       ell, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_power_sums(on_points=True), st.data())
+    def test_point_basis_route(self, algebra, data):
+        self._every_line(algebra, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_power_sums(on_points=False), st.data())
+    def test_catalecticant_basis_route(self, algebra, data):
+        self._every_line(algebra, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_forms(), st.data())
+    def test_polynomial_algebras(self, form, data):
+        f, d = form
+        assume(not f.is_zero())
+        self._every_line(GorensteinAlgebra(f, d), data)
 
 
 class TestSharedAlgebra:

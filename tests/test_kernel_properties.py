@@ -2,8 +2,7 @@
 
 Random rational matrices cover non-integral entries, huge integers,
 rank-deficient products, all-zero columns (the column-skip branch),
-wide, tall and 1x1 shapes, and pivots that need a row swap; the rank
-mod PRIME is checked as a lower bound on the exact rank.  Random
+wide, tall and 1x1 shapes, and pivots that need a row swap.  Random
 forms and linear forms check the one-contraction Hessian and the
 integer ell^k contraction the same way.  The oracles in `oracles.py`
 use Fraction arithmetic only.  Random weighted point sets of any degree
@@ -25,7 +24,7 @@ from gorlef.construct import StructuredGenerator, construct_slp_algebra
 from gorlef.errors import HessianRankMismatchError
 from gorlef.gorenstein import GorensteinAlgebra, basis, hessian_at
 from gorlef.hvector import HVector, is_SI
-from gorlef.linalg import PRIME, Mat, det, nullspace, pivot_columns, rank
+from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
 from gorlef.points import PointSet
 from gorlef.theorems import verify_corollary_families, verify_rnc_slp
 
@@ -123,30 +122,6 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
         assert [v[c] for c in free] == [int(c == fc) for c in free]
         for row in rows:
             assert sum((a * b for a, b in zip(row, v)), Fraction(0)) == 0
-
-
-@SETTINGS
-@given(matrices())
-@example([[PRIME, 2 * PRIME]])
-@example([[Fraction(PRIME, 3), 1], [0, Fraction(2 * PRIME, 5)]])
-def test_rank_mod_the_prime_is_a_lower_bound(rows):
-    assert rank(Mat(rows), PRIME) <= rank(Mat(rows))
-
-
-below_prime = st.one_of(
-    st.integers(-(PRIME - 1), PRIME - 1),
-    st.fractions(min_value=-5, max_value=5, max_denominator=PRIME - 1),
-)
-
-
-@SETTINGS
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(below_prime, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_rank_mod_the_prime_of_a_unit_triangle_is_full(rows):
-    n = len(rows)
-    unit = [[1 if c == r else rows[r][c] if c > r else 0 for c in range(n)]
-            for r in range(n)]
-    assert rank(Mat(unit), PRIME) == rank(Mat(unit)) == n
 
 
 @SETTINGS

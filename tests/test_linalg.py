@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from gorlef.errors import NonSquareError
+from gorlef import linalg
+from gorlef.errors import NonSquareError, WorkBudgetError
 from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
 
 from oracles import gauss_rank, laplace_det, matmul
@@ -158,3 +160,22 @@ class TestMat:
     def test_transpose_involution(self):
         m = mat([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
+
+
+class TestEliminationBudget:
+    def test_default_is_pinned(self):
+        # 4.4 times 120 x 120, the largest matrix the tests or the
+        # benchmark eliminate (a catalecticant in test_acceptance)
+        assert linalg.MAX_ELIMINATION_CELLS == 64_000
+
+    def test_a_matrix_at_the_budget_is_eliminated(self):
+        m = Mat.identity(3)
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 9):
+            assert rank(m) == 3 and det(m) == 1
+            assert pivot_columns(m) == [0, 1, 2] and nullspace(m) == []
+
+    @pytest.mark.parametrize("kernel", [rank, det, pivot_columns, nullspace])
+    def test_a_matrix_above_the_budget_is_refused(self, kernel):
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 8):
+            with pytest.raises(WorkBudgetError, match="3x3"):
+                kernel(Mat.identity(3))

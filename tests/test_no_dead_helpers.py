@@ -1,5 +1,6 @@
-"""Every public top-level def and class in gorlef has a caller in gorlef,
-and no module but `__init__.py` imports a name it never references.
+"""Every public top-level def, class and constant in gorlef has a reader
+in gorlef, and no module but `__init__.py` imports a name it never
+references.
 
 A name that only `__init__.py` re-exports, or only the tests call, is a
 helper that no CLI command or verifier reaches; tests that need such a
@@ -16,22 +17,37 @@ PAPER_CHECKS = {"hilbert_formula_check", "hess_coefficient_criterion",
                 "block_det_identity"}
 
 
-def _public_definitions_and_references():
+def _definitions_and_reads(sources):
+    """Public top-level names defined in, and names read by, the modules
+    of `sources`, a map of file name to source text; `__init__.py` is
+    not a reader."""
     defined, referenced = {}, set()
-    for path in sorted(Path(gorlef.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for name, source in sources.items():
+        tree = ast.parse(source)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.name
-        if path.name == "__init__.py":
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [t.id for t in (node.targets if isinstance(
+                    node, ast.Assign) else [node.target])
+                         if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((n, name) for n in names if not n.startswith("_"))
+        if name == "__init__.py":
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     return defined, referenced
+
+
+def _public_definitions_and_references():
+    return _definitions_and_reads(
+        {path.name: path.read_text()
+         for path in sorted(Path(gorlef.__file__).parent.glob("*.py"))})
 
 
 def test_every_public_helper_has_a_caller():
@@ -39,6 +55,15 @@ def test_every_public_helper_has_a_caller():
     unreached = sorted(f"{module}:{name}" for name, module in defined.items()
                        if name not in referenced and name not in PAPER_CHECKS)
     assert unreached == []
+
+
+def test_a_constant_without_a_reader_is_dead():
+    defined, read = _definitions_and_reads({
+        "m.py": "PRIME = 7\nLIMIT: int = 9\n\ndef f():\n    return LIMIT\n\n"
+                "f()\n",
+        "__init__.py": "PRIME = 7\n"})
+    assert set(defined) == {"PRIME", "LIMIT", "f"}
+    assert {name for name in defined if name not in read} == {"PRIME"}
 
 
 def test_the_exemptions_are_still_defined():
