@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import RingMismatchError, WorkBudgetError
-from .linalg import exact
+from .linalg import exact, exact_str
 
 Monomial = Tuple[int, ...]
 
@@ -159,7 +159,7 @@ class Poly:
         return {
             "n_vars": self.n_vars,
             "ring": self.ring,
-            "terms": [{"exp": list(m), "coef": str(c)}
+            "terms": [{"exp": list(m), "coef": exact_str(c)}
                       for m, c in self.sorted_terms()],
         }
 

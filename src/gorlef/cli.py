@@ -26,7 +26,7 @@ from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
                       is_differentiable, parse_list)
 from .apolar import Poly
-from .linalg import exact
+from .linalg import exact, exact_str
 from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
                      gen_generic, gen_rnc, gen_two_lines, lex_order_ideal)
 from .theorems import (make_tail_config, verify_conic_slp,
@@ -219,8 +219,8 @@ def _run_verify(args) -> Tuple[dict, int]:
                "curve_indices": list(report.curve_indices),
                "off_indices": list(report.off_indices),
                "witnesses": [{"j": j,
-                              "ell": [str(c) for c in ell.coeffs],
-                              "det": str(val)}
+                              "ell": [exact_str(c) for c in ell.coeffs],
+                              "det": exact_str(val)}
                              for j, (ell, val) in sorted(report.witnesses.items())],
                "zero_forcing_checks": report.zero_forcing_checks}
     elif t == "families":
@@ -244,8 +244,8 @@ def _run_verify(args) -> Tuple[dict, int]:
                                      box=args.coord_box)
         doc = {"theorem": "s-minus", "kind": report.kind, "j": report.j,
                "d": report.d, "verdict": True,
-               "ell": [str(c) for c in report.ell.coeffs],
-               "det": str(report.det)}
+               "ell": [exact_str(c) for c in report.ell.coeffs],
+               "det": exact_str(report.det)}
     else:
         raise ValueError(f"unknown theorem {t!r}")
     return doc, 0

@@ -9,9 +9,10 @@ and d: an SI-sequence has d >= 2 tau, so by Cat^(d-j)(F) =
 d! V_(d-j)^T diag(alpha) V_j they are the pivot columns of the points'
 evaluation matrices V_j.  Only hilbert_formula_check, the audit of
 that formula, takes the catalecticants of the expanded F.  For
-degrees below the stabilization the Hessian determinants are checked
-directly; at and above it the multiplication maps act on the coordinate
-ring of the points and have full rank whenever ell separates the points.
+degrees below the stabilization the Hessian determinants are eliminated;
+at and above it, where h(j) = s, each is (d!/(d-2j)!)^s det(V_B)^2
+prod_i alpha_i L_i(P_ell)^(d-2j) (gorenstein.plateau_det), nonzero
+whenever ell separates the points.
 gorenstein.certify_at builds the certificate lines: both routes are
 recorded at every degree, the Hessians summed over the points by the
 algebra itself, and a disagreement between them is raised, not retried.
@@ -36,7 +37,7 @@ from .errors import (BadSubsetSizeError, NoWitnessFoundError,
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, _search,
                          certify_at, first_witness, structured_hessian_at)
 from .hvector import HVector, hbar
-from .linalg import exact
+from .linalg import exact, exact_str
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
 
 
@@ -72,7 +73,7 @@ class StructuredGenerator:
     def to_json_dict(self) -> dict:
         return {
             "points": self.x.to_json_dict(),
-            "alphas": [str(a) for a in self.alphas],
+            "alphas": [exact_str(a) for a in self.alphas],
             "d": self.d,
         }
 
@@ -115,7 +116,7 @@ class ConstructionResult:
         return {
             "h": list(self.h.entries),
             "points": self.x.to_json_dict(),
-            "alphas": [str(a) for a in self.generator.alphas],
+            "alphas": [exact_str(a) for a in self.generator.alphas],
             "d": self.generator.d,
             "dual_generator": self.generator.expanded.to_json_dict(),
             "hilbert": list(self.algebra.hilbert.entries),

@@ -43,14 +43,24 @@ matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has
 the rank of the whole catalecticant; multiplication_rank), and requires
 it to equal (d-2j)! algebra.hessian(j, ell) entry for entry.  The det
 then proves the rank: a nonzero det is a nonzero h(j)-minor, and only a
-zero det needs an exact rank.  One chain of contractions, ell^2 per
-step of j, gives every block.  catalecticant builds both that block and
-hessian_at's matrix: catalecticants are built in one place only.  The
-block reads the expanded F and, for a power sum, the Hessian reads the
-points; the identity above makes them equal, so on every caller a
-disagreement is raised as a bug.  _search, the one attempt loop, makes
-every SlpCertificate from a draw() of (algebra, ell); first_witness is
-the one search for a sampled form with a nonzero value.
+zero det needs an exact rank.  On a plateau line of an of_points
+algebra, where |B| = h(j) = s = |X| (tau <= j <= floor(d/2)), V_B is
+square and the det is a product over the points (plateau_det):
+
+    det Hess^j(F)(P_ell) = (d!/(d-2j)!)^s det(V_B)^2
+                           prod_i alpha_i L_i(P_ell)^(d-2j),
+
+with det(V_B) eliminated once per point set (PointSet.frame_det), so a
+separating ell proves it nonzero; every other line, and every algebra
+built from a polynomial, eliminates its Hessian.  One chain of
+contractions, ell^2 per step of j, gives every block.  catalecticant
+builds both that block and hessian_at's matrix: catalecticants are
+built in one place only.  The block reads the expanded F and, for a
+power sum, the Hessian reads the points; the identity above makes them
+equal, so on every caller a disagreement is raised as a bug.  _search,
+the one attempt loop, makes every SlpCertificate from a draw() of
+(algebra, ell); first_witness is the one search for a sampled form with
+a nonzero value.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -69,7 +79,7 @@ from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
-from .linalg import Mat
+from .linalg import Mat, exact_str
 
 
 def _require_form(f: Poly, d: int) -> None:
@@ -180,6 +190,26 @@ def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
     return Mat([[scale * e for e in row] for row in acc])
 
 
+def plateau_det(g, j: int, frame: Sequence[Monomial],
+                ell: LinearFormS) -> Fraction:
+    """det Hess^j(F)(P_ell) for g's F = sum alpha_i L_i^d, over a frame
+    of s = |X| monomials, as a product over the points.
+
+    V_B = g.x.values(frame) is then square, so structured_hessian_at's
+    sum (d!/(d-2j)!) V_B^T diag(alpha_i L_i(P_ell)^(d-2j)) V_B has
+
+        det = (d!/(d-2j)!)^s det(V_B)^2 prod_i alpha_i L_i(P_ell)^(d-2j),
+
+    and det(V_B) is eliminated once per point set (PointSet.frame_det).
+    """
+    k = g.d - 2 * j
+    p_ell = ell.point()
+    weights = prod(a * sum(map(mul, p_ell, pt)) ** k
+                   for a, pt in zip(g.alphas, g.x.points))
+    scale = factorial(g.d) // factorial(k)
+    return Fraction(scale ** len(frame) * g.x.frame_det(frame) ** 2 * weights)
+
+
 def sample_linear_form(n_vars: int, rng: random.Random,
                        box: int = 50) -> LinearFormS:
     """Uniform integer coefficients in [-box, box], not all zero."""
@@ -252,7 +282,7 @@ class DegreeRecord:
         return {
             "j": self.j,
             "method": self.method,
-            "det": None if self.det is None else str(self.det),
+            "det": None if self.det is None else exact_str(self.det),
             "rank": self.rank,
             "required": self.required,
         }
@@ -276,7 +306,8 @@ class SlpCertificate:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "ell": None if self.ell is None else [str(c) for c in self.ell.coeffs],
+            "ell": (None if self.ell is None
+                    else [exact_str(c) for c in self.ell.coeffs]),
             "degrees": [r.to_json_dict() for r in self.per_degree],
             "verdict": self.verdict,
             "seed": self.seed,
@@ -343,13 +374,17 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     HessianRankMismatchError is raised.  M is the matrix of x ell^(d-2j):
     A_j -> A_(d-j) (multiplication_rank), of rank at most h(j), so a
     nonzero det proves rank h(j) with no elimination; a zero det
-    records the exact rank of M.
+    records the exact rank of M.  The det is plateau_det's product over
+    the points when |B| = |X| for an of_points algebra, else the
+    elimination of the Hessian.
     Degrees j < t are labelled "hessian-det" and the rest "map-rank";
     t=None labels all "hessian-det".  Lines come in ascending j.
     """
     d, h = algebra.d, algebra.hilbert
     records = []
     g, deg = algebra.f, d  # g = ell^(d - deg) o F, of degree deg
+    gen = algebra.generator
+    s = None if gen is None else gen.x.size
     for j in range(d // 2, -1, -1):
         g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
         B = algebra.basis(j)
@@ -360,7 +395,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
             raise HessianRankMismatchError(
                 f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                 f" {d - deg}! Hess^j(F)(P_ell)")
-        dv = linalg.det(hess)
+        dv = plateau_det(gen, j, B, ell) if len(B) == s else linalg.det(hess)
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(j=j, method=method, det=dv,
                                     rank=h[j] if dv else linalg.rank(m),

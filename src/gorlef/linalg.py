@@ -5,7 +5,8 @@ integral and fractions.Fraction otherwise.  `exact` is the one place
 that decides, and it runs only in the constructors that store scalars
 (Mat entries, Poly terms, linear forms, points, weights); Mat passes a
 plain int through as it is, and the kernels convert nothing.  `det`
-returns a Fraction.
+returns a Fraction.  `exact_str` is the one place that writes a scalar
+as output text, with no digit limit.
 
 Every elimination runs through one exact forward pass: each row is
 cleared of denominators on entry, and the fraction-free pass (Bareiss
@@ -55,6 +56,24 @@ def exact(x):
     return x
 
 
+def exact_str(x) -> str:
+    """An exact scalar as output text: decimal, "p/q" for a non-integer.
+
+    Output has no digit limit.  str() refuses an int of more digits than
+    sys.get_int_max_str_digits(), so a longer one is written in halves;
+    inputs keep their limit.
+    """
+    if type(x) is not int and x.denominator != 1:
+        return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
+    x = int(x)
+    try:
+        return str(x)
+    except ValueError:
+        k = x.bit_length() * 3 // 20  # about half of the digits
+        hi, lo = divmod(abs(x), 10 ** k)
+        return "-" * (x < 0) + exact_str(hi) + exact_str(lo).zfill(k)
+
+
 class Mat:
     """Dense rational matrix, row-major, with int or Fraction entries."""
 
@@ -94,6 +113,14 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
+def check_cells(rows: int, cols: int) -> None:
+    """WorkBudgetError when a rows x cols elimination is above the budget."""
+    if rows * cols > MAX_ELIMINATION_CELLS:
+        raise WorkBudgetError(
+            f"a {rows}x{cols} elimination is above the budget of"
+            f" {MAX_ELIMINATION_CELLS} entries")
+
+
 def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     """Each row times the lcm of its denominators, and the product of those."""
     out = []
@@ -120,10 +147,7 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
     not be exact.
     """
     n = len(a)
-    if n * cols > MAX_ELIMINATION_CELLS:
-        raise WorkBudgetError(
-            f"a {n}x{cols} elimination is above the budget of"
-            f" {MAX_ELIMINATION_CELLS} entries")
+    check_cells(n, cols)
     pivots: List[int] = []
     sign = 1
     prev = 1

@@ -3,8 +3,12 @@
 h_{A(X)}(i) is the rank of the evaluation matrix V_i of degree-i
 monomials at the points; it increases to s = |X| and stabilizes there
 from the regularity degree tau(X) on.  The pivot columns of V_i, kept
-as monomials, are a basis of A(X)_i.  PointSet.values, cached per
-frame, is the one place that evaluates monomials at points.
+as monomials, are a basis B_i of A(X)_i.  Points are normalized to
+leading coordinate 1, so when no point has x0 = 0 every x0 is 1 and
+B_i is carried up from B_(i-1) (PointSet.basis); sets with a point on
+x0 = 0 (two lines, some tails) eliminate the whole V_i.
+PointSet.values, cached per frame, is the one place that evaluates
+monomials at points; frame_det keeps det V_B of a square frame B.
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.
@@ -25,12 +29,14 @@ from .errors import (DuplicateParameterError, NotOSequenceError,
                      NotPlaneConfigError, PreconditionViolatedError,
                      RealizationMismatchError)
 from .hvector import first_difference, is_O_sequence
-from .linalg import Mat, exact
+from .linalg import Mat, exact, exact_str
 
 
 def _normalize(coords: Sequence) -> Tuple[Fraction, ...]:
     v = [exact(c) for c in coords]
     for c in v:
+        if c == 1:
+            return tuple(v)
         if c != 0:
             return tuple(exact(Fraction(x, c)) for x in v)
     raise ValueError("zero coordinate vector is not a projective point")
@@ -50,8 +56,10 @@ class PointSet:
             raise ValueError("duplicate projective points")
         self.points: Tuple[Tuple[Fraction, ...], ...] = tuple(norm)
         self.n = n_coords - 1
+        self._carried = all(p[0] for p in norm)  # every x0 = 1
         self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
         self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
+        self._dets: Dict[Tuple[Monomial, ...], Fraction] = {}
         self._tau = 0  # eager; fills the basis cache through degree tau
         while self.hilbert(self._tau) < self.size:
             self._tau += 1
@@ -60,24 +68,64 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
+    def _key(self, frame: Sequence[Monomial]) -> Tuple[Monomial, ...]:
+        """The frame as the caches key it: without x0 when every x0 = 1,
+        since x0's exponent then changes no value."""
+        return tuple(m[1:] for m in frame) if self._carried else tuple(frame)
+
     def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
-        """The frame's monomials at each point, one row per point; cached."""
-        key = tuple(frame)
+        """The frame's monomials at each point, one row per point; cached.
+
+        Only each monomial's nonzero exponents are read, and never x0's
+        when every x0 = 1.
+        """
+        key = self._key(frame)
         if key not in self._values:
+            skip = int(self._carried)
+            sparse = [[(k + skip, e) for k, e in enumerate(m) if e] for m in key]
             self._values[key] = tuple(
-                tuple(prod(c ** e for c, e in zip(p, m) if e) for m in key)
+                tuple(prod([p[k] ** e for k, e in s]) for s in sparse)
                 for p in self.points)
         return self._values[key]
 
     def evaluation_matrix(self, i: int) -> Mat:
         return Mat(self.values(monomials_of_degree(self.n + 1, i)))
 
+    def frame_det(self, frame: Sequence[Monomial]) -> Fraction:
+        """det V_B for a frame B of s monomials, cached per key: one
+        elimination serves B and every x0^k B when every x0 = 1."""
+        key = self._key(frame)
+        if key not in self._dets:
+            self._dets[key] = linalg.det(Mat(self.values(frame)))
+        return self._dets[key]
+
+    def _pivots(self, frame: Tuple[Monomial, ...]) -> Tuple[Monomial, ...]:
+        """The frame's monomials whose columns pivot, left to right; the
+        elimination budget is checked before anything is evaluated."""
+        linalg.check_cells(self.size, len(frame))
+        return tuple(frame[c] for c in linalg.pivot_columns(
+            Mat(self.values(frame))))
+
     def basis(self, i: int) -> Tuple[Monomial, ...]:
-        """Degree-i monomials whose columns of V_i pivot, in descending lex."""
-        if i not in self._bases:
-            mons = monomials_of_degree(self.n + 1, i)
-            self._bases[i] = tuple(mons[c] for c in linalg.pivot_columns(
-                self.evaluation_matrix(i)))
+        """Degree-i monomials whose columns of V_i pivot, in descending lex.
+
+        When every x0 = 1, the column of x0*m in V_i is the column of m in
+        V_(i-1), so the pivots of V_i are x0 B_(i-1) followed by the
+        pivots among the x0-free monomials, in that (descending lex)
+        order: only that frame is eliminated, and nothing once h(i-1) = s.
+        The bases are built upward in a loop, degree by degree.
+        """
+        if i in self._bases:
+            return self._bases[i]
+        if not (self._carried and i > 0):
+            self._bases[i] = self._pivots(monomials_of_degree(self.n + 1, i))
+            return self._bases[i]
+        for k in range(max(self._bases) + 1, i + 1):  # cached through k - 1
+            lifted = tuple((m[0] + 1,) + m[1:] for m in self._bases[k - 1])
+            if len(lifted) < self.size:
+                lifted = self._pivots(lifted + tuple(
+                    (0,) + m for m in monomials_of_degree(self.n, k)))
+            self._bases[k] = lifted
         return self._bases[i]
 
     def hilbert(self, i: int) -> int:
@@ -102,7 +150,7 @@ class PointSet:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "points": [[str(c) for c in p] for p in self.points],
+            "points": [[exact_str(c) for c in p] for p in self.points],
         }
 
     @classmethod

@@ -558,6 +558,33 @@ _LIST_ARGVS = {
 }
 
 
+class TestOutputDigits:
+    """Output text has no digit limit; inputs keep theirs."""
+
+    PLANE_45 = ["construct", "--h",
+                "1,3,6,10,15,21,28,36,45,45,36,28,21,15,10,6,3,1", "--seed", "0"]
+
+    @staticmethod
+    def _at_limit(capsys, argv, digits=640):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            return run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_det_past_the_limit_is_written(self, capsys):
+        code, out = self._at_limit(capsys, self.PLANE_45)
+        assert code == 0
+        dets = [r["det"] for r in json.loads(out)["certificate"]["degrees"]]
+        assert max(map(len, dets)) > 640
+        assert run(capsys, *self.PLANE_45) == (0, out)
+
+    def test_an_input_past_the_limit_is_exit_two(self, capsys):
+        code, out = self._at_limit(capsys, ["seq", "check", "1," + "9" * 700])
+        assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
+
+
 class TestListArgumentFuzz:
     """Any list argument gives exit 0, 1 or 2 and a JSON document, never a
     traceback.  Argparse's own errors (a value that looks like a flag, such

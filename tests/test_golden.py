@@ -8,8 +8,9 @@ are the only ones that feed non-integral entries to the elimination
 kernel; the Perazzo case exhausts the Lefschetz search; the trivial
 `construct` cases (h_1 = 1), the conic case and the two largest tails
 cases, whose digests are those of the benchmark reference, are drawn by
-the benchmark only in some passes.  Every op of the benchmark reference
-is replayed here too.
+the benchmark only in some passes.  The plane sequence through 45 and
+the points case with x0 = 0 pin plateau lines (h(j) = |X|) outside the
+reference.  Every op of the benchmark reference is replayed here too.
 """
 
 import hashlib
@@ -41,6 +42,15 @@ _POLY_PERAZZO = json.dumps({"n_vars": 5, "ring": "R", "terms": [
 _POINTS_RATIONAL = json.dumps({"points": [
     ["1", "1/2", "3/7"], ["1", "-2/3", "2"], ["2/5", "1", "-1/4"],
     ["1", "3", "5/6"]]})
+# Six points of P^2 with h_X = 1,3,6, two of them with x0 = 0: at d = 6
+# the lines j = 2, 3 have h(j) = s, and the first ell drawn lies on a
+# line through two points, so its j = 2 det is 0 and its rank is taken.
+_POINTS_X0 = json.dumps({"points": [
+    ["0", "1", "2"], ["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"],
+    ["1", "-1", "3"], ["2", "3", "-1/2"]]})
+# The plane SI-sequence through 45 (d = 17, 45 points): 30x30 to 45x45
+# Hessians whose dets run to about 950 digits.
+_PLANE_45 = "1,3,6,10,15,21,28,36,45,45,36,28,21,15,10,6,3,1"
 
 GOLDEN = [
     ("seq-si", ["seq", "check", "1,3,5,5,3,1"],
@@ -140,6 +150,13 @@ GOLDEN = [
     ("construct-trivial-9",
      ["construct", "--h", "1,1,1,1,1,1,1,1,1", "--seed", "128"],
      0, "270a2714646ef6cc06401a0e20e9319249b8a4de818e0444894551ae3b6f3e17"),
+    ("construct-plane-45",
+     ["construct", "--h", _PLANE_45, "--seed", "0"],
+     0, "b1861902cc457ddb649884a65e393ce90d064b44960d927e435f5124f3608eaf"),
+    ("analyze-points-x0-plateau",
+     ["analyze", "--points", _POINTS_X0, "--alphas", "1,2,-3,1/2,5,-7/3",
+      "--d", "6", "--seed", "3"],
+     0, "fd9e00cc022b93e5b0c7a1c1140baaf9ffea63d950815f9225cb3b6098bc556d"),
 ]
 
 

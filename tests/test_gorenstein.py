@@ -14,7 +14,8 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                certify_at, check_slp, check_wlp, hessian_at,
-                               multiplication_rank, sample_linear_form)
+                               multiplication_rank, plateau_det,
+                               sample_linear_form, structured_hessian_at)
 from gorlef import gorenstein, linalg
 from gorlef.construct import StructuredGenerator, construct_slp_algebra
 from gorlef.hvector import HVector
@@ -22,7 +23,7 @@ from gorlef.linalg import det, rank
 from gorlef.points import PointSet
 
 from oracles import (evaluate, exact_multiplication_rank, gauss_pivot_columns,
-                     gauss_rank)
+                     gauss_rank, laplace_det)
 
 
 def rmono(n, exp, c=1):
@@ -473,6 +474,94 @@ class TestCertifiedRanks:
         f, d = form
         assume(not f.is_zero())
         self._every_line(GorensteinAlgebra(f, d), data)
+
+
+@st.composite
+def _plateau_power_sums(draw):
+    """F = sum alpha_i L_i^d over 1-5 points of P^1 or P^2, some with
+    x0 = 0, Fraction weights, and d >= 2 tau: the lines tau..floor(d/2)
+    have h(j) = s."""
+    n = draw(st.integers(1, 2))
+    x = PointSet(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+        .filter(any), min_size=1, max_size=5,
+        unique_by=lambda p: PointSet([p]).points)))
+    alphas = draw(st.lists(st.fractions(-4, 4, max_denominator=5)
+                           .filter(bool), min_size=x.size, max_size=x.size))
+    d = draw(st.integers(2 * x.tau(), 2 * x.tau() + 3))
+    return GorensteinAlgebra.of_points(StructuredGenerator(x, alphas, d))
+
+
+class TestPlateauDeterminants:
+    """On a line with h(j) = s, certify_at records det Hess^j(F)(P_ell)
+    as a product over the points.  The oracle expands the Hessian that
+    the algebra sums over the points by cofactors, and ranks the whole
+    catalecticant of ell^(d-2j) o F when the det is 0."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_plateau_power_sums(), st.data())
+    def test_recorded_det_is_the_cofactor_det(self, algebra, data):
+        n, d, x = algebra.n_vars, algebra.d, algebra.generator.x
+        ells = [st.lists(st.integers(-2, 2), min_size=n, max_size=n)]
+        if x.size >= n - 1:
+            ells.append(st.permutations(x.points).map(_through))
+        coeffs = data.draw(st.one_of(ells))
+        assume(any(coeffs))
+        ell = LinearFormS(coeffs)
+        plateau = [r for r in certify_at(algebra, ell)
+                   if len(algebra.basis(r.j)) == x.size]
+        assert [r.j for r in plateau] == list(range(x.tau(), d // 2 + 1))
+        for r in plateau:
+            assert r.det == laplace_det(algebra.hessian(r.j, ell).entries)
+            assert r.rank == exact_multiplication_rank(
+                algebra.f, r.j, d - 2 * r.j, ell, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plateau_power_sums(), _ELLS)
+    def test_catalecticant_pivots_as_the_frame(self, algebra, coeffs):
+        # the closed form holds for any frame of s monomials, so for the
+        # pivots of Cat^(d-j) of the expanded F as well
+        assume(any(coeffs[:algebra.n_vars]))
+        ell = LinearFormS(coeffs[:algebra.n_vars])
+        g, d = algebra.generator, algebra.d
+        for j in range(g.x.tau(), d // 2 + 1):
+            frame = basis(algebra.f, j, d)
+            assert len(frame) == g.x.size
+            hess = structured_hessian_at(g.x, g.alphas, d, j, frame, ell)
+            assert plateau_det(g, j, frame, ell) == laplace_det(hess.entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_power_sums(on_points=False))
+    def test_no_plateau_on_the_catalecticant_route(self, algebra):
+        # h(j) <= h_X(j) < s for j <= floor(d/2) < tau there
+        assert all(len(algebra.basis(j)) < algebra.generator.x.size
+                   for j in range(algebra.d // 2 + 1))
+
+    def test_an_ell_through_two_points_gives_det_zero_and_the_rank(self):
+        x = PointSet([[0, 1, 2], [1, 0, 0], [1, 1, 1], [0, 0, 1], [1, -1, 3]])
+        g = StructuredGenerator(x, [1, Fraction(2, 3), -3, Fraction(1, 2), 5],
+                                2 * x.tau() + 2)
+        algebra = GorensteinAlgebra.of_points(g)
+        ell = LinearFormS(_through(x.points))
+        records = certify_at(algebra, ell)
+        zero = [r for r in records if r.required == x.size and r.det == 0]
+        assert zero and all(r.rank == x.size - 2 for r in zero)
+        for r in zero:
+            assert laplace_det(algebra.hessian(r.j, ell).entries) == 0
+
+    def test_one_vandermonde_det_per_point_set(self, monkeypatch):
+        # h = 1,3,6,6,6,3,1: plateau lines j = 2, 3, over two draws of ell
+        x = PointSet([[1, a, b] for a, b in ((0, 0), (1, 0), (0, 1), (2, 0),
+                                             (1, 1), (0, 2))])
+        algebra = GorensteinAlgebra.of_points(
+            StructuredGenerator(x, [1, 2, 3, -1, -2, 5], 6))
+        sizes = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det",
+                            lambda m: sizes.append(m.rows) or det(m))
+        for coeffs in ([3, 1, 2], [5, -1, 7]):
+            certify_at(algebra, LinearFormS(coeffs))
+        assert sizes.count(x.size) == 1 and sizes.count(3) == 2
 
 
 class TestSharedAlgebra:

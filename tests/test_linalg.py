@@ -1,6 +1,7 @@
 """Exact matrix arithmetic against plain-Gauss and Laplace oracles."""
 
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 
 from gorlef import linalg
 from gorlef.errors import NonSquareError, WorkBudgetError
-from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
+from gorlef.linalg import (Mat, det, exact_str, nullspace, pivot_columns,
+                           rank)
 
 from oracles import gauss_rank, laplace_det, matmul
 
@@ -179,3 +181,20 @@ class TestEliminationBudget:
         with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 8):
             with pytest.raises(WorkBudgetError, match="3x3"):
                 kernel(Mat.identity(3))
+
+
+class TestExactStr:
+    @pytest.mark.parametrize("x", [
+        0, 7, -12, Fraction(-3, 4), Fraction(6, 3), 10 ** 700 + 1,
+        -(10 ** 1500) - 37, Fraction(3 ** 2000, 2 ** 3000 + 1)],
+        ids=["0", "7", "-12", "-3/4", "6/3", "10^700+1", "-10^1500-37",
+             "3^2000/(2^3000+1)"])
+    def test_str_without_a_digit_limit(self, x):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        expected = str(x)
+        sys.set_int_max_str_digits(640)
+        try:
+            assert exact_str(x) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)

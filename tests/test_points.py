@@ -2,20 +2,23 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gorlef import linalg
 from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
-                           NotPlaneConfigError, RealizationMismatchError)
+                           NotPlaneConfigError, RealizationMismatchError,
+                           WorkBudgetError)
 from gorlef.points import (OrderIdeal, PointSet, davis_hint,
                            find_subset_on_curve, gen_collinear,
                            gen_distraction, gen_generic, gen_rnc,
                            gen_two_lines, has_collinear_triple,
                            lex_order_ideal)
 
-from oracles import collinear_triples, evaluate
+from oracles import collinear_triples, evaluate, gauss_pivot_columns
 
 
 def P(*coords):
@@ -51,6 +54,74 @@ def test_values_are_the_frame_evaluated_at_each_point(case):
         mons = monomials_of_degree(x.n + 1, i)
         assert x.evaluation_matrix(i).entries == [list(r) for r in
                                                   x.values(mons)]
+
+
+@st.composite
+def point_sets(draw):
+    """1-6 distinct points of P^1..P^3 with Fraction coordinates; x0 is
+    0 for some points of some sets, which keeps them off the x0 route."""
+    n_vars = draw(st.integers(2, 4))
+    first = st.one_of(st.just(0), coordinates)
+    pts = draw(st.lists(st.tuples(first, *[coordinates] * (n_vars - 1))
+                        .filter(any),
+                        min_size=1, max_size=6,
+                        unique_by=lambda p: PointSet([p]).points))
+    return PointSet(pts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(point_sets())
+def test_bases_are_the_pivots_of_the_full_evaluation_matrix(x):
+    # V_i built term by term from the oracle, over every degree-i monomial
+    for i in range(x.tau() + 3):
+        mons = monomials_of_degree(x.n + 1, i)
+        v = [[evaluate(Poly.monomial(x.n + 1, RING_R, m), p) for m in mons]
+             for p in x.points]
+        assert x.basis(i) == tuple(mons[c] for c in gauss_pivot_columns(v))
+
+
+class TestCarriedBases:
+    """With every x0 = 1, B_i = x0 B_(i-1) plus pivots among the x0-free
+    monomials; the budget is checked before a frame is evaluated."""
+
+    def test_a_high_degree_is_built_in_a_loop(self):
+        x = PointSet([P(1, 0), P(1, 1)])
+        assert x.basis(5000) == ((5000, 0), (4999, 1))
+        assert x.hilbert(4999) == 2
+
+    @pytest.mark.parametrize("first", [1, 0], ids=["x0-route", "full-route"])
+    def test_a_refused_frame_is_never_evaluated(self, monkeypatch, first):
+        # six general points of P^2: V_1 has 3 columns (18 entries), the
+        # degree-2 frame has 6 (36 entries), above a budget of 20
+        pts = [P(first, 0, 1)] + [P(1, a, a * a - b)
+                                  for a, b in ((0, 0), (1, 0), (2, 1),
+                                               (-1, 3), (3, -2))]
+        evaluated = []
+        values = PointSet.values
+
+        def spy(self, frame):
+            evaluated.append(len(frame))
+            return values(self, frame)
+
+        monkeypatch.setattr(PointSet, "values", spy)
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 20):
+            with pytest.raises(WorkBudgetError, match="6x6"):
+                PointSet(pts)
+        assert evaluated and max(evaluated) <= 3
+        assert PointSet(pts).tau() == 2
+
+    def test_plateau_frames_share_one_det(self, monkeypatch):
+        x = gen_distraction(lex_order_ideal([1, 2, 1], 2))
+        b = x.basis(x.tau())
+        assert len(b) == x.size
+        eliminated = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det",
+                            lambda m: eliminated.append(m.rows) or det(m))
+        lifted = [tuple((m[0] + 3,) + m[1:]) for m in b]
+        assert x.frame_det(b) == x.frame_det(lifted) != 0
+        assert x.values(b) is x.values(lifted)
+        assert eliminated == [x.size]
 
 
 class TestPointSet:
