@@ -29,9 +29,8 @@ from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
-from .construct import (ConstructionResult, StructuredGenerator,
-                        construct_slp_algebra, hess_coefficient_criterion,
-                        hilbert_formula_check)
+from .construct import (ConstructionResult, construct_slp_algebra,
+                        hess_coefficient_criterion, hilbert_formula_check)
 from .theorems import (BlockPair, ConicReport, FamilyReport, PropReport,
                        TailReport, block_det_identity, make_tail_config,
                        verify_conic_slp, verify_corollary_families,
@@ -50,7 +49,7 @@ __all__ = [
     "PointSet", "Poly",
     "PreconditionViolatedError", "PropReport", "RING_R", "RING_S",
     "RealizationMismatchError", "RingMismatchError", "ShapeMismatchError",
-    "SlpCertificate", "StructuredGenerator", "TailReport",
+    "SlpCertificate", "TailReport",
     "TheoremTensionError", "WorkBudgetError", "ZeroGeneratorError",
     "binomial_expand",
     "block_det_identity", "catalecticant", "certify_at", "check_slp",

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested check or construction succeeds, 1 when
 a randomized search exhausts its budget or a verified property fails,
-2 for malformed input, bad flags included; each GorlefError class has
-its exit_code.  Any other exception is an internal error: exit 3 with an
+2 for malformed input, bad flags included, 3 for an internal bug; each
+GorlefError class has its exit_code (HessianRankMismatchError is the one
+bug it names).  Any other exception is an internal error: exit 3 with an
 "InternalError" JSON document.  An unwritable --out path is malformed
 input: one JSON error on stdout, exit 2.  All randomness flows from --seed
 through named substreams, so identical invocations produce identical
@@ -20,7 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .construct import StructuredGenerator, construct_slp_algebra
+from .construct import construct_slp_algebra
 from .errors import GorlefError
 from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
@@ -123,9 +124,8 @@ def _run_analyze(args) -> Tuple[dict, int]:
             raise ValueError("need --poly, or --points with --alphas and --d")
         x = PointSet.from_json_dict(_load_json_arg(args.points))
         alphas = parse_list(args.alphas, exact)
-        g = StructuredGenerator(x=x, alphas=tuple(alphas), d=args.d)
-        doc["input"] = g.to_json_dict()
-        algebra = GorensteinAlgebra.of_points(g)
+        algebra = GorensteinAlgebra.of_points(x, alphas, args.d)
+        doc["input"] = algebra.power_sum_json()
     doc["d"] = algebra.d
     doc["hilbert"] = list(algebra.hilbert)
     doc["codimension"] = algebra.codimension()
@@ -255,12 +255,14 @@ def _run_verify(args) -> Tuple[dict, int]:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=50)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--coord-box", type=int, default=50)
-    p.add_argument("--alpha-box", type=int, default=20)
+_SHARED_DEFAULTS = {"seed": 0, "attempts": 50, "trials": 20, "coord-box": 50,
+                    "alpha-box": 20}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """The shared flags that p's handler reads, then --out, read by main."""
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=int, default=_SHARED_DEFAULTS[flag])
     p.add_argument("--out", default=None, help="also write the JSON here")
 
 
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="realize an SI-sequence by an SLP algebra")
     p_con.add_argument("--h", dest="h", required=True,
                        help="target Hilbert function, comma-separated")
-    _add_common(p_con)
+    _add_common(p_con, "seed", "attempts", "coord-box", "alpha-box")
 
     p_an = sub.add_parser("analyze",
                           help="Hilbert function and Lefschetz certificates")
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--d", type=int, default=None)
     p_an.add_argument("--expect-slp", action="store_true",
                       help="exit 1 when neither Lefschetz check verifies")
-    _add_common(p_an)
+    _add_common(p_an, "seed", "attempts", "coord-box")
 
     p_pts = sub.add_parser("points", help="point-set generators")
     pts_sub = p_pts.add_subparsers(dest="points_command", required=True)
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rnc: comma-separated curve parameters")
     p_gen.add_argument("--delta", default=None,
                        help="distraction: target first difference")
-    _add_common(p_gen)
+    _add_common(p_gen, "seed", "coord-box")
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("--theorem", required=True,
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="families: comma-separated tail lengths")
     p_ver.add_argument("--eval-points", type=int, default=20,
                        help="conic: evaluation points per degree")
-    _add_common(p_ver)
+    _add_common(p_ver, *_SHARED_DEFAULTS)
 
     return parser
 

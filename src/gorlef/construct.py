@@ -25,72 +25,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import LinearFormS, Poly, power_sum
+from .apolar import LinearFormS
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, _search,
                          certify_at, first_witness, structured_hessian_at)
 from .hvector import HVector, hbar
-from .linalg import exact, exact_str
 from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
 
 
-@dataclass
-class StructuredGenerator:
-    """F = sum alpha_i L_i^d for the duals L_i of a point set.
-
-    All weights must be nonzero; that is what makes the piecewise
-    Hilbert formula (and hence the whole pipeline) apply.
-    """
-
-    x: PointSet
-    alphas: Tuple[Fraction, ...]
-    d: int
-
-    def __post_init__(self):
-        self.alphas = tuple(exact(a) for a in self.alphas)
-        if len(self.alphas) != self.x.size:
-            raise ValueError(f"need {self.x.size} weights, got {len(self.alphas)}")
-        if any(a == 0 for a in self.alphas):
-            raise ValueError("all weights must be nonzero")
-        if self.d < 0:
-            raise ValueError("negative degree")
-        self._expanded: Optional[Poly] = None
-
-    @property
-    def expanded(self) -> Poly:
-        if self._expanded is None:
-            self._expanded = power_sum(self.x.points, self.alphas, self.d,
-                                       self.x.n + 1)
-        return self._expanded
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.x.to_json_dict(),
-            "alphas": [exact_str(a) for a in self.alphas],
-            "d": self.d,
-        }
-
-
-def hilbert_formula_check(g: StructuredGenerator) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...]]:
-    """Compare h_A against the piecewise point formula.
+def hilbert_formula_check(algebra: GorensteinAlgebra) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...]]:
+    """Compare h_A of an of_points algebra against the piecewise point formula.
 
     Requires d >= 2 tau(X) - 1 and nonzero weights; then
-    h_A(i) = h_{A(X)}(min(i, d-i)).  Returns (match, actual, predicted).
+    h_A(i) = h_{A(X)}(min(i, d-i)).  h_A is taken from the catalecticants
+    of the expanded F, not from the points.  Returns (match, actual,
+    predicted).
     """
-    t = g.x.tau()
-    if g.d < 2 * t - 1:
+    x, d = algebra.x, algebra.d
+    t = x.tau()
+    if d < 2 * t - 1:
         raise PreconditionViolatedError(
-            f"piecewise formula needs d >= 2*tau-1 = {2 * t - 1}, got d={g.d}")
-    algebra = GorensteinAlgebra(g.expanded, g.d)
-    actual = tuple(algebra.hilbert)
-    predicted = tuple(g.x.hilbert(min(i, g.d - i)) for i in range(g.d + 1))
+            f"piecewise formula needs d >= 2*tau-1 = {2 * t - 1}, got d={d}")
+    actual = tuple(GorensteinAlgebra(algebra.f, d).hilbert)
+    predicted = tuple(x.hilbert(min(i, d - i)) for i in range(d + 1))
     return (actual == predicted, actual, predicted)
 
 
@@ -105,20 +68,14 @@ class ConstructionResult:
     certificate: SlpCertificate
 
     @property
-    def generator(self) -> StructuredGenerator:
-        return self.algebra.generator
-
-    @property
     def attempts_used(self) -> int:
         return self.certificate.attempts
 
     def to_json_dict(self) -> dict:
         return {
             "h": list(self.h.entries),
-            "points": self.x.to_json_dict(),
-            "alphas": [exact_str(a) for a in self.generator.alphas],
-            "d": self.generator.d,
-            "dual_generator": self.generator.expanded.to_json_dict(),
+            **self.algebra.power_sum_json(),
+            "dual_generator": self.algebra.f.to_json_dict(),
             "hilbert": list(self.algebra.hilbert.entries),
             "certificate": self.certificate.to_json_dict(),
             "attempts_used": self.attempts_used,
@@ -129,7 +86,7 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
     """h = (1) or h_1 = 1: one point in P^0 and F = X_0^d."""
     d = hv.socle_degree
     x = PointSet([[1]])
-    algebra = GorensteinAlgebra.of_points(StructuredGenerator(x, (1,), d))
+    algebra = GorensteinAlgebra.of_points(x, (1,), d)
     cert, _ = _search("slp", lambda a, ell: certify_at(a, ell, t=0),
                       lambda: (algebra, LinearFormS([1])), 1, seed)
     if not cert.verdict or tuple(algebra.hilbert) != hv.entries:
@@ -196,7 +153,7 @@ def random_power_sum(x: PointSet, d: int, rng: random.Random,
                      box: int = 20) -> GorensteinAlgebra:
     """A for F = sum alpha_i L_i^d over x, alpha_i nonzero in [-box, box]."""
     alphas = tuple(_nonzero_int(rng, box) for _ in range(x.size))
-    return GorensteinAlgebra.of_points(StructuredGenerator(x, alphas, d))
+    return GorensteinAlgebra.of_points(x, alphas, d)
 
 
 def _separating_form(x: PointSet, rng: random.Random, box: int,

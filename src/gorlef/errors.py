@@ -5,7 +5,8 @@ class GorlefError(Exception):
     """Base class for all package-specific errors.
 
     exit_code is the CLI's exit status for the error: 2 for malformed
-    input (the default), 1 for an exhausted search or a failed check.
+    input (the default), 1 for an exhausted search or a failed check,
+    3 for an internal bug.
     """
 
     exit_code = 2
@@ -103,7 +104,7 @@ class HessianRankMismatchError(GorlefError):
     """Cat^j(ell^(d-2j) o F)[B, B] differs from (d-2j)! Hess^j(F)(P_ell).
 
     The two routes' matrices are provably equal, so a mismatch always
-    indicates an internal bug and is raised loudly.
+    indicates an internal bug and is raised loudly, with exit code 3.
     """
 
-    exit_code = 1
+    exit_code = 3

@@ -74,12 +74,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     monomials_of_degree)
+                     monomials_of_degree, power_sum)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
-from .linalg import Mat, exact_str
+from .linalg import Mat, exact, exact_str
 
 
 def _require_form(f: Poly, d: int) -> None:
@@ -190,24 +190,24 @@ def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
     return Mat([[scale * e for e in row] for row in acc])
 
 
-def plateau_det(g, j: int, frame: Sequence[Monomial],
-                ell: LinearFormS) -> Fraction:
-    """det Hess^j(F)(P_ell) for g's F = sum alpha_i L_i^d, over a frame
-    of s = |X| monomials, as a product over the points.
+def plateau_det(algebra: "GorensteinAlgebra", j: int,
+                frame: Sequence[Monomial], ell: LinearFormS) -> Fraction:
+    """det Hess^j(F)(P_ell) for an of_points algebra's F = sum alpha_i
+    L_i^d, over a frame of s = |X| monomials, as a product over the points.
 
-    V_B = g.x.values(frame) is then square, so structured_hessian_at's
+    V_B = algebra.x.values(frame) is then square, so structured_hessian_at's
     sum (d!/(d-2j)!) V_B^T diag(alpha_i L_i(P_ell)^(d-2j)) V_B has
 
         det = (d!/(d-2j)!)^s det(V_B)^2 prod_i alpha_i L_i(P_ell)^(d-2j),
 
     and det(V_B) is eliminated once per point set (PointSet.frame_det).
     """
-    k = g.d - 2 * j
+    x, k = algebra.x, algebra.d - 2 * j
     p_ell = ell.point()
     weights = prod(a * sum(map(mul, p_ell, pt)) ** k
-                   for a, pt in zip(g.alphas, g.x.points))
-    scale = factorial(g.d) // factorial(k)
-    return Fraction(scale ** len(frame) * g.x.frame_det(frame) ** 2 * weights)
+                   for a, pt in zip(algebra.alphas, x.points))
+    scale = factorial(algebra.d) // factorial(k)
+    return Fraction(scale ** len(frame) * x.frame_det(frame) ** 2 * weights)
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,
@@ -319,30 +319,51 @@ class GorensteinAlgebra:
     """A = S/Ann(F) with cached Hilbert function and graded bases.
 
     Builds the bases of A_j for j <= floor(d/2), one catalecticant
-    elimination each, or reads them off the points of a power-sum
-    generator (of_points, which keeps it as `generator`) when tau(X) <=
-    ceil(d/2), and reads the whole Hilbert function off them.
+    elimination each, or reads them off the points of a power sum
+    (of_points, which keeps the point set as `x` and the weights as
+    `alphas`; both are None for an algebra built from a polynomial) when
+    tau(X) <= ceil(d/2), and reads the whole Hilbert function off them.
     """
 
-    def __init__(self, f: Poly, d: Optional[int] = None, *,
-                 _generator=None):
+    def __init__(self, f: Poly, d: Optional[int] = None, *, _points=None):
         if f.is_zero():
             raise ZeroGeneratorError("zero dual generator")
         self.f = f
         self.d = f.degree() if d is None else d
         _require_form(f, self.d)
         self.n_vars = f.n_vars
-        self.generator = g = _generator
-        on_points = g is not None and 2 * g.x.tau() <= self.d + 1
+        self.x, self.alphas = _points or (None, None)
+        on_points = self.x is not None and 2 * self.x.tau() <= self.d + 1
         self._bases: List[List[Monomial]] = [
-            list(g.x.basis(j)) if on_points else basis(f, j, self.d)
+            list(self.x.basis(j)) if on_points else basis(f, j, self.d)
             for j in range(self.d // 2 + 1)]
         self.hilbert: HVector = _mirrored([len(b) for b in self._bases], self.d)
 
     @classmethod
-    def of_points(cls, g) -> "GorensteinAlgebra":
-        """A for a StructuredGenerator g, any d; its Hessians sum over g.x."""
-        return cls(g.expanded, g.d, _generator=g)
+    def of_points(cls, x, alphas: Sequence, d: int) -> "GorensteinAlgebra":
+        """A for F = sum alpha_i L_i^d over the PointSet x, any d >= 0.
+
+        All weights must be nonzero; that is what makes the piecewise
+        Hilbert formula (and hence the whole pipeline) apply.  F is
+        expanded once; the Hessians sum over x.
+        """
+        alphas = tuple(exact(a) for a in alphas)
+        if len(alphas) != x.size:
+            raise ValueError(f"need {x.size} weights, got {len(alphas)}")
+        if any(a == 0 for a in alphas):
+            raise ValueError("all weights must be nonzero")
+        if d < 0:
+            raise ValueError("negative degree")
+        return cls(power_sum(x.points, alphas, d, x.n + 1), d,
+                   _points=(x, alphas))
+
+    def power_sum_json(self) -> dict:
+        """The points, weights and d of an of_points algebra."""
+        return {
+            "points": self.x.to_json_dict(),
+            "alphas": [exact_str(a) for a in self.alphas],
+            "d": self.d,
+        }
 
     def basis(self, j: int) -> List[Monomial]:
         """The basis of A_j built by the constructor, 0 <= j <= floor(d/2)."""
@@ -353,11 +374,10 @@ class GorensteinAlgebra:
 
     def hessian(self, j: int, ell: LinearFormS) -> Mat:
         """Hess^j(F)(P_ell) over basis(j); summed over the points if any."""
-        g = self.generator
-        if g is None:
+        if self.x is None:
             return hessian_at(self.f, j, ell, self.basis(j), self.d)
-        return structured_hessian_at(g.x, g.alphas, self.d, j, self.basis(j),
-                                     ell)
+        return structured_hessian_at(self.x, self.alphas, self.d, j,
+                                     self.basis(j), ell)
 
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
@@ -383,8 +403,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     d, h = algebra.d, algebra.hilbert
     records = []
     g, deg = algebra.f, d  # g = ell^(d - deg) o F, of degree deg
-    gen = algebra.generator
-    s = None if gen is None else gen.x.size
+    s = None if algebra.x is None else algebra.x.size
     for j in range(d // 2, -1, -1):
         g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
         B = algebra.basis(j)
@@ -395,7 +414,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
             raise HessianRankMismatchError(
                 f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                 f" {d - deg}! Hess^j(F)(P_ell)")
-        dv = plateau_det(gen, j, B, ell) if len(B) == s else linalg.det(hess)
+        dv = plateau_det(algebra, j, B, ell) if len(B) == s else linalg.det(hess)
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(j=j, method=method, det=dv,
                                     rank=h[j] if dv else linalg.rank(m),

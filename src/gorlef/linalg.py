@@ -12,7 +12,8 @@ Every elimination runs through one exact forward pass: each row is
 cleared of denominators on entry, and the fraction-free pass (Bareiss
 1968, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination") gives rank, pivot columns and the determinant together.
-Only `nullspace` goes back to fractions, for its back-substitution.
+`nullspace` solves one kernel vector per free column from the
+echelon rows, in fractions.
 A matrix of more than MAX_ELIMINATION_CELLS entries is refused with a
 WorkBudgetError (exit 2) before the pass, whose cost grows with the
 cube of the size, starts.
@@ -209,32 +210,23 @@ def pivot_columns(m: Mat) -> List[int]:
 def nullspace(m: Mat) -> List[List[Fraction]]:
     """Basis of the right kernel {v : m v = 0}.
 
-    The integer forward pass, then back-substitution to the reduced
-    echelon form over the rationals; that form is unique, so the basis
-    does not depend on how the forward pass scaled its rows.
+    The integer forward pass, then, for each free column f, the kernel
+    vector with v[f] = 1 and every other free entry 0: its pivot entries
+    are solved bottom-up through the echelon rows.  That vector is the
+    unique reduced-echelon one, so the basis does not depend on how the
+    forward pass scaled its rows.
     """
     a, _ = _integer_rows(m.entries)
     piv = _eliminate(a, m.cols)[0]
-    a = [[Fraction(x) for x in row] for row in a[:len(piv)]]
-    for idx in range(len(piv) - 1, -1, -1):
-        c = piv[idx]
-        p = a[idx][c]
-        row = a[idx]
-        for j in range(c, m.cols):
-            row[j] /= p
-        for i in range(idx):
-            f = a[i][c]
-            if f == 0:
-                continue
-            ri = a[i]
-            for j in range(c, m.cols):
-                ri[j] -= f * row[j]
-    free = [c for c in range(m.cols) if c not in piv]
+    echelon = list(zip(a, piv))[::-1]
     basis = []
-    for fc in free:
+    for f in range(m.cols):
+        if f in piv:
+            continue
         v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for idx, c in enumerate(piv):
-            v[c] = -a[idx][fc]
+        v[f] = Fraction(1)
+        for row, c in echelon:
+            v[c] = -sum((x * y for x, y in zip(row[c + 1:], v[c + 1:])
+                         if x), Fraction(0)) / row[c]
         basis.append(v)
     return basis

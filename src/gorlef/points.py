@@ -220,17 +220,9 @@ def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
                 seen.add(p)
                 pts.append(p)
         x = PointSet(pts)
-        i = 0
-        good = True
-        while True:
-            expect = min(comb(n + i, i), s)
-            if x.hilbert(i) != expect:
-                good = False
-                break
-            if expect == s:
-                break
-            i += 1
-        if good:
+        t = x.tau()
+        if x.hilbert_vector(t) == tuple(min(comb(n + i, i), s)
+                                        for i in range(t + 1)):
             return x
     raise RealizationMismatchError(
         f"no generic configuration of {s} points in P^{n} after {attempts} draws")

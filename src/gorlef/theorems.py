@@ -1,13 +1,14 @@
 """Executable checks for the structural results behind the pipeline.
 
 Each verifier builds its configuration, validates the hypotheses at
-runtime (loudly; never trusting the generator), certifies the claimed
-conclusion, and raises TheoremTensionError when a theorem instance
-unexpectedly fails.  Randomized nonvanishing verdicts remain one-sided.
-Every configuration is a power sum built by random_power_sum.  Its
-Hessians (structured_hessian_at, the conic decomposition's five
-included) and zero-forcing ranks read PointSet.values once per frame,
-not per ell; only the SLP certificates' rank route reads the expanded F.
+runtime (loudly; never trusting the point-set generator), certifies the
+claimed conclusion, and raises TheoremTensionError when a theorem
+instance unexpectedly fails.  Randomized nonvanishing verdicts remain
+one-sided.  Every configuration is an of_points algebra built by
+random_power_sum, which carries its points and weights.  Its Hessians
+(structured_hessian_at, the conic decomposition's five included) and
+zero-forcing ranks read PointSet.values once per frame, not per ell;
+only the SLP certificates' rank route reads the expanded F.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
 
     # Split F along the lines: each part weighs all of x, zero off its line.
     # x0^2 o L^d = d(d-1) a0^2 L^(d-2): F1' weighs P_i by d(d-1) p_i0^2.
-    alphas = algebra.generator.alphas
+    alphas = algebra.alphas
     a1, a2 = _split_two_lines(x, alphas)
     a1p = [a * d * (d - 1) * p[0] ** 2 for a, p in zip(a1, x.points)]
     a2p = [a * d * (d - 1) * p[1] ** 2 for a, p in zip(a2, x.points)]
@@ -251,9 +252,10 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     """Curve points plus generic off-curve points with a valid tail shape.
 
     Returns (X, k) where Delta h_{A(X)} ends with the value r from
-    degree k < tau through tau.  Raises when the requested combination
-    cannot produce such a shape (small caps make some impossible), and
-    before any draw on an unknown kind, off < 0, tau_target < 1 or more
+    degree k < tau through tau.  Raises when the draws produce no such
+    shape (small caps make some impossible), and ValueError before any
+    draw on an unknown kind, off < 0, tau_target < 1, a request no draw
+    can satisfy (tau_target = 1, or a line tail with off = 0) or more
     off-curve points than the box [-box, box]^2 holds.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
@@ -265,6 +267,12 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     if off > room:
         raise ValueError(f"the box [-{box}, {box}]^2 holds {room} points off "
                          f"the {kind}, got off={off}")
+    # A line tail with off = 0 is collinear: Delta h(1) = 1, not a plane
+    # shape.  At tau = 1 a line tail needs Delta h(1) = 1 and 2 at once,
+    # and a conic tail has s <= 3 points, all on the curve, which no
+    # 5-point conic probe can find.
+    if tau_target == 1 or (kind == "line" and off == 0):
+        raise ValueError(f"no {kind} tail has tau={tau_target}, off={off}")
     r = _TAIL_R[kind]
     on_count = r * tau_target + 1
     for _ in range(attempts):
@@ -308,7 +316,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
     points' evaluation matrix on the basis of A_j has rank below h_A(j).
     `zero_forcing_checks` counts the `trials` draws per (weight, degree)
     that the proof covers.  The curve subset of exactly r*tau+1 points is
-    found by exact search, never trusted from the generator; that is what
+    found by exact search, not taken from make_tail_config; that is what
     keeps the boundary case k = tau sound, where the Hilbert function
     alone would not pin down the geometry.
     """

@@ -16,7 +16,7 @@ from math import comb
 
 from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.cli import main as cli_main
-from gorlef.construct import (StructuredGenerator, hess_coefficient_criterion,
+from gorlef.construct import (hess_coefficient_criterion,
                               hilbert_formula_check)
 from gorlef.gorenstein import (GorensteinAlgebra, catalecticant,
                                sample_linear_form, structured_hessian_at)
@@ -191,7 +191,7 @@ def test_criterion_04_piecewise_hilbert_formula():
         d = max(1, 2 * tau + rng.choice([-1, 0, 1]))
         alphas = tuple(Fraction(rng.choice([v for v in range(-20, 21) if v]))
                        for _ in range(x.size))
-        g = StructuredGenerator(x=x, alphas=alphas, d=d)
+        g = GorensteinAlgebra.of_points(x, alphas, d)
         match, actual, predicted = hilbert_formula_check(g)
         assert match, (trial, x.points, d, actual, predicted)
     print("criterion 04: PASS (50 instances)")
@@ -257,8 +257,8 @@ def test_criterion_06_multilinearity():
         if d == 0:
             d = 2
         j = rng.randint(0, min(tau, d // 2))
-        ones = StructuredGenerator(x=x, alphas=(Fraction(1),) * x.size, d=d)
-        frame = GorensteinAlgebra(ones.expanded, d).basis(j)
+        ones = GorensteinAlgebra.of_points(x, (Fraction(1),) * x.size, d)
+        frame = GorensteinAlgebra(ones.f, d).basis(j)
         ell = sample_linear_form(x.n + 1, rng, 20)
         base = [Fraction(rng.randint(-9, 9)) for _ in range(x.size)]
         for i in range(x.size):

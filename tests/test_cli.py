@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: JSON documents, exit codes, determinism."""
 
+import argparse
+import ast
+import inspect
 import io
 import json
 import os
@@ -277,14 +280,43 @@ class TestPlumbing:
         ["seq"], ["construct"], ["points", "gen", "--kind", "nope"],
         ["construct", "--h", "1,3,1", "--attempts", "x"],
         ["seq", "check", "1,2,1", "--bogus"],
+        # shared flags that the subcommand does not read are not taken
+        ["seq", "check", "1,2,1", "--seed", "3"],
+        ["construct", "--h", "1,3,1", "--trials", "5"],
     ], ids=["no-subcommand", "missing-flag", "bad-choice", "bad-int",
-            "unknown-flag"])
+            "unknown-flag", "seq-seed", "construct-trials"])
     def test_argparse_error_is_a_json_exit_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["error"]["type"] == "ValueError"
         assert captured.err == ""
+
+    @staticmethod
+    def _leaf_parsers(parser, path=()):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, p in action.choices.items():
+                yield from TestPlumbing._leaf_parsers(p, path + (name,))
+
+    @staticmethod
+    def _args_read(*functions):
+        tree = ast.parse("\n".join(inspect.getsource(f) for f in functions))
+        return {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+    def test_every_option_is_read(self):
+        # a flag that nothing reads is accepted and silently ignored
+        unread = []
+        for path, parser in self._leaf_parsers(cli.build_parser()):
+            read = self._args_read(getattr(cli, f"_run_{path[0]}"), cli.main)
+            unread += [(" ".join(path), a.dest) for a in parser._actions
+                       if a.dest != "help" and a.dest not in read]
+        assert unread == []
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -293,11 +325,12 @@ class TestPlumbing:
 
 
 class TestErrorContract:
-    # 1: a search ran out or a checked property failed; 2: malformed input
+    # 1: a search ran out or a checked property failed; 2: malformed input;
+    # 3: an internal bug
     EXIT_CODES = {
         "NoWitnessFoundError": 1, "TheoremTensionError": 1,
         "RealizationMismatchError": 1, "ShapeMismatchError": 1,
-        "HessianRankMismatchError": 1,
+        "HessianRankMismatchError": 3,
         "NonSquareError": 2, "RingMismatchError": 2,
         "DegreeOutOfRangeError": 2, "ZeroGeneratorError": 2,
         "NotHomogeneousError": 2,
@@ -444,11 +477,20 @@ class TestErrorContract:
          "--off", "-1"],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "0"],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "-1"],
+        # requests that no draw can satisfy; these exited 1 after a search
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
+         "--off", "0"],
+        ["verify", "--theorem", "tails", "--kind", "conic", "--tau", "1",
+         "--off", "0"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "1",
+         "--off", "1"],
     ], ids=["construct-attempts-negative", "construct-attempts-zero",
             "construct-trivial-attempts-zero", "construct-not-si-attempts-zero",
             "analyze-attempts-zero", "tails-trials-zero",
             "s-minus-trials-zero", "conic-eval-points-negative",
-            "tails-off-negative", "tails-tau-zero", "tails-tau-negative"])
+            "tails-off-negative", "tails-tau-zero", "tails-tau-negative",
+            "tails-line-off-zero", "tails-conic-tau-one",
+            "tails-line-tau-one"])
     def test_budget_below_one_is_exit_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

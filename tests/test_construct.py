@@ -1,4 +1,4 @@
-"""Structured generators, Hilbert formula, realization pipeline."""
+"""Power-sum algebras, Hilbert formula, realization pipeline."""
 
 import random
 from fractions import Fraction
@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gorlef.apolar import LinearFormS, Poly, RING_R, power_sum
-from gorlef.construct import (ConstructionResult, StructuredGenerator,
-                              _separating_form, construct_slp_algebra,
+from gorlef.construct import (ConstructionResult, _separating_form,
+                              construct_slp_algebra,
                               hess_coefficient_criterion,
                               hilbert_formula_check, random_power_sum)
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
@@ -34,14 +34,17 @@ def random_alphas(rng, size, box=9):
 
 
 class TestStructuredGenerator:
+    """A power sum's weights, degree and expansion, as
+    GorensteinAlgebra.of_points checks and builds them."""
+
     def test_expanded_matches_manual_sum(self):
         x = gen_two_lines(2, 2, False)
-        g = StructuredGenerator(x=x, alphas=F(1, -2, 3, 5), d=3)
+        g = GorensteinAlgebra.of_points(x, F(1, -2, 3, 5), 3)
         total = None
         for a, p in zip(g.alphas, x.points):
             term = Poly(3, RING_R, linear_power_terms(p, 3)).scale(a)
             total = term if total is None else total + term
-        assert g.expanded.terms == total.terms
+        assert g.f.terms == total.terms
 
     def test_expanded_rational_points_match_repeated_multiplication(self):
         x = PointSet([F(1, Fraction(1, 2), Fraction(3, 7)), F(1, -2, 5),
@@ -52,22 +55,22 @@ class TestStructuredGenerator:
             for a, p in zip(alphas, x.points):
                 for m, c in linear_power_terms(p, d).items():
                     expected[m] = expected.get(m, 0) + a * c
-            g = StructuredGenerator(x=x, alphas=alphas, d=d)
-            assert g.expanded.terms == {m: c for m, c in expected.items() if c}
+            g = GorensteinAlgebra.of_points(x, alphas, d)
+            assert g.f.terms == {m: c for m, c in expected.items() if c}
 
     def test_zero_weight_rejected(self):
         x = gen_collinear(2, 2)
         with pytest.raises(ValueError):
-            StructuredGenerator(x=x, alphas=F(1, 0), d=2)
+            GorensteinAlgebra.of_points(x, F(1, 0), 2)
 
     def test_length_mismatch_rejected(self):
         x = gen_collinear(2, 3)
         with pytest.raises(ValueError):
-            StructuredGenerator(x=x, alphas=F(1, 1), d=2)
+            GorensteinAlgebra.of_points(x, F(1, 1), 2)
 
     def test_json_dict(self):
         x = gen_collinear(2, 2)
-        doc = StructuredGenerator(x=x, alphas=F(1, -1), d=4).to_json_dict()
+        doc = GorensteinAlgebra.of_points(x, F(1, -1), 4).power_sum_json()
         assert doc["d"] == 4
         assert doc["alphas"] == ["1", "-1"]
         assert "points" in doc
@@ -81,8 +84,8 @@ class TestStructuredHessian:
             tau = x.tau()
             d = 2 * tau
             alphas = random_alphas(rng, x.size)
-            g = StructuredGenerator(x=x, alphas=alphas, d=d)
-            algebra = GorensteinAlgebra(g.expanded, d)
+            g = GorensteinAlgebra.of_points(x, alphas, d)
+            algebra = GorensteinAlgebra(g.f, d)
             for _ in range(3):
                 coeffs = [rng.randint(-9, 9) for _ in range(x.n + 1)]
                 if not any(coeffs):
@@ -91,7 +94,7 @@ class TestStructuredHessian:
                 for j in range(d // 2 + 1):
                     frame = algebra.basis(j)
                     fast = structured_hessian_at(x, alphas, d, j, frame, ell)
-                    slow = hessian_at(g.expanded, j, ell, frame, d)
+                    slow = hessian_at(g.f, j, ell, frame, d)
                     assert fast.entries == slow.entries
 
     def test_zero_weights_allowed_in_assembly(self):
@@ -113,8 +116,8 @@ class TestStructuredHessian:
         rng = random.Random(81)
         x = gen_two_lines(2, 2, False)
         d, j = 4, 2
-        ones = StructuredGenerator(x=x, alphas=F(1, 1, 1, 1), d=d)
-        frame = GorensteinAlgebra(ones.expanded, d).basis(j)
+        ones = GorensteinAlgebra.of_points(x, F(1, 1, 1, 1), d)
+        frame = GorensteinAlgebra(ones.f, d).basis(j)
         ell = LinearFormS(F(3, 1, 2))
         base = list(random_alphas(rng, x.size))
         for i in range(x.size):
@@ -138,8 +141,8 @@ class TestHilbertFormulaCheck:
             for d in (2 * tau - 1, 2 * tau, 2 * tau + 1):
                 if d < 1:
                     continue
-                g = StructuredGenerator(x=x, alphas=random_alphas(rng, x.size),
-                                        d=d)
+                g = GorensteinAlgebra.of_points(x, random_alphas(rng, x.size),
+                                                d)
                 match, actual, predicted = hilbert_formula_check(g)
                 assert match, (actual, predicted)
                 assert actual == tuple(x.hilbert(min(i, d - i))
@@ -147,7 +150,7 @@ class TestHilbertFormulaCheck:
 
     def test_low_degree_rejected(self):
         x = gen_two_lines(3, 3, False)  # tau = 3
-        g = StructuredGenerator(x=x, alphas=F(1, 1, 1, 1, 1, 1), d=4)
+        g = GorensteinAlgebra.of_points(x, F(1, 1, 1, 1, 1, 1), 4)
         with pytest.raises(PreconditionViolatedError):
             hilbert_formula_check(g)
 
@@ -249,7 +252,7 @@ class TestConstructSlpAlgebra:
         rng = random.Random(90)
         algebra = random_power_sum(res.x, 5, rng)
         ell = _separating_form(res.x, rng, 50)
-        assert res.generator.alphas == algebra.generator.alphas
+        assert res.algebra.alphas == algebra.alphas
         assert res.certificate.ell.coeffs == ell.coeffs
 
     def test_plateau_and_codim_two(self):

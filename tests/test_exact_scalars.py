@@ -14,8 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gorlef.apolar import (LinearFormS, Poly, RING_R,
                            contract_linear_power, monomials_of_degree,
                            power_sum)
-from gorlef.construct import StructuredGenerator
-from gorlef.gorenstein import structured_hessian_at
+from gorlef.gorenstein import GorensteinAlgebra, structured_hessian_at
 from gorlef.linalg import Mat, det
 from gorlef.points import PointSet
 
@@ -81,9 +80,9 @@ def test_point_coordinates(points):
 def test_generator_weights(alphas):
     assume(all(Fraction(a) for a in alphas))
     x = PointSet([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g = StructuredGenerator(x=x, alphas=alphas, d=2)
+    g = GorensteinAlgebra.of_points(x, alphas, 2)
     assert all_exact(g.alphas)
-    assert all_exact(g.expanded.terms.values())
+    assert all_exact(g.f.terms.values())
 
 
 @SETTINGS

@@ -17,7 +17,7 @@ from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                multiplication_rank, plateau_det,
                                sample_linear_form, structured_hessian_at)
 from gorlef import gorenstein, linalg
-from gorlef.construct import StructuredGenerator, construct_slp_algebra
+from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
 from gorlef.linalg import det, rank
 from gorlef.points import PointSet
@@ -299,7 +299,7 @@ def _algebras():
     """One algebra from a polynomial and one from points, d = 3 and 4."""
     x = PointSet([[1, 0], [0, 1], [1, 1]])
     return [GorensteinAlgebra(X0X1X2),
-            GorensteinAlgebra.of_points(StructuredGenerator(x, (1, 2, -1), 4))]
+            GorensteinAlgebra.of_points(x, (1, 2, -1), 4)]
 
 
 class TestBasisRange:
@@ -371,11 +371,10 @@ def _power_sums(draw, on_points):
              else st.integers(1, 2 * tau - 2))
     alphas = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=x.size,
                            max_size=x.size))
-    g = StructuredGenerator(x, alphas, d)
     # Below the regularity the L_i^d can be dependent (three collinear
     # points and d = 1), so the sum may cancel to F = 0: no algebra.
-    assume(not g.expanded.is_zero())
-    return GorensteinAlgebra.of_points(g)
+    assume(not power_sum(x.points, alphas, d, n + 1).is_zero())
+    return GorensteinAlgebra.of_points(x, alphas, d)
 
 
 _ELLS = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
@@ -400,13 +399,13 @@ class TestBlockAudit:
     @settings(max_examples=60, deadline=None)
     @given(_power_sums(on_points=True), _ELLS)
     def test_point_basis_route(self, algebra, coeffs):
-        assert 2 * algebra.generator.x.tau() <= algebra.d + 1
+        assert 2 * algebra.x.tau() <= algebra.d + 1
         self._every_line(algebra, coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(_power_sums(on_points=False), _ELLS)
     def test_catalecticant_basis_route(self, algebra, coeffs):
-        assert 2 * algebra.generator.x.tau() > algebra.d + 1
+        assert 2 * algebra.x.tau() > algebra.d + 1
         self._every_line(algebra, coeffs)
 
     @settings(max_examples=60, deadline=None)
@@ -437,12 +436,12 @@ class TestCertifiedRanks:
 
     @staticmethod
     def _every_line(algebra, data):
-        n, d, g = algebra.n_vars, algebra.d, algebra.generator
+        n, d, x = algebra.n_vars, algebra.d, algebra.x
         ells = [st.integers(0, n - 1).map(lambda i: [int(c == i)
                                                      for c in range(n)]),
                 st.lists(st.integers(-2, 2), min_size=n, max_size=n)]
-        if g is not None and g.x.size >= n - 1:
-            ells.append(st.permutations(g.x.points).map(_through))
+        if x is not None and x.size >= n - 1:
+            ells.append(st.permutations(x.points).map(_through))
         coeffs = data.draw(st.one_of(ells))
         assume(any(coeffs))
         ell = LinearFormS(coeffs)
@@ -489,7 +488,7 @@ def _plateau_power_sums(draw):
     alphas = draw(st.lists(st.fractions(-4, 4, max_denominator=5)
                            .filter(bool), min_size=x.size, max_size=x.size))
     d = draw(st.integers(2 * x.tau(), 2 * x.tau() + 3))
-    return GorensteinAlgebra.of_points(StructuredGenerator(x, alphas, d))
+    return GorensteinAlgebra.of_points(x, alphas, d)
 
 
 class TestPlateauDeterminants:
@@ -501,7 +500,7 @@ class TestPlateauDeterminants:
     @settings(max_examples=80, deadline=None)
     @given(_plateau_power_sums(), st.data())
     def test_recorded_det_is_the_cofactor_det(self, algebra, data):
-        n, d, x = algebra.n_vars, algebra.d, algebra.generator.x
+        n, d, x = algebra.n_vars, algebra.d, algebra.x
         ells = [st.lists(st.integers(-2, 2), min_size=n, max_size=n)]
         if x.size >= n - 1:
             ells.append(st.permutations(x.points).map(_through))
@@ -523,7 +522,7 @@ class TestPlateauDeterminants:
         # pivots of Cat^(d-j) of the expanded F as well
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
-        g, d = algebra.generator, algebra.d
+        g, d = algebra, algebra.d
         for j in range(g.x.tau(), d // 2 + 1):
             frame = basis(algebra.f, j, d)
             assert len(frame) == g.x.size
@@ -534,14 +533,13 @@ class TestPlateauDeterminants:
     @given(_power_sums(on_points=False))
     def test_no_plateau_on_the_catalecticant_route(self, algebra):
         # h(j) <= h_X(j) < s for j <= floor(d/2) < tau there
-        assert all(len(algebra.basis(j)) < algebra.generator.x.size
+        assert all(len(algebra.basis(j)) < algebra.x.size
                    for j in range(algebra.d // 2 + 1))
 
     def test_an_ell_through_two_points_gives_det_zero_and_the_rank(self):
         x = PointSet([[0, 1, 2], [1, 0, 0], [1, 1, 1], [0, 0, 1], [1, -1, 3]])
-        g = StructuredGenerator(x, [1, Fraction(2, 3), -3, Fraction(1, 2), 5],
-                                2 * x.tau() + 2)
-        algebra = GorensteinAlgebra.of_points(g)
+        algebra = GorensteinAlgebra.of_points(
+            x, [1, Fraction(2, 3), -3, Fraction(1, 2), 5], 2 * x.tau() + 2)
         ell = LinearFormS(_through(x.points))
         records = certify_at(algebra, ell)
         zero = [r for r in records if r.required == x.size and r.det == 0]
@@ -553,8 +551,7 @@ class TestPlateauDeterminants:
         # h = 1,3,6,6,6,3,1: plateau lines j = 2, 3, over two draws of ell
         x = PointSet([[1, a, b] for a, b in ((0, 0), (1, 0), (0, 1), (2, 0),
                                              (1, 1), (0, 2))])
-        algebra = GorensteinAlgebra.of_points(
-            StructuredGenerator(x, [1, 2, 3, -1, -2, 5], 6))
+        algebra = GorensteinAlgebra.of_points(x, [1, 2, 3, -1, -2, 5], 6)
         sizes = []
         det = linalg.det
         monkeypatch.setattr(linalg, "det",

@@ -17,10 +17,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gorlef import construct
+from gorlef import gorenstein
 from gorlef.apolar import (LinearFormS, Poly, RING_R, contract_linear_power,
                            monomials_of_degree, power_sum)
-from gorlef.construct import StructuredGenerator, construct_slp_algebra
+from gorlef.construct import construct_slp_algebra
 from gorlef.errors import HessianRankMismatchError
 from gorlef.gorenstein import GorensteinAlgebra, basis, hessian_at
 from gorlef.hvector import HVector, is_SI
@@ -239,37 +239,36 @@ def power_sums(draw, d_range):
     alphas = draw(st.lists(weights, min_size=x.size, max_size=x.size))
     lo, hi = d_range(x.tau())
     assume(lo <= hi)
-    return StructuredGenerator(x=x, alphas=tuple(alphas),
-                               d=draw(st.integers(lo, hi)))
+    return x, tuple(alphas), draw(st.integers(lo, hi))
 
 
 @settings(max_examples=180, deadline=None)
 @given(power_sums(lambda t: (0, 2 * t + 3)),
        st.lists(ell_coefficients, min_size=4, max_size=4))
-@example(StructuredGenerator(x=PointSet([[2, 1], [3, -1], [0, 5]]),
-                             alphas=(Fraction(-1, 2), 3, -7), d=3),
+@example((PointSet([[2, 1], [3, -1], [0, 5]]), (Fraction(-1, 2), 3, -7), 3),
          [3, Fraction(-2, 5), 0, 0])
 # d = 2 tau - 2: F = 2X^2 + 2Y^2 - (X+Y)^2 = (X-Y)^2 has h = (1, 1, 1),
 # while the points' V_1 has rank 2
-@example(StructuredGenerator(x=PointSet([[1, 0], [0, 1], [1, 1]]),
-                             alphas=(2, 2, -1), d=2),
+@example((PointSet([[1, 0], [0, 1], [1, 1]]), (2, 2, -1), 2),
          [1, 2, 0, 0])
 def test_point_side_bases_match_catalecticants(g, ell_coeffs):
-    ell_coeffs = ell_coeffs[:g.x.n + 1]
+    x, alphas, d = g
+    f = power_sum(x.points, alphas, d, x.n + 1)
+    ell_coeffs = ell_coeffs[:x.n + 1]
     assume(any(ell_coeffs))
-    assume(not g.expanded.is_zero())  # low d can cancel every term
+    assume(not f.is_zero())  # low d can cancel every term
     # any d: of_points takes V_j's pivot columns only when they are the
     # basis of A_j (tau <= ceil(d/2)), catalecticants below that
-    by_points = GorensteinAlgebra.of_points(g)
-    by_catalecticants = GorensteinAlgebra(g.expanded, g.d)
+    by_points = GorensteinAlgebra.of_points(x, alphas, d)
+    by_catalecticants = GorensteinAlgebra(f, d)
     assert by_points.hilbert == by_catalecticants.hilbert
-    for j in range(g.d // 2 + 1):
+    for j in range(d // 2 + 1):
         assert by_points.basis(j) == by_catalecticants.basis(j)
     # the sum over the points equals the one-contraction Hessian of F
     ell = LinearFormS(ell_coeffs)
-    for j in range(g.d // 2 + 1):
+    for j in range(d // 2 + 1):
         assert by_points.hessian(j, ell).entries == hessian_at(
-            g.expanded, j, ell, by_points.basis(j), g.d).entries
+            f, j, ell, by_points.basis(j), d).entries
 
 
 
@@ -295,7 +294,7 @@ def test_a_term_missing_from_f_fails_the_rank_audit(h, seed, data):
     s = max(HVector.parse(h))
     drop = data.draw(st.integers(0, s - 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "power_sum", _without_point(drop))
+        mp.setattr(gorenstein, "power_sum", _without_point(drop))
         with pytest.raises(HessianRankMismatchError):
             construct_slp_algebra(HVector.parse(h), random.Random(seed))
 
@@ -316,6 +315,6 @@ def test_a_term_missing_from_f_fails_the_verifiers_rank_audit(name, seed,
     # too: the lost term is a det/rank disagreement (a bug), not a
     # theorem instance without a Lefschetz witness
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "power_sum", _without_point(drop))
+        mp.setattr(gorenstein, "power_sum", _without_point(drop))
         with pytest.raises(HessianRankMismatchError):
             VERIFIERS[name](random.Random(seed))

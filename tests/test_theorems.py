@@ -195,7 +195,8 @@ class TestTailConfigs:
     # the conic x0 x2 = x1^2, so at most 600 and 618 fit off the curve
     @pytest.mark.parametrize("kind, tau, off", [
         ("cubic", 3, 1), ("line", 2, -1), ("line", 0, 1), ("conic", -1, 0),
-        ("line", 2, 601), ("conic", 3, 619)])
+        ("line", 2, 601), ("conic", 3, 619), ("line", 3, 0), ("conic", 1, 0),
+        ("line", 1, 1)])
     def test_malformed_request_raises_before_any_draw(self, kind, tau, off):
         rng = random.Random(110)
         state = rng.getstate()
