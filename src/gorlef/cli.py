@@ -138,18 +138,29 @@ def _run_analyze(args) -> Tuple[dict, int]:
     return doc, 0 if slp.verdict or wlp.verdict or not args.expect_slp else 1
 
 
-_POINT_FLAGS = {"generic": ("n", "s"), "collinear": ("n", "s"),
-                "two-lines": ("s1", "s2"), "rnc": ("n", "s"),
-                "distraction": ("delta",)}
+# The flags without a default that each points kind and verify theorem reads
+_NEEDED_FLAGS = {
+    "points": {"generic": ("n", "s"), "collinear": ("n", "s"),
+               "two-lines": ("s1", "s2"), "rnc": ("n", "s"),
+               "distraction": ("delta",)},
+    "verify": {"rnc": ("s",), "conic": ("s1", "s2"),
+               "tails": ("kind", "tau"), "s-minus": ("s", "d", "j")},
+}
+
+
+def _require_flags(args, name: str) -> None:
+    """ValueError naming every flag that `name` needs, when one is missing."""
+    needs = _NEEDED_FLAGS[args.command].get(name, ())
+    if any(getattr(args, flag) is None for flag in needs):
+        *head, last = [f"--{flag}" for flag in needs]
+        raise ValueError(f"{name} needs "
+                         + (", ".join(head) + " and " if head else "") + last)
 
 
 def _run_points(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, "points")
     kind = args.kind
-    needs = _POINT_FLAGS.get(kind, ())
-    if any(getattr(args, flag) is None for flag in needs):
-        raise ValueError(f"{kind} needs "
-                         + " and ".join(f"--{flag}" for flag in needs))
+    _require_flags(args, kind)
     if kind == "generic":
         x = gen_generic(args.n, args.s, rng, box=args.coord_box)
     elif kind == "collinear":
@@ -160,14 +171,12 @@ def _run_points(args) -> Tuple[dict, int]:
         params = (parse_list(args.params) if args.params
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)
-    elif kind == "distraction":
+    else:  # distraction
         delta = parse_list(args.delta)
         n_vars = args.n if args.n is not None else (
             delta[1] if len(delta) > 1 else 1)
         ideal = lex_order_ideal(delta, n_vars)
         x = gen_distraction(ideal)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     doc = {"kind": kind}
     doc.update(_point_set_doc(x))
     if kind == "distraction":
@@ -178,42 +187,31 @@ def _run_points(args) -> Tuple[dict, int]:
 def _run_verify(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, f"verify:{args.theorem}")
     t = args.theorem
+    _require_flags(args, t)
     if t == "rnc":
-        if args.s is None:
-            raise ValueError("rnc needs --s")
-        if args.n < 1:
-            raise ValueError(f"rnc needs --n >= 1, got {args.n}")
-        tau = -(-(args.s - 1) // args.n)
-        d = args.d if args.d is not None else 2 * tau
-        cert = verify_rnc_slp(args.n, args.s, d, rng, attempts=args.attempts,
-                              alpha_box=args.alpha_box, box=args.coord_box)
+        cert, d = verify_rnc_slp(args.n, args.s, args.d, rng,
+                                 attempts=args.attempts,
+                                 alpha_box=args.alpha_box, box=args.coord_box)
         doc = {"theorem": "rnc", "n": args.n, "s": args.s, "d": d,
                "verdict": True, "certificate": cert.to_json_dict()}
     elif t == "conic":
-        if args.s1 is None or args.s2 is None:
-            raise ValueError("conic needs --s1 and --s2")
-        if args.d is None:
-            args.d = 2 * gen_two_lines(args.s1, args.s2, args.share).tau()
         report = verify_conic_slp(args.s1, args.s2, args.share, args.d, rng,
                                   attempts=args.attempts,
                                   eval_points=args.eval_points,
                                   alpha_box=args.alpha_box,
                                   box=args.coord_box)
         doc = {"theorem": "conic", "s1": args.s1, "s2": args.s2,
-               "share": args.share, "d": args.d, "tau": report.tau,
+               "share": args.share, "d": report.d, "tau": report.tau,
                "verdict": True, "display_match": report.display_match,
                "decomposition_checks": report.decomposition_checks,
                "certificate": report.certificate.to_json_dict()}
     elif t == "tails":
-        if args.kind is None or args.tau is None:
-            raise ValueError("tails needs --kind and --tau")
         x, k = make_tail_config(args.kind, args.tau, args.off, rng)
-        d = args.d if args.d is not None else 2 * args.tau
-        report = verify_tail_nonvanishing(args.kind, x, d, k, rng,
+        report = verify_tail_nonvanishing(args.kind, x, args.d, k, rng,
                                           trials=args.trials,
                                           alpha_box=args.alpha_box,
                                           box=args.coord_box)
-        doc = {"theorem": "tails", "kind": args.kind, "d": d, "k": k,
+        doc = {"theorem": "tails", "kind": args.kind, "d": report.d, "k": k,
                "tau": report.tau, "verdict": True,
                "points": x.to_json_dict()["points"],
                "curve_indices": list(report.curve_indices),
@@ -234,20 +232,16 @@ def _run_verify(args) -> Tuple[dict, int]:
                             "size": r.x.size,
                             "verdict": r.certificate.verdict}
                            for r in reports]}
-    elif t == "s-minus":
-        if args.s is None or args.d is None or args.j is None:
-            raise ValueError("s-minus needs --s, --d and --j")
+    else:  # s-minus
         x = gen_generic(args.n, args.s, rng, box=args.coord_box)
         report = verify_prop_s_minus(x, args.d, args.j, args.kind_num, rng,
                                      trials=args.trials,
                                      alpha_box=args.alpha_box,
                                      box=args.coord_box)
-        doc = {"theorem": "s-minus", "kind": report.kind, "j": report.j,
-               "d": report.d, "verdict": True,
+        doc = {"theorem": "s-minus", "kind": args.kind_num, "j": args.j,
+               "d": args.d, "verdict": True,
                "ell": [exact_str(c) for c in report.ell.coeffs],
                "det": exact_str(report.det)}
-    else:
-        raise ValueError(f"unknown theorem {t!r}")
     return doc, 0
 
 
@@ -257,12 +251,15 @@ def _run_verify(args) -> Tuple[dict, int]:
 
 _SHARED_DEFAULTS = {"seed": 0, "attempts": 50, "trials": 20, "coord-box": 50,
                     "alpha-box": 20}
+_SHARED_HELP = {"attempts": "Lefschetz draws; uncapped, work you ask for",
+                "trials": "witness draws; uncapped, work you ask for"}
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     """The shared flags that p's handler reads, then --out, read by main."""
     for flag in flags:
-        p.add_argument(f"--{flag}", type=int, default=_SHARED_DEFAULTS[flag])
+        p.add_argument(f"--{flag}", type=int, default=_SHARED_DEFAULTS[flag],
+                       help=_SHARED_HELP.get(flag))
     p.add_argument("--out", default=None, help="also write the JSON here")
 
 
@@ -347,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", default=None,
                        help="families: comma-separated tail lengths")
     p_ver.add_argument("--eval-points", type=int, default=20,
-                       help="conic: evaluation points per degree")
+                       help="conic: evaluation points per degree; "
+                            "uncapped, work you ask for")
     _add_common(p_ver, *_SHARED_DEFAULTS)
 
     return parser

@@ -3,22 +3,16 @@
 Pipeline: flatten the SI-sequence at its first non-increase, realize
 the flattened sequence as the Hilbert function of a distraction point
 set, and take F = sum alpha_i L_i^d with random nonzero weights
-(random_power_sum, which every power-sum verifier shares).  The algebra
-is built by GorensteinAlgebra.of_points, which picks its bases from tau
-and d: an SI-sequence has d >= 2 tau, so by Cat^(d-j)(F) =
-d! V_(d-j)^T diag(alpha) V_j they are the pivot columns of the points'
-evaluation matrices V_j.  Only hilbert_formula_check, the audit of
-that formula, takes the catalecticants of the expanded F.  For
-degrees below the stabilization the Hessian determinants are eliminated;
-at and above it, where h(j) = s, each is (d!/(d-2j)!)^s det(V_B)^2
-prod_i alpha_i L_i(P_ell)^(d-2j) (gorenstein.plateau_det), nonzero
-whenever ell separates the points.
-gorenstein.certify_at builds the certificate lines: both routes are
-recorded at every degree, the Hessians summed over the points by the
-algebra itself, and a disagreement between them is raised, not retried.
-The attempts run in gorenstein._search, the one certificate loop: each
-draws the weights, then a point-separating ell (one first_witness
-search on prod_i (ell o L_i)); the trivial case draws ell = x_0 once.
+(random_power_sum, which every power-sum verifier shares).  An
+SI-sequence has d >= 2 tau, so GorensteinAlgebra.of_points reads the
+bases off the points, and gorenstein.certify_at's determinants at and
+above the stabilization (h(j) = s) are plateau_det's products over the
+points, nonzero whenever ell separates them; gorenstein owns both
+formulas.  Only hilbert_formula_check, the audit of the point formula,
+takes the catalecticants of the expanded F.  The attempts run in
+gorenstein._search, the one certificate loop: each draws the weights,
+then a point-separating ell (one first_witness search on
+prod_i (ell o L_i)); the trivial case draws ell = x_0 once.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from .errors import (BadSubsetSizeError, NoWitnessFoundError,
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, _search,
                          certify_at, first_witness, structured_hessian_at)
 from .hvector import HVector, hbar
-from .points import OrderIdeal, PointSet, gen_distraction, lex_order_ideal
+from .points import PointSet, gen_distraction, lex_order_ideal
 
 
 def hilbert_formula_check(algebra: GorensteinAlgebra) -> Tuple[bool, Tuple[int, ...], Tuple[int, ...]]:
@@ -62,13 +56,12 @@ class ConstructionResult:
     """A realized SI-sequence with its full audit trail."""
 
     h: HVector
-    ideal: Optional[OrderIdeal]
-    x: PointSet
     algebra: GorensteinAlgebra
     certificate: SlpCertificate
 
     @property
     def attempts_used(self) -> int:
+        """certificate.attempts, as perfbench/tracing.py reads it."""
         return self.certificate.attempts
 
     def to_json_dict(self) -> dict:
@@ -78,21 +71,19 @@ class ConstructionResult:
             "dual_generator": self.algebra.f.to_json_dict(),
             "hilbert": list(self.algebra.hilbert.entries),
             "certificate": self.certificate.to_json_dict(),
-            "attempts_used": self.attempts_used,
+            "attempts_used": self.certificate.attempts,
         }
 
 
 def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResult:
     """h = (1) or h_1 = 1: one point in P^0 and F = X_0^d."""
-    d = hv.socle_degree
-    x = PointSet([[1]])
-    algebra = GorensteinAlgebra.of_points(x, (1,), d)
+    algebra = GorensteinAlgebra.of_points(PointSet([[1]]), (1,),
+                                          hv.socle_degree)
     cert, _ = _search("slp", lambda a, ell: certify_at(a, ell, t=0),
                       lambda: (algebra, LinearFormS([1])), 1, seed)
     if not cert.verdict or tuple(algebra.hilbert) != hv.entries:
         raise RealizationMismatchError("trivial realization failed")
-    return ConstructionResult(h=hv, ideal=None, x=x, algebra=algebra,
-                              certificate=cert)
+    return ConstructionResult(h=hv, algebra=algebra, certificate=cert)
 
 
 def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
@@ -136,8 +127,7 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
             f"no Lefschetz witness for {list(hv.entries)} in {attempts} attempts",
             diagnostics={"h": list(hv.entries), "attempts": attempts,
                          "failures": attempts})
-    return ConstructionResult(h=hv, ideal=ideal, x=x, algebra=algebra,
-                              certificate=cert)
+    return ConstructionResult(h=hv, algebra=algebra, certificate=cert)
 
 
 def _nonzero_int(rng: random.Random, box: int) -> int:

