@@ -5,11 +5,12 @@ the flattened sequence as the Hilbert function of a distraction point
 set, and take F = sum alpha_i L_i^d with random nonzero weights
 (random_power_sum, which every power-sum verifier shares).  An
 SI-sequence has d >= 2 tau, so GorensteinAlgebra.of_points reads the
-bases off the points, and gorenstein.certify_at's determinants at and
-above the stabilization (h(j) = s) are plateau_det's products over the
-points, nonzero whenever ell separates them; gorenstein owns both
-formulas.  Only hilbert_formula_check, the audit of the point formula,
-takes the catalecticants of the expanded F.  The attempts run in
+bases off the points, and gorenstein.certify_at's determinants follow
+gorenstein.gram_det's Cauchy-Binet rule: at and above the
+stabilization (h(j) = s) each is a single product over the points,
+nonzero whenever ell separates them; gorenstein owns both formulas.
+Only hilbert_formula_check, the audit of the point formula, takes the
+catalecticants of the expanded F.  The attempts run in
 gorenstein._search, the one certificate loop: each draws the weights,
 then a point-separating ell (one first_witness search on
 prod_i (ell o L_i)); the trivial case draws ell = x_0 once.
@@ -168,6 +169,13 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     as X in degree j.  Returns (det_route, hilbert_route): the first is
     a randomized nonvanishing verdict on F_I = sum_{i in I} L_i^d, the
     second is exact.  Requires d >= 2 tau(X) - 1 and 0 <= j < tau(X).
+
+    The det route eliminates the Hessian with linalg.det, not by
+    gram_det: F_I is supported on |I| = h(j) = |frame| points, where
+    gram_det's single Cauchy-Binet term is det(V_I)^2 times a product of
+    nonzero weights, nonzero exactly when the exact route's X_I keeps
+    the Hilbert value; both routes would then compute the one det(V_I)
+    and the criterion would no longer compare two computations.
     """
     t = x.tau()
     if d < 2 * t - 1:

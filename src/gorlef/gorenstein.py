@@ -26,33 +26,33 @@ point dual to a linear form ell decide the strong Lefschetz property:
                                   for all j <= floor(d/2).
 
 Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
-contraction gives the whole Hessian over a basis B of A_j (hessian_at);
-for a power sum it is also a sum of rank-one pieces, with v_i the i-th
-row of x.values(B), B at the i-th point, cached across draws of ell
-(structured_hessian_at):
+contraction gives the whole Hessian over a basis B of A_j (hessian_at).
+For a power sum it is a Gram matrix over the points (Iarrobino-Kanev
+1999): with V = x.values(B), cached across draws of ell, and the point
+weights c_i = alpha_i L_i(P_ell)^(d-2j) (point_weights),
 
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
-                     = d!/(d-2j)! sum_i alpha_i L_i(P_ell)^(d-2j) v_i v_i^T
+                     = d!/(d-2j)! V^T diag(c) V        (gram)
 
-Every power-sum Hessian sums over the points (GorensteinAlgebra.hessian
-for an of_points algebra, any d, and the conic verifier per line group);
-hessian_at contracts F only for an algebra built from a polynomial.
-certify_at builds every SLP certificate line.  At each degree it
-builds the block Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the
-matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has
-the rank of the whole catalecticant, as _wlp_lines shows), and requires
-it to equal (d-2j)! algebra.hessian(j, ell) entry for entry.  The det
-then proves the rank: a nonzero det is a nonzero h(j)-minor, and only a
-zero det needs an exact rank.  On a plateau line of an of_points
-algebra, where |B| = h(j) = s = |X| (tau <= j <= floor(d/2)), V_B is
-square and the det is a product over the points (plateau_det):
+and, by Cauchy-Binet, with m = |B| and S the support of c,
 
-    det Hess^j(F)(P_ell) = (d!/(d-2j)!)^s det(V_B)^2
-                           prod_i alpha_i L_i(P_ell)^(d-2j),
+    det Hess^j(F)(P_ell) = (d!/(d-2j)!)^m
+                           sum_{T in S, |T| = m} det(V_T)^2 prod_T c_i.
 
-with det(V_B) eliminated once per point set (PointSet.frame_det), so a
-separating ell proves it nonzero; every other line, and every algebra
-built from a polynomial, eliminates its Hessian.  One chain of
+gram_det is the one rule for that det: 0 when |S| < m, the single term
+when |S| = m, with det(V_S) eliminated once per frame and support
+(PointSet.frame_det), and the elimination of the Gram when |S| > m.
+So on a line with h(j) = s = |X| a separating ell proves the det
+nonzero with no elimination of the Hessian.  GorensteinAlgebra.hessian
+and hessian_det read the points for an of_points algebra, any d;
+hessian_at contracts F, and linalg.det eliminates, only for an algebra
+built from a polynomial.  certify_at builds every SLP certificate line.
+At each degree it builds the block Cat^j(ell^(d-2j) o F)[B, B] of the
+expanded F, the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so
+the block has the rank of the whole catalecticant, as _wlp_lines
+shows), and requires it to equal (d-2j)! algebra.hessian(j, ell) entry
+for entry.  The det then proves the rank: a nonzero det is a nonzero
+h(j)-minor, and only a zero det needs an exact rank.  One chain of
 contractions, ell^2 per step of j, gives every block.  catalecticant
 builds both that block and hessian_at's matrix: catalecticants are
 built in one place only.  The block reads the expanded F and, for a
@@ -158,56 +158,76 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
                 for row in catalecticant(g, j, 2 * j, B, B).entries])
 
 
+def point_weights(x, alphas: Sequence, k: int, ell: LinearFormS) -> list:
+    """c_i = alpha_i L_i(P_ell)^k at each point L_i of the PointSet x.
+
+    A zero alpha_i gives c_i = 0, and so does L_i(P_ell) = 0 when k > 0;
+    at k = 0 the weight is alpha_i.
+    """
+    p_ell = ell.point()
+    return [a * sum(map(mul, p_ell, pt)) ** k
+            for a, pt in zip(alphas, x.points)]
+
+
+def gram(values: Sequence[Sequence], weights: Sequence, scale: int) -> Mat:
+    """scale V^T diag(c) V for the rows V of `values` and the weights c.
+
+    Only the rows with c_i != 0 are read.  The upper triangle is filled
+    from columns, entry (a, b) = scale <c * V[:, a], V[:, b]>, and
+    mirrored; integral data stays in integers.
+    """
+    n = len(values[0])
+    cs = [c for c in weights if c]
+    cols = list(zip(*[v for c, v in zip(weights, values) if c]))
+    out = [[0] * n for _ in range(n)]
+    for a, col in enumerate(cols):
+        wcol = list(map(mul, cs, col))
+        row = out[a]
+        for b in range(a, n):
+            row[b] = out[b][a] = scale * sum(map(mul, wcol, cols[b]))
+    return Mat(out)
+
+
 def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
                           frame: Sequence[Monomial], ell: LinearFormS) -> Mat:
-    """Hessian of sum alpha_i L_i^d at P_ell, assembled from rank-one pieces.
+    """Hessian of sum alpha_i L_i^d at P_ell over a frame, from the points.
 
     Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
-    v_u = b_u(P_L), a row of x.values(frame) for the PointSet x; summing
-    over the points avoids expanding F and is the workhorse for weight-
-    indexed determinant studies.  The sum is V^T diag(c) V, accumulated
-    in integers for integral data, row by row, and scaled by d!/(d-2j)!
-    once.  Zero weights are allowed here precisely to support those
-    studies.
+    v_u = b_u(P_L), a row of x.values(frame) for the PointSet x, so the
+    sum over the points is gram(x.values(frame), c, d!/(d-2j)!) with
+    c = point_weights(x, alphas, d-2j, ell); F is never expanded.  Zero
+    weights are allowed, which lets callers weigh a subset of x.
     """
     if 2 * j > d:
         raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
     k = d - 2 * j
-    p_ell = ell.point()
-    acc = [[0] * len(frame) for _ in frame]
-    for alpha, pt, v in zip(alphas, x.points, x.values(frame)):
-        if alpha == 0:
-            continue
-        beta = sum(a * c for a, c in zip(p_ell, pt))
-        if beta == 0 and k > 0:
-            continue
-        c = alpha * beta ** k
-        for a_i, va in enumerate(v):
-            if va:
-                cva = c * va
-                acc[a_i] = [e + cva * y for e, y in zip(acc[a_i], v)]
-    scale = factorial(d) // factorial(k)
-    return Mat([[scale * e for e in row] for row in acc])
+    return gram(x.values(frame), point_weights(x, alphas, k, ell),
+                factorial(d) // factorial(k))
 
 
-def plateau_det(algebra: "GorensteinAlgebra", j: int,
-                frame: Sequence[Monomial], ell: LinearFormS) -> Fraction:
-    """det Hess^j(F)(P_ell) for an of_points algebra's F = sum alpha_i
-    L_i^d, over a frame of s = |X| monomials, as a product over the points.
+def gram_det(x, frame: Sequence[Monomial], weights: Sequence, scale: int,
+             hess: Optional[Mat] = None) -> Fraction:
+    """det of gram(x.values(frame), weights, scale), by Cauchy-Binet.
 
-    V_B = algebra.x.values(frame) is then square, so structured_hessian_at's
-    sum (d!/(d-2j)!) V_B^T diag(alpha_i L_i(P_ell)^(d-2j)) V_B has
+    With V_B = x.values(frame), m = |B| and S the support of the weights,
 
-        det = (d!/(d-2j)!)^s det(V_B)^2 prod_i alpha_i L_i(P_ell)^(d-2j),
+        det = scale^m sum_{T in S, |T| = m} det(V_T)^2 prod_(i in T) c_i,
 
-    and det(V_B) is eliminated once per point set (PointSet.frame_det).
+    so |S| < m gives 0 with no elimination, and |S| = m the one term,
+    with det(V_S) eliminated once per frame and support
+    (PointSet.frame_det).  A larger support eliminates the Gram: hess
+    when the caller already holds it, else one built here.
     """
-    x, k = algebra.x, algebra.d - 2 * j
-    p_ell = ell.point()
-    weights = prod(a * sum(map(mul, p_ell, pt)) ** k
-                   for a, pt in zip(algebra.alphas, x.points))
-    scale = factorial(algebra.d) // factorial(k)
-    return Fraction(scale ** len(frame) * x.frame_det(frame) ** 2 * weights)
+    support = tuple(i for i, c in enumerate(weights) if c)
+    m = len(frame)
+    if len(support) < m:
+        return Fraction(0)
+    if len(support) == m:
+        return Fraction(scale ** m * x.frame_det(frame, support) ** 2
+                        * prod(weights[i] for i in support))
+    if hess is None:
+        hess = gram(x.values(frame), weights, scale)
+    return linalg.det(hess)
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,
@@ -354,6 +374,18 @@ class GorensteinAlgebra:
         return structured_hessian_at(self.x, self.alphas, self.d, j,
                                      self.basis(j), ell)
 
+    def hessian_det(self, j: int, ell: LinearFormS,
+                    hess: Optional[Mat] = None) -> Fraction:
+        """det Hess^j(F)(P_ell) over basis(j); hess, when given, must be
+        hessian(j, ell).  An of_points algebra takes gram_det's rule on
+        its point weights; one built from a polynomial eliminates."""
+        if self.x is None:
+            return linalg.det(self.hessian(j, ell) if hess is None else hess)
+        k = self.d - 2 * j
+        return gram_det(self.x, self.basis(j),
+                        point_weights(self.x, self.alphas, k, ell),
+                        factorial(self.d) // factorial(k), hess)
+
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
 
@@ -369,16 +401,14 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     HessianRankMismatchError is raised.  M is the matrix of x ell^(d-2j):
     A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank at most h(j),
     so a nonzero det proves rank h(j) with no elimination; a zero det
-    records the exact rank of M.  The det is plateau_det's product over
-    the points when |B| = |X| for an of_points algebra, else the
-    elimination of the Hessian.
+    records the exact rank of M.  The det is algebra.hessian_det, given
+    the Hessian already built.
     Degrees j < t are labelled "hessian-det" and the rest "map-rank";
     t=None labels all "hessian-det".  Lines come in ascending j.
     """
     d, h = algebra.d, algebra.hilbert
     records = []
     g, deg = algebra.f, d  # g = ell^(d - deg) o F, of degree deg
-    s = None if algebra.x is None else algebra.x.size
     for j in range(d // 2, -1, -1):
         g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
         B = algebra.basis(j)
@@ -389,7 +419,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
             raise HessianRankMismatchError(
                 f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                 f" {d - deg}! Hess^j(F)(P_ell)")
-        dv = plateau_det(algebra, j, B, ell) if len(B) == s else linalg.det(hess)
+        dv = algebra.hessian_det(j, ell, hess)
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(j=j, method=method, det=dv,
                                     rank=h[j] if dv else linalg.rank(m),

@@ -8,7 +8,9 @@ leading coordinate 1, so when no point has x0 = 0 every x0 is 1 and
 B_i is carried up from B_(i-1) (PointSet.basis); sets with a point on
 x0 = 0 (two lines, some tails) eliminate the whole V_i.
 PointSet.values, cached per frame, is the one place that evaluates
-monomials at points; frame_det keeps det V_B of a square frame B.
+monomials at points; frame_det keeps det V_S of a frame B at |B|
+points S, the single Cauchy-Binet term of a Hessian whose point
+weights are supported on S (gorenstein.gram_det).
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.
@@ -59,7 +61,7 @@ class PointSet:
         self._carried = all(p[0] for p in norm)  # every x0 = 1
         self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
         self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
-        self._dets: Dict[Tuple[Monomial, ...], Fraction] = {}
+        self._dets: Dict[tuple, Fraction] = {}
         self._tau = 0  # eager; fills the basis cache through degree tau
         while self.hilbert(self._tau) < self.size:
             self._tau += 1
@@ -91,12 +93,15 @@ class PointSet:
     def evaluation_matrix(self, i: int) -> Mat:
         return Mat(self.values(monomials_of_degree(self.n + 1, i)))
 
-    def frame_det(self, frame: Sequence[Monomial]) -> Fraction:
-        """det V_B for a frame B of s monomials, cached per key: one
-        elimination serves B and every x0^k B when every x0 = 1."""
-        key = self._key(frame)
+    def frame_det(self, frame: Sequence[Monomial],
+                  rows: Sequence[int]) -> Fraction:
+        """det V_S for a frame B of |S| monomials at the points S = rows,
+        cached per key and rows: one elimination serves B and every
+        x0^k B when every x0 = 1."""
+        key = (self._key(frame), tuple(rows))
         if key not in self._dets:
-            self._dets[key] = linalg.det(Mat(self.values(frame)))
+            values = self.values(frame)
+            self._dets[key] = linalg.det(Mat([values[i] for i in rows]))
         return self._dets[key]
 
     def _pivots(self, frame: Tuple[Monomial, ...]) -> Tuple[Monomial, ...]:

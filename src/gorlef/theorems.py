@@ -5,10 +5,11 @@ runtime (loudly; never trusting the point-set generator), certifies the
 claimed conclusion, and raises TheoremTensionError when a theorem
 instance unexpectedly fails.  Randomized nonvanishing verdicts remain
 one-sided.  Every configuration is an of_points algebra built by
-random_power_sum, which carries its points and weights.  Its Hessians
-(structured_hessian_at, the conic decomposition's five included) and
-zero-forcing ranks read PointSet.values once per frame, not per ell;
-only the SLP certificates' rank route reads the expanded F.
+random_power_sum, which carries its points and weights.  Its Hessian
+determinants take gorenstein.gram_det's Cauchy-Binet rule on one pass
+of point weights per ell, and they and the zero-forcing ranks read
+PointSet.values once per frame, not per ell; only the SLP
+certificates' rank route reads the expanded F.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -24,8 +27,8 @@ from .construct import random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
-from .gorenstein import (SlpCertificate, check_slp, first_witness,
-                         sample_linear_form, structured_hessian_at)
+from .gorenstein import (SlpCertificate, check_slp, first_witness, gram,
+                         gram_det, point_weights, sample_linear_form)
 from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
@@ -56,14 +59,11 @@ class BlockPair:
         The shared cell (m, m) holds B[m][m] + C[1][1]; everything
         outside the two blocks is zero.
         """
-        m = self.m
-        n = 2 * m - 1
-        a = Mat.zero(n, n)
-        for off, block in ((0, self.b), (m - 1, self.c)):
-            for i in range(m):
-                for j in range(m):
-                    a.entries[off + i][off + j] += block.entries[i][j]
-        return a
+        b, c = self.b.entries, self.c.entries
+        pad = [0] * (self.m - 1)
+        shared = b[-1][:-1] + [b[-1][-1] + c[0][0]] + c[0][1:]
+        return Mat([row + pad for row in b[:-1]] + [shared]
+                   + [pad + row for row in c[1:]])
 
 
 def _minor(mat: Mat, drop_row: int, drop_col: int) -> Mat:
@@ -192,12 +192,14 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     cert = _certified(algebra, rng, attempts, box, f"no Lefschetz witness "
                       f"for two-line config ({s1},{s2},share={share})")
 
-    # Split F along the lines: each part weighs all of x, zero off its line.
-    # x0^2 o L^d = d(d-1) a0^2 L^(d-2): F1' weighs P_i by d(d-1) p_i0^2.
-    alphas = algebra.alphas
-    a1, a2 = _split_two_lines(x, alphas)
-    a1p = [a * d * (d - 1) * p[0] ** 2 for a, p in zip(a1, x.points)]
-    a2p = [a * d * (d - 1) * p[1] ** 2 for a, p in zip(a2, x.points)]
+    # Split F = F1 + F2 along the lines: F1 weighs the points of line 1 by
+    # alpha_i and the rest by 0, F2 likewise.  x0^2 o L^d = d(d-1) a0^2
+    # L^(d-2), so F1' weighs P_i by d(d-1) p_i0^2 alpha_i on line 1, and
+    # Hess^(j-1) of degree d-2 raises L_i(P_ell) to d-2j as well: all five
+    # Hessians of one (j, ell) reweigh c_i = alpha_i L_i(P_ell)^(d-2j).
+    on1, on2 = _split_two_lines(x, [1] * s)  # 0/1 masks of the lines
+    f1 = [d * (d - 1) * p[0] ** 2 * o for p, o in zip(x.points, on1)]
+    f2 = [d * (d - 1) * p[1] ** 2 * o for p, o in zip(x.points, on2)]
 
     checks = 0
     for j in range(1, d // 2 + 1):
@@ -207,22 +209,25 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
         frame = b_frame + c_frame[1:]
         bm_frame = [(j - 1 - i, 0, i) for i in range(j)]
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
+        v, vb, vc = x.values(frame), x.values(b_frame), x.values(c_frame)
+        scale = factorial(d) // factorial(d - 2 * j)
+        minor_scale = factorial(d - 2) // factorial(d - 2 * j)
         for _ in range(eval_points):
             ell = sample_linear_form(3, rng, box)
-            big = structured_hessian_at(x, alphas, d, j, frame, ell)
-            b = structured_hessian_at(x, a1, d, j, b_frame, ell)
-            c = structured_hessian_at(x, a2, d, j, c_frame, ell)
-            pair = BlockPair(m=j + 1, b=b, c=c)
-            if pair.assemble() != big:
+            w = point_weights(x, algebra.alphas, d - 2 * j, ell)
+            w1, w2 = list(map(mul, w, on1)), list(map(mul, w, on2))
+            big = gram(v, w, scale)
+            b, c = gram(vb, w1, scale), gram(vc, w2, scale)
+            if BlockPair(m=j + 1, b=b, c=c).assemble() != big:
                 raise TheoremTensionError(
                     f"block assembly mismatch at j={j}")
-            det_b_minor = linalg.det(
-                structured_hessian_at(x, a1p, d - 2, j - 1, bm_frame, ell))
-            det_c_minor = linalg.det(
-                structured_hessian_at(x, a2p, d - 2, j - 1, cm_frame, ell))
-            rhs = (det_b_minor * linalg.det(c)
-                   + linalg.det(b) * det_c_minor)
-            lhs = linalg.det(big)
+            det_b_minor = gram_det(x, bm_frame, list(map(mul, w, f1)),
+                                   minor_scale)
+            det_c_minor = gram_det(x, cm_frame, list(map(mul, w, f2)),
+                                   minor_scale)
+            rhs = (det_b_minor * gram_det(x, c_frame, w2, scale, c)
+                   + gram_det(x, b_frame, w1, scale, b) * det_c_minor)
+            lhs = gram_det(x, frame, w, scale, big)
             if lhs != rhs:
                 raise TheoremTensionError(
                     f"Hessian decomposition fails at j={j}, ell={ell}")
@@ -359,7 +364,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
     report = TailReport(d=d, tau=t, curve_indices=tuple(curve),
                         off_indices=off)
     for j in range(k - 1, d // 2 + 1):
-        found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
+        found = first_witness(lambda ell: algebra.hessian_det(j, ell),
                               3, rng, trials, box)
         if found is None:
             raise NoWitnessFoundError(
@@ -465,7 +470,7 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
     if algebra.hilbert[j] != target:
         raise PreconditionViolatedError(
             f"h_A({j}) = {algebra.hilbert[j]}, need {target}")
-    found = first_witness(lambda ell: linalg.det(algebra.hessian(j, ell)),
+    found = first_witness(lambda ell: algebra.hessian_det(j, ell),
                           x.n + 1, rng, trials, box)
     if found is not None:
         return PropReport(*found)

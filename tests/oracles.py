@@ -92,6 +92,24 @@ def laplace_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
+def point_gram(points: Sequence[Sequence[Fraction]], alphas: Sequence,
+               k: int, ell: Sequence, frame: Sequence[Tuple[int, ...]],
+               scale: int) -> List[List[Fraction]]:
+    """scale * sum_i alpha_i <ell, P_i>^k v_i v_i^T as a sum of rank-one
+    pieces, v_i the frame's monomials evaluated at P_i, in Fractions."""
+    n = len(frame)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for a, p in zip(alphas, points):
+        c = Fraction(a) * sum((Fraction(x) * y for x, y in zip(ell, p)),
+                              Fraction(0)) ** k
+        v = [prod((Fraction(y) ** e for y, e in zip(p, m)), start=Fraction(1))
+             for m in frame]
+        for r in range(n):
+            for q in range(n):
+                acc[r][q] += c * v[r] * v[q]
+    return [[scale * e for e in row] for row in acc]
+
+
 # ---------------------------------------------------------------------------
 # Binomial expansion by exhaustive search
 

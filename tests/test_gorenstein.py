@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,9 +13,9 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, RingMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
-                               certify_at, check_slp, check_wlp, hessian_at,
-                               plateau_det, sample_linear_form,
-                               structured_hessian_at)
+                               certify_at, check_slp, check_wlp, gram,
+                               gram_det, hessian_at, point_weights,
+                               sample_linear_form, structured_hessian_at)
 from gorlef import gorenstein, linalg
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
@@ -22,7 +23,7 @@ from gorlef.linalg import det, rank
 from gorlef.points import PointSet
 
 from oracles import (evaluate, exact_multiplication_rank, gauss_pivot_columns,
-                     gauss_rank, laplace_det)
+                     gauss_rank, laplace_det, point_gram)
 
 
 def rmono(n, exp, c=1):
@@ -521,16 +522,44 @@ class TestPlateauDeterminants:
     @settings(max_examples=40, deadline=None)
     @given(_plateau_power_sums(), _ELLS)
     def test_catalecticant_pivots_as_the_frame(self, algebra, coeffs):
-        # the closed form holds for any frame of s monomials, so for the
-        # pivots of Cat^(d-j) of the expanded F as well
+        # hessian_det on the algebra's basis, and gram_det's rule on any
+        # frame of s monomials, so on the pivots of Cat^(d-j) of the
+        # expanded F as well
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
         g, d = algebra, algebra.d
         for j in range(g.x.tau(), d // 2 + 1):
+            assert g.hessian_det(j, ell) == laplace_det(
+                g.hessian(j, ell).entries)
             frame = basis(algebra.f, j, d)
             assert len(frame) == g.x.size
             hess = structured_hessian_at(g.x, g.alphas, d, j, frame, ell)
-            assert plateau_det(g, j, frame, ell) == laplace_det(hess.entries)
+            weights = point_weights(g.x, g.alphas, d - 2 * j, ell)
+            scale = factorial(d) // factorial(d - 2 * j)
+            assert gram_det(g.x, frame, weights, scale) == laplace_det(
+                hess.entries)
+
+    def test_an_ell_through_a_point_leaves_a_square_support(self, monkeypatch):
+        # s = 5 points of P^1, d = 2 tau = 8: at j = 3, h(j) = 4 = s - 1, and
+        # an ell through one point leaves |S| = m = 4 < s points, so the det
+        # is det(V_S)^2 times the weights, V_S eliminated once per support
+        x = PointSet([[1, t] for t in (-2, -1, 0, 1, 3)])
+        algebra = GorensteinAlgebra.of_points(
+            x, [2, Fraction(-1, 3), 5, 1, Fraction(7, 2)], 2 * x.tau())
+        j = 3
+        assert len(algebra.basis(j)) == x.size - 1
+        ell = LinearFormS(_through(x.points[1:]))
+        assert point_weights(x, algebra.alphas, algebra.d - 2 * j,
+                             ell)[1] == 0
+        sizes = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det",
+                            lambda m: sizes.append(m.rows) or det(m))
+        for _ in range(2):
+            val = algebra.hessian_det(j, ell)
+            assert type(val) is Fraction and val != 0
+            assert val == laplace_det(algebra.hessian(j, ell).entries)
+        assert sizes == [x.size - 1]
 
     @settings(max_examples=40, deadline=None)
     @given(_power_sums(on_points=False))
@@ -562,6 +591,80 @@ class TestPlateauDeterminants:
         for coeffs in ([3, 1, 2], [5, -1, 7]):
             certify_at(algebra, LinearFormS(coeffs))
         assert sizes.count(x.size) == 1 and sizes.count(3) == 2
+
+
+@st.composite
+def _gram_cases(draw):
+    """Points of P^1 or P^2 with int and Fraction coordinates, some with
+    x0 = 0; a frame of 1-4 distinct degree-j monomials; weights with
+    zeros; k from 0 (where an ell through a point keeps its weight) up;
+    and an ell that may pass through a point."""
+    n = draw(st.integers(1, 2))
+    coord = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    x = PointSet(draw(st.lists(
+        st.lists(coord, min_size=n + 1, max_size=n + 1).filter(any),
+        min_size=1, max_size=6, unique_by=lambda p: PointSet([p]).points)))
+    j = draw(st.integers(0, 3))
+    frame = draw(st.lists(st.sampled_from(monomials_of_degree(n + 1, j)),
+                          min_size=1, max_size=4, unique=True))
+    alphas = draw(st.lists(st.one_of(st.just(0), st.integers(-4, 4),
+                                     st.fractions(-4, 4, max_denominator=5)),
+                           min_size=x.size, max_size=x.size))
+    k = draw(st.integers(0, 3))
+    through = ([] if n == 2 and x.size == 1
+               else [st.permutations(x.points).map(_through)])
+    coeffs = draw(st.one_of(
+        st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1),
+        *through))
+    assume(any(coeffs))
+    scale = draw(st.integers(1, 60))
+    return x, frame, alphas, k, LinearFormS(coeffs), scale
+
+
+class TestGramDet:
+    """gram_det's rule, 0 below the frame size, one Cauchy-Binet term at
+    it and an elimination above it, against the cofactor det of the Gram
+    that oracles.point_gram builds from rank-one pieces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gram_cases())
+    def test_rule_is_the_cofactor_det(self, case):
+        x, frame, alphas, k, ell, scale = case
+        oracle = point_gram(x.points, alphas, k, ell.coeffs, frame, scale)
+        weights = point_weights(x, alphas, k, ell)
+        hess = gram(x.values(frame), weights, scale)
+        assert hess.entries == oracle
+        expected = laplace_det(oracle)
+        for given_hess in (None, hess):
+            val = gram_det(x, frame, weights, scale, given_hess)
+            assert type(val) is Fraction and val == expected
+
+    def test_weights_keep_the_zero_rules(self):
+        x = PointSet([[1, 1, 0], [1, 2, 3], [0, 1, 1]])
+        ell = LinearFormS([1, -1, 0])  # through the first point only
+        assert point_weights(x, [2, 0, 3], 2, ell) == [0, 0, 3]
+        assert point_weights(x, [2, 0, 3], 0, ell) == [2, 0, 3]
+
+    @pytest.mark.parametrize("zeros, eliminated", [
+        ((0, 1, 2), []),        # |S| = 1 < m = 2: no elimination at all
+        ((0, 1), [2]),          # |S| = m = 2: det(V_S) once, then cached
+        ((), [2, 2]),           # |S| = 4 > m: the Gram, each call
+    ], ids=["below", "at", "above"])
+    def test_each_branch_eliminates_what_it_needs(self, monkeypatch, zeros,
+                                                  eliminated):
+        x = PointSet([[1, t, t * t] for t in (1, 2, 3, 5)])
+        frame = [(1, 0, 0), (0, 0, 1)]
+        alphas = [0 if i in zeros else i + 1 for i in range(x.size)]
+        weights = point_weights(x, alphas, 2, LinearFormS([1, 1, 1]))
+        oracle = laplace_det(point_gram(x.points, alphas, 2, (1, 1, 1),
+                                        frame, 12))
+        sizes = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det",
+                            lambda m: sizes.append(m.rows) or det(m))
+        assert [gram_det(x, frame, weights, 12) for _ in range(2)] == [oracle] * 2
+        assert sizes == eliminated
 
 
 class TestSharedAlgebra:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gorlef import linalg, theorems
+from gorlef.gorenstein import gram
 from gorlef.errors import (NotPlaneConfigError, PreconditionViolatedError,
                            ShapeMismatchError, TheoremTensionError)
 from gorlef.linalg import Mat
@@ -192,6 +193,62 @@ class TestConicVerifier:
             evaluated[eval_points] = sorted(frame for _, frame in rows_of)
             assert len(requests) > len(rows_of)
         assert evaluated[1] == evaluated[4]
+
+
+class TestDeterminantRule:
+    """The verifiers' Hessian dets, taken by gram_det's rule (0, one
+    Cauchy-Binet term, or an elimination), against the elimination of
+    each Hessian."""
+
+    # criterion 10's tail cells: (kind, tau, off)
+    TAIL_CELLS = (("conic", 2, 0), ("conic", 3, 0), ("conic", 4, 0),
+                  ("conic", 3, 1), ("conic", 4, 1), ("conic", 4, 2),
+                  ("conic", 4, 3), ("line", 2, 1), ("line", 3, 1),
+                  ("line", 3, 2), ("line", 3, 3), ("line", 4, 1),
+                  ("line", 4, 2), ("line", 4, 3))
+
+    def test_tail_witness_dets_are_eliminated_dets(self, monkeypatch):
+        algebras = []
+        real = theorems.random_power_sum
+
+        def keep(*args, **kwargs):
+            algebras.append(real(*args, **kwargs))
+            return algebras[-1]
+
+        monkeypatch.setattr(theorems, "random_power_sum", keep)
+        rng = random.Random(1919)
+        plateau = 0
+        for kind, tau, off in self.TAIL_CELLS:
+            x, k = make_tail_config(kind, tau, off, rng)
+            report = verify_tail_nonvanishing(kind, x, None, k, rng)
+            algebra = algebras[-1]
+            assert set(report.witnesses) == set(range(k - 1, tau + 1))
+            for j, (ell, val) in report.witnesses.items():
+                assert val == linalg.det(algebra.hessian(j, ell)) != 0
+                plateau += len(algebra.basis(j)) == x.size
+        assert plateau > 0  # some witnesses took the single-term branch
+
+    def test_conic_decomposition_dets_are_eliminated_dets(self, monkeypatch):
+        calls = []
+        real = theorems.gram_det
+
+        def spy(x, frame, weights, scale, hess=None):
+            val = real(x, frame, weights, scale, hess)
+            calls.append((x, frame, weights, scale, hess, val))
+            return val
+
+        monkeypatch.setattr(theorems, "gram_det", spy)
+        rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
+                               eval_points=3)
+        assert len(calls) == 5 * rep.decomposition_checks
+        branches = set()
+        for x, frame, weights, scale, hess, val in calls:
+            built = gram(x.values(frame), weights, scale)
+            assert hess is None or hess == built
+            assert val == linalg.det(built)
+            support = sum(map(bool, weights))
+            branches.add((support > len(frame)) - (support < len(frame)))
+        assert branches == {-1, 0, 1}
 
 
 def rep_tau(s1, s2, share):
