@@ -5,10 +5,11 @@ the flattened sequence as the Hilbert function of a distraction point
 set, and take F = sum alpha_i L_i^d with random nonzero weights
 (random_power_sum, which every power-sum verifier shares).  An
 SI-sequence has d >= 2 tau, so GorensteinAlgebra.of_points reads the
-bases off the points, and gorenstein.certify_at's determinants follow
-gorenstein.gram_det's Cauchy-Binet rule: at and above the
-stabilization (h(j) = s) each is a single product over the points,
-nonzero whenever ell separates them; gorenstein owns both formulas.
+bases off the points, and the determinants that gorenstein.certify_at
+reads from algebra.hessian follow gorenstein.gram_det's Cauchy-Binet
+rule: at and above the stabilization (h(j) = s) each is a single
+product over the points, nonzero whenever ell separates them;
+gorenstein owns both formulas.
 Only hilbert_formula_check, the audit of the point formula, takes the
 catalecticants of the expanded F.  The attempts run in
 gorenstein._search, the one certificate loop: each draws the weights,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
@@ -29,7 +30,7 @@ from .apolar import LinearFormS
 from .errors import (BadSubsetSizeError, NoWitnessFoundError,
                      PreconditionViolatedError, RealizationMismatchError)
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, _search,
-                         certify_at, first_witness, structured_hessian_at)
+                         certify_at, first_witness, gram, point_weights)
 from .hvector import HVector, hbar
 from .points import PointSet, gen_distraction, lex_order_ideal
 
@@ -170,12 +171,14 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     a randomized nonvanishing verdict on F_I = sum_{i in I} L_i^d, the
     second is exact.  Requires d >= 2 tau(X) - 1 and 0 <= j < tau(X).
 
-    The det route eliminates the Hessian with linalg.det, not by
-    gram_det: F_I is supported on |I| = h(j) = |frame| points, where
-    gram_det's single Cauchy-Binet term is det(V_I)^2 times a product of
-    nonzero weights, nonzero exactly when the exact route's X_I keeps
-    the Hilbert value; both routes would then compute the one det(V_I)
-    and the criterion would no longer compare two computations.
+    F_I has zero weights, so it is no of_points algebra: the det route
+    builds its Hessian as the Gram of the points weighted by I's
+    indicator and eliminates it with linalg.det, not by gram_det: F_I is
+    supported on |I| = h(j) = |frame| points, where gram_det's single
+    Cauchy-Binet term is det(V_I)^2 times a product of nonzero weights,
+    nonzero exactly when the exact route's X_I keeps the Hilbert value;
+    both routes would then compute the one det(V_I) and the criterion
+    would no longer compare two computations.
     """
     t = x.tau()
     if d < 2 * t - 1:
@@ -192,9 +195,11 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     frame = x.basis(j)  # A_j's basis for all nonzero weights: d - j >= tau
     chosen = set(idx)
     indicator = [int(i in chosen) for i in range(x.size)]
+    k = d - 2 * j
     det_route = first_witness(
-        lambda ell: linalg.det(structured_hessian_at(x, indicator, d, j, frame,
-                                                     ell)),
+        lambda ell: linalg.det(gram(x.values(frame),
+                                    point_weights(x, indicator, k, ell),
+                                    factorial(d) // factorial(k))),
         x.n + 1, rng, trials, box) is not None
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)
     return (det_route, hilbert_route)

@@ -44,14 +44,16 @@ when |S| = m, with det(V_S) eliminated once per frame and support
 (PointSet.frame_det), and the elimination of the Gram when |S| > m.
 So on a line with h(j) = s = |X| a separating ell proves the det
 nonzero with no elimination of the Hessian.  GorensteinAlgebra.hessian
-and hessian_det read the points for an of_points algebra, any d;
-hessian_at contracts F, and linalg.det eliminates, only for an algebra
-built from a polynomial.  certify_at builds every SLP certificate line.
-At each degree it builds the block Cat^j(ell^(d-2j) o F)[B, B] of the
-expanded F, the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so
-the block has the rank of the whole catalecticant, as _wlp_lines
-shows), and requires it to equal (d-2j)! algebra.hessian(j, ell) entry
-for entry.  The det then proves the rank: a nonzero det is a nonzero
+is the one Hessian call: it returns the matrix and its det.  For an
+of_points algebra, any d, one pass of point weights gives both (gram,
+then gram_det); hessian_at contracts F, and linalg.det eliminates, only
+for an algebra built from a polynomial.  certify_at builds every SLP
+certificate line.  At each degree it builds the block
+Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the matrix of
+x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has the rank
+of the whole catalecticant, as _wlp_lines shows), and requires it to
+equal (d-2j)! times the matrix of algebra.hessian(j, ell) entry for
+entry.  The det then proves the rank: a nonzero det is a nonzero
 h(j)-minor, and only a zero det needs an exact rank.  One chain of
 contractions, ell^2 per step of j, gives every block.  catalecticant
 builds both that block and hessian_at's matrix: catalecticants are
@@ -76,8 +78,8 @@ from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
                      monomials_of_degree, power_sum)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
-                     NotHomogeneousError, PreconditionViolatedError,
-                     RingMismatchError, ZeroGeneratorError)
+                     NotHomogeneousError, RingMismatchError,
+                     ZeroGeneratorError)
 from .hvector import HVector
 from .linalg import Mat, exact, exact_str
 
@@ -186,23 +188,6 @@ def gram(values: Sequence[Sequence], weights: Sequence, scale: int) -> Mat:
         for b in range(a, n):
             row[b] = out[b][a] = scale * sum(map(mul, wcol, cols[b]))
     return Mat(out)
-
-
-def structured_hessian_at(x, alphas: Sequence[Fraction], d: int, j: int,
-                          frame: Sequence[Monomial], ell: LinearFormS) -> Mat:
-    """Hessian of sum alpha_i L_i^d at P_ell over a frame, from the points.
-
-    Hess^j(L^d) evaluated at P is (d!/(d-2j)!) L(P)^(d-2j) v v^T with
-    v_u = b_u(P_L), a row of x.values(frame) for the PointSet x, so the
-    sum over the points is gram(x.values(frame), c, d!/(d-2j)!) with
-    c = point_weights(x, alphas, d-2j, ell); F is never expanded.  Zero
-    weights are allowed, which lets callers weigh a subset of x.
-    """
-    if 2 * j > d:
-        raise PreconditionViolatedError(f"need 2j <= d, got j={j}, d={d}")
-    k = d - 2 * j
-    return gram(x.values(frame), point_weights(x, alphas, k, ell),
-                factorial(d) // factorial(k))
 
 
 def gram_det(x, frame: Sequence[Monomial], weights: Sequence, scale: int,
@@ -367,24 +352,19 @@ class GorensteinAlgebra:
                 f"bases are kept for degrees 0..{self.d // 2}, not {j}")
         return self._bases[j]
 
-    def hessian(self, j: int, ell: LinearFormS) -> Mat:
-        """Hess^j(F)(P_ell) over basis(j); summed over the points if any."""
+    def hessian(self, j: int, ell: LinearFormS) -> Tuple[Mat, Fraction]:
+        """Hess^j(F)(P_ell) over basis(j) and its det: for an of_points
+        algebra, the Gram and gram_det's rule on one pass of point
+        weights; else hessian_at and an elimination."""
+        B = self.basis(j)
         if self.x is None:
-            return hessian_at(self.f, j, ell, self.basis(j), self.d)
-        return structured_hessian_at(self.x, self.alphas, self.d, j,
-                                     self.basis(j), ell)
-
-    def hessian_det(self, j: int, ell: LinearFormS,
-                    hess: Optional[Mat] = None) -> Fraction:
-        """det Hess^j(F)(P_ell) over basis(j); hess, when given, must be
-        hessian(j, ell).  An of_points algebra takes gram_det's rule on
-        its point weights; one built from a polynomial eliminates."""
-        if self.x is None:
-            return linalg.det(self.hessian(j, ell) if hess is None else hess)
+            hess = hessian_at(self.f, j, ell, B, self.d)
+            return hess, linalg.det(hess)
         k = self.d - 2 * j
-        return gram_det(self.x, self.basis(j),
-                        point_weights(self.x, self.alphas, k, ell),
-                        factorial(self.d) // factorial(k), hess)
+        weights = point_weights(self.x, self.alphas, k, ell)
+        scale = factorial(self.d) // factorial(k)
+        hess = gram(self.x.values(B), weights, scale)
+        return hess, gram_det(self.x, B, weights, scale, hess)
 
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
@@ -397,12 +377,12 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     One contraction chain walks j down from floor(d/2): g = ell^(d-2j)
     o F of the expanded F, then g <- ell^2 o g.  The rank route's matrix
     M = Cat^j(g)[B, B] over B = basis(j) must equal (d-2j)! times the
-    det route's algebra.hessian(j, ell) entry for entry, or
-    HessianRankMismatchError is raised.  M is the matrix of x ell^(d-2j):
-    A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank at most h(j),
-    so a nonzero det proves rank h(j) with no elimination; a zero det
-    records the exact rank of M.  The det is algebra.hessian_det, given
-    the Hessian already built.
+    det route's Hessian entry for entry, or HessianRankMismatchError is
+    raised; algebra.hessian(j, ell) gives that Hessian and its det in
+    one call.  M is the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
+    A_j; see _wlp_lines), of rank at most h(j), so a nonzero det proves
+    rank h(j) with no elimination; a zero det records the exact rank of
+    M.
     Degrees j < t are labelled "hessian-det" and the rest "map-rank";
     t=None labels all "hessian-det".  Lines come in ascending j.
     """
@@ -413,13 +393,12 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
         g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
         B = algebra.basis(j)
         m = catalecticant(g, j, deg, B, B)
-        hess = algebra.hessian(j, ell)
+        hess, dv = algebra.hessian(j, ell)
         k_fact = factorial(d - deg)
         if m.entries != [[k_fact * x for x in row] for row in hess.entries]:
             raise HessianRankMismatchError(
                 f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                 f" {d - deg}! Hess^j(F)(P_ell)")
-        dv = algebra.hessian_det(j, ell, hess)
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(j=j, method=method, det=dv,
                                     rank=h[j] if dv else linalg.rank(m),

@@ -7,7 +7,9 @@ instance unexpectedly fails.  Randomized nonvanishing verdicts remain
 one-sided.  Every configuration is an of_points algebra built by
 random_power_sum, which carries its points and weights.  Its Hessian
 determinants take gorenstein.gram_det's Cauchy-Binet rule on one pass
-of point weights per ell, and they and the zero-forcing ranks read
+of point weights per ell: algebra.hessian(j, ell) for the tail
+witnesses and verify_prop_s_minus, the kernels themselves on the
+conic decomposition's sub-frames.  They and the zero-forcing ranks read
 PointSet.values once per frame, not per ell; only the SLP
 certificates' rank route reads the expanded F.
 """
@@ -364,7 +366,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
     report = TailReport(d=d, tau=t, curve_indices=tuple(curve),
                         off_indices=off)
     for j in range(k - 1, d // 2 + 1):
-        found = first_witness(lambda ell: algebra.hessian_det(j, ell),
+        found = first_witness(lambda ell: algebra.hessian(j, ell)[1],
                               3, rng, trials, box)
         if found is None:
             raise NoWitnessFoundError(
@@ -470,7 +472,7 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
     if algebra.hilbert[j] != target:
         raise PreconditionViolatedError(
             f"h_A({j}) = {algebra.hilbert[j]}, need {target}")
-    found = first_witness(lambda ell: algebra.hessian_det(j, ell),
+    found = first_witness(lambda ell: algebra.hessian(j, ell)[1],
                           x.n + 1, rng, trials, box)
     if found is not None:
         return PropReport(*found)

@@ -12,15 +12,14 @@ contracts only by powers of a linear form.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Set, Tuple
 
 from gorlef import linalg
 from gorlef.apolar import Poly, RING_R, RING_S
 from gorlef.errors import RingMismatchError
 from gorlef.construct import _nonzero_int
-from gorlef.gorenstein import (catalecticant, sample_linear_form,
-                               structured_hessian_at)
+from gorlef.gorenstein import catalecticant, sample_linear_form
 from gorlef.linalg import Mat
 
 
@@ -442,17 +441,18 @@ def sampled_zero_forcing(x, d: int, j: int, frame: Sequence[Tuple[int, ...]],
     """How many of `trials` draws with weight i zeroed leave det Hess^j != 0.
 
     Each draw takes fresh nonzero weights over the PointSet x, sets weight
-    i to 0, samples ell and evaluates the determinant of the structured
-    Hessian: the sampled counterpart of the rank proof in
+    i to 0, samples ell and eliminates the Hessian that point_gram sums
+    from rank-one pieces: the sampled counterpart of the rank proof in
     verify_tail_nonvanishing.
     """
     nonzero = 0
+    k = d - 2 * j
     for _ in range(trials):
         trial_alphas = [_nonzero_int(rng, alpha_box) for _ in range(x.size)]
         trial_alphas[i] = 0
         ell = sample_linear_form(3, rng, box)
-        val = linalg.det(structured_hessian_at(
-            x, trial_alphas, d, j, frame, ell))
+        val = linalg.det(Mat(point_gram(x.points, trial_alphas, k, ell.coeffs,
+                                        frame, factorial(d) // factorial(k))))
         if val != 0:
             nonzero += 1
     return nonzero

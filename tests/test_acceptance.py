@@ -12,14 +12,14 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.cli import main as cli_main
 from gorlef.construct import (hess_coefficient_criterion,
                               hilbert_formula_check)
-from gorlef.gorenstein import (GorensteinAlgebra, catalecticant,
-                               sample_linear_form, structured_hessian_at)
+from gorlef.gorenstein import (GorensteinAlgebra, catalecticant, gram,
+                               point_weights, sample_linear_form)
 from gorlef.hvector import (HVector, binomial_expand, is_O_sequence, is_SI,
                             macaulay_bound)
 from gorlef.linalg import Mat, det, rank
@@ -260,14 +260,15 @@ def test_criterion_06_multilinearity():
         ones = GorensteinAlgebra.of_points(x, (Fraction(1),) * x.size, d)
         frame = GorensteinAlgebra(ones.f, d).basis(j)
         ell = sample_linear_form(x.n + 1, rng, 20)
+        values, k = x.values(frame), d - 2 * j
         base = [Fraction(rng.randint(-9, 9)) for _ in range(x.size)]
         for i in range(x.size):
             vals = []
             for shift in (0, 1, 2):
                 weights = list(base)
                 weights[i] = base[i] + shift
-                vals.append(det(structured_hessian_at(x, weights, d, j, frame,
-                                                      ell)))
+                vals.append(det(gram(values, point_weights(x, weights, k, ell),
+                                     factorial(d) // factorial(k))))
             assert vals[2] - 2 * vals[1] + vals[0] == 0, (trial, i)
     print("criterion 06: PASS (50 instances, every weight)")
 

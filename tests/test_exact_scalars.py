@@ -8,13 +8,14 @@ whether integral data comes in as ints or as Fractions.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormS, Poly, RING_R,
                            contract_linear_power, monomials_of_degree,
                            power_sum)
-from gorlef.gorenstein import GorensteinAlgebra, structured_hessian_at
+from gorlef.gorenstein import GorensteinAlgebra, gram, point_weights
 from gorlef.linalg import Mat, det
 from gorlef.points import PointSet
 
@@ -121,10 +122,13 @@ def test_kernels_agree_on_int_and_fraction_input(points, data):
     j = data.draw(st.integers(0, d // 2))
     frame = monomials_of_degree(3, j)
     # a PointSet stores ints either way; the weights and ell still differ
-    m = structured_hessian_at(PointSet(points), alphas, d, j, frame,
-                              LinearFormS(ell))
-    fm = structured_hessian_at(PointSet(fpoints), falphas, d, j, frame,
-                               LinearFormS(as_fractions(ell)))
+    scale = factorial(d) // factorial(d - 2 * j)
+    x, fx = PointSet(points), PointSet(fpoints)
+    m = gram(x.values(frame),
+             point_weights(x, alphas, d - 2 * j, LinearFormS(ell)), scale)
+    fm = gram(fx.values(frame),
+              point_weights(fx, falphas, d - 2 * j,
+                            LinearFormS(as_fractions(ell))), scale)
     assert m == fm
     assert all(all_exact(row) for row in m.entries)
     assert det(m) == det(Mat([as_fractions(row) for row in m.entries]))

@@ -15,7 +15,7 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                certify_at, check_slp, check_wlp, gram,
                                gram_det, hessian_at, point_weights,
-                               sample_linear_form, structured_hessian_at)
+                               sample_linear_form)
 from gorlef import gorenstein, linalg
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
@@ -515,27 +515,27 @@ class TestPlateauDeterminants:
                    if len(algebra.basis(r.j)) == x.size]
         assert [r.j for r in plateau] == list(range(x.tau(), d // 2 + 1))
         for r in plateau:
-            assert r.det == laplace_det(algebra.hessian(r.j, ell).entries)
+            assert r.det == laplace_det(algebra.hessian(r.j, ell)[0].entries)
             assert r.rank == exact_multiplication_rank(
                 algebra.f, r.j, d - 2 * r.j, ell, d)
 
     @settings(max_examples=40, deadline=None)
     @given(_plateau_power_sums(), _ELLS)
     def test_catalecticant_pivots_as_the_frame(self, algebra, coeffs):
-        # hessian_det on the algebra's basis, and gram_det's rule on any
-        # frame of s monomials, so on the pivots of Cat^(d-j) of the
+        # algebra.hessian on the algebra's basis, and gram_det's rule on
+        # any frame of s monomials, so on the pivots of Cat^(d-j) of the
         # expanded F as well
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
         g, d = algebra, algebra.d
         for j in range(g.x.tau(), d // 2 + 1):
-            assert g.hessian_det(j, ell) == laplace_det(
-                g.hessian(j, ell).entries)
+            hess, dv = g.hessian(j, ell)
+            assert dv == laplace_det(hess.entries)
             frame = basis(algebra.f, j, d)
             assert len(frame) == g.x.size
-            hess = structured_hessian_at(g.x, g.alphas, d, j, frame, ell)
             weights = point_weights(g.x, g.alphas, d - 2 * j, ell)
             scale = factorial(d) // factorial(d - 2 * j)
+            hess = gram(g.x.values(frame), weights, scale)
             assert gram_det(g.x, frame, weights, scale) == laplace_det(
                 hess.entries)
 
@@ -556,9 +556,9 @@ class TestPlateauDeterminants:
         monkeypatch.setattr(linalg, "det",
                             lambda m: sizes.append(m.rows) or det(m))
         for _ in range(2):
-            val = algebra.hessian_det(j, ell)
+            hess, val = algebra.hessian(j, ell)
             assert type(val) is Fraction and val != 0
-            assert val == laplace_det(algebra.hessian(j, ell).entries)
+            assert val == laplace_det(hess.entries)
         assert sizes == [x.size - 1]
 
     @settings(max_examples=40, deadline=None)
@@ -577,7 +577,7 @@ class TestPlateauDeterminants:
         zero = [r for r in records if r.required == x.size and r.det == 0]
         assert zero and all(r.rank == x.size - 2 for r in zero)
         for r in zero:
-            assert laplace_det(algebra.hessian(r.j, ell).entries) == 0
+            assert laplace_det(algebra.hessian(r.j, ell)[0].entries) == 0
 
     def test_one_vandermonde_det_per_point_set(self, monkeypatch):
         # h = 1,3,6,6,6,3,1: plateau lines j = 2, 3, over two draws of ell
@@ -665,6 +665,71 @@ class TestGramDet:
                             lambda m: sizes.append(m.rows) or det(m))
         assert [gram_det(x, frame, weights, 12) for _ in range(2)] == [oracle] * 2
         assert sizes == eliminated
+
+
+
+class TestOneHessianCall:
+    """algebra.hessian(j, ell) gives the Hessian and its det: for an
+    of_points algebra from one pass of point weights per line, and on
+    both routes a det that is the cofactor det of the matrix returned,
+    in every branch of gram_det's rule."""
+
+    # 5 points of P^1, d = 2 tau + 1 = 9: h(j) = j + 1 for j <= 4, and
+    # every weight carries L_i(P_ell)^(d-2j), so an ell through a point
+    # zeroes one
+    X = PointSet([[1, t] for t in (-2, -1, 0, 1, 3)])
+    ALPHAS = [2, Fraction(-1, 3), 5, 1, Fraction(7, 2)]
+
+    @pytest.mark.parametrize("j, through, branch", [
+        (4, True, -1),   # |S| = 4 < m = 5: det 0
+        (3, True, 0),    # |S| = 4 = m
+        (4, False, 0),   # |S| = 5 = m
+        (2, False, 1),   # |S| = 5 > m = 3
+        (2, True, 1),    # |S| = 4 > m = 3
+    ], ids=["below-plateau", "at-through", "at-plateau", "above",
+            "above-through"])
+    def test_det_is_the_cofactor_det_on_both_routes(self, j, through, branch):
+        x = self.X
+        points = GorensteinAlgebra.of_points(x, self.ALPHAS, 9)
+        ell = LinearFormS(_through(x.points[1:]) if through else [3, 1])
+        support = sum(map(bool, point_weights(x, points.alphas, 9 - 2 * j,
+                                              ell)))
+        m = len(points.basis(j))
+        assert (support > m) - (support < m) == branch
+        for algebra in (points, GorensteinAlgebra(points.f, 9)):
+            hess, dv = algebra.hessian(j, ell)
+            assert type(dv) is Fraction and dv == laplace_det(hess.entries)
+            assert (dv == 0) == (branch < 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(_power_sums), _ELLS)
+    def test_det_is_the_cofactor_det_on_any_power_sum(self, algebra, coeffs):
+        assume(any(coeffs[:algebra.n_vars]))
+        ell = LinearFormS(coeffs[:algebra.n_vars])
+        for g in (algebra, GorensteinAlgebra(algebra.f, algebra.d)):
+            for j in range(g.d // 2 + 1):
+                hess, dv = g.hessian(j, ell)
+                assert dv == laplace_det(hess.entries)
+
+    def test_one_weight_pass_per_line(self, monkeypatch):
+        calls = []
+        real = gorenstein.point_weights
+        monkeypatch.setattr(gorenstein, "point_weights",
+                            lambda *args: calls.append(args) or real(*args))
+        six = PointSet([[1, a, b] for a, b in ((0, 0), (1, 0), (0, 1), (2, 0),
+                                               (1, 1), (0, 2))])
+        for algebra in (GorensteinAlgebra.of_points(self.X, self.ALPHAS, 9),
+                        GorensteinAlgebra.of_points(six, [1, 2, 3, -1, -2, 5],
+                                                    6),
+                        GorensteinAlgebra.of_points(PointSet([[1]]), [1], 3)):
+            for coeffs in ([3, 1, 2], [5, -1, 7], [1, 0, 1]):
+                calls.clear()
+                certify_at(algebra, LinearFormS(coeffs[:algebra.n_vars]))
+                assert len(calls) == algebra.d // 2 + 1
+        calls.clear()
+        res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
+                                    random.Random(2020))
+        assert len(calls) == res.certificate.attempts * 3
 
 
 class TestSharedAlgebra:

@@ -267,7 +267,7 @@ def test_point_side_bases_match_catalecticants(g, ell_coeffs):
     # the sum over the points equals the one-contraction Hessian of F
     ell = LinearFormS(ell_coeffs)
     for j in range(d // 2 + 1):
-        assert by_points.hessian(j, ell).entries == hessian_at(
+        assert by_points.hessian(j, ell)[0].entries == hessian_at(
             f, j, ell, by_points.basis(j), d).entries
 
 

@@ -1,6 +1,6 @@
 """Every public top-level def, class and constant in gorlef has a reader
-in gorlef, and no module but `__init__.py` imports a name it never
-references.
+in gorlef, no module but `__init__.py` imports a name it never
+references, and `__init__.py` exports exactly the names it imports.
 
 A name that only `__init__.py` re-exports, or only the tests call, is a
 helper that no CLI command or verifier reaches; tests that need such a
@@ -98,3 +98,13 @@ def test_the_import_check_sees_an_unused_import():
         "from math import factorial, prod\nfactorial(3)\n") == ["prod"]
     assert _unreferenced_imports(
         "from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def test_all_is_what_the_package_imports():
+    # a name dropped from one list and not the other lingers as an export
+    # that fails on `from gorlef import *`, or as an import nobody lists
+    tree = ast.parse(Path(gorlef.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(gorlef.__all__)) == len(gorlef.__all__)
+    assert set(gorlef.__all__) == imported
