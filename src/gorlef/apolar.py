@@ -102,14 +102,6 @@ class Poly:
                     raise ValueError(f"exponent {m} has wrong arity for {n_vars} variables")
                 self.terms[tuple(int(e) for e in m)] = c
 
-    @classmethod
-    def zero(cls, n_vars: int, ring: str) -> "Poly":
-        return cls(n_vars, ring, {})
-
-    @classmethod
-    def monomial(cls, n_vars: int, ring: str, m: Monomial, coef=1) -> "Poly":
-        return cls(n_vars, ring, {tuple(m): coef})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -133,11 +125,6 @@ class Poly:
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
         return Poly(self.n_vars, self.ring, terms)
-
-    def scale(self, c) -> "Poly":
-        c = exact(c)
-        return Poly(self.n_vars, self.ring,
-                    {m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.ring == other.ring
@@ -201,10 +188,6 @@ class LinearFormS:
     @property
     def n_vars(self) -> int:
         return len(self.coeffs)
-
-    def point(self) -> Tuple[Fraction, ...]:
-        """Coordinates of the point in R-space dual to ell."""
-        return self.coeffs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearFormS) and self.coeffs == other.coeffs

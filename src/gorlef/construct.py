@@ -132,6 +132,10 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
     return ConstructionResult(h=hv, algebra=algebra, certificate=cert)
 
 
+# Draws of a point-separating form before _separating_form gives up.
+_SEPARATING_TRIES = 1000
+
+
 def _nonzero_int(rng: random.Random, box: int) -> int:
     if box < 1:
         raise ValueError(f"weight box must be at least 1, got {box}")
@@ -148,12 +152,13 @@ def random_power_sum(x: PointSet, d: int, rng: random.Random,
     return GorensteinAlgebra.of_points(x, alphas, d)
 
 
-def _separating_form(x: PointSet, rng: random.Random, box: int,
-                     tries: int = 1000) -> LinearFormS:
-    """Integer form with ell o L_i = <ell, P_i> != 0 for every point P_i."""
+def _separating_form(x: PointSet, rng: random.Random,
+                     box: int) -> LinearFormS:
+    """Integer form with ell o L_i = <ell, P_i> != 0 for every point P_i,
+    from at most _SEPARATING_TRIES draws."""
     found = first_witness(
         lambda ell: prod(sum(map(mul, ell.coeffs, p)) for p in x.points),
-        x.n + 1, rng, tries, box)
+        x.n + 1, rng, _SEPARATING_TRIES, box)
     if found is None:
         raise NoWitnessFoundError("could not sample a point-separating linear form")
     return found[0]

@@ -49,17 +49,18 @@ of_points algebra, any d, one pass of point weights gives both (gram,
 then gram_det); hessian_at contracts F, and linalg.det eliminates, only
 for an algebra built from a polynomial.  certify_at builds every SLP
 certificate line.  At each degree it builds the block
-Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the matrix of
+M = Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the matrix of
 x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has the rank
-of the whole catalecticant, as _wlp_lines shows), and requires it to
+of the whole catalecticant, as _wlp_lines shows).  One chain of
+contractions, ell^2 per step of j, gives every block.  For an algebra
+built from a polynomial M is (d-2j)! times hessian_at's matrix, so the
+det is det(M) / ((d-2j)!)^h(j), with no second contraction.  For a
+power sum the Hessian reads the points and M the expanded F; M must
 equal (d-2j)! times the matrix of algebra.hessian(j, ell) entry for
-entry.  The det then proves the rank: a nonzero det is a nonzero
-h(j)-minor, and only a zero det needs an exact rank.  One chain of
-contractions, ell^2 per step of j, gives every block.  catalecticant
-builds both that block and hessian_at's matrix: catalecticants are
-built in one place only.  The block reads the expanded F and, for a
-power sum, the Hessian reads the points; the identity above makes them
-equal, so on every caller a disagreement is raised as a bug.  _search,
+entry, and a disagreement is raised as a bug.  The det then proves the
+rank: a nonzero det is a nonzero h(j)-minor, and only a zero det needs
+an exact rank.  catalecticant builds both M and hessian_at's matrix:
+catalecticants are built in one place only.  _search,
 the one attempt loop, makes every SlpCertificate from a draw() of
 (algebra, ell); first_witness is the one search for a sampled form with
 a nonzero value.
@@ -163,11 +164,10 @@ def hessian_at(f: Poly, j: int, ell: LinearFormS,
 def point_weights(x, alphas: Sequence, k: int, ell: LinearFormS) -> list:
     """c_i = alpha_i L_i(P_ell)^k at each point L_i of the PointSet x.
 
-    A zero alpha_i gives c_i = 0, and so does L_i(P_ell) = 0 when k > 0;
-    at k = 0 the weight is alpha_i.
+    P_ell has the coordinates ell.coeffs.  A zero alpha_i gives c_i = 0,
+    and so does L_i(P_ell) = 0 when k > 0; at k = 0 the weight is alpha_i.
     """
-    p_ell = ell.point()
-    return [a * sum(map(mul, p_ell, pt)) ** k
+    return [a * sum(map(mul, ell.coeffs, pt)) ** k
             for a, pt in zip(alphas, x.points)]
 
 
@@ -376,10 +376,13 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
 
     One contraction chain walks j down from floor(d/2): g = ell^(d-2j)
     o F of the expanded F, then g <- ell^2 o g.  The rank route's matrix
-    M = Cat^j(g)[B, B] over B = basis(j) must equal (d-2j)! times the
-    det route's Hessian entry for entry, or HessianRankMismatchError is
-    raised; algebra.hessian(j, ell) gives that Hessian and its det in
-    one call.  M is the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
+    M = Cat^j(g)[B, B] over B = basis(j) is (d-2j)! Hess^j(F)(P_ell).
+    For an algebra built from a polynomial that is how hessian_at builds
+    the Hessian, so the det is det(M) / ((d-2j)!)^h(j).  For an of_points
+    algebra, algebra.hessian(j, ell) gives the Hessian and its det from
+    the points, and M must equal (d-2j)! times it entry for entry, or
+    HessianRankMismatchError is raised.
+    M is the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
     A_j; see _wlp_lines), of rank at most h(j), so a nonzero det proves
     rank h(j) with no elimination; a zero det records the exact rank of
     M.
@@ -393,12 +396,15 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
         g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
         B = algebra.basis(j)
         m = catalecticant(g, j, deg, B, B)
-        hess, dv = algebra.hessian(j, ell)
         k_fact = factorial(d - deg)
-        if m.entries != [[k_fact * x for x in row] for row in hess.entries]:
-            raise HessianRankMismatchError(
-                f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
-                f" {d - deg}! Hess^j(F)(P_ell)")
+        if algebra.x is None:
+            dv = linalg.det(m) / k_fact ** len(B)
+        else:
+            hess, dv = algebra.hessian(j, ell)
+            if m.entries != [[k_fact * x for x in row] for row in hess.entries]:
+                raise HessianRankMismatchError(
+                    f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
+                    f" {d - deg}! Hess^j(F)(P_ell)")
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(j=j, method=method, det=dv,
                                     rank=h[j] if dv else linalg.rank(m),

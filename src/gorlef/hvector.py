@@ -88,18 +88,6 @@ class HVector:
         return i == len(e) - 1
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
-    """The unique i-binomial expansion h = sum C(m_k, k)."""
-
-    h: int
-    i: int
-    parts: Tuple[Tuple[int, int], ...]  # ((m_i, i), (m_{i-1}, i-1), ...)
-
-    def value(self) -> int:
-        return sum(comb(m, k) for m, k in self.parts)
-
-
 def _largest_comb_at_most(rem: int, k: int) -> int:
     """Largest m >= k with C(m, k) <= rem, for rem >= 1: the step from k
     doubles until C(m, k) passes rem, then the bracket is bisected."""
@@ -116,11 +104,12 @@ def _largest_comb_at_most(rem: int, k: int) -> int:
     return lo
 
 
-def binomial_expand(h: int, i: int) -> BinomialExpansion:
-    """Greedy i-binomial expansion of h >= 1 with i >= 1.
+def binomial_expand(h: int, i: int) -> Tuple[Tuple[int, int], ...]:
+    """The unique i-binomial expansion h = sum C(m_k, k) of h >= 1, i >= 1.
 
-    Produces m_i > m_{i-1} > ... > m_j >= j >= 1; greedy choice of the
-    largest C(m, k) <= remainder at each level yields the unique such
+    Returns the parts ((m_i, i), (m_(i-1), i-1), ..., (m_j, j)) with
+    m_i > m_(i-1) > ... > m_j >= j >= 1; greedy choice of the largest
+    C(m, k) <= remainder at each level yields the unique such
     decomposition.
     """
     if h < 1 or i < 1:
@@ -135,15 +124,14 @@ def binomial_expand(h: int, i: int) -> BinomialExpansion:
         parts.append((m, k))
         rem -= comb(m, k)
         k -= 1
-    return BinomialExpansion(h, i, tuple(parts))
+    return tuple(parts)
 
 
 def macaulay_bound(h: int, i: int) -> int:
     """h^<i>: the maximal growth of h in degree i, with 0^<i> = 0."""
     if h == 0:
         return 0
-    exp = binomial_expand(h, i)
-    return sum(comb(m + 1, k + 1) for m, k in exp.parts)
+    return sum(comb(m + 1, k + 1) for m, k in binomial_expand(h, i))
 
 
 def _entries(h) -> Tuple[int, ...]:

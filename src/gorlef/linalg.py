@@ -91,20 +91,6 @@ class Mat:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = 1
-        return m
-
-    def transpose(self) -> "Mat":
-        return Mat([list(col) for col in zip(*self.entries)])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat)
                 and self.entries == other.entries)

@@ -206,17 +206,21 @@ def gen_two_lines(s1: int, s2: int, share_intersection: bool) -> PointSet:
                     + [[0, 1, k] for k in range(s2 - shared)])
 
 
-def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
-                attempts: int = 200) -> PointSet:
+# Draws of a point set before gen_generic gives up.
+_GENERIC_DRAWS = 200
+
+
+def gen_generic(n: int, s: int, rng: random.Random,
+                box: int = 30) -> PointSet:
     """s points with the generic Hilbert function min(C(n+i, i), s).
 
-    Rejection-sampled with integer affine coordinates and verified
-    exactly before returning.
+    Rejection-sampled with integer affine coordinates, at most
+    _GENERIC_DRAWS sets, and verified exactly before returning.
     """
     if n < 0 or s > (2 * box + 1) ** min(n, s.bit_length()):
         raise PreconditionViolatedError(
             f"{s} distinct points need n >= 0 and s <= {2 * box + 1}^n, got n = {n}")
-    for _ in range(attempts):
+    for _ in range(_GENERIC_DRAWS):
         seen = set()
         pts = []
         while len(pts) < s:
@@ -230,7 +234,8 @@ def gen_generic(n: int, s: int, rng: random.Random, box: int = 30,
                                         for i in range(t + 1)):
             return x
     raise RealizationMismatchError(
-        f"no generic configuration of {s} points in P^{n} after {attempts} draws")
+        f"no generic configuration of {s} points in P^{n}"
+        f" after {_GENERIC_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

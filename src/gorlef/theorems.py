@@ -259,16 +259,18 @@ _TAIL_R = {"line": 1, "conic": 2}
 # the line x2 = 0 and the smooth conic x0 x2 = x1^2
 _ON_TAIL_CURVE = {"line": lambda q: q[2] == 0,
                   "conic": lambda q: q[0] * q[2] == q[1] ** 2}
+# Draws of a point set before make_tail_config gives up.
+_TAIL_DRAWS = 200
 
 
 def make_tail_config(kind: str, tau_target: int, off: int,
-                     rng: random.Random, box: int = 12,
-                     attempts: int = 200) -> Tuple[PointSet, int]:
+                     rng: random.Random,
+                     box: int = 12) -> Tuple[PointSet, int]:
     """Curve points plus generic off-curve points with a valid tail shape.
 
     Returns (X, k) where Delta h_{A(X)} ends with the value r from
-    degree k < tau through tau.  Raises when the draws produce no such
-    shape (small caps make some impossible), and ValueError before any
+    degree k < tau through tau.  Raises when _TAIL_DRAWS draws produce no
+    such shape (small caps make some impossible), and ValueError before any
     draw on an unknown kind, off < 0, tau_target < 1, a request no draw
     can satisfy (tau_target = 1, or a line tail with off = 0) or more
     off-curve points than the box [-box, box]^2 holds.
@@ -290,7 +292,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         raise ValueError(f"no {kind} tail has tau={tau_target}, off={off}")
     r = _TAIL_R[kind]
     on_count = r * tau_target + 1
-    for _ in range(attempts):
+    for _ in range(_TAIL_DRAWS):
         if kind == "conic":
             params = rng.sample(range(-(on_count + 3), on_count + 4), on_count)
             base = [(1, p, p * p) for p in params]

@@ -66,6 +66,16 @@ def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(gauss_pivot_columns(rows))
 
 
+def transpose(m: Mat) -> Mat:
+    """The transpose of m."""
+    return Mat([list(col) for col in zip(*m.entries)])
+
+
+def identity(n: int) -> Mat:
+    """The n x n identity matrix."""
+    return Mat([[int(r == c) for c in range(n)] for r in range(n)])
+
+
 def matmul(a: Mat, b: Mat) -> Mat:
     """The matrix product a b by the schoolbook triple loop."""
     if a.cols != b.rows:
@@ -400,6 +410,11 @@ def _falling_product(e_top: Tuple[int, ...], e_low: Tuple[int, ...]) -> int:
     return out
 
 
+def scale(f: Poly, c) -> Poly:
+    """c f, term by term."""
+    return Poly(f.n_vars, f.ring, {m: v * c for m, v in f.terms.items()})
+
+
 def contract_monomial(e: Tuple[int, ...], f: Poly) -> Poly:
     """x^e o f: the mixed partial d^|e|/dX^e, by falling products."""
     out: Dict[Tuple[int, ...], Fraction] = {}
@@ -419,8 +434,8 @@ def contract(a: Poly, f: Poly) -> Poly:
         raise RingMismatchError(f"contract needs S operand and R target, got {a.ring}, {f.ring}")
     if a.n_vars != f.n_vars:
         raise RingMismatchError(f"variable count mismatch: {a.n_vars} vs {f.n_vars}")
-    return sum((contract_monomial(e, f).scale(c) for e, c in a.terms.items()),
-               Poly.zero(f.n_vars, RING_R))
+    return sum((scale(contract_monomial(e, f), c) for e, c in a.terms.items()),
+               Poly(f.n_vars, RING_R))
 
 
 def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],

@@ -57,7 +57,7 @@ def test_criterion_01_macaulay_machinery():
         for i in range(1, 6):
             solutions = exhaustive_binomial_expansions(h, i)
             assert len(solutions) == 1, (h, i, solutions)
-            assert tuple(solutions[0]) == binomial_expand(h, i).parts, (h, i)
+            assert tuple(solutions[0]) == binomial_expand(h, i), (h, i)
 
     # is_O_sequence accepts exactly the degree-count sequences of order
     # ideals with <= 25 monomials in <= 3 variables.  The realized side is

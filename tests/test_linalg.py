@@ -12,7 +12,7 @@ from gorlef.errors import NonSquareError, WorkBudgetError
 from gorlef.linalg import (Mat, det, exact_str, nullspace, pivot_columns,
                            rank)
 
-from oracles import gauss_rank, laplace_det, matmul
+from oracles import gauss_rank, identity, laplace_det, matmul, transpose
 
 
 def F(v):
@@ -35,8 +35,8 @@ class TestDet:
         assert det(mat([[2]])) == 2
         assert det(mat([[1, 2], [3, 4]])) == -2
         assert det(mat([[1, 2, 0], [3, 9, 6], [0, 7, 8]])) == -18
-        assert det(Mat.identity(5)) == 1
-        assert det(Mat.zero(4, 4)) == 0
+        assert det(identity(5)) == 1
+        assert det(Mat([[0] * 4] * 4)) == 0
 
     def test_empty_matrix(self):
         assert det(Mat([])) == 1
@@ -79,7 +79,7 @@ class TestRank:
     def test_hand_cases(self):
         assert rank(mat([[1, 2], [2, 4]])) == 1
         assert rank(mat([[1, 0], [0, 1]])) == 2
-        assert rank(Mat.zero(3, 5)) == 0
+        assert rank(Mat([[0] * 5] * 3)) == 0
         assert rank(mat([[0, 0, 1]])) == 1
 
     def test_matches_gauss_oracle(self):
@@ -94,7 +94,7 @@ class TestRank:
         rng = random.Random(105)
         for _ in range(40):
             m = random_mat(rng, rng.randint(1, 6), rng.randint(1, 6), box=3)
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(transpose(m))
 
     def test_rank_bounded_by_product_factors(self):
         rng = random.Random(106)
@@ -114,16 +114,15 @@ class TestPivots:
         for _ in range(40):
             m = random_mat(rng, rng.randint(1, 6), rng.randint(1, 6), box=3)
             assert len(pivot_columns(m)) == rank(m)
-            assert len(pivot_columns(m.transpose())) == rank(m)
+            assert len(pivot_columns(transpose(m))) == rank(m)
 
     def test_pivot_rows_are_independent(self):
         rng = random.Random(108)
         for _ in range(20):
             m = random_mat(rng, rng.randint(2, 6), rng.randint(2, 6), box=3)
-            rows = pivot_columns(m.transpose())
-            sub = Mat([m.entries[i] for i in rows]) if rows else Mat.zero(0, m.cols)
+            rows = pivot_columns(transpose(m))
             if rows:
-                assert rank(sub) == len(rows)
+                assert rank(Mat([m.entries[i] for i in rows])) == len(rows)
 
 
 class TestNullspace:
@@ -134,7 +133,7 @@ class TestNullspace:
         assert basis[0] == [Fraction(-1), Fraction(1), Fraction(0)]
 
     def test_full_rank_has_trivial_kernel(self):
-        assert nullspace(Mat.identity(4)) == []
+        assert nullspace(identity(4)) == []
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(109)
@@ -159,10 +158,6 @@ class TestMat:
         with pytest.raises(ValueError):
             matmul(b, b)  # 3x1 times 3x1
 
-    def test_transpose_involution(self):
-        m = mat([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().transpose() == m
-
 
 class TestEliminationBudget:
     def test_default_is_pinned(self):
@@ -171,7 +166,7 @@ class TestEliminationBudget:
         assert linalg.MAX_ELIMINATION_CELLS == 64_000
 
     def test_a_matrix_at_the_budget_is_eliminated(self):
-        m = Mat.identity(3)
+        m = identity(3)
         with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 9):
             assert rank(m) == 3 and det(m) == 1
             assert pivot_columns(m) == [0, 1, 2] and nullspace(m) == []
@@ -180,7 +175,7 @@ class TestEliminationBudget:
     def test_a_matrix_above_the_budget_is_refused(self, kernel):
         with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 8):
             with pytest.raises(WorkBudgetError, match="3x3"):
-                kernel(Mat.identity(3))
+                kernel(identity(3))
 
 
 class TestExactStr:

@@ -1,11 +1,15 @@
 """Every public top-level def, class and constant in gorlef has a reader
-in gorlef, no module but `__init__.py` imports a name it never
-references, and `__init__.py` exports exactly the names it imports.
+in gorlef, so does every method, classmethod and property of a public
+class, no module but `__init__.py` imports a name it never references,
+and `__init__.py` exports exactly the names it imports.
 
 A name that only `__init__.py` re-exports, or only the tests call, is a
 helper that no CLI command or verifier reaches; tests that need such a
 routine as an independent reference keep it in tests/oracles.py.  The
 three paper checks that the acceptance tests call are the exceptions.
+A member is read when some gorlef module but `__init__.py`, or the
+benchmark harness in perfbench/, reads an attribute of its name; dunders
+and the members of private classes are exempt.
 """
 
 import ast
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import gorlef
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PAPER_CHECKS = {"hilbert_formula_check", "hess_coefficient_criterion",
                 "block_det_identity"}
 
@@ -44,10 +49,41 @@ def _definitions_and_reads(sources):
     return defined, referenced
 
 
+def _unread_members(sources, readers):
+    """Members of the public classes in `sources`, a map of file name to
+    source text, dunders aside, whose name neither `sources` but
+    `__init__.py` nor the source texts `readers` read as an attribute;
+    sorted, as "file:Class.name"."""
+    members, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        members += [(name, node.name, item.name) for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__")
+                             and item.name.endswith("__"))]
+        if name != "__init__.py":
+            read |= _attributes(tree)
+    for source in readers:
+        read |= _attributes(ast.parse(source))
+    return sorted(f"{module}:{cls}.{member}"
+                  for module, cls, member in members if member not in read)
+
+
+def _attributes(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def _package_sources():
+    return {path.name: path.read_text()
+            for path in sorted(Path(gorlef.__file__).parent.glob("*.py"))}
+
+
 def _public_definitions_and_references():
-    return _definitions_and_reads(
-        {path.name: path.read_text()
-         for path in sorted(Path(gorlef.__file__).parent.glob("*.py"))})
+    return _definitions_and_reads(_package_sources())
 
 
 def test_every_public_helper_has_a_caller():
@@ -64,6 +100,32 @@ def test_a_constant_without_a_reader_is_dead():
         "__init__.py": "PRIME = 7\n"})
     assert set(defined) == {"PRIME", "LIMIT", "f"}
     assert {name for name in defined if name not in read} == {"PRIME"}
+
+
+def test_every_member_of_a_public_class_has_a_reader():
+    assert _unread_members(
+        _package_sources(),
+        [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]) == []
+
+
+def test_an_unread_member_is_dead():
+    module = (
+        "class Result:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def unread(self):\n        return 1\n"
+        "    @property\n    def shown(self):\n        return 2\n"
+        "    @property\n    def attempts_used(self):\n        return 3\n"
+        "    @classmethod\n    def build(cls):\n        return cls().read()\n"
+        "    def read(self):\n        return self.shown\n"
+        "class _Parser:\n"
+        "    def error(self):\n        return 4\n")
+    # only __init__.py reads `unread`, and only the harness `attempts_used`
+    sources = {"m.py": module, "__init__.py": "m.Result().unread()\n"}
+    harness = "def count(result):\n    return result.attempts_used\n"
+    assert _unread_members(sources, [harness]) == [
+        "m.py:Result.build", "m.py:Result.unread"]
+    assert _unread_members(sources, []) == [
+        "m.py:Result.attempts_used", "m.py:Result.build", "m.py:Result.unread"]
 
 
 def test_the_exemptions_are_still_defined():

@@ -47,7 +47,7 @@ def test_values_are_the_frame_evaluated_at_each_point(case):
     x, frame = case
     rows = x.values(frame)
     assert rows == tuple(
-        tuple(evaluate(Poly.monomial(x.n + 1, RING_R, m), p) for m in frame)
+        tuple(evaluate(Poly(x.n + 1, RING_R, {m: 1}), p) for m in frame)
         for p in x.points)
     assert x.values(list(frame)) is rows  # cached per frame
     for i in range(3):
@@ -75,7 +75,7 @@ def test_bases_are_the_pivots_of_the_full_evaluation_matrix(x):
     # V_i built term by term from the oracle, over every degree-i monomial
     for i in range(x.tau() + 3):
         mons = monomials_of_degree(x.n + 1, i)
-        v = [[evaluate(Poly.monomial(x.n + 1, RING_R, m), p) for m in mons]
+        v = [[evaluate(Poly(x.n + 1, RING_R, {m: 1}), p) for m in mons]
              for p in x.points]
         assert x.basis(i) == tuple(mons[c] for c in gauss_pivot_columns(v))
 
