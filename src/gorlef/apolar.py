@@ -202,8 +202,9 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
 
     The coefficient of X^m is multinomial(d; m) * sum_i alpha_i p_i^m.
     The per-point products share their prefixes along a descending-lex
-    walk over the exponents, one variable at a time.  It visits every
-    degree-d exponent, so it keeps to the same budget as
+    walk over the exponents, one variable at a time; a zero exponent
+    moves on in the same call, so the recursion is at most d + 1 deep.
+    It visits every degree-d exponent, so it keeps to the same budget as
     monomials_of_degree.
     """
     _check_budget(n_vars, d)
@@ -213,14 +214,14 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
     terms = {}
 
     def walk(k: int, left: int, exps: Monomial, vec: list, denom: int):
-        if k == n_vars - 1:
-            total = sum(v * pw[left] for v, pw in zip(vec, pows[k]))
-            if total:
-                terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
-            return
-        for e in range(left, -1, -1):
-            nxt = vec if e == 0 else [v * pw[e] for v, pw in zip(vec, pows[k])]
-            walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
+        for k in range(k, n_vars - 1):
+            for e in range(left, 0, -1):
+                nxt = [v * pw[e] for v, pw in zip(vec, pows[k])]
+                walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
+            exps += (0,)
+        total = sum(v * pw[left] for v, pw in zip(vec, pows[-1]))
+        if total:
+            terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
 
     walk(0, d, (), list(alphas), 1)
     return Poly(n_vars, RING_R, terms)

@@ -50,10 +50,12 @@ def _load_json_arg(value: str) -> dict:
     """Inline JSON if the argument looks like JSON, else a file path."""
     stripped = value.strip()
     try:
-        text = stripped if stripped.startswith("{") else Path(value).read_text()
+        doc = json.loads(stripped if stripped.startswith("{")
+                         else Path(value).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
-    doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object in {value!r}")
     return doc
@@ -206,13 +208,13 @@ def _run_verify(args) -> Tuple[dict, int]:
                "decomposition_checks": report.decomposition_checks,
                "certificate": report.certificate.to_json_dict()}
     elif t == "tails":
-        x, k = make_tail_config(args.kind, args.tau, args.off, rng)
-        report = verify_tail_nonvanishing(args.kind, x, args.d, k, rng,
+        x = make_tail_config(args.kind, args.tau, args.off, rng)
+        report = verify_tail_nonvanishing(args.kind, x, args.d, rng,
                                           trials=args.trials,
                                           alpha_box=args.alpha_box,
                                           box=args.coord_box)
-        doc = {"theorem": "tails", "kind": args.kind, "d": report.d, "k": k,
-               "tau": report.tau, "verdict": True,
+        doc = {"theorem": "tails", "kind": args.kind, "d": report.d,
+               "k": report.k, "tau": report.tau, "verdict": True,
                "points": x.to_json_dict()["points"],
                "curve_indices": list(report.curve_indices),
                "off_indices": list(report.off_indices),
@@ -363,11 +365,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (GorlefError, ValueError) as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        diagnostics = getattr(exc, "diagnostics", None)
-        if diagnostics is not None:
-            doc["error"]["diagnostics"] = {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in diagnostics.items()}
+        if getattr(exc, "diagnostics", None) is not None:
+            doc["error"]["diagnostics"] = exc.diagnostics
         code = getattr(exc, "exit_code", 2)
     except Exception as exc:  # a bug, not bad input: stdout only, exit 3
         doc = {"error": {"type": "InternalError",

@@ -87,17 +87,14 @@ class BadSubsetSizeError(GorlefError):
 
 
 class TheoremTensionError(GorlefError):
-    """A verified theorem instance came back false.
+    """A computed identity or rank contradicts a theorem instance.
 
     Either the instance is outside the theorem's hypotheses or there is
-    an implementation bug; never swallowed silently.
+    an implementation bug; never swallowed silently.  An exhausted
+    witness search is NoWitnessFoundError instead.
     """
 
     exit_code = 1
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 class HessianRankMismatchError(GorlefError):

@@ -1,11 +1,12 @@
 """Executable checks for the structural results behind the pipeline.
 
 Each verifier builds its configuration, validates the hypotheses at
-runtime (loudly; never trusting the point-set generator), certifies the
-claimed conclusion, and raises TheoremTensionError when a theorem
-instance unexpectedly fails.  Randomized nonvanishing verdicts remain
-one-sided.  Every configuration is an of_points algebra built by
-random_power_sum, which carries its points and weights.  Its Hessian
+runtime (loudly; never trusting the point-set generator) and certifies
+the conclusion.  An exhausted search is NoWitnessFoundError (one-sided);
+TheoremTensionError means a computed identity or rank contradicts the
+theorem.  The families are realized by construct_slp_algebra; every
+other configuration is an of_points algebra built by random_power_sum,
+which carries its points and weights.  Its Hessian
 determinants take gorenstein.gram_det's Cauchy-Binet rule on one pass
 of point weights per ell: algebra.hessian(j, ell) for the tail
 witnesses and verify_prop_s_minus, the kernels themselves on the
@@ -19,13 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import LinearFormS
-from .construct import random_power_sum
+from .construct import construct_slp_algebra, random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
@@ -33,8 +35,8 @@ from .gorenstein import (SlpCertificate, check_slp, first_witness, gram,
                          gram_det, point_weights, sample_linear_form)
 from .hvector import first_difference
 from .linalg import Mat
-from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
-                     gen_two_lines, has_collinear_triple, lex_order_ideal)
+from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
+                     has_collinear_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +45,14 @@ from .points import (PointSet, find_subset_on_curve, gen_distraction, gen_rnc,
 
 @dataclass(frozen=True)
 class BlockPair:
-    """Two m x m blocks sharing one diagonal cell in a (2m-1) frame."""
+    """Two m x m blocks, m = B's size, sharing one cell in a (2m-1) frame."""
 
-    m: int
     b: Mat
     c: Mat
 
     def __post_init__(self):
-        if self.b.rows != self.m or self.b.cols != self.m:
-            raise ValueError(f"B must be {self.m}x{self.m}")
-        if self.c.rows != self.m or self.c.cols != self.m:
-            raise ValueError(f"C must be {self.m}x{self.m}")
+        if len({self.b.rows, self.b.cols, self.c.rows, self.c.cols}) != 1:
+            raise ValueError("B and C must be square and the same size")
 
     def assemble(self) -> Mat:
         """The (2m-1) x (2m-1) matrix with B top-left, C bottom-right.
@@ -62,7 +61,7 @@ class BlockPair:
         outside the two blocks is zero.
         """
         b, c = self.b.entries, self.c.entries
-        pad = [0] * (self.m - 1)
+        pad = [0] * (len(b) - 1)
         shared = b[-1][:-1] + [b[-1][-1] + c[0][0]] + c[0][1:]
         return Mat([row + pad for row in b[:-1]] + [shared]
                    + [pad + row for row in c[1:]])
@@ -80,7 +79,8 @@ def block_det_identity(pair: BlockPair) -> Tuple[Fraction, Fraction, bool]:
     determinant counts as 1.  Returns (lhs, rhs, equal).
     """
     lhs = linalg.det(pair.assemble())
-    det_b_minor = linalg.det(_minor(pair.b, pair.m - 1, pair.m - 1))
+    m = pair.b.rows
+    det_b_minor = linalg.det(_minor(pair.b, m - 1, m - 1))
     det_c_minor = linalg.det(_minor(pair.c, 0, 0))
     rhs = det_b_minor * linalg.det(pair.c) + linalg.det(pair.b) * det_c_minor
     return (lhs, rhs, lhs == rhs)
@@ -98,11 +98,11 @@ def _socle_degree(t: int, d: Optional[int]) -> int:
 
 
 def _certified(algebra, rng: random.Random, attempts: int, box: int,
-               tension: str) -> SlpCertificate:
-    """check_slp's verdict-true certificate, else TheoremTensionError."""
+               exhausted: str) -> SlpCertificate:
+    """check_slp's verdict-true certificate, else NoWitnessFoundError."""
     cert = check_slp(algebra, rng, attempts=attempts, box=box)
     if not cert.verdict:
-        raise TheoremTensionError(tension, certificate=cert)
+        raise NoWitnessFoundError(exhausted, {"attempts": attempts})
     return cert
 
 
@@ -113,8 +113,9 @@ def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
 
     Refuses n < 1 before any draw, checks tau = ceil((s-1)/n), requires
     d >= 2 tau (None: 2 tau), then certifies the SLP for random nonzero
-    weights; returns the certificate and d.  A false verdict raises
-    TheoremTensionError rather than returning quietly.
+    weights; returns the certificate and d.  A search that finds no
+    Lefschetz element raises NoWitnessFoundError rather than returning
+    quietly.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -146,15 +147,14 @@ class ConicReport:
     decomposition_checks: int = 0
 
 
-def _split_two_lines(x: PointSet, alphas: Sequence[Fraction]) -> tuple:
-    """Weights over x of F1 on {x1 = 0}, (0:0:1) included, and F2 on {x0 = 0}."""
-    w1, w2 = [], []
-    for p, a in zip(x.points, alphas):
+def _line_masks(x: PointSet) -> tuple:
+    """0/1 masks over x of the line {x1 = 0}, (0:0:1) included, and of
+    the rest of {x0 = 0}."""
+    for p in x.points:
         if p[0] != 0 and p[1] != 0:
             raise ShapeMismatchError(f"point {p} on neither line")
-        w1.append(0 if p[1] else a)
-        w2.append(a if p[1] else 0)
-    return w1, w2
+    on1 = [int(p[1] == 0) for p in x.points]
+    return on1, [1 - o for o in on1]
 
 
 def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
@@ -199,7 +199,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     # L^(d-2), so F1' weighs P_i by d(d-1) p_i0^2 alpha_i on line 1, and
     # Hess^(j-1) of degree d-2 raises L_i(P_ell) to d-2j as well: all five
     # Hessians of one (j, ell) reweigh c_i = alpha_i L_i(P_ell)^(d-2j).
-    on1, on2 = _split_two_lines(x, [1] * s)  # 0/1 masks of the lines
+    on1, on2 = _line_masks(x)
     f1 = [d * (d - 1) * p[0] ** 2 * o for p, o in zip(x.points, on1)]
     f2 = [d * (d - 1) * p[1] ** 2 * o for p, o in zip(x.points, on2)]
 
@@ -220,7 +220,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
             w1, w2 = list(map(mul, w, on1)), list(map(mul, w, on2))
             big = gram(v, w, scale)
             b, c = gram(vb, w1, scale), gram(vc, w2, scale)
-            if BlockPair(m=j + 1, b=b, c=c).assemble() != big:
+            if BlockPair(b, c).assemble() != big:
                 raise TheoremTensionError(
                     f"block assembly mismatch at j={j}")
             det_b_minor = gram_det(x, bm_frame, list(map(mul, w, f1)),
@@ -249,6 +249,7 @@ class TailReport:
 
     d: int
     tau: int
+    k: int  # Delta h ends in r's from degree k through tau
     curve_indices: Tuple[int, ...]
     off_indices: Tuple[int, ...]
     witnesses: Dict[int, Tuple[LinearFormS, Fraction]] = field(default_factory=dict)
@@ -263,16 +264,25 @@ _ON_TAIL_CURVE = {"line": lambda q: q[2] == 0,
 _TAIL_DRAWS = 200
 
 
+def _tail_start(delta: Sequence[int], r: int) -> Optional[int]:
+    """Least k >= 1 with delta[i] = r for all k <= i <= tau, or None;
+    tau = len(delta) - 1."""
+    k = len(delta)
+    while k > 1 and delta[k - 1] == r:
+        k -= 1
+    return k if k < len(delta) else None
+
+
 def make_tail_config(kind: str, tau_target: int, off: int,
-                     rng: random.Random,
-                     box: int = 12) -> Tuple[PointSet, int]:
+                     rng: random.Random, box: int = 12) -> PointSet:
     """Curve points plus generic off-curve points with a valid tail shape.
 
-    Returns (X, k) where Delta h_{A(X)} ends with the value r from
-    degree k < tau through tau.  Raises when _TAIL_DRAWS draws produce no
-    such shape (small caps make some impossible), and ValueError before any
-    draw on an unknown kind, off < 0, tau_target < 1, a request no draw
-    can satisfy (tau_target = 1, or a line tail with off = 0) or more
+    Returns X whose Delta h_{A(X)} ends with the value r from some degree
+    1 <= k <= tau through tau (_tail_start; verify_tail_nonvanishing
+    reads k off X).  Raises when _TAIL_DRAWS draws produce no such shape
+    (small caps make some impossible), and ValueError before any draw on
+    an unknown kind, off < 0, tau_target < 1, a request no draw can
+    satisfy (tau_target = 1, or a line tail with off = 0) or more
     off-curve points than the box [-box, box]^2 holds.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
@@ -308,35 +318,31 @@ def make_tail_config(kind: str, tau_target: int, off: int,
             pts.append(q)
         x = PointSet(pts)
         t = x.tau()
-        if t != tau_target:
-            continue
-        delta = first_difference(x.hilbert_vector(t))
-        k = t
-        while k - 1 >= 1 and delta[k - 1] == r:
-            k -= 1
-        if delta[t] == r and 1 <= k <= t:
-            return (x, k)
+        if t == tau_target and _tail_start(
+                first_difference(x.hilbert_vector(t)), r):
+            return x
     raise ShapeMismatchError(
         f"no {kind} tail shape for tau={tau_target}, off={off}")
 
 
 def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
-                             k: int, rng: random.Random, trials: int = 30,
+                             rng: random.Random, trials: int = 30,
                              alpha_box: int = 20,
                              box: int = 50) -> TailReport:
     """Flat Delta-tails force nonzero Hessian determinants.
 
-    For a tail of r's (r = 1 line, r = 2 conic) from degree k <= tau, at
-    d >= 2 tau (None: 2 tau, the d kept in the report): every j in
-    [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing any
-    off-curve weight kills the determinant identically.  The latter is
-    proven by one exact rank per (weight, degree), not sampled: the other
-    points' evaluation matrix on the basis of A_j has rank below h_A(j).
-    `zero_forcing_checks` counts the `trials` draws per (weight, degree)
-    that the proof covers.  The curve subset of exactly r*tau+1 points is
-    found by exact search, not taken from make_tail_config; that is what
-    keeps the boundary case k = tau sound, where the Hilbert function
-    alone would not pin down the geometry.
+    For a tail of r's (r = 1 line, r = 2 conic) in Delta h_{A(X)} from
+    degree k through tau, k the least such (_tail_start, kept in the
+    report), at d >= 2 tau (None: 2 tau, the d kept in the report):
+    every j in [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing
+    any off-curve weight kills the determinant identically.  The latter
+    is proven by one exact rank per (weight, degree), not sampled: the
+    other points' evaluation matrix on the basis of A_j has rank below
+    h_A(j).  `zero_forcing_checks` counts the `trials` draws per (weight,
+    degree) that the proof covers.  The curve subset of exactly r*tau+1
+    points is found by exact search, not taken from make_tail_config;
+    that is what keeps the boundary case k = tau sound, where the
+    Hilbert function alone would not pin down the geometry.
     """
     if kind not in _TAIL_R:
         raise ValueError(f"unknown tail kind {kind!r}")
@@ -348,11 +354,9 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
     t = x.tau()
     d = _socle_degree(t, d)
     delta = first_difference(x.hilbert_vector(t))
-    if not 1 <= k <= t:
-        raise ShapeMismatchError(f"need 1 <= k <= tau = {t}, got k={k}")
-    if any(delta[i] != r for i in range(k, t + 1)):
-        raise ShapeMismatchError(
-            f"Delta h = {delta} lacks a {r}-tail from degree {k}")
+    k = _tail_start(delta, r)
+    if k is None:
+        raise ShapeMismatchError(f"Delta h = {delta} does not end in {r}'s")
     if delta[0] != 1 or delta[1] != 2:
         raise ShapeMismatchError(f"Delta h = {delta} is not a plane shape")
 
@@ -365,7 +369,7 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
 
     algebra = random_power_sum(x, d, rng, alpha_box)
 
-    report = TailReport(d=d, tau=t, curve_indices=tuple(curve),
+    report = TailReport(d=d, tau=t, k=k, curve_indices=tuple(curve),
                         off_indices=off)
     for j in range(k - 1, d // 2 + 1):
         found = first_witness(lambda ell: algebra.hessian(j, ell)[1],
@@ -416,23 +420,21 @@ class FamilyReport:
 def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
                               attempts: int = 50, alpha_box: int = 20,
                               box: int = 50) -> List[FamilyReport]:
-    """All five flat-tail Delta families give SLP algebras at d = 2 tau."""
+    """All five flat-tail Delta families give SLP algebras at d = 2 tau:
+    construct_slp_algebra realizes Delta summed through tau, mirrored."""
     if any(m < 0 for m in m_values):
         raise ValueError(f"need every m >= 0, got {list(m_values)}")
     out = []
     for name, make in _FAMILIES:
         for m in m_values:
             delta = make(m)
-            x = gen_distraction(lex_order_ideal(delta, 2))
-            t = x.tau()
-            if t != len(delta) - 1:
-                raise ShapeMismatchError(f"family {name}, m={m}: tau={t}")
-            d = 2 * t
-            cert = _certified(random_power_sum(x, d, rng, alpha_box), rng,
-                              attempts, box,
-                              f"family {name}, m={m} has no Lefschetz witness")
-            out.append(FamilyReport(name=name, m=m, delta=delta, x=x, d=d,
-                                    certificate=cert))
+            half = list(accumulate(delta))
+            result = construct_slp_algebra(half + half[-2::-1], rng,
+                                           attempts=attempts, box=box,
+                                           alpha_box=alpha_box)
+            out.append(FamilyReport(name=name, m=m, delta=delta,
+                                    x=result.algebra.x, d=result.algebra.d,
+                                    certificate=result.certificate))
     return out
 
 

@@ -286,7 +286,7 @@ def test_criterion_07_block_determinant_identity():
                      for _ in range(m)])
             c = Mat([[fr(rng.randint(-30, 30)) for _ in range(m)]
                      for _ in range(m)])
-            lhs, rhs, equal = block_det_identity(BlockPair(m=m, b=b, c=c))
+            lhs, rhs, equal = block_det_identity(BlockPair(b, c))
             assert equal, (m, b.entries, c.entries, lhs, rhs)
     elapsed = time.time() - start
     assert elapsed < 5.0, f"criterion 7 took {elapsed:.1f}s"
@@ -351,11 +351,11 @@ def test_criterion_10_tail_nonvanishing_and_zero_forcing():
     for kind, combos in TAIL_GRID.items():
         r = {"line": 1, "conic": 2}[kind]
         for tau, off, expected_k in combos:
-            x, k = make_tail_config(kind, tau, off, rng)
-            assert k == expected_k, (kind, tau, off, k)
+            x = make_tail_config(kind, tau, off, rng)
             d = 2 * tau
-            report = verify_tail_nonvanishing(kind, x, d, k, rng, trials=30)
-            degrees = set(range(k - 1, d // 2 + 1))
+            report = verify_tail_nonvanishing(kind, x, d, rng, trials=30)
+            assert report.k == expected_k, (kind, tau, off, report.k)
+            degrees = set(range(report.k - 1, d // 2 + 1))
             assert set(report.witnesses) == degrees
             assert all(val != 0 for _, val in report.witnesses.values())
             assert len(report.curve_indices) == r * tau + 1

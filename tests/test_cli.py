@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gorlef
-from gorlef import apolar, cli, construct, errors, linalg
+from gorlef import apolar, cli, construct, errors, linalg, theorems
 from gorlef.cli import main
-from gorlef.gorenstein import DegreeRecord
+from gorlef.gorenstein import DegreeRecord, SlpCertificate
 from gorlef.points import gen_two_lines
 
 XY = '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1"}]}'
@@ -504,6 +504,41 @@ class TestErrorContract:
         assert code == 2
         assert "error" in json.loads(captured.out)
         assert "Traceback" not in captured.err
+
+    def test_an_exhausted_verifier_search_is_exit_one(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(theorems, "check_slp",
+                            lambda algebra, rng, attempts, box: SlpCertificate(
+                                kind="slp", ell=None, attempts=attempts))
+        code = main(["verify", "--theorem", "rnc", "--s", "5",
+                     "--attempts", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"] == {
+            "type": "NoWitnessFoundError",
+            "message": "no Lefschetz witness for 5 curve points in P^2, d=4",
+            "diagnostics": {"attempts": 2}}
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("flag, rest", [
+        ("--poly", []), ("--points", ["--alphas", "1", "--d", "1"])],
+        ids=["poly", "points"])
+    def test_deeply_nested_json_is_exit_two(self, capsys, flag, rest):
+        # json.loads used to raise RecursionError: an exit 3
+        code, doc = run_json(capsys, "analyze", flag,
+                             '{"points": ' + "[" * 100_000, *rest)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError",
+                                "message": "JSON input nests too deeply"}
+
+    def test_a_thousand_coordinates_within_the_budget_run(self, capsys):
+        # 1000 x 1000 monomial cells; power_sum used to recurse once per
+        # variable and exit 3 with a RecursionError
+        point = json.dumps({"points": [[1] + [0] * 999]})
+        code, doc = run_json(capsys, "analyze", "--points", point,
+                             "--alphas", "1", "--d", "1")
+        assert code == 0
+        assert doc["hilbert"] == [1, 1] and doc["slp"]["verdict"] is True
 
     @pytest.mark.parametrize("argv", [
         ["construct", "--h", "1,3,1", "--attempts", "-3"],

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from gorlef import linalg, theorems
-from gorlef.gorenstein import gram
-from gorlef.errors import (NotPlaneConfigError, PreconditionViolatedError,
-                           ShapeMismatchError, TheoremTensionError)
+from gorlef import construct, linalg, theorems
+from gorlef.gorenstein import (DegreeRecord, GorensteinAlgebra, SlpCertificate,
+                               gram)
+from gorlef.hvector import first_difference
+from gorlef.errors import (NoWitnessFoundError, NotPlaneConfigError,
+                           PreconditionViolatedError, ShapeMismatchError,
+                           TheoremTensionError)
 from gorlef.linalg import Mat
 from gorlef.points import (PointSet, find_subset_on_curve, gen_generic,
                            gen_two_lines)
-from gorlef.theorems import (BlockPair, _split_two_lines, block_det_identity,
+from gorlef.theorems import (BlockPair, _line_masks, block_det_identity,
                              make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_prop_s_minus, verify_rnc_slp,
@@ -27,14 +30,14 @@ def fmat(rows):
 
 class TestBlockIdentity:
     def test_one_by_one(self):
-        pair = BlockPair(m=1, b=fmat([[3]]), c=fmat([[4]]))
+        pair = BlockPair(fmat([[3]]), fmat([[4]]))
         assembled = pair.assemble()
         assert assembled.entries == [[Fraction(7)]]
         lhs, rhs, ok = block_det_identity(pair)
         assert ok and lhs == 7 and rhs == 1 * 4 + 3 * 1
 
     def test_two_by_two_hand_case(self):
-        pair = BlockPair(m=2, b=fmat([[1, 2], [3, 4]]), c=fmat([[5, 6], [7, 8]]))
+        pair = BlockPair(fmat([[1, 2], [3, 4]]), fmat([[5, 6], [7, 8]]))
         assembled = pair.assemble()
         assert assembled.entries == fmat([[1, 2, 0], [3, 9, 6], [0, 7, 8]]).entries
         lhs, rhs, ok = block_det_identity(pair)
@@ -47,7 +50,7 @@ class TestBlockIdentity:
         for m in (2, 3, 4):
             b = fmat([[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)])
             c = fmat([[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)])
-            a = BlockPair(m=m, b=b, c=c).assemble()
+            a = BlockPair(b, c).assemble()
             n = 2 * m - 1
             assert a.rows == n and a.cols == n
             assert a.entries[m - 1][m - 1] == (b.entries[m - 1][m - 1]
@@ -67,15 +70,18 @@ class TestBlockIdentity:
                           for _ in range(m)])
                 c = fmat([[rng.randint(-9, 9) for _ in range(m)]
                           for _ in range(m)])
-                lhs, rhs, ok = block_det_identity(BlockPair(m=m, b=b, c=c))
+                lhs, rhs, ok = block_det_identity(BlockPair(b, c))
                 assert ok, (m, b.entries, c.entries)
                 if 2 * m - 1 <= 5:
                     assert lhs == laplace_det(
-                        BlockPair(m=m, b=b, c=c).assemble().entries)
+                        BlockPair(b, c).assemble().entries)
 
     def test_block_size_validated(self):
-        with pytest.raises(ValueError):
-            BlockPair(m=2, b=fmat([[1]]), c=fmat([[1, 0], [0, 1]]))
+        # m is B's size: B and C must be square and of one size
+        for b, c in (([[1]], [[1, 0], [0, 1]]), ([[1, 2]], [[1, 2]]),
+                     ([[1, 0], [0, 1]], [[1]])):
+            with pytest.raises(ValueError, match="square and the same size"):
+                BlockPair(fmat(b), fmat(c))
 
 
 class TestRncVerifier:
@@ -121,18 +127,18 @@ class TestSocleDegree:
         assert rep == again
 
     def test_tails(self):
-        x, k = make_tail_config("line", 3, 1, random.Random(117))
-        rep = verify_tail_nonvanishing("line", x, None, k, random.Random(118),
+        x = make_tail_config("line", 3, 1, random.Random(117))
+        rep = verify_tail_nonvanishing("line", x, None, random.Random(118),
                                        trials=4)
-        again = verify_tail_nonvanishing("line", x, 6, k, random.Random(118),
+        again = verify_tail_nonvanishing("line", x, 6, random.Random(118),
                                          trials=4)
         assert rep.d == 2 * rep.tau == 6
         assert rep == again
 
     @staticmethod
     def _line_tail(d, rng):
-        x, k = make_tail_config("line", 3, 1, rng)  # tau = 3
-        return verify_tail_nonvanishing("line", x, d, k, rng)
+        x = make_tail_config("line", 3, 1, rng)  # tau = 3
+        return verify_tail_nonvanishing("line", x, d, rng)
 
     @pytest.mark.parametrize("run, d, message", [
         (lambda d, rng: verify_rnc_slp(2, 5, d, rng), 3,
@@ -219,10 +225,10 @@ class TestDeterminantRule:
         rng = random.Random(1919)
         plateau = 0
         for kind, tau, off in self.TAIL_CELLS:
-            x, k = make_tail_config(kind, tau, off, rng)
-            report = verify_tail_nonvanishing(kind, x, None, k, rng)
+            x = make_tail_config(kind, tau, off, rng)
+            report = verify_tail_nonvanishing(kind, x, None, rng)
             algebra = algebras[-1]
-            assert set(report.witnesses) == set(range(k - 1, tau + 1))
+            assert set(report.witnesses) == set(range(report.k - 1, tau + 1))
             for j, (ell, val) in report.witnesses.items():
                 assert val == linalg.det(algebra.hessian(j, ell)[0]) != 0
                 plateau += len(algebra.basis(j)) == x.size
@@ -259,44 +265,56 @@ class TestConicSplit:
     @pytest.mark.parametrize("share", [False, True])
     def test_parts_sum_to_the_weights_with_disjoint_supports(self, share):
         x = gen_two_lines(3, 4, share)
-        alphas = [Fraction(i + 1, 2) for i in range(x.size)]
-        w1, w2 = _split_two_lines(x, alphas)
-        assert [a + b for a, b in zip(w1, w2)] == alphas
-        assert all(a == 0 or b == 0 for a, b in zip(w1, w2))
-        assert all(p[1] == 0 for p, a in zip(x.points, w1) if a)
-        assert all(p[0] == 0 for p, a in zip(x.points, w2) if a)
+        on1, on2 = _line_masks(x)
+        assert [a + b for a, b in zip(on1, on2)] == [1] * x.size
+        assert set(on1) <= {0, 1}
+        assert all(p[1] == 0 for p, a in zip(x.points, on1) if a)
+        assert all(p[0] == 0 for p, a in zip(x.points, on2) if a)
 
     def test_shared_intersection_is_in_f1_only(self):
         x = gen_two_lines(3, 4, True)
         q = x.points.index((0, 0, 1))
-        w1, w2 = _split_two_lines(x, [1] * x.size)
-        assert (w1[q], w2[q]) == (1, 0)
-        assert sum(w1) == 3 and sum(w2) == 3
+        on1, on2 = _line_masks(x)
+        assert (on1[q], on2[q]) == (1, 0)
+        assert sum(on1) == 3 and sum(on2) == 3
 
     def test_point_on_neither_line_raises(self):
         x = PointSet([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
         with pytest.raises(ShapeMismatchError, match="neither line"):
-            _split_two_lines(x, [1, 1, 1])
+            _line_masks(x)
+
+
+def tail_start(x, kind):
+    """k as the tail verifier reads it off the points."""
+    delta = first_difference(x.hilbert_vector(x.tau()))
+    return theorems._tail_start(delta, {"line": 1, "conic": 2}[kind])
 
 
 class TestTailConfigs:
     def test_line_interior_k(self):
         rng = random.Random(107)
-        x, k = make_tail_config("line", 3, 1, rng)
-        assert k == 2
+        x = make_tail_config("line", 3, 1, rng)
+        assert tail_start(x, "line") == 2
         assert x.size == 5 and x.tau() == 3
 
     def test_line_boundary_k(self):
         rng = random.Random(108)
-        x, k = make_tail_config("line", 3, 2, rng)
-        assert k == 3  # flat run is only the last step
+        x = make_tail_config("line", 3, 2, rng)
+        assert tail_start(x, "line") == 3  # flat run is only the last step
         assert x.size == 6
 
     def test_conic_full_run(self):
         rng = random.Random(109)
-        x, k = make_tail_config("conic", 3, 0, rng)
-        assert k == 1
+        x = make_tail_config("conic", 3, 0, rng)
+        assert tail_start(x, "conic") == 1
         assert x.size == 7
+
+    @pytest.mark.parametrize("delta, r, k", [
+        ((1, 2, 1, 1), 1, 2), ((1, 2, 2, 2), 2, 1), ((1, 2, 3, 2), 2, 3),
+        ((1, 1, 1), 1, 1), ((1, 2, 3), 2, None), ((1, 2, 2, 1), 2, None),
+        ((1,), 1, None)])
+    def test_tail_start_is_the_least_k(self, delta, r, k):
+        assert theorems._tail_start(delta, r) == k
 
     def test_infeasible_shape_raises(self):
         rng = random.Random(110)
@@ -326,32 +344,33 @@ class TestTailConfigs:
 
     def test_verify_line_tail(self):
         rng = random.Random(111)
-        x, k = make_tail_config("line", 3, 1, rng)
-        rep = verify_tail_nonvanishing("line", x, 6, k, rng, trials=8)
-        assert set(rep.witnesses) == set(range(k - 1, 4))
+        x = make_tail_config("line", 3, 1, rng)
+        rep = verify_tail_nonvanishing("line", x, 6, rng, trials=8)
+        assert rep.k == 2
+        assert set(rep.witnesses) == set(range(rep.k - 1, 4))
         assert all(val != 0 for _, val in rep.witnesses.values())
         assert rep.zero_forcing_checks > 0
         assert len(rep.curve_indices) == 4 and len(rep.off_indices) == 1
 
     def test_verify_conic_boundary_tail(self):
         rng = random.Random(112)
-        x, k = make_tail_config("conic", 3, 1, rng)
-        assert k == 3
-        rep = verify_tail_nonvanishing("conic", x, 6, k, rng, trials=8)
+        x = make_tail_config("conic", 3, 1, rng)
+        rep = verify_tail_nonvanishing("conic", x, 6, rng, trials=8)
+        assert rep.k == 3  # k = tau
         assert set(rep.witnesses) == {2, 3}
         assert len(rep.curve_indices) == 7
 
-    def test_verify_rejects_wrong_k(self):
+    def test_verify_rejects_points_without_the_tail(self):
         rng = random.Random(113)
-        x, k = make_tail_config("line", 3, 2, rng)  # true k = 3
-        with pytest.raises(ShapeMismatchError):
-            verify_tail_nonvanishing("line", x, 6, 2, rng, trials=4)
+        x = make_tail_config("line", 3, 2, rng)  # Delta h ends in 1's
+        with pytest.raises(ShapeMismatchError, match="does not end in 2's"):
+            verify_tail_nonvanishing("conic", x, 6, rng, trials=4)
 
     def test_verify_rejects_low_degree(self):
         rng = random.Random(114)
-        x, k = make_tail_config("line", 3, 1, rng)
+        x = make_tail_config("line", 3, 1, rng)
         with pytest.raises(PreconditionViolatedError):
-            verify_tail_nonvanishing("line", x, 5, k, rng, trials=4)
+            verify_tail_nonvanishing("line", x, 5, rng, trials=4)
 
     def test_verify_requires_plane(self):
         rng = random.Random(115)
@@ -359,7 +378,7 @@ class TestTailConfigs:
                for p in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
                          (1, 0, 1, 0), (1, 0, 0, 1))]
         with pytest.raises(NotPlaneConfigError):
-            verify_tail_nonvanishing("line", PointSet(pts), 6, 1, rng)
+            verify_tail_nonvanishing("line", PointSet(pts), 6, rng)
 
 
 # The (kind, tau, off) cells of acceptance criterion 10.
@@ -374,9 +393,9 @@ class TestZeroForcing:
     @pytest.mark.parametrize("idx", range(len(CRITERION_10_CELLS)))
     def test_rank_proof_agrees_with_sampling(self, monkeypatch, idx):
         kind, tau, off = CRITERION_10_CELLS[idx]
-        x, k = make_tail_config(kind, tau, off, random.Random(idx))
+        x = make_tail_config(kind, tau, off, random.Random(idx))
         d, trials = 2 * tau, 30
-        degrees = range(k - 1, d // 2 + 1)
+        degrees = range(tail_start(x, kind) - 1, d // 2 + 1)
         det, det_calls = linalg.det, []
 
         def counting_det(m):
@@ -384,7 +403,7 @@ class TestZeroForcing:
             return det(m)
 
         monkeypatch.setattr(linalg, "det", counting_det)
-        rep = verify_tail_nonvanishing(kind, x, d, k, random.Random(idx),
+        rep = verify_tail_nonvanishing(kind, x, d, random.Random(idx),
                                        trials=trials)
         monkeypatch.undo()
         # Only the witness search evaluates determinants.
@@ -397,14 +416,14 @@ class TestZeroForcing:
                                             rng, trials) == 0, (i, j)
 
     def test_wrong_curve_subset_is_refuted(self, monkeypatch):
-        x, k = make_tail_config("line", 2, 1, random.Random(0))
+        x = make_tail_config("line", 2, 1, random.Random(0))
         assert find_subset_on_curve(x, 1, 3) == (0, 1, 2)
         # Swap curve point 0 for the off-curve point 3.
         monkeypatch.setattr(theorems, "find_subset_on_curve",
                             lambda *args: (1, 2, 3))
         with pytest.raises(TheoremTensionError,
                            match="off-curve weight 0 at j=1$"):
-            verify_tail_nonvanishing("line", x, 4, k, random.Random(1),
+            verify_tail_nonvanishing("line", x, 4, random.Random(1),
                                      trials=30)
         assert sampled_zero_forcing(x, 4, 1, x.basis(1), 0,
                                     random.Random(2), 30) == 30
@@ -458,3 +477,75 @@ class TestPropSMinus:
             verify_prop_s_minus(x, 6, 2, 3, rng)
         with pytest.raises(PreconditionViolatedError):
             verify_prop_s_minus(x, 6, 4, 1, rng)
+
+
+class TestFailureVerdicts:
+    """Each failure verdict, forced: an exhausted search is
+    NoWitnessFoundError, a contradicted identity TheoremTensionError."""
+
+    @staticmethod
+    def _zero_dets(monkeypatch):
+        real = GorensteinAlgebra.hessian
+        monkeypatch.setattr(GorensteinAlgebra, "hessian", lambda self, j, ell:
+                            (real(self, j, ell)[0], Fraction(0)))
+
+    @pytest.mark.parametrize("run", [
+        lambda rng: verify_rnc_slp(2, 5, None, rng, attempts=3),
+        lambda rng: verify_conic_slp(3, 2, False, None, rng, attempts=3)],
+        ids=["rnc", "conic"])
+    def test_exhausted_lefschetz_search(self, monkeypatch, run):
+        monkeypatch.setattr(theorems, "check_slp",
+                            lambda algebra, rng, attempts, box: SlpCertificate(
+                                kind="slp", ell=None, attempts=attempts))
+        with pytest.raises(NoWitnessFoundError,
+                           match="no Lefschetz witness") as info:
+            run(random.Random(130))
+        assert info.value.diagnostics == {"attempts": 3}
+
+    def test_exhausted_family_search(self, monkeypatch):
+        monkeypatch.setattr(construct, "certify_at", lambda algebra, ell, t: [
+            DegreeRecord(j=0, method="hessian-det", det=Fraction(0), rank=0,
+                         required=1)])
+        with pytest.raises(NoWitnessFoundError, match="in 2 attempts$"):
+            verify_corollary_families([1], random.Random(131), attempts=2)
+
+    def test_block_assembly_mismatch(self, monkeypatch):
+        real = theorems.gram
+
+        def corner_plus_one(values, weights, scale):
+            rows = real(values, weights, scale).entries
+            return Mat([[rows[0][0] + 1] + rows[0][1:]] + rows[1:])
+
+        # B's corner moves with the whole Gram's, C's lands on the shared cell
+        monkeypatch.setattr(theorems, "gram", corner_plus_one)
+        with pytest.raises(TheoremTensionError,
+                           match="block assembly mismatch at j=1$"):
+            verify_conic_slp(3, 2, False, None, random.Random(132),
+                             eval_points=1)
+
+    def test_hessian_decomposition_failure(self, monkeypatch):
+        # lhs doubles, rhs (a sum of products of two dets) quadruples
+        real = theorems.gram_det
+        monkeypatch.setattr(theorems, "gram_det",
+                            lambda *args: 2 * real(*args))
+        with pytest.raises(TheoremTensionError,
+                           match="Hessian decomposition fails at j=1"):
+            verify_conic_slp(3, 2, False, None, random.Random(133),
+                             eval_points=1)
+
+    def test_exhausted_tail_witness_search(self, monkeypatch):
+        x = make_tail_config("line", 3, 1, random.Random(134))  # k = 2
+        self._zero_dets(monkeypatch)
+        with pytest.raises(NoWitnessFoundError,
+                           match=r"no nonzero Hess\^1 witness in 4 trials"
+                           ) as info:
+            verify_tail_nonvanishing("line", x, None, random.Random(135),
+                                     trials=4)
+        assert info.value.diagnostics == {"kind": "line", "j": 1, "d": 6}
+
+    def test_exhausted_s_minus_witness_search(self, monkeypatch):
+        x = gen_generic(2, 7, random.Random(117))  # h_A(2) = 6 at d = 6
+        self._zero_dets(monkeypatch)
+        with pytest.raises(NoWitnessFoundError,
+                           match=r"no Hess\^2 witness for kind 1 in 3 trials"):
+            verify_prop_s_minus(x, 6, 2, 1, random.Random(136), trials=3)
