@@ -24,7 +24,7 @@ from .apolar import (LinearFormS, Poly, RING_R, RING_S, contract_linear_power,
                      monomials_of_degree)
 from .linalg import Mat, det, nullspace, pivot_columns, rank
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
-                         certify_at, check_slp, check_wlp, hessian_at)
+                         certify_at, check_slp, check_wlp)
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
@@ -56,7 +56,7 @@ __all__ = [
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",
     "has_collinear_triple", "hbar", "hess_coefficient_criterion",
-    "hessian_at", "hilbert_formula_check", "is_O_sequence", "is_SI",
+    "hilbert_formula_check", "is_O_sequence", "is_SI",
     "is_differentiable", "lex_order_ideal", "macaulay_bound", "make_tail_config",
     "monomials_of_degree", "nullspace",
     "pivot_columns", "rank", "verify_conic_slp",

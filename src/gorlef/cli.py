@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import reprlib
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -53,11 +54,12 @@ def _load_json_arg(value: str) -> dict:
         doc = json.loads(stripped if stripped.startswith("{")
                          else Path(value).read_text())
     except OSError as exc:
-        raise ValueError(f"cannot read {value!r}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {reprlib.repr(value)}: {exc.strerror}"
+                         ) from None
     except RecursionError:
         raise ValueError("JSON input nests too deeply") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object in {value!r}")
+        raise ValueError(f"expected a JSON object in {reprlib.repr(value)}")
     return doc
 
 
@@ -170,7 +172,7 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "two-lines":
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
-        params = (parse_list(args.params) if args.params
+        params = (parse_list(args.params) if args.params is not None
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)
     else:  # distraction
@@ -224,7 +226,7 @@ def _run_verify(args) -> Tuple[dict, int]:
                              for j, (ell, val) in sorted(report.witnesses.items())],
                "zero_forcing_checks": report.zero_forcing_checks}
     elif t == "families":
-        ms = parse_list(args.m) if args.m else [2, 3, 4]
+        ms = parse_list(args.m) if args.m is not None else [2, 3, 4]
         reports = verify_corollary_families(ms, rng, attempts=args.attempts,
                                             alpha_box=args.alpha_box,
                                             box=args.coord_box)

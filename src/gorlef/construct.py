@@ -6,7 +6,7 @@ set, and take F = sum alpha_i L_i^d with random nonzero weights
 (random_power_sum, which every power-sum verifier shares).  An
 SI-sequence has d >= 2 tau, so GorensteinAlgebra.of_points reads the
 bases off the points, and the determinants that gorenstein.certify_at
-reads from algebra.hessian follow gorenstein.gram_det's Cauchy-Binet
+reads from algebra.hessian follow gorenstein.gram's Cauchy-Binet
 rule: at and above the stabilization (h(j) = s) each is a single
 product over the points, nonzero whenever ell separates them;
 gorenstein owns both formulas.
@@ -178,8 +178,8 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
 
     F_I has zero weights, so it is no of_points algebra: the det route
     builds its Hessian as the Gram of the points weighted by I's
-    indicator and eliminates it with linalg.det, not by gram_det: F_I is
-    supported on |I| = h(j) = |frame| points, where gram_det's single
+    indicator and eliminates it with linalg.det, not by gram's det: F_I
+    is supported on |I| = h(j) = |frame| points, where gram's single
     Cauchy-Binet term is det(V_I)^2 times a product of nonzero weights,
     nonzero exactly when the exact route's X_I keeps the Hilbert value;
     both routes would then compute the one det(V_I) and the criterion
@@ -202,9 +202,9 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
     indicator = [int(i in chosen) for i in range(x.size)]
     k = d - 2 * j
     det_route = first_witness(
-        lambda ell: linalg.det(gram(x.values(frame),
+        lambda ell: linalg.det(gram(x, frame,
                                     point_weights(x, indicator, k, ell),
-                                    factorial(d) // factorial(k))),
+                                    factorial(d) // factorial(k))[0]),
         x.n + 1, rng, trials, box) is not None
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)
     return (det_route, hilbert_route)

@@ -26,44 +26,41 @@ point dual to a linear form ell decide the strong Lefschetz property:
                                   for all j <= floor(d/2).
 
 Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
-contraction gives the whole Hessian over a basis B of A_j (hessian_at).
-For a power sum it is a Gram matrix over the points (Iarrobino-Kanev
-1999): with V = x.values(B), cached across draws of ell, and the point
-weights c_i = alpha_i L_i(P_ell)^(d-2j) (point_weights),
+contraction gives the whole Hessian over a basis B of A_j.  For a power
+sum it is a Gram matrix over the points (Iarrobino-Kanev 1999): with
+V = x.values(B), cached across draws of ell, and the point weights
+c_i = alpha_i L_i(P_ell)^(d-2j) (point_weights),
 
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
-                     = d!/(d-2j)! V^T diag(c) V        (gram)
+                     = d!/(d-2j)! V^T diag(c) V
 
 and, by Cauchy-Binet, with m = |B| and S the support of c,
 
     det Hess^j(F)(P_ell) = (d!/(d-2j)!)^m
                            sum_{T in S, |T| = m} det(V_T)^2 prod_T c_i.
 
-gram_det is the one rule for that det: 0 when |S| < m, the single term
-when |S| = m, with det(V_S) eliminated once per frame and support
-(PointSet.frame_det), and the elimination of the Gram when |S| > m.
-So on a line with h(j) = s = |X| a separating ell proves the det
-nonzero with no elimination of the Hessian.  GorensteinAlgebra.hessian
-is the one Hessian call: it returns the matrix and its det.  For an
-of_points algebra, any d, one pass of point weights gives both (gram,
-then gram_det); hessian_at contracts F, and linalg.det eliminates, only
-for an algebra built from a polynomial.  certify_at builds every SLP
-certificate line.  At each degree it builds the block
-M = Cat^j(ell^(d-2j) o F)[B, B] of the expanded F, the matrix of
-x ell^(d-2j): A_j -> A_(d-j) (B spans A_j, so the block has the rank
-of the whole catalecticant, as _wlp_lines shows).  One chain of
-contractions, ell^2 per step of j, gives every block.  For an algebra
-built from a polynomial M is (d-2j)! times hessian_at's matrix, so the
-det is det(M) / ((d-2j)!)^h(j), with no second contraction.  For a
-power sum the Hessian reads the points and M the expanded F; M must
-equal (d-2j)! times the matrix of algebra.hessian(j, ell) entry for
-entry, and a disagreement is raised as a bug.  The det then proves the
-rank: a nonzero det is a nonzero h(j)-minor, and only a zero det needs
-an exact rank.  catalecticant builds both M and hessian_at's matrix:
-catalecticants are built in one place only.  _search,
-the one attempt loop, makes every SlpCertificate from a draw() of
-(algebra, ell); first_witness is the one search for a sampled form with
-a nonzero value.
+gram is the one call for that matrix and its det: 0 when |S| < m, the
+single term when |S| = m, with det(V_S) eliminated once per frame and
+support (PointSet.frame_det), and the elimination of the Gram when
+|S| > m.  So on a line with h(j) = s = |X| a separating ell proves the
+det nonzero with no elimination of the Hessian.
+GorensteinAlgebra.hessian, for an of_points algebra, is one gram call
+on one pass of point weights.  certify_at builds every SLP certificate
+line.  At each degree it builds the block M = Cat^j(ell^(d-2j) o F)[B, B]
+of the expanded F, the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
+A_j, so the block has the rank of the whole catalecticant, as
+_wlp_lines shows).  One chain of contractions, ell^2 per step of j,
+gives every block.  For an algebra built from a polynomial M is
+(d-2j)! times the Hessian, so its det is det(M) / ((d-2j)!)^h(j), with
+no second contraction: that is the only Hessian such an algebra has.
+For a power sum the Hessian reads the points and M the expanded F; M
+must equal (d-2j)! times the matrix of algebra.hessian(j, ell) entry
+for entry, and a disagreement is raised as a bug.  The det then proves
+the rank: a nonzero det is a nonzero h(j)-minor, and only a zero det
+needs an exact rank.  catalecticant is the one builder of
+catalecticants.  _search, the one attempt loop, makes every
+SlpCertificate from a draw() of (algebra, ell); first_witness is the
+one search for a sampled form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -79,8 +76,8 @@ from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
                      monomials_of_degree, power_sum)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
-                     NotHomogeneousError, RingMismatchError,
-                     ZeroGeneratorError)
+                     NotHomogeneousError, PreconditionViolatedError,
+                     RingMismatchError, ZeroGeneratorError)
 from .hvector import HVector
 from .linalg import Mat, exact, exact_str
 
@@ -135,32 +132,6 @@ def basis(f: Poly, j: int, d: int) -> List[Monomial]:
     return [rows[i] for i in linalg.pivot_columns(catalecticant(f, d - j, d))]
 
 
-def hessian_at(f: Poly, j: int, ell: LinearFormS,
-               basis_monomials: Sequence[Monomial], d: int) -> Mat:
-    """j-th Hessian of F evaluated at the point dual to ell.
-
-    Entry (u, v) = ((b_u b_v) o F)(P) over the degree-j monomials B
-    given, a basis of A_j for GorensteinAlgebra.hessian; any frame of
-    degree-j monomials is accepted, which lets callers probe degenerate
-    generators against a fixed frame.  F must be a form of degree d (or
-    zero), so one contraction by ell^(d-2j) gives every entry:
-
-        Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
-    """
-    if j < 0 or 2 * j > d:
-        raise DegreeOutOfRangeError(f"Hessian degree {j} needs 0 <= 2j <= {d}")
-    if ell.n_vars != f.n_vars:
-        raise RingMismatchError("variable count mismatch")
-    _require_form(f, d)
-    B = list(basis_monomials)
-    if any(len(u) != f.n_vars or sum(u) != j for u in B):
-        raise DegreeOutOfRangeError(f"frame monomials must have degree {j}")
-    g = contract_linear_power(ell, d - 2 * j, f)  # degree 2j
-    k_fact = factorial(d - 2 * j)
-    return Mat([[Fraction(x, k_fact) for x in row]
-                for row in catalecticant(g, j, 2 * j, B, B).entries])
-
-
 def point_weights(x, alphas: Sequence, k: int, ell: LinearFormS) -> list:
     """c_i = alpha_i L_i(P_ell)^k at each point L_i of the PointSet x.
 
@@ -171,48 +142,39 @@ def point_weights(x, alphas: Sequence, k: int, ell: LinearFormS) -> list:
             for a, pt in zip(alphas, x.points)]
 
 
-def gram(values: Sequence[Sequence], weights: Sequence, scale: int) -> Mat:
-    """scale V^T diag(c) V for the rows V of `values` and the weights c.
+def gram(x, frame: Sequence[Monomial], weights: Sequence,
+         scale: int) -> Tuple[Mat, Fraction]:
+    """scale V^T diag(c) V over V = x.values(frame), and its det.
 
     Only the rows with c_i != 0 are read.  The upper triangle is filled
     from columns, entry (a, b) = scale <c * V[:, a], V[:, b]>, and
-    mirrored; integral data stays in integers.
-    """
-    n = len(values[0])
-    cs = [c for c in weights if c]
-    cols = list(zip(*[v for c, v in zip(weights, values) if c]))
-    out = [[0] * n for _ in range(n)]
-    for a, col in enumerate(cols):
-        wcol = list(map(mul, cs, col))
-        row = out[a]
-        for b in range(a, n):
-            row[b] = out[b][a] = scale * sum(map(mul, wcol, cols[b]))
-    return Mat(out)
-
-
-def gram_det(x, frame: Sequence[Monomial], weights: Sequence, scale: int,
-             hess: Optional[Mat] = None) -> Fraction:
-    """det of gram(x.values(frame), weights, scale), by Cauchy-Binet.
-
-    With V_B = x.values(frame), m = |B| and S the support of the weights,
+    mirrored; integral data stays in integers.  With m = |B| and S the
+    support of the weights, Cauchy-Binet gives
 
         det = scale^m sum_{T in S, |T| = m} det(V_T)^2 prod_(i in T) c_i,
 
     so |S| < m gives 0 with no elimination, and |S| = m the one term,
     with det(V_S) eliminated once per frame and support
-    (PointSet.frame_det).  A larger support eliminates the Gram: hess
-    when the caller already holds it, else one built here.
+    (PointSet.frame_det).  A larger support eliminates the Gram.
     """
-    support = tuple(i for i, c in enumerate(weights) if c)
+    values = x.values(frame)
     m = len(frame)
+    support = tuple(i for i, c in enumerate(weights) if c)
+    cs = [weights[i] for i in support]
+    cols = list(zip(*[values[i] for i in support]))
+    out = [[0] * m for _ in range(m)]
+    for a, col in enumerate(cols):
+        wcol = list(map(mul, cs, col))
+        row = out[a]
+        for b in range(a, m):
+            row[b] = out[b][a] = scale * sum(map(mul, wcol, cols[b]))
+    hess = Mat(out)
     if len(support) < m:
-        return Fraction(0)
+        return hess, Fraction(0)
     if len(support) == m:
-        return Fraction(scale ** m * x.frame_det(frame, support) ** 2
-                        * prod(weights[i] for i in support))
-    if hess is None:
-        hess = gram(x.values(frame), weights, scale)
-    return linalg.det(hess)
+        return hess, Fraction(scale ** m * x.frame_det(frame, support) ** 2
+                              * prod(cs))
+    return hess, linalg.det(hess)
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,
@@ -353,18 +315,16 @@ class GorensteinAlgebra:
         return self._bases[j]
 
     def hessian(self, j: int, ell: LinearFormS) -> Tuple[Mat, Fraction]:
-        """Hess^j(F)(P_ell) over basis(j) and its det: for an of_points
-        algebra, the Gram and gram_det's rule on one pass of point
-        weights; else hessian_at and an elimination."""
+        """Hess^j(F)(P_ell) over basis(j) and its det, for an of_points
+        algebra: one gram call on one pass of point weights."""
         B = self.basis(j)
         if self.x is None:
-            hess = hessian_at(self.f, j, ell, B, self.d)
-            return hess, linalg.det(hess)
+            raise PreconditionViolatedError(
+                "hessian needs an algebra built by of_points; certify_at"
+                " takes the det of one built from a polynomial")
         k = self.d - 2 * j
-        weights = point_weights(self.x, self.alphas, k, ell)
-        scale = factorial(self.d) // factorial(k)
-        hess = gram(self.x.values(B), weights, scale)
-        return hess, gram_det(self.x, B, weights, scale, hess)
+        return gram(self.x, B, point_weights(self.x, self.alphas, k, ell),
+                    factorial(self.d) // factorial(k))
 
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
@@ -377,8 +337,8 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     One contraction chain walks j down from floor(d/2): g = ell^(d-2j)
     o F of the expanded F, then g <- ell^2 o g.  The rank route's matrix
     M = Cat^j(g)[B, B] over B = basis(j) is (d-2j)! Hess^j(F)(P_ell).
-    For an algebra built from a polynomial that is how hessian_at builds
-    the Hessian, so the det is det(M) / ((d-2j)!)^h(j).  For an of_points
+    For an algebra built from a polynomial that is the only Hessian, so
+    the det is det(M) / ((d-2j)!)^h(j).  For an of_points
     algebra, algebra.hessian(j, ell) gives the Hessian and its det from
     the points, and M must equal (d-2j)! times it entry for entry, or
     HessianRankMismatchError is raised.

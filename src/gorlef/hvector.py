@@ -34,7 +34,7 @@ class HVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[int]):
-        vals = [int(x) for x in entries]
+        vals = list(_entries(entries))
         if not vals:
             raise ValueError("empty h-vector")
         if any(x < 0 for x in vals):
@@ -135,8 +135,12 @@ def macaulay_bound(h: int, i: int) -> int:
 
 
 def _entries(h) -> Tuple[int, ...]:
+    """h's entries as ints; a string is refused, not read digit by digit."""
     if isinstance(h, HVector):
         return h.entries
+    if isinstance(h, str):
+        raise ValueError("an h-vector takes a sequence of ints, not a string;"
+                         " read text with HVector.parse")
     return tuple(int(x) for x in h)
 
 

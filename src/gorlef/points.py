@@ -10,7 +10,7 @@ x0 = 0 (two lines, some tails) eliminate the whole V_i.
 PointSet.values, cached per frame, is the one place that evaluates
 monomials at points; frame_det keeps det V_S of a frame B at |B|
 points S, the single Cauchy-Binet term of a Hessian whose point
-weights are supported on S (gorenstein.gram_det).
+weights are supported on S (gorenstein.gram).
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.

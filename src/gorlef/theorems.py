@@ -6,13 +6,14 @@ the conclusion.  An exhausted search is NoWitnessFoundError (one-sided);
 TheoremTensionError means a computed identity or rank contradicts the
 theorem.  The families are realized by construct_slp_algebra; every
 other configuration is an of_points algebra built by random_power_sum,
-which carries its points and weights.  Its Hessian
-determinants take gorenstein.gram_det's Cauchy-Binet rule on one pass
-of point weights per ell: algebra.hessian(j, ell) for the tail
-witnesses and verify_prop_s_minus, the kernels themselves on the
-conic decomposition's sub-frames.  They and the zero-forcing ranks read
-PointSet.values once per frame, not per ell; only the SLP
-certificates' rank route reads the expanded F.
+which carries its points and weights.  Each of its Hessians is one
+gorenstein.gram call, which returns the matrix and its det by the
+Cauchy-Binet rule, on one pass of point weights per ell:
+algebra.hessian(j, ell) for the tail witnesses and verify_prop_s_minus,
+gram itself for the five Hessians of the conic decomposition.  They
+and the zero-forcing ranks evaluate each frame at the points once
+(PointSet.values caches it), not per ell; only the SLP certificates'
+rank route reads the expanded F.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
 from .gorenstein import (SlpCertificate, check_slp, first_witness, gram,
-                         gram_det, point_weights, sample_linear_form)
+                         point_weights, sample_linear_form)
 from .hvector import first_difference
 from .linalg import Mat
 from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
@@ -211,25 +212,23 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
         frame = b_frame + c_frame[1:]
         bm_frame = [(j - 1 - i, 0, i) for i in range(j)]
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
-        v, vb, vc = x.values(frame), x.values(b_frame), x.values(c_frame)
         scale = factorial(d) // factorial(d - 2 * j)
         minor_scale = factorial(d - 2) // factorial(d - 2 * j)
         for _ in range(eval_points):
             ell = sample_linear_form(3, rng, box)
             w = point_weights(x, algebra.alphas, d - 2 * j, ell)
             w1, w2 = list(map(mul, w, on1)), list(map(mul, w, on2))
-            big = gram(v, w, scale)
-            b, c = gram(vb, w1, scale), gram(vc, w2, scale)
+            big, lhs = gram(x, frame, w, scale)
+            b, det_b = gram(x, b_frame, w1, scale)
+            c, det_c = gram(x, c_frame, w2, scale)
             if BlockPair(b, c).assemble() != big:
                 raise TheoremTensionError(
                     f"block assembly mismatch at j={j}")
-            det_b_minor = gram_det(x, bm_frame, list(map(mul, w, f1)),
-                                   minor_scale)
-            det_c_minor = gram_det(x, cm_frame, list(map(mul, w, f2)),
-                                   minor_scale)
-            rhs = (det_b_minor * gram_det(x, c_frame, w2, scale, c)
-                   + gram_det(x, b_frame, w1, scale, b) * det_c_minor)
-            lhs = gram_det(x, frame, w, scale, big)
+            det_b_minor = gram(x, bm_frame, list(map(mul, w, f1)),
+                               minor_scale)[1]
+            det_c_minor = gram(x, cm_frame, list(map(mul, w, f2)),
+                               minor_scale)[1]
+            rhs = det_b_minor * det_c + det_b * det_c_minor
             if lhs != rhs:
                 raise TheoremTensionError(
                     f"Hessian decomposition fails at j={j}, ell={ell}")

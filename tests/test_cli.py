@@ -474,6 +474,10 @@ class TestErrorContract:
         ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "2",
          "--params", "1,,2"],
         ["points", "gen", "--kind", "distraction", "--delta", "1,2,"],
+        # an empty list flag used to run the default list or random params
+        ["verify", "--theorem", "families", "--m", ""],
+        ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "4",
+         "--params", ""],
         # above the monomial budget: a MemoryError, an OverflowError and
         # two RecursionErrors used to exit 3
         ["construct", "--h", "1,10000000000,1"],
@@ -493,7 +497,8 @@ class TestErrorContract:
             "coordinate-bool", "poly-repeated-exponent",
             "points-zero-denominator", "seq-empty-entry",
             "seq-trailing-comma", "h-empty-entry", "alphas-empty-entry",
-            "params-empty-entry", "delta-trailing-comma",
+            "params-empty-entry", "delta-trailing-comma", "m-empty",
+            "params-empty",
             "h-ten-billion-variables", "h-two-to-the-64-variables",
             "h-2000-variables", "delta-5000-variables"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
@@ -530,6 +535,13 @@ class TestErrorContract:
         assert code == 2
         assert doc["error"] == {"type": "ValueError",
                                 "message": "JSON input nests too deeply"}
+
+    def test_a_long_argument_is_not_echoed_whole(self, capsys):
+        # no leading "{": read as a path, whose error quoted all of it
+        code, doc = run_json(capsys, "analyze", "--poly", "[" * 100_000)
+        assert code == 2
+        assert doc["error"]["type"] == "ValueError"
+        assert len(doc["error"]["message"]) < 200
 
     def test_a_thousand_coordinates_within_the_budget_run(self, capsys):
         # 1000 x 1000 monomial cells; power_sum used to recurse once per

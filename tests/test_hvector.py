@@ -1,11 +1,13 @@
 """Sequence classification: Macaulay bounds, O-sequences, SI, flattening."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gorlef.construct import construct_slp_algebra
 from gorlef.errors import NotSIError
 from gorlef.hvector import (HVector, binomial_expand, first_macaulay_violation,
                             hbar, is_O_sequence, is_SI, is_differentiable,
@@ -154,6 +156,16 @@ class TestHVectorParsing:
         assert parse_list(" 1/2 , 3 ", exact) == [Fraction(1, 2), 3]
         with pytest.raises(ValueError, match="empty entry"):
             parse_list("1,,1", exact)
+
+    @pytest.mark.parametrize("check", [
+        HVector, is_O_sequence, is_differentiable, is_SI, hbar,
+        lambda h: construct_slp_algebra(h, random.Random(0))],
+        ids=["HVector", "is_O_sequence", "is_differentiable", "is_SI",
+             "hbar", "construct"])
+    def test_a_string_is_refused_not_read_digit_by_digit(self, check):
+        # "13531" used to read as (1, 3, 5, 3, 1)
+        with pytest.raises(ValueError, match=r"HVector\.parse"):
+            check("13531")
 
     def test_trailing_zeros_trimmed(self):
         assert tuple(HVector((1, 2, 0, 0))) == (1, 2)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gorlef import construct, linalg, theorems
-from gorlef.gorenstein import (DegreeRecord, GorensteinAlgebra, SlpCertificate,
-                               gram)
+from gorlef.gorenstein import DegreeRecord, GorensteinAlgebra, SlpCertificate
 from gorlef.hvector import first_difference
 from gorlef.errors import (NoWitnessFoundError, NotPlaneConfigError,
                            PreconditionViolatedError, ShapeMismatchError,
@@ -202,7 +201,7 @@ class TestConicVerifier:
 
 
 class TestDeterminantRule:
-    """The verifiers' Hessian dets, taken by gram_det's rule (0, one
+    """The verifiers' Hessian dets, taken by gram's rule (0, one
     Cauchy-Binet term, or an elimination), against the elimination of
     each Hessian."""
 
@@ -236,22 +235,24 @@ class TestDeterminantRule:
 
     def test_conic_decomposition_dets_are_eliminated_dets(self, monkeypatch):
         calls = []
-        real = theorems.gram_det
+        real = theorems.gram
 
-        def spy(x, frame, weights, scale, hess=None):
-            val = real(x, frame, weights, scale, hess)
+        def spy(x, frame, weights, scale):
+            hess, val = real(x, frame, weights, scale)
             calls.append((x, frame, weights, scale, hess, val))
-            return val
+            return hess, val
 
-        monkeypatch.setattr(theorems, "gram_det", spy)
+        monkeypatch.setattr(theorems, "gram", spy)
         rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
                                eval_points=3)
         assert len(calls) == 5 * rep.decomposition_checks
         branches = set()
         for x, frame, weights, scale, hess, val in calls:
-            built = gram(x.values(frame), weights, scale)
-            assert hess is None or hess == built
-            assert val == linalg.det(built)
+            v = x.values(frame)
+            built = [[scale * sum(c * r[a] * r[b] for c, r in zip(weights, v))
+                      for b in range(len(frame))] for a in range(len(frame))]
+            assert hess.entries == built
+            assert val == linalg.det(hess)
             support = sum(map(bool, weights))
             branches.add((support > len(frame)) - (support < len(frame)))
         assert branches == {-1, 0, 1}
@@ -512,9 +513,10 @@ class TestFailureVerdicts:
     def test_block_assembly_mismatch(self, monkeypatch):
         real = theorems.gram
 
-        def corner_plus_one(values, weights, scale):
-            rows = real(values, weights, scale).entries
-            return Mat([[rows[0][0] + 1] + rows[0][1:]] + rows[1:])
+        def corner_plus_one(*args):
+            hess, val = real(*args)
+            rows = hess.entries
+            return Mat([[rows[0][0] + 1] + rows[0][1:]] + rows[1:]), val
 
         # B's corner moves with the whole Gram's, C's lands on the shared cell
         monkeypatch.setattr(theorems, "gram", corner_plus_one)
@@ -525,9 +527,13 @@ class TestFailureVerdicts:
 
     def test_hessian_decomposition_failure(self, monkeypatch):
         # lhs doubles, rhs (a sum of products of two dets) quadruples
-        real = theorems.gram_det
-        monkeypatch.setattr(theorems, "gram_det",
-                            lambda *args: 2 * real(*args))
+        real = theorems.gram
+
+        def doubled(*args):
+            hess, val = real(*args)
+            return hess, 2 * val
+
+        monkeypatch.setattr(theorems, "gram", doubled)
         with pytest.raises(TheoremTensionError,
                            match="Hessian decomposition fails at j=1"):
             verify_conic_slp(3, 2, False, None, random.Random(133),
