@@ -26,6 +26,7 @@ of plain rational elimination, so the pivots are the same.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
@@ -51,7 +52,11 @@ def exact(x):
             try:
                 x = Fraction(x)
             except (OverflowError, ZeroDivisionError):
-                raise ValueError(f"{x!r} is not a finite rational number") from None
+                raise ValueError(f"{reprlib.repr(x)} is not a finite rational number") from None
+            except ValueError:  # Fraction's message quotes all of a string
+                if not isinstance(x, str):
+                    raise
+                raise ValueError(f"Invalid literal for Fraction: {reprlib.repr(x)}") from None
         if x.denominator == 1:
             return x.numerator
     return x

@@ -3,10 +3,12 @@
 Everything here recomputes results through a route different from the
 package: plain Gaussian elimination instead of Bareiss, Laplace
 expansion instead of fraction-free pivoting, exhaustive search instead
-of greedy selection, and direct enumeration of monomial order ideals
-instead of Macaulay's growth bound.  General contraction by an operator
-in S and evaluation of a form at a point live only here: the package
-contracts only by powers of a linear form.
+of greedy selection, direct enumeration of monomial order ideals
+instead of Macaulay's growth bound, and sequence classes checked clause
+by clause with every Macaulay step expanded instead of in one pass.
+General contraction by an operator in S and evaluation of a form at a
+point live only here: the package contracts only by powers of a linear
+form.
 """
 
 from fractions import Fraction
@@ -162,6 +164,62 @@ def linear_scan_binomial_expansion(h: int, i: int) -> List[Tuple[int, int]]:
         rem -= comb(m, k)
         k -= 1
     return parts
+
+
+# ---------------------------------------------------------------------------
+# Sequence classes from their textbook definitions
+#
+# No shortcut of the package is taken: every step is checked against a
+# bound expanded by the linear scan, unimodality has its own scan, and
+# SI is checked clause by clause.
+
+
+def macaulay_bound_by_scan(h: int, i: int) -> int:
+    return sum(comb(m + 1, k + 1)
+               for m, k in linear_scan_binomial_expansion(h, i))
+
+
+def first_macaulay_violation(h: Sequence[int]):
+    """Index of the first entry of the nonnegative sequence h that breaks
+    Macaulay's criterion: 0 when h_0 != 1, else the first i + 1 with
+    h_{i+1} > h_i^<i> for some i >= 1; None when there is none."""
+    if h[0] != 1:
+        return 0
+    for i in range(1, len(h) - 1):
+        if h[i + 1] > macaulay_bound_by_scan(h[i], i):
+            return i + 1
+    return None
+
+
+def is_o_sequence_by_definition(h: Sequence[int]) -> bool:
+    h = list(h)
+    return all(x >= 0 for x in h) and first_macaulay_violation(h) is None
+
+
+def is_differentiable_by_definition(h: Sequence[int]) -> bool:
+    h = list(h)
+    delta = [h[0]] + [h[i] - h[i - 1] for i in range(1, len(h))]
+    return all(x >= 0 for x in delta) and is_o_sequence_by_definition(delta)
+
+
+def _is_unimodal(h: Sequence[int]) -> bool:
+    i = 0
+    while i + 1 < len(h) and h[i] <= h[i + 1]:
+        i += 1
+    while i + 1 < len(h) and h[i] >= h[i + 1]:
+        i += 1
+    return i == len(h) - 1
+
+
+def is_si_by_definition(h: Sequence[int]) -> bool:
+    """h, trailing zeros dropped, is symmetric and unimodal, and its first
+    half h_0..h_(d//2) is differentiable."""
+    h = list(h)
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    d = len(h) - 1
+    return (h == h[::-1] and _is_unimodal(h)
+            and is_differentiable_by_definition(h[: d // 2 + 1]))
 
 
 # ---------------------------------------------------------------------------

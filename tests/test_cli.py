@@ -543,6 +543,19 @@ class TestErrorContract:
         assert doc["error"]["type"] == "ValueError"
         assert len(doc["error"]["message"]) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ["seq", "check", "1," * 50_000],
+        ["analyze", "--points", '{"points": [[1, 0]]}',
+         "--alphas", "x" * 100_000, "--d", "2"]],
+        ids=["empty-entry", "alphas-literal"])
+    def test_a_long_list_is_not_echoed_whole(self, capsys, argv):
+        # the list parser and `exact` quoted all of it: 100,091 and
+        # 100,097 bytes of stdout
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert len(out.encode()) < 300
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
     def test_a_thousand_coordinates_within_the_budget_run(self, capsys):
         # 1000 x 1000 monomial cells; power_sum used to recurse once per
         # variable and exit 3 with a RecursionError
