@@ -41,8 +41,13 @@ and, by Cauchy-Binet, with m = |B| and S the support of c,
 
 gram is the one call for that matrix and its det: 0 when |S| < m, the
 single term when |S| = m, with det(V_S) eliminated once per frame and
-support (PointSet.frame_det), and the elimination of the Gram when
-|S| > m.  So on a line with h(j) = s = |X| a separating ell proves the
+support (PointSet.frame_det), and when |S| > m
+
+    det Hess^j(F)(P_ell) = (d!/(d-2j)!)^m det(V^T diag(c) V),
+
+the Gram eliminated without the factor that every row of the Hessian
+carries, which the fraction-free pass would carry into each minor it
+forms.  So on a line with h(j) = s = |X| a separating ell proves the
 det nonzero with no elimination of the Hessian.
 GorensteinAlgebra.hessian, for an of_points algebra, is one gram call
 on one pass of point weights.  certify_at builds every SLP certificate
@@ -146,35 +151,45 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
          scale: int) -> Tuple[Mat, Fraction]:
     """scale V^T diag(c) V over V = x.values(frame), and its det.
 
-    Only the rows with c_i != 0 are read.  The upper triangle is filled
-    from columns, entry (a, b) = scale <c * V[:, a], V[:, b]>, and
-    mirrored; integral data stays in integers.  With m = |B| and S the
-    support of the weights, Cauchy-Binet gives
+    Only the rows with c_i != 0 are read.  G0 = V^T diag(c) V has its
+    upper triangle filled from columns, entry (a, b) = <c * V[:, a],
+    V[:, b]>, and mirrored; the matrix returned is scale G0.  With
+    m = |B| and S the support of the weights, Cauchy-Binet gives
 
         det = scale^m sum_{T in S, |T| = m} det(V_T)^2 prod_(i in T) c_i,
 
     so |S| < m gives 0 with no elimination, and |S| = m the one term,
     with det(V_S) eliminated once per frame and support
-    (PointSet.frame_det).  A larger support eliminates the Gram.
+    (PointSet.frame_det).  A larger support eliminates G0 and gives
+    scale^m det(G0): every row of scale G0 has content at least scale,
+    and the fraction-free pass would carry that factor into every minor
+    it forms.  When the points, the weights on S and the scale are
+    ints, the matrix is built unchecked and G0 goes straight to
+    linalg.integer_det, with no denominators to clear.
     """
     values = x.values(frame)
     m = len(frame)
     support = tuple(i for i, c in enumerate(weights) if c)
     cs = [weights[i] for i in support]
     cols = list(zip(*[values[i] for i in support]))
-    out = [[0] * m for _ in range(m)]
+    g0 = [[0] * m for _ in range(m)]
     for a, col in enumerate(cols):
         wcol = list(map(mul, cs, col))
-        row = out[a]
+        row = g0[a]
         for b in range(a, m):
-            row[b] = out[b][a] = scale * sum(map(mul, wcol, cols[b]))
-    hess = Mat(out)
+            row[b] = g0[b][a] = sum(map(mul, wcol, cols[b]))
+    integral = (x.integral and type(scale) is int
+                and all(type(c) is int for c in cs))
+    out = [[scale * v for v in row] for row in g0]
+    hess = Mat.of_ints(out) if integral else Mat(out)
     if len(support) < m:
         return hess, Fraction(0)
     if len(support) == m:
         return hess, Fraction(scale ** m * x.frame_det(frame, support) ** 2
                               * prod(cs))
-    return hess, linalg.det(hess)
+    if integral:
+        return hess, Fraction(scale ** m * linalg.integer_det(g0))
+    return hess, scale ** m * linalg.det(Mat(g0))
 
 
 def sample_linear_form(n_vars: int, rng: random.Random,

@@ -41,8 +41,6 @@ class HVector:
 
     def __init__(self, entries: Sequence[int]):
         e = _entries(entries)
-        if not e:
-            raise ValueError("empty h-vector")
         if min(e) < 0:
             raise ValueError("negative entry in h-vector")
         n = len(e)
@@ -130,13 +128,21 @@ def macaulay_bound(h: int, i: int) -> int:
 
 
 def _entries(h) -> Tuple[int, ...]:
-    """h's entries as ints; a string is refused, not read digit by digit."""
+    """h's entries, at least one, each an int: a float, a Fraction or a
+    bool is refused, not truncated, and a string is not read digit by
+    digit."""
     if isinstance(h, HVector):
         return h.entries
     if isinstance(h, str):
         raise ValueError("an h-vector takes a sequence of ints, not a string;"
                          " read text with HVector.parse")
-    return tuple(map(int, h))
+    e = tuple(h)
+    if not e:
+        raise ValueError("empty h-vector")
+    for x in e:
+        if type(x) is not int:
+            raise ValueError(f"h-vector entry {reprlib.repr(x)} is not an int")
+    return e
 
 
 def _o_sequence(e: Sequence[int]) -> bool:

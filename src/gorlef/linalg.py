@@ -4,9 +4,10 @@ Stored scalars, here and in every module, are Python ints when
 integral and fractions.Fraction otherwise.  `exact` is the one place
 that decides, and it runs only in the constructors that store scalars
 (Mat entries, Poly terms, linear forms, points, weights); Mat passes a
-plain int through as it is, and the kernels convert nothing.  `det`
-returns a Fraction.  `exact_str` is the one place that writes a scalar
-as output text, with no digit limit.
+plain int through as it is, Mat.of_ints takes int rows unchecked, and
+the kernels convert nothing.  `det` returns a Fraction, `integer_det`
+an int.  `exact_str` is the one place that writes a scalar as output
+text, with no digit limit.
 
 Every elimination runs through one exact forward pass: each row is
 cleared of denominators on entry, and the fraction-free pass (Bareiss
@@ -96,6 +97,13 @@ class Mat:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
+    @classmethod
+    def of_ints(cls, entries: List[List[int]]) -> "Mat":
+        """A square Mat that takes its rows of ints as they are, unchecked."""
+        m = cls.__new__(cls)
+        m.entries, m.rows, m.cols = entries, len(entries), len(entries)
+        return m
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat)
                 and self.entries == other.entries)
@@ -172,18 +180,23 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
     return pivots, sign, prev
 
 
+def integer_det(a: List[List[int]]) -> int:
+    """Determinant of square integer rows, which are eliminated in place:
+    the signed last pivot of the fraction-free pass, or 0."""
+    pivots, sign, last = _eliminate(a, len(a))
+    return sign * last if len(pivots) == len(a) else 0
+
+
 def det(m: Mat) -> Fraction:
-    """Determinant as a Fraction: the last pivot of the fraction-free pass.
+    """Determinant as a Fraction: integer_det of the rows cleared of
+    denominators, over the lcms that cleared them.
 
     The determinant of a 0x0 matrix is 1.
     """
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of {m.rows}x{m.cols} matrix")
     a, scale = _integer_rows(m.entries)
-    pivots, sign, last = _eliminate(a, m.cols)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    return Fraction(integer_det(a), scale)
 
 
 def rank(m: Mat) -> int:

@@ -7,10 +7,11 @@ as monomials, are a basis B_i of A(X)_i.  Points are normalized to
 leading coordinate 1, so when no point has x0 = 0 every x0 is 1 and
 B_i is carried up from B_(i-1) (PointSet.basis); sets with a point on
 x0 = 0 (two lines, some tails) eliminate the whole V_i.
-PointSet.values, cached per frame, is the one place that evaluates
-monomials at points; frame_det keeps det V_S of a frame B at |B|
-points S, the single Cauchy-Binet term of a Hessian whose point
-weights are supported on S (gorenstein.gram).
+PointSet.values is the one place that evaluates monomials at points:
+it caches per monomial its values at all the points, its parent's
+times one coordinate, and per frame the rows; frame_det keeps det V_S
+of a frame B at |B| points S, the single Cauchy-Binet term of a
+Hessian whose point weights are supported on S (gorenstein.gram).
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.
@@ -22,7 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, prod
+from math import comb
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -59,6 +61,9 @@ class PointSet:
         self.points: Tuple[Tuple[Fraction, ...], ...] = tuple(norm)
         self.n = n_coords - 1
         self._carried = all(p[0] for p in norm)  # every x0 = 1
+        self.integral = all(type(c) is int for p in norm for c in p)
+        self._axes = tuple(zip(*norm))[int(self._carried):]  # as _key indexes
+        self._columns = {(0,) * len(self._axes): (1,) * len(norm)}
         self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
         self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
         self._dets: Dict[tuple, Fraction] = {}
@@ -75,19 +80,31 @@ class PointSet:
         since x0's exponent then changes no value."""
         return tuple(m[1:] for m in frame) if self._carried else tuple(frame)
 
-    def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
-        """The frame's monomials at each point, one row per point; cached.
+    def _column(self, mono: Monomial) -> tuple:
+        """A monomial, as _key writes it, at every point; cached.
 
-        Only each monomial's nonzero exponents are read, and never x0's
-        when every x0 = 1.
+        A column is its parent's (the last nonzero exponent lowered by
+        one) times one coordinate; the missing ancestors are built
+        first, in a loop, so no depth grows with the degree.
         """
+        cols = self._columns
+        chain = []
+        while mono not in cols:
+            k = max(i for i, e in enumerate(mono) if e)
+            chain.append((mono, k))
+            mono = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+        col = cols[mono]
+        for mono, k in reversed(chain):
+            col = cols[mono] = tuple(map(mul, col, self._axes[k]))
+        return col
+
+    def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
+        """The frame's monomials at each point, one row per point; cached
+        per frame, and its columns per monomial (_column)."""
         key = self._key(frame)
         if key not in self._values:
-            skip = int(self._carried)
-            sparse = [[(k + skip, e) for k, e in enumerate(m) if e] for m in key]
-            self._values[key] = tuple(
-                tuple(prod([p[k] ** e for k, e in s]) for s in sparse)
-                for p in self.points)
+            self._values[key] = (tuple(zip(*map(self._column, key))) if key
+                                 else ((),) * self.size)
         return self._values[key]
 
     def evaluation_matrix(self, i: int) -> Mat:

@@ -10,7 +10,8 @@ kernel; the Perazzo case exhausts the Lefschetz search; the trivial
 cases, whose digests are those of the benchmark reference, are drawn by
 the benchmark only in some passes.  The plane sequence through 45 and
 the points case with x0 = 0 pin plateau lines (h(j) = |X|) outside the
-reference.  The rnc, conic and tails cases with an explicit --d pin
+reference; the plane sequence through 55 and the families at m = 10
+pin Gram eliminations whose scale d!/(d-2j)! is tens of bits.  The rnc, conic and tails cases with an explicit --d pin
 the socle degree each verifier takes from the caller, above 2 tau and
 below it (a PreconditionViolatedError document, exit 2).  Every op of
 the benchmark reference is replayed here too.
@@ -54,6 +55,8 @@ _POINTS_X0 = json.dumps({"points": [
 # The plane SI-sequence through 45 (d = 17, 45 points): 30x30 to 45x45
 # Hessians whose dets run to about 950 digits.
 _PLANE_45 = "1,3,6,10,15,21,28,36,45,45,36,28,21,15,10,6,3,1"
+# Through 55 (d = 19): the Hessian scale d!/(d-2j)! runs to 57 bits.
+_PLANE_55 = "1,3,6,10,15,21,28,36,45,55,55,45,36,28,21,15,10,6,3,1"
 
 GOLDEN = [
     ("seq-si", ["seq", "check", "1,3,5,5,3,1"],
@@ -180,6 +183,12 @@ GOLDEN = [
     ("construct-plane-45",
      ["construct", "--h", _PLANE_45, "--seed", "0"],
      0, "b1861902cc457ddb649884a65e393ce90d064b44960d927e435f5124f3608eaf"),
+    ("construct-plane-55",
+     ["construct", "--h", _PLANE_55, "--seed", "0"],
+     0, "4593bc450094db9fa9438c0c82629674049cfa9afc4033946b6e5f1da83e2314"),
+    ("verify-families-m10",
+     ["verify", "--theorem", "families", "--m", "10", "--seed", "0"],
+     0, "34a2f0a499629843b348402e031632de8e37c3af05954f8b06fb25b5ac363a60"),
     ("analyze-points-x0-plateau",
      ["analyze", "--points", _POINTS_X0, "--alphas", "1,2,-3,1/2,5,-7/3",
       "--d", "6", "--seed", "3"],

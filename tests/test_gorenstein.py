@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +17,7 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
 from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
                                certify_at, check_slp, check_wlp, gram,
                                point_weights, sample_linear_form)
-from gorlef import gorenstein, linalg
+from gorlef import gorenstein, linalg, points as points_module
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
 from gorlef.linalg import det, rank
@@ -592,9 +593,10 @@ class TestPlateauDeterminants:
                                              (1, 1), (0, 2))])
         algebra = GorensteinAlgebra.of_points(x, [1, 2, 3, -1, -2, 5], 6)
         sizes = []
-        det = linalg.det
-        monkeypatch.setattr(linalg, "det",
-                            lambda m: sizes.append(m.rows) or det(m))
+        # every det, linalg.det's and gram's integer Grams, runs here
+        integer_det = linalg.integer_det
+        monkeypatch.setattr(linalg, "integer_det",
+                            lambda a: sizes.append(len(a)) or integer_det(a))
         for coeffs in ([3, 1, 2], [5, -1, 7]):
             certify_at(algebra, LinearFormS(coeffs))
         assert sizes.count(x.size) == 1 and sizes.count(3) == 2
@@ -665,13 +667,72 @@ class TestGramDet:
         oracle = laplace_det(point_gram(x.points, alphas, 2, (1, 1, 1),
                                         frame, 12))
         sizes = []
-        det = linalg.det
-        monkeypatch.setattr(linalg, "det",
-                            lambda m: sizes.append(m.rows) or det(m))
+        integer_det = linalg.integer_det
+        monkeypatch.setattr(linalg, "integer_det",
+                            lambda a: sizes.append(len(a)) or integer_det(a))
         assert [gram(x, frame, weights, 12)[1]
                 for _ in range(2)] == [oracle] * 2
         assert sizes == eliminated
 
+
+    @pytest.mark.parametrize("points, alphas", [
+        ([[1, t, t * t] for t in (1, 2, 3, 5)], [1, 2, 3, 4]),
+        ([[1, t, t * t] for t in (1, 2, 3, 5)], [1, Fraction(2, 3), 3, 4]),
+        ([[1, t, Fraction(t, 2)] for t in (1, 2, 3, 5)], [1, 2, 3, 4]),
+        ([[0, 1, 2], [1, 0, 0], [1, 1, 1], [1, -1, 3]], [2, -1, 5, 3]),
+    ], ids=["ints", "fraction-weight", "fraction-points", "x0-zero"])
+    def test_above_eliminates_the_gram_without_its_scale(self, points,
+                                                          alphas):
+        # scale G0 is returned; G0 = V^T diag(c) V is what is eliminated:
+        # straight to integer_det on ints, through det on Fractions
+        x = PointSet(points)
+        frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        ell = (1, 1, 1)
+        weights = point_weights(x, alphas, 2, LinearFormS(ell))
+        assert sum(map(bool, weights)) > len(frame)
+        unscaled = point_gram(x.points, alphas, 2, ell, frame, 1)
+        seen = []
+        integer_det, det = linalg.integer_det, linalg.det
+        with mock.patch.object(linalg, "integer_det", lambda a: seen.append(
+                ("integer_det", [list(r) for r in a])) or integer_det(a)), \
+                mock.patch.object(linalg, "det", lambda m: seen.append(
+                    ("det", m.entries)) or det(m)):
+            hess, val = gram(x, frame, weights, 12)
+        integral = x.integral and all(type(a) is int for a in alphas)
+        assert seen[0] == ("integer_det" if integral else "det", unscaled)
+        assert len(seen) == 1 + (not integral)
+        assert hess.entries == [[12 * v for v in row] for row in unscaled]
+        assert val == 12 ** 3 * laplace_det(unscaled)
+
+
+class TestColumnsOncePerPointSet:
+    """Each monomial's column is built once per PointSet, one product per
+    point, across its bases, every gram frame and every ell."""
+
+    @pytest.mark.parametrize("points", [
+        [[1, a, b] for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                (0, 2))],
+        [[0, 0, 1], [1, 0, 1], [1, 0, 2], [0, 1, 1], [0, 1, 2], [1, 0, 3]],
+    ], ids=["x0-one", "two-lines"])
+    def test_each_column_is_built_once(self, monkeypatch, points):
+        products = []
+        real = points_module.mul
+        monkeypatch.setattr(points_module, "mul",
+                            lambda a, b: products.append(a) or real(a, b))
+        x = PointSet(points)
+        algebra = GorensteinAlgebra.of_points(x, [1, 2, 3, -1, -2, 5],
+                                              2 * x.tau() + 1)
+        for coeffs in ([3, 1, 2], [5, -1, 7]):
+            ell = LinearFormS(coeffs)
+            certify_at(algebra, ell)
+            for j in range(algebra.d // 2 + 1):
+                gram(x, monomials_of_degree(3, j), point_weights(
+                    x, algebra.alphas, algebra.d - 2 * j, ell), 1)
+        # keyed without x0 when every x0 = 1; the monomial 1 is not built
+        skip = int(all(p[0] for p in x.points))
+        assert set(x._columns) == {m[skip:] for j in range(algebra.d // 2 + 1)
+                                   for m in monomials_of_degree(3, j)}
+        assert len(products) == x.size * (len(x._columns) - 1)
 
 
 class TestOneHessianCall:

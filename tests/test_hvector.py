@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -296,14 +297,31 @@ class TestAgainstTheDefinitions:
                 check(h)
 
     @pytest.mark.parametrize("check, error", [
-        (is_O_sequence, IndexError), (is_differentiable, IndexError),
+        (is_O_sequence, ValueError), (is_differentiable, ValueError),
         (is_SI, ValueError), (HVector, ValueError), (hbar, ValueError)],
         ids=["is_O_sequence", "is_differentiable", "is_SI", "HVector", "hbar"])
     def test_empty_input(self, check, error):
-        # the O-sequence checks read h_0 of what they are given; is_SI and
-        # the constructor refuse an empty h-vector
-        with pytest.raises(error):
+        # every callable refuses an empty h-vector in the same words
+        with pytest.raises(error, match="empty h-vector"):
             check(())
+
+    @pytest.mark.parametrize("check", [is_O_sequence, is_differentiable,
+                                       is_SI, HVector, hbar],
+                             ids=["is_O_sequence", "is_differentiable",
+                                  "is_SI", "HVector", "hbar"])
+    @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(5, 2), Fraction(2),
+                                       True, False, "2"],
+                             ids=["float", "integral-float", "fraction",
+                                  "integral-fraction", "true", "false",
+                                  "string"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_non_int_entry_is_refused_by_name(self, check, entry, at):
+        # 1,2,1 with one entry replaced: nothing is truncated or converted
+        h = [1, 2, 1]
+        h[at] = entry
+        with pytest.raises(ValueError,
+                           match=f"entry {re.escape(repr(entry))} is not an int"):
+            check(h)
 
 
 class TestExpansionOnlyOnARise:

@@ -32,28 +32,48 @@ coordinates = st.one_of(st.integers(-5, 5),
 
 @st.composite
 def points_and_frames(draw):
+    """1-5 distinct points of P^0..P^3 with int and Fraction coordinates,
+    x0 = 0 at some points of some sets, and 1-4 frames of up to 8
+    monomials with exponents up to 3, some frames empty."""
     n_vars = draw(st.integers(1, 4))
-    pts = draw(st.lists(st.lists(coordinates, min_size=n_vars,
-                                 max_size=n_vars).filter(any),
+    first = st.one_of(st.just(0), st.just(1), coordinates)
+    pts = draw(st.lists(st.tuples(first, *[coordinates] * (n_vars - 1))
+                        .filter(any),
                         min_size=1, max_size=5,
                         unique_by=lambda p: PointSet([p]).points))
-    mons = [m for k in range(4) for m in monomials_of_degree(n_vars, k)]
-    return PointSet(pts), draw(st.lists(st.sampled_from(mons), max_size=8))
+    mono = st.tuples(*[st.integers(0, 3)] * n_vars)
+    return PointSet(pts), draw(st.lists(st.lists(mono, max_size=8),
+                                        min_size=1, max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(points_and_frames())
 def test_values_are_the_frame_evaluated_at_each_point(case):
-    x, frame = case
-    rows = x.values(frame)
-    assert rows == tuple(
-        tuple(evaluate(Poly(x.n + 1, RING_R, {m: 1}), p) for m in frame)
-        for p in x.points)
-    assert x.values(list(frame)) is rows  # cached per frame
+    # the frames of one PointSet share its cached columns, and a frame
+    # lifted by x0 shares them too when every x0 = 1
+    x, frames = case
+    for frame in frames:
+        for f in (frame, [(m[0] + 1,) + m[1:] for m in frame]):
+            rows = x.values(f)
+            assert rows == tuple(
+                tuple(evaluate(Poly(x.n + 1, RING_R, {m: 1}), p) for m in f)
+                for p in x.points)
+            assert x.values(list(f)) is rows  # cached per frame
     for i in range(3):
         mons = monomials_of_degree(x.n + 1, i)
         assert x.evaluation_matrix(i).entries == [list(r) for r in
                                                   x.values(mons)]
+
+
+@pytest.mark.parametrize("points, frame, rows", [
+    ([[0, 1], [1, 0], [1, 1]], [(0, 3000), (1500, 1500)],
+     ((1, 0), (0, 0), (1, 1))),
+    ([[1, 2], [1, 3]], [(0, 3000), (2999, 1)],
+     ((2 ** 3000, 2), (3 ** 3000, 3))),
+], ids=["x0-zero", "x0-one"])
+def test_a_high_degree_column_is_built_in_a_loop(points, frame, rows):
+    # 3000 ancestors, each one multiplication from its parent
+    assert PointSet(points).values(frame) == rows
 
 
 @st.composite
