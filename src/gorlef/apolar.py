@@ -9,14 +9,19 @@ Fractions otherwise (linalg.exact, applied by the constructors), so
 the kernels run in integers on integer data.
 
 The package needs two kernels: power_sum expands sum alpha_i L_i^d for
-the duals L_i of points, and contract_linear_power applies ell^k o F in
-k first-order passes.  Catalecticants read x^u o F off F's coefficients
-directly (gorenstein), so general contraction by an operator in S is
-not part of the package.  Every table of monomials comes from
-monomials_of_degree or power_sum's walk, and both refuse one of more
-than MAX_MONOMIAL_CELLS exponents with a WorkBudgetError (exit 2), so a
-request in billions of variables fails at once instead of running out
-of memory.
+the duals L_i of points, and contract applies ell^k o G in k
+first-order sweeps on the packed divided-power form h (Iarrobino-Kanev
+1999, App. A) in which each GorensteinAlgebra keeps its F: a dict from
+key(m) = sum_i m_i (d+1)^(n-1-i), m's base-(d+1) digits, to h(m) = m!
+F_m = x^m o F.  x_i o G has h(m + e_i) at m, so a sweep adds a_i h to
+key - (d+1)^(n-1-i), with no exponent factor; keys add without carries
+while deg(u + v) <= d, so cat_block reads (x^u x^v) o G as h[key(u) +
+key(v)].  contract_linear_power and gorenstein.catalecticant are their
+Poly adapters; no general operator in S is applied.  Every table of
+monomials comes from monomials_of_degree or power_sum's walk, and both
+refuse one of more than MAX_MONOMIAL_CELLS exponents with a
+WorkBudgetError (exit 2), so a request in billions of variables fails
+at once instead of running out of memory.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import RingMismatchError, WorkBudgetError
@@ -227,24 +233,56 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
     return Poly(n_vars, RING_R, terms)
 
 
-def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
-    """ell^k o f via k first-order passes; avoids expanding ell^k.
+def divided_powers(f: Poly, base: int) -> dict:
+    """F's packed divided-power form, keys in a base above every exponent."""
+    return {key: c * prod(map(factorial, m)) for key, (m, c) in zip(
+        packed_keys(f.terms, f.n_vars, base), f.terms.items())}
 
-    Integral coefficients of ell and f stay Python ints through the
-    passes; Fractions appear only for non-integral data.
-    """
+
+def packed_keys(monomials: Sequence[Monomial], n_vars: int,
+                base: int) -> List[int]:
+    """The packed key of each monomial, in order."""
+    places = [base ** (n_vars - 1 - i) for i in range(n_vars)]
+    return [sum(map(mul, m, places)) for m in monomials]
+
+
+def contract(ell: LinearFormS, k: int, h: dict, base: int) -> dict:
+    """ell^k o G on G's packed divided-power form h, in k sweeps; ell has
+    G's number of variables, and k < 0 is a ValueError."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    n = ell.n_vars
+    steps = [(base ** (n - 1 - i), a) for i, a in enumerate(ell.coeffs) if a]
+    for _ in range(k):
+        out = {}
+        get = out.get
+        for key, c in h.items():
+            for p, a in steps:
+                if key // p % base:  # digit i of key, the exponent of X_i
+                    q = key - p
+                    out[q] = get(q, 0) + a * c
+        h = {q: c for q, c in out.items() if c}
+    return h
+
+
+def cat_block(h: dict, rows: List[int], cols: List[int]) -> List[list]:
+    """G's catalecticant block over the packed keys rows x cols, while
+    deg(u + v) is below the base: entry (u, v) = h[key(u) + key(v)]."""
+    get = h.get
+    return [[get(r + c, 0) for c in cols] for r in rows]
+
+
+def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
+    """ell^k o f: one contract call on f's packed divided-power form."""
     if f.ring != RING_R:
         raise RingMismatchError("target must live in R")
     if ell.n_vars != f.n_vars:
         raise RingMismatchError("variable count mismatch")
-    coeffs = [(i, a) for i, a in enumerate(ell.coeffs) if a]
-    g = f.terms
-    for _ in range(k):
-        out = {}
-        for ef, cf in g.items():
-            for i, a in coeffs:
-                if ef[i]:
-                    m = ef[:i] + (ef[i] - 1,) + ef[i + 1:]
-                    out[m] = out.get(m, 0) + cf * a * ef[i]
-        g = {m: c for m, c in out.items() if c}
-    return Poly(f.n_vars, RING_R, g)
+    n, base = f.n_vars, max(f.degree(), 0) + 1
+    places = [base ** (n - 1 - i) for i in range(n)]
+    terms = {}
+    for key, c in contract(ell, k, divided_powers(f, base), base).items():
+        m = tuple(key // p % base for p in places)
+        div = prod(map(factorial, m))
+        terms[m] = c // div if c % div == 0 else Fraction(c, div)
+    return Poly(n, RING_R, terms)

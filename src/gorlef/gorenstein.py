@@ -51,18 +51,11 @@ forms.  So on a line with h(j) = s = |X| a separating ell proves the
 det nonzero with no elimination of the Hessian.
 GorensteinAlgebra.hessian, for an of_points algebra, is one gram call
 on one pass of point weights.  certify_at builds every SLP certificate
-line.  At each degree it builds the block M = Cat^j(ell^(d-2j) o F)[B, B]
-of the expanded F, the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
-A_j, so the block has the rank of the whole catalecticant, as
-_wlp_lines shows).  One chain of contractions, ell^2 per step of j,
-gives every block.  For an algebra built from a polynomial M is
-(d-2j)! times the Hessian, so its det is det(M) / ((d-2j)!)^h(j), with
-no second contraction: that is the only Hessian such an algebra has.
-For a power sum the Hessian reads the points and M the expanded F; M
-must equal (d-2j)! times the matrix of algebra.hessian(j, ell) entry
-for entry, and a disagreement is raised as a bug.  The det then proves
-the rank: a nonzero det is a nonzero h(j)-minor, and only a zero det
-needs an exact rank.  catalecticant is the one builder of
+line from one chain of contractions of the algebra's packed F (apolar),
+ell^2 per step of j, and the block M = Cat^j(ell^(d-2j) o F)[B, B] of
+each link: its det gives the Hessian's for an algebra built from a
+polynomial, and for a power sum M must equal (d-2j)! times
+algebra.hessian(j, ell).  cat_block is the one reader of
 catalecticants.  _search, the one attempt loop, makes every
 SlpCertificate from a draw() of (algebra, ell); first_witness is the
 one search for a sampled form with a nonzero value.
@@ -74,12 +67,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from operator import add, mul
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .apolar import (LinearFormS, Monomial, Poly, RING_R, contract_linear_power,
-                     monomials_of_degree, power_sum)
+from .apolar import (LinearFormS, Monomial, Poly, RING_R, cat_block, contract,
+                     contract_linear_power, divided_powers, monomials_of_degree,
+                     packed_keys, power_sum)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
@@ -104,19 +98,35 @@ def catalecticant(f: Poly, j: int, d: int,
     Rows run over degree-j monomials of S, columns over degree-(d-j)
     monomials, by default all of them in descending lex; entry (u, v) =
     (x^u x^v) o F, a scalar carrying the factorial constants of true
-    differentiation.  Integral entries are stored as ints.
+    differentiation, read by cat_block.  Integral entries are stored as
+    ints.  A given row or column of the wrong arity is a
+    RingMismatchError, of the wrong degree a DegreeOutOfRangeError.
     """
     if f.ring != RING_R:
         raise RingMismatchError("dual generator must live in R")
     if j < 0 or j > d:
         raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    scaled = {e: c * prod(map(factorial, e)) for e, c in f.terms.items()}
-    if rows is None:
-        rows = monomials_of_degree(f.n_vars, j)
-    if cols is None:
-        cols = monomials_of_degree(f.n_vars, d - j)
-    return Mat([[scaled.get(tuple(map(add, u, v)), 0) for v in cols]
-                for u in rows])
+    base = max(d, f.degree()) + 1
+    return Mat(cat_block(divided_powers(f, base),
+                         _checked_keys(rows, f.n_vars, j, base),
+                         _checked_keys(cols, f.n_vars, d - j, base)))
+
+
+def _checked_keys(monomials: Optional[Sequence[Monomial]], n_vars: int,
+                  degree: int, base: int) -> List[int]:
+    """Packed keys of `monomials`, by default every degree-`degree` one,
+    each given monomial checked once for its arity and degree."""
+    if monomials is None:
+        monomials = monomials_of_degree(n_vars, degree)
+    else:
+        for u in monomials:
+            if len(u) != n_vars:
+                raise RingMismatchError(
+                    f"monomial {u} has wrong arity for {n_vars} variables")
+            if sum(u) != degree or any(e < 0 for e in u):
+                raise DegreeOutOfRangeError(
+                    f"{u} is not a monomial of degree {degree}")
+    return packed_keys(monomials, n_vars, base)
 
 
 def _mirrored(half: List[int], d: int) -> HVector:
@@ -290,6 +300,7 @@ class GorensteinAlgebra:
         _require_form(f, self.d)
         self.n_vars = f.n_vars
         self.x, self.alphas = _points or (None, None)
+        self._divided = divided_powers(f, self.d + 1)
         on_points = self.x is not None and 2 * self.x.tau() <= self.d + 1
         self._bases: List[List[Monomial]] = [
             list(self.x.basis(j)) if on_points else basis(f, j, self.d)
@@ -349,28 +360,30 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
                t: Optional[int] = None) -> List[DegreeRecord]:
     """SLP certificate lines at ell: both routes at every j <= floor(d/2).
 
-    One contraction chain walks j down from floor(d/2): g = ell^(d-2j)
-    o F of the expanded F, then g <- ell^2 o g.  The rank route's matrix
-    M = Cat^j(g)[B, B] over B = basis(j) is (d-2j)! Hess^j(F)(P_ell).
-    For an algebra built from a polynomial that is the only Hessian, so
-    the det is det(M) / ((d-2j)!)^h(j).  For an of_points
-    algebra, algebra.hessian(j, ell) gives the Hessian and its det from
-    the points, and M must equal (d-2j)! times it entry for entry, or
-    HessianRankMismatchError is raised.
-    M is the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans
-    A_j; see _wlp_lines), of rank at most h(j), so a nonzero det proves
-    rank h(j) with no elimination; a zero det records the exact rank of
-    M.
+    One contract chain on the algebra's packed F walks j down from
+    floor(d/2): g = ell^(d-2j) o F, then g <- ell^2 o g.  The rank
+    route's matrix M = Cat^j(g)[B, B] over B = basis(j) is (d-2j)!
+    Hess^j(F)(P_ell).  For an algebra built from a polynomial that is
+    the only Hessian, so the det is det(M) / ((d-2j)!)^h(j).  For an
+    of_points algebra, algebra.hessian(j, ell) gives the Hessian and its
+    det from the points, and M must equal (d-2j)! times it entry for
+    entry, or HessianRankMismatchError is raised.  M is the matrix of
+    x ell^(d-2j): A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank
+    at most h(j), so a nonzero det proves rank h(j) with no elimination;
+    a zero det records the exact rank of M.
     Degrees j < t are labelled "hessian-det" and the rest "map-rank";
     t=None labels all "hessian-det".  Lines come in ascending j.
     """
     d, h = algebra.d, algebra.hilbert
+    if ell.n_vars != algebra.n_vars:
+        raise RingMismatchError("variable count mismatch")
     records = []
-    g, deg = algebra.f, d  # g = ell^(d - deg) o F, of degree deg
+    g, deg = algebra._divided, d  # g = ell^(d - deg) o F, of degree deg
     for j in range(d // 2, -1, -1):
-        g, deg = contract_linear_power(ell, deg - 2 * j, g), 2 * j
+        g, deg = contract(ell, deg - 2 * j, g, d + 1), 2 * j
         B = algebra.basis(j)
-        m = catalecticant(g, j, deg, B, B)
+        keys = packed_keys(B, algebra.n_vars, d + 1)
+        m = Mat(cat_block(g, keys, keys))
         k_fact = factorial(d - deg)
         if algebra.x is None:
             dv = linalg.det(m) / k_fact ** len(B)

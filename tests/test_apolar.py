@@ -191,6 +191,11 @@ class TestPowersOfLinearForms:
                 expected = contract(one_step, expected)
             assert contract_linear_power(ell, k, f) == expected
 
+    def test_contract_linear_power_refuses_a_negative_power(self):
+        f = Poly(2, RING_R, {(2, 1): 1})
+        with pytest.raises(ValueError, match="k >= 0"):
+            contract_linear_power(LinearFormS([1, 1]), -1, f)
+
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             LinearFormS([Fraction(0), Fraction(0)])

@@ -11,7 +11,10 @@ cases, whose digests are those of the benchmark reference, are drawn by
 the benchmark only in some passes.  The plane sequence through 45 and
 the points case with x0 = 0 pin plateau lines (h(j) = |X|) outside the
 reference; the plane sequence through 55 and the families at m = 10
-pin Gram eliminations whose scale d!/(d-2j)! is tens of bits.  The rnc, conic and tails cases with an explicit --d pin
+pin Gram eliminations whose scale d!/(d-2j)! is tens of bits.  The
+cubic in 40 variables and the degree-12 form in 3 pin the polynomial
+route on packed divided-power keys of 80 bits and of 13 digits per
+variable.  The rnc, conic and tails cases with an explicit --d pin
 the socle degree each verifier takes from the caller, above 2 tau and
 below it (a PreconditionViolatedError document, exit 2).  Every op of
 the benchmark reference is replayed here too.
@@ -52,6 +55,21 @@ _POINTS_RATIONAL = json.dumps({"points": [
 _POINTS_X0 = json.dumps({"points": [
     ["0", "1", "2"], ["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"],
     ["1", "-1", "3"], ["2", "3", "-1/2"]]})
+# A sparse cubic in 40 variables with rational coefficients, so a packed
+# exponent key of F, base d + 1 = 4 per variable, runs to 80 bits.
+_CUBIC_40 = json.dumps({"n_vars": 40, "ring": "R", "terms": [
+    {"exp": [2 if v == i else 1 if v == (i + 1) % 40 else 0
+             for v in range(40)], "coef": f"{i + 1}/{2 * i + 3}"}
+    for i in range(40)] + [
+    {"exp": [1 if v in (i, (i + 7) % 40, (i + 19) % 40) else 0
+             for v in range(40)], "coef": f"-{i + 2}/7"}
+    for i in range(0, 40, 3)]})
+# A form of degree 12 in 3 variables: Hessians up to 26x26 from the
+# polynomial route, with h(6) = 26 below the 28 monomials of degree 6.
+_POLY_DEG_12 = json.dumps({"n_vars": 3, "ring": "R", "terms": [
+    {"exp": [12, 0, 0], "coef": "1"}, {"exp": [0, 12, 0], "coef": "-3"},
+    {"exp": [0, 0, 12], "coef": "2"}, {"exp": [4, 4, 4], "coef": "5"},
+    {"exp": [7, 2, 3], "coef": "-1"}, {"exp": [1, 6, 5], "coef": "3"}]})
 # The plane SI-sequence through 45 (d = 17, 45 points): 30x30 to 45x45
 # Hessians whose dets run to about 950 digits.
 _PLANE_45 = "1,3,6,10,15,21,28,36,45,45,36,28,21,15,10,6,3,1"
@@ -189,6 +207,12 @@ GOLDEN = [
     ("verify-families-m10",
      ["verify", "--theorem", "families", "--m", "10", "--seed", "0"],
      0, "34a2f0a499629843b348402e031632de8e37c3af05954f8b06fb25b5ac363a60"),
+    ("analyze-poly-cubic-40-vars",
+     ["analyze", "--poly", _CUBIC_40, "--seed", "11"],
+     0, "6e5d799ac39a1162279192807152249ad759966e7cd7840b6ec5bc51012a2fa0"),
+    ("analyze-poly-degree-12",
+     ["analyze", "--poly", _POLY_DEG_12, "--seed", "12"],
+     0, "dc767470c081eb46c96c4304f9f56a59b21170d4eb1e44d94744a55cdda36d19"),
     ("analyze-points-x0-plateau",
      ["analyze", "--points", _POINTS_X0, "--alphas", "1,2,-3,1/2,5,-7/3",
       "--d", "6", "--seed", "3"],

@@ -20,7 +20,7 @@ from gorlef.gorenstein import (GorensteinAlgebra, basis, catalecticant,
 from gorlef import gorenstein, linalg, points as points_module
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
-from gorlef.linalg import det, rank
+from gorlef.linalg import Mat, det, rank
 from gorlef.points import PointSet
 
 from oracles import (evaluate, exact_multiplication_rank, gauss_pivot_columns,
@@ -61,6 +61,18 @@ class TestCatalecticant:
     def test_generator_in_s_is_a_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             catalecticant(Poly(3, RING_S, {(1, 1, 1): 1}), 1, 3)
+
+    def test_rows_and_columns_are_checked(self):
+        # packed keys would alias (1, 0, 5) or (2, 0) onto the entry
+        # (x0 x1) o X0^2 X1 = 2; each is refused instead
+        f = rmono(2, (2, 1))
+        with pytest.raises(RingMismatchError):
+            catalecticant(f, 1, 3, [(1, 0, 5)], [(1, 1)])
+        with pytest.raises(DegreeOutOfRangeError):
+            catalecticant(f, 1, 3, [(2, 0)], [(0, 1)])
+        with pytest.raises(DegreeOutOfRangeError):
+            catalecticant(f, 1, 3, [(1, 0)], [(3, -1)])
+        assert catalecticant(f, 1, 3, [(1, 0)], [(1, 1)]) == Mat([[2]])
 
     def test_matches_gauss_oracle(self):
         rng = random.Random(60)
@@ -205,14 +217,14 @@ class TestMultiplicationRank:
         # every det is nonzero on a verdict-true certificate, so the audit
         # builds one h(j) x h(j) block per line and eliminates none of them
         shapes, ranked = [], []
-        real = gorenstein.catalecticant
+        real = gorenstein.cat_block
 
-        def spy(*args, **kwargs):
-            m = real(*args, **kwargs)
-            shapes.append((m.rows, m.cols))
+        def spy(*args):
+            m = real(*args)
+            shapes.append((len(m), len(m[0])))
             return m
 
-        monkeypatch.setattr(gorenstein, "catalecticant", spy)
+        monkeypatch.setattr(gorenstein, "cat_block", spy)
         monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(m))
         h = HVector.parse("1,3,5,5,3,1")
         res = construct_slp_algebra(h, random.Random(7))
@@ -807,8 +819,8 @@ class TestOneHessianCall:
         points = GorensteinAlgebra.of_points(self.X, self.ALPHAS, d)
         algebra = GorensteinAlgebra(points.f, d)
         calls = []
-        real = gorenstein.contract_linear_power
-        monkeypatch.setattr(gorenstein, "contract_linear_power",
+        real = gorenstein.contract
+        monkeypatch.setattr(gorenstein, "contract",
                             lambda *args: calls.append(args) or real(*args))
         for coeffs in ([3, 1], [2, 1], [1, 0]):  # [2, 1] is through a point
             ell = LinearFormS(coeffs)

@@ -4,8 +4,11 @@ Random rational matrices cover non-integral entries, huge integers,
 rank-deficient products, all-zero columns (the column-skip branch),
 wide, tall and 1x1 shapes, and pivots that need a row swap.  Random
 forms and linear forms check the one-contraction Hessian and the
-integer ell^k contraction the same way.  The oracles in `oracles.py`
-use Fraction arithmetic only.  Random weighted point sets of any degree
+integer ell^k contraction the same way, and random forms of degree up
+to 9 in up to 5 variables check the packed divided-power pass and
+block reader against Fraction derivatives and (u+v)! g_(u+v).  The
+oracles in `oracles.py` use Fraction arithmetic only.  Random weighted
+point sets of any degree
 check that the bases and Hessians of an of_points algebra, on either
 side of the route threshold tau <= ceil(d/2), equal the catalecticant
 bases and one-contraction Hessians of the expanded power sum.
@@ -13,14 +16,15 @@ bases and one-contraction Hessians of the expanded power sum.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gorlef import gorenstein
-from gorlef.apolar import (LinearFormS, Poly, RING_R, contract_linear_power,
-                           monomials_of_degree, power_sum)
+from gorlef.apolar import (LinearFormS, Poly, RING_R, cat_block, contract,
+                           contract_linear_power, divided_powers,
+                           monomials_of_degree, packed_keys, power_sum)
 from gorlef.construct import construct_slp_algebra
 from gorlef.errors import HessianRankMismatchError
 from gorlef.gorenstein import GorensteinAlgebra, basis, catalecticant
@@ -212,6 +216,92 @@ def test_integer_contraction_matches_fractions(form, data):
     assert g.terms == linear_power_contraction(ell.coeffs, k, f.terms)
     assert all(type(c) is (int if c.denominator == 1 else Fraction)
                for c in g.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# The packed divided-power form: key(m) -> m! F_m, base d + 1
+
+
+def _divided(m):
+    return prod(map(factorial, m))
+
+
+@st.composite
+def packed_cases(draw):
+    """(F, d, ell, k, rows, cols): F a sparse or one-term form of degree
+    d in 1-5 variables, k up to d + 2, and monomials u, v with
+    deg(u) + deg(v) <= d."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 9))
+    one_term = draw(st.booleans())
+    chosen = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                           min_size=1, max_size=1 if one_term else 8,
+                           unique=True))
+    coefs = draw(st.lists(coefficients.filter(bool), min_size=len(chosen),
+                          max_size=len(chosen)))
+    ell = draw(linear_forms(n))
+    k = draw(st.integers(0, d + 2))
+    rows, cols = [], []
+    if k <= d and draw(st.booleans()):
+        # u + v = a term of F less k units: an entry the block may not miss
+        w = list(draw(st.sampled_from(chosen)))
+        for _ in range(k):
+            w[draw(st.sampled_from([i for i, e in enumerate(w) if e]))] -= 1
+        u = tuple(draw(st.integers(0, e)) for e in w)
+        v = tuple(e - x for e, x in zip(w, u))
+        rows, cols, a, b = [u], [v], sum(u), sum(v)
+    else:
+        a = draw(st.integers(0, d))
+        b = draw(st.integers(0, d - a))
+    rows += draw(st.lists(st.sampled_from(monomials_of_degree(n, a)),
+                          max_size=4))
+    cols += draw(st.lists(st.sampled_from(monomials_of_degree(n, b)),
+                          max_size=4))
+    return Poly(n, RING_R, dict(zip(chosen, coefs))), d, ell, k, rows, cols
+
+
+def _unit(n, i, e=1):
+    return tuple(e if v == i else 0 for v in range(n))
+
+
+def _add(*monomials):
+    return tuple(map(sum, zip(*monomials)))
+
+
+# 24 variables at d = 8: keys run to 24 log2(9) > 76 bits
+_WIDE = Poly(24, RING_R, {
+    _unit(24, 0, 8): 1, _unit(24, 23, 8): Fraction(3, 2),
+    _add(_unit(24, 1), _unit(24, 5, 3), _unit(24, 23, 4)): -7})
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+@example((_WIDE, 8, LinearFormS([1] + [0] * 22 + [2]), 3,
+          [_unit(24, 23, 2), _add(_unit(24, 5), _unit(24, 23))],
+          [_unit(24, 23, 3), _add(_unit(24, 1), _unit(24, 5, 2))]))
+@example((Poly(3, RING_R, {(0, 4, 0): Fraction(-5, 3)}), 4,
+          LinearFormS([0, 2, 0]), 6, [(0, 1, 0)], [(0, 0, 0)]))
+@example((Poly(3, RING_R, {(0, 0, 2): 2, (1, 1, 0): 3}), 2,
+          LinearFormS([0, 0, 1]), 1, [(0, 0, 1), (1, 0, 0)], [(0, 0, 0)]))
+def test_packed_pass_and_reader_match_the_definitions(case):
+    # the pass against Fraction derivatives, the reader against
+    # (u+v)! g_(u+v), both on the chain's base d + 1 and through the
+    # Poly adapters, which choose their own base
+    f, d, ell, k, rows, cols = case
+    g = linear_power_contraction(ell.coeffs, k, f.terms)
+    packed = contract(ell, k, divided_powers(f, d + 1), d + 1)
+    keys = packed_keys(list(g), f.n_vars, d + 1)
+    assert packed == {key: c * _divided(m) for key, (m, c)
+                      in zip(keys, g.items())}
+    assert contract_linear_power(ell, k, f).terms == g
+    expected = [[_divided(w) * g.get(w, 0)
+                 for w in (_add(u, v) for v in cols)] for u in rows]
+    assert cat_block(packed, packed_keys(rows, f.n_vars, d + 1),
+                     packed_keys(cols, f.n_vars, d + 1)) == expected
+    if rows and cols:
+        a, b = sum(rows[0]), sum(cols[0])
+        assert catalecticant(Poly(f.n_vars, RING_R, g), a, a + b, rows,
+                             cols).entries == expected
 
 
 # ---------------------------------------------------------------------------
