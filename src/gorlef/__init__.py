@@ -20,8 +20,7 @@ from .errors import (BadSubsetSizeError, DegreeOutOfRangeError,
                      ZeroGeneratorError)
 from .hvector import (HVector, binomial_expand, hbar, is_O_sequence,
                       is_SI, is_differentiable, macaulay_bound)
-from .apolar import (LinearFormS, Poly, RING_R, RING_S, contract_linear_power,
-                     monomials_of_degree)
+from .apolar import LinearFormS, Poly, RING_R, RING_S, monomials_of_degree
 from .linalg import Mat, det, nullspace, pivot_columns, rank
 from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
                          certify_at, check_slp, check_wlp)
@@ -52,7 +51,7 @@ __all__ = [
     "TheoremTensionError", "WorkBudgetError", "ZeroGeneratorError",
     "binomial_expand",
     "block_det_identity", "catalecticant", "certify_at", "check_slp",
-    "check_wlp", "construct_slp_algebra", "contract_linear_power",
+    "check_wlp", "construct_slp_algebra",
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",
     "has_collinear_triple", "hbar", "hess_coefficient_criterion",

@@ -16,8 +16,7 @@ key(m) = sum_i m_i (d+1)^(n-1-i), m's base-(d+1) digits, to h(m) = m!
 F_m = x^m o F.  x_i o G has h(m + e_i) at m, so a sweep adds a_i h to
 key - (d+1)^(n-1-i), with no exponent factor; keys add without carries
 while deg(u + v) <= d, so cat_block reads (x^u x^v) o G as h[key(u) +
-key(v)].  contract_linear_power and gorenstein.catalecticant are their
-Poly adapters; no general operator in S is applied.  Every table of
+key(v)]; no general operator in S is applied.  Every table of
 monomials comes from monomials_of_degree or power_sum's walk, and both
 refuse one of more than MAX_MONOMIAL_CELLS exponents with a
 WorkBudgetError (exit 2), so a request in billions of variables fails
@@ -270,19 +269,3 @@ def cat_block(h: dict, rows: List[int], cols: List[int]) -> List[list]:
     deg(u + v) is below the base: entry (u, v) = h[key(u) + key(v)]."""
     get = h.get
     return [[get(r + c, 0) for c in cols] for r in rows]
-
-
-def contract_linear_power(ell: LinearFormS, k: int, f: Poly) -> Poly:
-    """ell^k o f: one contract call on f's packed divided-power form."""
-    if f.ring != RING_R:
-        raise RingMismatchError("target must live in R")
-    if ell.n_vars != f.n_vars:
-        raise RingMismatchError("variable count mismatch")
-    n, base = f.n_vars, max(f.degree(), 0) + 1
-    places = [base ** (n - 1 - i) for i in range(n)]
-    terms = {}
-    for key, c in contract(ell, k, divided_powers(f, base), base).items():
-        m = tuple(key // p % base for p in places)
-        div = prod(map(factorial, m))
-        terms[m] = c // div if c % div == 0 else Fraction(c, div)
-    return Poly(n, RING_R, terms)

@@ -48,11 +48,12 @@ def _substream(seed: int, name: str) -> random.Random:
 
 
 def _load_json_arg(value: str) -> dict:
-    """Inline JSON if the argument looks like JSON, else a file path."""
+    """Inline JSON if the argument looks like JSON, else a file path;
+    a number with a fraction or exponent stays text, so 0.1 is 1/10."""
     stripped = value.strip()
     try:
         doc = json.loads(stripped if stripped.startswith("{")
-                         else Path(value).read_text())
+                         else Path(value).read_text(), parse_float=str)
     except OSError as exc:
         raise ValueError(f"cannot read {reprlib.repr(value)}: {exc.strerror}"
                          ) from None

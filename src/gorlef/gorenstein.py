@@ -55,10 +55,14 @@ line from one chain of contractions of the algebra's packed F (apolar),
 ell^2 per step of j, and the block M = Cat^j(ell^(d-2j) o F)[B, B] of
 each link: its det gives the Hessian's for an algebra built from a
 polynomial, and for a power sum M must equal (d-2j)! times
-algebra.hessian(j, ell).  cat_block is the one reader of
-catalecticants.  _search, the one attempt loop, makes every
-SlpCertificate from a draw() of (algebra, ell); first_witness is the
-one search for a sampled form with a nonzero value.
+algebra.hessian(j, ell).  _wlp_lines ranks Cat^i(ell o F)[B_i, B_lo],
+lo = d-1-i >= i (all degree-lo monomials when lo > floor(d/2)), from
+one contraction of the packed F.  GorensteinAlgebra._block reads both
+lines' blocks, at base d + 1, through cat_block, the one reader of
+catalecticants, which catalecticant also calls.  _search, the one
+attempt loop, makes every SlpCertificate from a draw() of (algebra,
+ell); first_witness is the one search for a sampled form with a
+nonzero value.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import (LinearFormS, Monomial, Poly, RING_R, cat_block, contract,
-                     contract_linear_power, divided_powers, monomials_of_degree,
-                     packed_keys, power_sum)
+                     divided_powers, monomials_of_degree, packed_keys,
+                     power_sum)
 from .errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                      NotHomogeneousError, PreconditionViolatedError,
                      RingMismatchError, ZeroGeneratorError)
@@ -132,19 +136,6 @@ def _checked_keys(monomials: Optional[Sequence[Monomial]], n_vars: int,
 def _mirrored(half: List[int], d: int) -> HVector:
     """h(0..d) from h(0..floor(d/2)) by the symmetry h(j) = h(d-j)."""
     return HVector(half + half[:(d + 1) // 2][::-1])
-
-
-def basis(f: Poly, j: int, d: int) -> List[Monomial]:
-    """Monomial basis of A_j: pivot rows of the degree-j catalecticant.
-
-    Found as the pivot columns of Cat^(d-j) = (Cat^j)^T, so the same
-    elimination also gives h(j).  Deterministic: descending-lex
-    monomials with top-to-bottom pivoting.
-    """
-    if j < 0 or j > d:
-        raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    rows = monomials_of_degree(f.n_vars, j)
-    return [rows[i] for i in linalg.pivot_columns(catalecticant(f, d - j, d))]
 
 
 def point_weights(x, alphas: Sequence, k: int, ell: LinearFormS) -> list:
@@ -302,8 +293,10 @@ class GorensteinAlgebra:
         self.x, self.alphas = _points or (None, None)
         self._divided = divided_powers(f, self.d + 1)
         on_points = self.x is not None and 2 * self.x.tau() <= self.d + 1
-        self._bases: List[List[Monomial]] = [
-            list(self.x.basis(j)) if on_points else basis(f, j, self.d)
+        self._bases: List[List[Monomial]] = [  # or pivots of Cat^(d-j)
+            list(self.x.basis(j)) if on_points else list(map(
+                monomials_of_degree(self.n_vars, j).__getitem__,
+                linalg.pivot_columns(catalecticant(f, self.d - j, self.d))))
             for j in range(self.d // 2 + 1)]
         self.hilbert: HVector = _mirrored([len(b) for b in self._bases], self.d)
 
@@ -355,6 +348,13 @@ class GorensteinAlgebra:
     def codimension(self) -> int:
         return self.hilbert[1] if self.hilbert.socle_degree >= 1 else 0
 
+    def _block(self, g: dict, rows: Sequence[Monomial],
+               cols: Sequence[Monomial]) -> Mat:
+        """Cat(g)[rows, cols] for g a contraction of the packed F."""
+        n, base = self.n_vars, self.d + 1
+        return Mat(cat_block(g, packed_keys(rows, n, base),
+                             packed_keys(cols, n, base)))
+
 
 def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
                t: Optional[int] = None) -> List[DegreeRecord]:
@@ -382,8 +382,7 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     for j in range(d // 2, -1, -1):
         g, deg = contract(ell, deg - 2 * j, g, d + 1), 2 * j
         B = algebra.basis(j)
-        keys = packed_keys(B, algebra.n_vars, d + 1)
-        m = Mat(cat_block(g, keys, keys))
+        m = algebra._block(g, B, B)
         k_fact = factorial(d - deg)
         if algebra.x is None:
             dv = linalg.det(m) / k_fact ** len(B)
@@ -403,23 +402,22 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
 def _wlp_lines(algebra: GorensteinAlgebra, ell: LinearFormS) -> List[DegreeRecord]:
     """Rank of x ell: A_i -> A_(i+1) against min(h(i), h(i+1)), i < d.
 
-    The map is Cat^i(g) for g = ell o F of the expanded F, entry (u, v) =
-    (x^u x^v ell) o F with u of degree i and v of degree lo = d-1-i.  It
-    is the transpose of Cat^lo(g), so the rank at i is the one at lo:
-    only the lines i <= lo are eliminated, each on the block with rows
-    B_i and, when lo <= floor(d/2), columns B_lo.  Over Q the block has
-    the rank of the whole Cat^i(g): (a, b) -> (a b ell) o F vanishes
-    when a or b lies in Ann(F), and B_j spans S_j modulo Ann(F)_j on
-    both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or the pivot
-    columns of V_j, which span S_j modulo I(X)_j, inside Ann(F)_j), so
-    the rows in B_i span all of Cat^i(g)'s rows and the columns in B_lo
-    all of its columns, each side on its own.
+    The map is Cat^i(g) for g = ell o F, the transpose of Cat^lo(g), so
+    the rank at i is the one at lo = d-1-i and only the lines i <= lo
+    are eliminated, each on the block of the module docstring.  Over Q
+    it has the rank of the whole Cat^i(g): (a, b) -> (a b ell) o F
+    vanishes when a or b lies in Ann(F), and B_j spans S_j modulo
+    Ann(F)_j on both routes (the pivots of Cat^(d-j) = Cat^j(F)^T, or
+    the pivot columns of V_j, which span S_j modulo I(X)_j, inside
+    Ann(F)_j), so the rows in B_i span all of Cat^i(g)'s rows and the
+    columns in B_lo all of its columns, each side on its own.
     """
     d, h = algebra.d, algebra.hilbert
-    g = contract_linear_power(ell, 1, algebra.f)
-    half = [linalg.rank(catalecticant(
-                g, i, d - 1, algebra.basis(i),
-                algebra.basis(d - 1 - i) if d - 1 - i <= d // 2 else None))
+    g = contract(ell, 1, algebra._divided, d + 1)
+    half = [linalg.rank(algebra._block(
+                g, algebra.basis(i), algebra.basis(d - 1 - i)
+                if d - 1 - i <= d // 2
+                else monomials_of_degree(algebra.n_vars, d - 1 - i)))
             for i in range((d + 1) // 2)]
     return [DegreeRecord(j=i, method="map-rank", det=None,
                          rank=half[min(i, d - 1 - i)],

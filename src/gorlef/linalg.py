@@ -27,7 +27,9 @@ of plain rational elimination, so the pivots are the same.
 
 from __future__ import annotations
 
+import re
 import reprlib
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
@@ -45,10 +47,19 @@ def exact(x):
     Accepts anything Fraction accepts: ints, Fractions, decimal or
     "p/q" strings, finite floats.  Infinite floats, NaNs, zero
     denominators and bools are ValueErrors: True is not the number 1.
+    So is a string whose decimal exponent would mean more digits than
+    int() reads (sys.get_int_max_str_digits(), 0 for no limit), before
+    Fraction spends the time to build 10 to that power.
     """
     if type(x) is not int:
         if isinstance(x, bool):
             raise ValueError(f"{x!r} is not a rational number")
+        if isinstance(x, str):
+            limit = sys.get_int_max_str_digits()
+            m = re.search(r"[eE]([-+]?\d+(_\d+)*)\s*\Z", x)
+            if limit and m and (len(m[1]) > limit or abs(int(m[1])) >= limit):
+                raise ValueError(f"{reprlib.repr(x)} has a decimal exponent"
+                                 " beyond the digits int() reads")
         if not isinstance(x, Fraction):
             try:
                 x = Fraction(x)

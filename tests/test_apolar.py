@@ -9,8 +9,7 @@ import pytest
 
 from gorlef import apolar
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
-                           contract_linear_power, monomials_of_degree,
-                           power_sum)
+                           divided_powers, monomials_of_degree, power_sum)
 from gorlef.errors import RingMismatchError, WorkBudgetError
 
 from oracles import (apply_monomial, contract, contract_monomial, evaluate,
@@ -175,7 +174,7 @@ class TestPowersOfLinearForms:
         rhs = power_sum([L], [5 * 4 * 1 * 2], 3, 3)
         assert lhs == rhs
 
-    def test_contract_linear_power_iterates(self):
+    def test_packed_contraction_iterates(self):
         rng = random.Random(54)
         for _ in range(15):
             n = rng.randint(1, 3)
@@ -189,12 +188,13 @@ class TestPowersOfLinearForms:
             one_step = linear_form_poly(ell)
             for _ in range(k):
                 expected = contract(one_step, expected)
-            assert contract_linear_power(ell, k, f) == expected
+            assert apolar.contract(ell, k, divided_powers(f, 6), 6) == \
+                divided_powers(expected, 6)
 
-    def test_contract_linear_power_refuses_a_negative_power(self):
+    def test_packed_contraction_refuses_a_negative_power(self):
         f = Poly(2, RING_R, {(2, 1): 1})
         with pytest.raises(ValueError, match="k >= 0"):
-            contract_linear_power(LinearFormS([1, 1]), -1, f)
+            apolar.contract(LinearFormS([1, 1]), -1, divided_powers(f, 4), 4)
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +231,8 @@ class TestPolyBasics:
             assert f + g == g + f
 
     def test_pairing_of_dual_forms(self):
-        # ell o L = <ell, P_L>, as contract_linear_power gives it
+        # ell o L = <ell, P_L>, as the packed contraction gives it
         ell = LinearFormS([Fraction(1), Fraction(2)])
         L = power_sum([[Fraction(3), Fraction(-1)]], [1], 1, 2)
-        assert contract_linear_power(ell, 1, L) == Poly(2, RING_R, {(0, 0): 1})
+        assert apolar.contract(ell, 1, divided_powers(L, 2), 2) == \
+            divided_powers(Poly(2, RING_R, {(0, 0): 1}), 2)

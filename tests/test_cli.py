@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -732,6 +733,60 @@ class TestOutputDigits:
     def test_an_input_past_the_limit_is_exit_two(self, capsys):
         code, out = self._at_limit(capsys, ["seq", "check", "1," + "9" * 700])
         assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
+
+
+class TestDecimalLiterals:
+    """A JSON number is the decimal it spells, not the nearest binary
+    float; a decimal exponent past int()'s digit limit is refused before
+    10 to its power is built."""
+
+    POINTS = '{"points": [[1, %s], [1, 0.5], [1, 2]]}'
+    POLY = ('{"n_vars": 2, "ring": "R", "terms": [{"exp": [2, 0], '
+            '"coef": %s}, {"exp": [0, 2], "coef": 1}]}')
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--points", '{"points": [[1, 0], [1, 1]]}',
+         "--alphas", "1e999999999,1", "--d", "2"],
+        ["analyze", "--points", '{"points": [[1, "1e999999999"], [1, 1]]}',
+         "--alphas", "1,1", "--d", "2"],
+        ["analyze", "--poly", POLY % '"-1e-999999999"'],
+    ], ids=["alphas", "points-coordinate", "poly-coefficient"])
+    def test_a_huge_decimal_exponent_is_exit_two_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and elapsed < 1
+        assert json.loads(captured.out)["error"]["type"] == "ValueError"
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_a_json_decimal_is_read_exactly(self, capsys):
+        points = ["--alphas", "1,2,3", "--d", "2", "--seed", "1"]
+        code, out = run(capsys, "analyze", "--points", self.POINTS % "0.1",
+                        *points)
+        assert code == 0
+        assert run(capsys, "analyze", "--points", self.POINTS % '"1/10"',
+                   *points) == (0, out)
+        code, out = run(capsys, "analyze", "--poly", self.POLY % "0.1",
+                        "--seed", "1")
+        assert code == 0
+        assert run(capsys, "analyze", "--poly", self.POLY % '"1/10"',
+                   "--seed", "1") == (0, out)
+
+    def test_a_json_number_past_the_float_range_is_exact(self, capsys):
+        code, doc = run_json(capsys, "analyze", "--points",
+                             '{"points": [[1, 1e400], [1, 2]]}',
+                             "--alphas", "1,1", "--d", "2")
+        assert code == 0
+        assert doc["input"]["points"]["points"][0] == ["1", str(10 ** 400)]
+
+    @pytest.mark.parametrize("poly", [
+        '{"n_vars": 1.0, "ring": "R", "terms": [{"exp": [1], "coef": 1}]}',
+        '{"n_vars": 1, "ring": "R", "terms": [{"exp": [1.0], "coef": 1}]}',
+    ], ids=["n-vars", "exp"])
+    def test_a_decimal_count_is_still_refused(self, capsys, poly):
+        code, doc = run_json(capsys, "analyze", "--poly", poly)
+        assert code == 2 and doc["error"]["type"] == "ValueError"
 
 
 class TestListArgumentFuzz:

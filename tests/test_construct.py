@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from gorlef.apolar import LinearFormS, Poly, RING_R, contract_linear_power
+from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.construct import (ConstructionResult, _separating_form,
                               construct_slp_algebra,
                               hess_coefficient_criterion,
@@ -22,7 +22,7 @@ from gorlef.points import (PointSet, gen_collinear, gen_distraction,
                            gen_generic, gen_rnc, gen_two_lines,
                            lex_order_ideal)
 
-from oracles import linear_power_terms
+from oracles import linear_power_contraction, linear_power_terms
 
 
 def F(*vals):
@@ -105,8 +105,10 @@ class TestStructuredHessian:
                     frame = algebra.basis(j)
                     fast = point_hessian(x, alphas, d, j, frame, ell)
                     # (d-2j)! Hess^j = Cat^j(ell^(d-2j) o F)[B, B]
-                    slow = catalecticant(contract_linear_power(
-                        ell, d - 2 * j, g.f), j, 2 * j, frame, frame)
+                    h = linear_power_contraction(ell.coeffs, d - 2 * j,
+                                                 g.f.terms)
+                    slow = catalecticant(Poly(g.n_vars, RING_R, h), j, 2 * j,
+                                         frame, frame)
                     k_fact = factorial(d - 2 * j)
                     assert [[k_fact * v for v in row]
                             for row in fast.entries] == slow.entries

@@ -12,9 +12,8 @@ from math import factorial
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gorlef.apolar import (LinearFormS, Poly, RING_R,
-                           contract_linear_power, monomials_of_degree,
-                           power_sum)
+from gorlef.apolar import (LinearFormS, Poly, RING_R, contract,
+                           divided_powers, monomials_of_degree, power_sum)
 from gorlef.gorenstein import GorensteinAlgebra, gram, point_weights
 from gorlef.linalg import Mat, det
 from gorlef.points import PointSet
@@ -133,9 +132,10 @@ def test_kernels_agree_on_int_and_fraction_input(points, data):
     assert dv == det(Mat([as_fractions(row) for row in m.entries]))
 
     k = data.draw(st.integers(0, d))
-    g = contract_linear_power(LinearFormS(ell), k, f)
-    fg = contract_linear_power(LinearFormS(as_fractions(ell)), k,
-                               Poly(3, RING_R, {e: Fraction(c)
-                                                for e, c in f.terms.items()}))
+    g = contract(LinearFormS(ell), k, divided_powers(f, d + 1), d + 1)
+    fg = contract(LinearFormS(as_fractions(ell)), k,
+                  divided_powers(Poly(3, RING_R, {e: Fraction(c)
+                                                  for e, c in f.terms.items()}),
+                                 d + 1), d + 1)
     assert g == fg
-    assert all_exact(g.terms.values())
+    assert all_exact(g.values())

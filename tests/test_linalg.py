@@ -193,3 +193,23 @@ class TestExactStr:
             assert exact_str(x) == expected
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestExact:
+    def test_a_decimal_with_an_exponent(self):
+        assert linalg.exact("12.5e-3") == Fraction(1, 80)
+        assert linalg.exact(" -2E+3 ") == -2000
+
+    def test_the_exponent_bound_is_the_digits_int_reads(self):
+        limit = sys.get_int_max_str_digits()
+        assert linalg.exact(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert linalg.exact(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        with pytest.raises(ValueError, match="decimal exponent"):
+            linalg.exact(f"1e{limit}")
+
+    @pytest.mark.parametrize("literal", [
+        "-1e-999999999", "2.5E+999_999_999", "1e" + "1" * 5000])
+    def test_an_exponent_past_int_digits_is_refused(self, literal):
+        with pytest.raises(ValueError, match="decimal exponent") as info:
+            linalg.exact(literal)
+        assert len(str(info.value)) < 120  # the literal quoted by reprlib
