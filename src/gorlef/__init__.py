@@ -22,8 +22,8 @@ from .hvector import (HVector, binomial_expand, hbar, is_O_sequence,
                       is_SI, is_differentiable, macaulay_bound)
 from .apolar import LinearFormS, Poly, RING_R, RING_S, monomials_of_degree
 from .linalg import Mat, det, nullspace, pivot_columns, rank
-from .gorenstein import (GorensteinAlgebra, SlpCertificate, catalecticant,
-                         certify_at, check_slp, check_wlp)
+from .gorenstein import (GorensteinAlgebra, SlpCertificate, certify_at,
+                         check_slp, check_wlp)
 from .points import (OrderIdeal, PointSet, davis_hint, find_subset_on_curve,
                      gen_collinear, gen_distraction, gen_generic, gen_rnc,
                      gen_two_lines, has_collinear_triple, lex_order_ideal)
@@ -50,7 +50,7 @@ __all__ = [
     "SlpCertificate", "TailReport",
     "TheoremTensionError", "WorkBudgetError", "ZeroGeneratorError",
     "binomial_expand",
-    "block_det_identity", "catalecticant", "certify_at", "check_slp",
+    "block_det_identity", "certify_at", "check_slp",
     "check_wlp", "construct_slp_algebra",
     "davis_hint", "det", "find_subset_on_curve", "gen_collinear",
     "gen_distraction", "gen_generic", "gen_rnc", "gen_two_lines",

@@ -28,7 +28,7 @@ from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
                       is_differentiable, parse_list)
 from .apolar import Poly
-from .linalg import exact, exact_str
+from .linalg import check_cells, exact, exact_str
 from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
                      gen_generic, gen_rnc, gen_two_lines, lex_order_ideal)
 from .theorems import (make_tail_config, verify_conic_slp,
@@ -173,6 +173,7 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "two-lines":
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
+        check_cells(args.s, args.n + 1)
         params = (parse_list(args.params) if args.params is not None
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)

@@ -6,9 +6,7 @@ graded piece.  Since Cat^(d-j) is the transpose of Cat^j, one
 elimination of Cat^(d-j) per degree j <= floor(d/2) yields both the
 basis of A_j (its pivot columns) and h(j) = h(d-j) (its rank).  The
 algebra keeps exactly those bases: basis(j) for j > floor(d/2) is a
-DegreeOutOfRangeError, since no certificate needs one.  The module
-functions take the socle degree d explicitly; only the constructor
-reads it off F when it is not given.
+DegreeOutOfRangeError, since no certificate needs one.
 
 For F = sum alpha_i L_i^d over points X, every alpha_i != 0, the
 catalecticant factors through the evaluation matrices V_k of X
@@ -57,12 +55,12 @@ each link: its det gives the Hessian's for an algebra built from a
 polynomial, and for a power sum M must equal (d-2j)! times
 algebra.hessian(j, ell).  _wlp_lines ranks Cat^i(ell o F)[B_i, B_lo],
 lo = d-1-i >= i (all degree-lo monomials when lo > floor(d/2)), from
-one contraction of the packed F.  GorensteinAlgebra._block reads both
-lines' blocks, at base d + 1, through cat_block, the one reader of
-catalecticants, which catalecticant also calls.  _search, the one
-attempt loop, makes every SlpCertificate from a draw() of (algebra,
-ell); first_witness is the one search for a sampled form with a
-nonzero value.
+one contraction of the packed F.  GorensteinAlgebra._block reads every
+catalecticant block, the constructor's Cat^(d-j) and both lines', off
+the algebra's packed F or a contraction of it, at base d + 1, through
+cat_block.  _search, the one attempt loop, makes every SlpCertificate
+from a draw() of (algebra, ell); first_witness is the one search for a
+sampled form with a nonzero value.
 """
 
 from __future__ import annotations
@@ -86,51 +84,14 @@ from .linalg import Mat, exact, exact_str
 
 
 def _require_form(f: Poly, d: int) -> None:
-    """F must be a form of degree d; the zero polynomial passes."""
+    """F must be a form of degree d in R; the zero polynomial passes."""
     degrees = {sum(m) for m in f.terms}
     if len(degrees) > 1:
         raise NotHomogeneousError("dual generator must be homogeneous")
     if degrees and degrees != {d}:
         raise DegreeOutOfRangeError(f"F has degree {degrees.pop()}, not d = {d}")
-
-
-def catalecticant(f: Poly, j: int, d: int,
-                  rows: Optional[Sequence[Monomial]] = None,
-                  cols: Optional[Sequence[Monomial]] = None) -> Mat:
-    """Catalecticant matrix of F in degree j, or its block over rows x cols.
-
-    Rows run over degree-j monomials of S, columns over degree-(d-j)
-    monomials, by default all of them in descending lex; entry (u, v) =
-    (x^u x^v) o F, a scalar carrying the factorial constants of true
-    differentiation, read by cat_block.  Integral entries are stored as
-    ints.  A given row or column of the wrong arity is a
-    RingMismatchError, of the wrong degree a DegreeOutOfRangeError.
-    """
     if f.ring != RING_R:
         raise RingMismatchError("dual generator must live in R")
-    if j < 0 or j > d:
-        raise DegreeOutOfRangeError(f"degree {j} outside 0..{d}")
-    base = max(d, f.degree()) + 1
-    return Mat(cat_block(divided_powers(f, base),
-                         _checked_keys(rows, f.n_vars, j, base),
-                         _checked_keys(cols, f.n_vars, d - j, base)))
-
-
-def _checked_keys(monomials: Optional[Sequence[Monomial]], n_vars: int,
-                  degree: int, base: int) -> List[int]:
-    """Packed keys of `monomials`, by default every degree-`degree` one,
-    each given monomial checked once for its arity and degree."""
-    if monomials is None:
-        monomials = monomials_of_degree(n_vars, degree)
-    else:
-        for u in monomials:
-            if len(u) != n_vars:
-                raise RingMismatchError(
-                    f"monomial {u} has wrong arity for {n_vars} variables")
-            if sum(u) != degree or any(e < 0 for e in u):
-                raise DegreeOutOfRangeError(
-                    f"{u} is not a monomial of degree {degree}")
-    return packed_keys(monomials, n_vars, base)
 
 
 def _mirrored(half: List[int], d: int) -> HVector:
@@ -276,11 +237,12 @@ class SlpCertificate:
 class GorensteinAlgebra:
     """A = S/Ann(F) with cached Hilbert function and graded bases.
 
-    Builds the bases of A_j for j <= floor(d/2), one catalecticant
-    elimination each, or reads them off the points of a power sum
-    (of_points, which keeps the point set as `x` and the weights as
-    `alphas`; both are None for an algebra built from a polynomial) when
-    tau(X) <= ceil(d/2), and reads the whole Hilbert function off them.
+    Builds the bases of A_j for j <= floor(d/2), the pivot columns of
+    Cat^(d-j) read by _block off its packed F, or reads them off the
+    points of a power sum (of_points, which keeps the point set as `x`
+    and the weights as `alphas`; both are None for an algebra built from
+    a polynomial) when tau(X) <= ceil(d/2), and reads the whole Hilbert
+    function off them.
     """
 
     def __init__(self, f: Poly, d: Optional[int] = None, *, _points=None):
@@ -293,11 +255,16 @@ class GorensteinAlgebra:
         self.x, self.alphas = _points or (None, None)
         self._divided = divided_powers(f, self.d + 1)
         on_points = self.x is not None and 2 * self.x.tau() <= self.d + 1
-        self._bases: List[List[Monomial]] = [  # or pivots of Cat^(d-j)
-            list(self.x.basis(j)) if on_points else list(map(
-                monomials_of_degree(self.n_vars, j).__getitem__,
-                linalg.pivot_columns(catalecticant(f, self.d - j, self.d))))
-            for j in range(self.d // 2 + 1)]
+        self._bases: List[List[Monomial]] = []
+        for j in range(self.d // 2 + 1):
+            if on_points:
+                self._bases.append(list(self.x.basis(j)))
+                continue
+            # the degree-j table first: the smaller one meets the budget first
+            cols = monomials_of_degree(self.n_vars, j)
+            cat = self._block(self._divided,  # Cat^(d-j)
+                              monomials_of_degree(self.n_vars, self.d - j), cols)
+            self._bases.append([cols[c] for c in linalg.pivot_columns(cat)])
         self.hilbert: HVector = _mirrored([len(b) for b in self._bases], self.d)
 
     @classmethod
@@ -350,7 +317,7 @@ class GorensteinAlgebra:
 
     def _block(self, g: dict, rows: Sequence[Monomial],
                cols: Sequence[Monomial]) -> Mat:
-        """Cat(g)[rows, cols] for g a contraction of the packed F."""
+        """Cat(g)[rows, cols] for g the packed F or a contraction of it."""
         n, base = self.n_vars, self.d + 1
         return Mat(cat_block(g, packed_keys(rows, n, base),
                              packed_keys(cols, n, base)))

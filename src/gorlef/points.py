@@ -14,7 +14,9 @@ of a frame B at |B| points S, the single Cauchy-Binet term of a
 Hessian whose point weights are supported on S (gorenstein.gram).
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
-realization pipeline and the theorem verifiers.
+realization pipeline and the theorem verifiers.  Those given a size
+refuse s points of n + 1 coordinates above the elimination budget, the
+size of V_1, before a coordinate is drawn or built.
 """
 
 from __future__ import annotations
@@ -197,6 +199,7 @@ def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
         raise ValueError(f"need {s} parameters, got {len(ts)}")
     if len(set(ts)) != len(ts):
         raise DuplicateParameterError("curve parameters must be distinct")
+    linalg.check_cells(s, n + 1)
     return PointSet([[t ** k for k in range(n + 1)] for t in ts])
 
 
@@ -204,6 +207,7 @@ def gen_collinear(n: int, s: int) -> PointSet:
     """s points (1 : k : 0 : ... : 0) on a line in P^n."""
     if n < 1:
         raise ValueError("need n >= 1")
+    linalg.check_cells(s, n + 1)
     return PointSet([[1, k] + [0] * (n - 1) for k in range(s)])
 
 
@@ -218,6 +222,7 @@ def gen_two_lines(s1: int, s2: int, share_intersection: bool) -> PointSet:
     if s1 < 1 or s2 < 1:
         raise ValueError("each line needs at least one point")
     shared = int(share_intersection)
+    linalg.check_cells(s1 + s2 - shared, 3)
     return PointSet([[0, 0, 1]] * shared
                     + [[1, 0, k] for k in range(s1 - shared)]
                     + [[0, 1, k] for k in range(s2 - shared)])
@@ -237,6 +242,7 @@ def gen_generic(n: int, s: int, rng: random.Random,
     if n < 0 or s > (2 * box + 1) ** min(n, s.bit_length()):
         raise PreconditionViolatedError(
             f"{s} distinct points need n >= 0 and s <= {2 * box + 1}^n, got n = {n}")
+    linalg.check_cells(s, n + 1)
     for _ in range(_GENERIC_DRAWS):
         seen = set()
         pts = []

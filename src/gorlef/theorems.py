@@ -35,7 +35,7 @@ from .errors import (NoWitnessFoundError, NotPlaneConfigError,
 from .gorenstein import (SlpCertificate, check_slp, first_witness, gram,
                          point_weights, sample_linear_form)
 from .hvector import first_difference
-from .linalg import Mat
+from .linalg import Mat, check_cells
 from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
                      has_collinear_triple)
 
@@ -112,14 +112,15 @@ def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
                    box: int = 50) -> Tuple[SlpCertificate, int]:
     """Points on a rational normal curve give SLP algebras.
 
-    Refuses n < 1 before any draw, checks tau = ceil((s-1)/n), requires
-    d >= 2 tau (None: 2 tau), then certifies the SLP for random nonzero
-    weights; returns the certificate and d.  A search that finds no
-    Lefschetz element raises NoWitnessFoundError rather than returning
-    quietly.
+    Refuses n < 1, and s points above the elimination budget, before
+    any draw, checks tau = ceil((s-1)/n), requires d >= 2 tau (None:
+    2 tau), then certifies the SLP for random nonzero weights; returns
+    the certificate and d.  A search that finds no Lefschetz element
+    raises NoWitnessFoundError rather than returning quietly.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_cells(s, n + 1)
     params = rng.sample(range(-(s + 3), s + 4), s)
     x = gen_rnc(n, s, params)
     t = x.tau()
@@ -282,7 +283,9 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     (small caps make some impossible), and ValueError before any draw on
     an unknown kind, off < 0, tau_target < 1, a request no draw can
     satisfy (tau_target = 1, or a line tail with off = 0) or more
-    off-curve points than the box [-box, box]^2 holds.
+    off-curve points than the box [-box, box]^2 holds, and a
+    WorkBudgetError before any draw when the points are above the
+    elimination budget.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
         raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
@@ -301,6 +304,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         raise ValueError(f"no {kind} tail has tau={tau_target}, off={off}")
     r = _TAIL_R[kind]
     on_count = r * tau_target + 1
+    check_cells(on_count + off, 3)
     for _ in range(_TAIL_DRAWS):
         if kind == "conic":
             params = rng.sample(range(-(on_count + 3), on_count + 4), on_count)

@@ -6,22 +6,23 @@ expansion instead of fraction-free pivoting, exhaustive search instead
 of greedy selection, direct enumeration of monomial order ideals
 instead of Macaulay's growth bound, and sequence classes checked clause
 by clause with every Macaulay step expanded instead of in one pass.
-General contraction by an operator in S and evaluation of a form at a
-point live only here: the package contracts only by powers of a linear
-form.
+General contraction by an operator in S, evaluation of a form at a
+point and whole catalecticants of a Poly live only here: the package
+contracts only by powers of a linear form, and reads catalecticant
+blocks only off an algebra's packed F.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from gorlef import linalg
-from gorlef.apolar import Poly, RING_R, RING_S
+from gorlef.apolar import Poly, RING_R, RING_S, monomials_of_degree
 from gorlef.errors import RingMismatchError
 from gorlef.construct import _nonzero_int
-from gorlef.gorenstein import catalecticant, sample_linear_form
+from gorlef.gorenstein import sample_linear_form
 from gorlef.linalg import Mat
 
 
@@ -428,6 +429,28 @@ def linear_power_contraction(coeffs: Sequence[Fraction], k: int,
                 out[exp] = out.get(exp, Fraction(0)) + Fraction(a) * c
         terms = {e: c for e, c in out.items() if c != 0}
     return terms
+
+
+def catalecticant(f: Poly, j: int, d: int,
+                  rows: Optional[Sequence[Tuple[int, ...]]] = None,
+                  cols: Optional[Sequence[Tuple[int, ...]]] = None) -> Mat:
+    """Cat^j(F) by its definition, or its block over rows x cols.
+
+    Rows run over degree-j monomials, columns over degree-(d-j) ones, by
+    default all of them in descending lex; entry (u, v) = (x^u x^v) o F
+    = F_(u+v) (u+v)!, with (u+v)! the product of the factorials of the
+    exponents of u + v.  Nothing is packed and nothing is checked.
+    """
+    if rows is None:
+        rows = monomials_of_degree(f.n_vars, j)
+    if cols is None:
+        cols = monomials_of_degree(f.n_vars, d - j)
+
+    def entry(u, v):
+        w = tuple(a + b for a, b in zip(u, v))
+        return f.terms.get(w, 0) * prod(map(factorial, w))
+
+    return Mat([[entry(u, v) for v in cols] for u in rows])
 
 
 def exact_multiplication_rank(f: Poly, i: int, k: int, ell, d: int) -> int:

@@ -18,8 +18,8 @@ from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.cli import main as cli_main
 from gorlef.construct import (hess_coefficient_criterion,
                               hilbert_formula_check)
-from gorlef.gorenstein import (GorensteinAlgebra, catalecticant, gram,
-                               point_weights, sample_linear_form)
+from gorlef.gorenstein import (GorensteinAlgebra, gram, point_weights,
+                               sample_linear_form)
 from gorlef.hvector import (HVector, binomial_expand, is_O_sequence, is_SI,
                             macaulay_bound)
 from gorlef.linalg import Mat, rank
@@ -29,8 +29,9 @@ from gorlef.theorems import (BlockPair, block_det_identity, make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_rnc_slp, verify_tail_nonvanishing)
 
-from oracles import (exact_multiplication_rank, exhaustive_binomial_expansions,
-                     gauss_rank, order_ideal_degree_counts)
+from oracles import (catalecticant, exact_multiplication_rank,
+                     exhaustive_binomial_expansions, gauss_rank,
+                     order_ideal_degree_counts)
 
 
 def run_cli(*argv):
@@ -409,6 +410,7 @@ def test_criterion_12_catalecticant_rank_symmetry():
         ranks = [rank(catalecticant(f, j, d)) for j in range(d + 1)]
         for j in range(d + 1):
             assert ranks[j] == ranks[d - j], (trial, f.terms, ranks)
+        assert list(GorensteinAlgebra(f, d).hilbert) == ranks, (trial, f.terms)
         if trial % 10 == 0:  # independent elimination cross-check
             mat = catalecticant(f, d // 2, d)
             assert rank(mat) == gauss_rank(mat.entries)

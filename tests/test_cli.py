@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import gorlef
 from gorlef import apolar, cli, construct, errors, linalg, theorems
 from gorlef.cli import main
 from gorlef.gorenstein import DegreeRecord, SlpCertificate
-from gorlef.points import gen_two_lines
+from gorlef.points import PointSet, gen_two_lines
 
 XY = '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1, 1], "coef": "1"}]}'
 
@@ -165,6 +166,13 @@ class TestAnalyze:
         code, doc = run_json(capsys, "analyze", "--alphas", "1,1")
         assert code == 2
         assert "error" in doc
+
+    def test_poly_in_s_is_a_ring_mismatch(self, capsys):
+        code, doc = run_json(capsys, "analyze", "--poly",
+                             XY.replace('"R"', '"S"'))
+        assert code == 2
+        assert doc["error"]["type"] == "RingMismatchError"
+        assert doc["error"]["message"] == "dual generator must live in R"
 
 
 class TestPointsGen:
@@ -616,6 +624,40 @@ class TestErrorContract:
         code, doc = run_subprocess(argv)
         assert code == 2
         assert doc["error"]["type"] == "PreconditionViolatedError"
+
+    @pytest.mark.parametrize("argv", [
+        ["points", "gen", "--kind", "collinear", "--n", "1", "--s", "6"],
+        ["points", "gen", "--kind", "rnc", "--n", "1", "--s", "6"],
+        ["points", "gen", "--kind", "rnc", "--n", "5", "--s", "2"],
+        ["points", "gen", "--kind", "rnc", "--n", "5", "--s", "2",
+         "--params", "0,1"],
+        ["points", "gen", "--kind", "two-lines", "--s1", "2", "--s2", "3"],
+        ["points", "gen", "--kind", "generic", "--n", "3", "--s", "3"],
+        ["points", "gen", "--kind", "generic", "--n", "10", "--s", "1"],
+        ["verify", "--theorem", "rnc", "--n", "1", "--s", "6"],
+        ["verify", "--theorem", "conic", "--s1", "3", "--s2", "3"],
+        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
+         "--off", "1"],
+        ["verify", "--theorem", "s-minus", "--n", "3", "--s", "3", "--d", "4",
+         "--j", "1"],
+    ], ids=["collinear", "rnc-long", "rnc-wide", "rnc-params", "two-lines",
+            "generic", "generic-one-point", "verify-rnc", "verify-conic",
+            "verify-tails", "verify-s-minus"])
+    def test_points_above_the_budget_are_refused_before_any_draw(
+            self, capsys, monkeypatch, argv):
+        # s points of n + 1 coordinates above the budget used to be drawn
+        # and built first: at the default budget, s = 10^8 ran out of
+        # memory (exit 3) and n = 10^8 ran for minutes
+        def spy(*args, **kwargs):
+            raise AssertionError("points drawn or built above the budget")
+
+        for cls, name in ((PointSet, "__init__"), (random.Random, "sample"),
+                          (random.Random, "randint")):
+            monkeypatch.setattr(cls, name, spy)
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 10):
+            code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "WorkBudgetError"
 
     @pytest.mark.parametrize("argv", [
         ["construct", "--h", "1,2,1", "--alpha-box", "0"],

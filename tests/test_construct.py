@@ -14,15 +14,16 @@ from gorlef.construct import (ConstructionResult, _separating_form,
 from gorlef.errors import (BadSubsetSizeError, HessianRankMismatchError,
                            NoWitnessFoundError, NotSIError,
                            PreconditionViolatedError)
-from gorlef.gorenstein import (GorensteinAlgebra, catalecticant, check_slp,
-                               gram, point_weights)
+from gorlef.gorenstein import (GorensteinAlgebra, check_slp, gram,
+                               point_weights)
 from gorlef.hvector import HVector
 from gorlef.linalg import det
 from gorlef.points import (PointSet, gen_collinear, gen_distraction,
                            gen_generic, gen_rnc, gen_two_lines,
                            lex_order_ideal)
 
-from oracles import linear_power_contraction, linear_power_terms
+from oracles import (catalecticant, linear_power_contraction,
+                     linear_power_terms)
 
 
 def F(*vals):

@@ -12,18 +12,19 @@ from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
                            monomials_of_degree, power_sum)
 from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            NotHomogeneousError, PreconditionViolatedError,
-                           RingMismatchError, ZeroGeneratorError)
-from gorlef.gorenstein import (GorensteinAlgebra, catalecticant, certify_at, check_slp, check_wlp, gram,
+                           RingMismatchError, WorkBudgetError,
+                           ZeroGeneratorError)
+from gorlef.gorenstein import (GorensteinAlgebra, certify_at, check_slp, check_wlp, gram,
                                point_weights, sample_linear_form)
-from gorlef import gorenstein, linalg, points as points_module
+from gorlef import apolar, gorenstein, linalg, points as points_module
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
-from gorlef.linalg import Mat, det, rank
+from gorlef.linalg import det, rank
 from gorlef.points import PointSet
 
-from oracles import (evaluate, exact_multiplication_rank, gauss_pivot_columns,
-                     gauss_rank, laplace_det, linear_power_contraction,
-                     point_gram, transpose)
+from oracles import (catalecticant, evaluate, exact_multiplication_rank,
+                     gauss_pivot_columns, gauss_rank, laplace_det,
+                     linear_power_contraction, point_gram, transpose)
 
 
 def rmono(n, exp, c=1):
@@ -44,51 +45,56 @@ def pivot_basis(f, j, d):
     return [rows[i] for i in gauss_pivot_columns(transposed)]
 
 
+def algebra_cat(f, j, d):
+    """Cat^j(F) as GorensteinAlgebra(f, d) reads it off its packed F,
+    checked against the definitional oracle."""
+    algebra = GorensteinAlgebra(f, d)
+    m = algebra._block(algebra._divided, monomials_of_degree(f.n_vars, j),
+                       monomials_of_degree(f.n_vars, d - j))
+    assert m == catalecticant(f, j, d)
+    return m
+
+
 class TestCatalecticant:
     def test_hand_case(self):
         # F = X0 X1: Cat^1 over rows (x0, x1), cols (x0, x1)
-        f = rmono(2, (1, 1))
-        m = catalecticant(f, 1, 2)
+        m = algebra_cat(rmono(2, (1, 1)), 1, 2)
         assert m.rows == 2 and m.cols == 2
-        assert [[int(v) for v in row] for row in m.entries] == [[0, 1], [1, 0]]
+        assert m.entries == [[0, 1], [1, 0]]
 
     def test_factorial_normalization(self):
         # F = X0^2: (x0 * x0) o F = 2, recorded with 2! not 1
-        f = rmono(2, (2, 0))
-        m = catalecticant(f, 1, 2)
+        m = algebra_cat(rmono(2, (2, 0)), 1, 2)
         assert m.entries[0][0] == 2
 
     def test_rank_symmetry(self):
         f = X0X1X2
         for j in range(4):
-            assert rank(catalecticant(f, j, 3)) == rank(catalecticant(f, 3 - j, 3))
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(DegreeOutOfRangeError):
-            catalecticant(X0X1X2, 5, 3)
+            assert rank(algebra_cat(f, j, 3)) == rank(algebra_cat(f, 3 - j, 3))
 
     def test_generator_in_s_is_a_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
-            catalecticant(Poly(3, RING_S, {(1, 1, 1): 1}), 1, 3)
+            GorensteinAlgebra(Poly(3, RING_S, {(1, 1, 1): 1}))
 
-    def test_rows_and_columns_are_checked(self):
-        # packed keys would alias (1, 0, 5) or (2, 0) onto the entry
-        # (x0 x1) o X0^2 X1 = 2; each is refused instead
-        f = rmono(2, (2, 1))
-        with pytest.raises(RingMismatchError):
-            catalecticant(f, 1, 3, [(1, 0, 5)], [(1, 1)])
+    def test_form_checks_come_before_the_ring_check(self):
+        with pytest.raises(NotHomogeneousError):
+            GorensteinAlgebra(Poly(3, RING_S, {(1, 1, 1): 1, (1, 0, 0): 1}))
         with pytest.raises(DegreeOutOfRangeError):
-            catalecticant(f, 1, 3, [(2, 0)], [(0, 1)])
-        with pytest.raises(DegreeOutOfRangeError):
-            catalecticant(f, 1, 3, [(1, 0)], [(3, -1)])
-        assert catalecticant(f, 1, 3, [(1, 0)], [(1, 1)]) == Mat([[2]])
+            GorensteinAlgebra(Poly(3, RING_S, {(1, 1, 1): 1}), 2)
+
+    def test_the_degree_j_table_meets_the_budget_first(self):
+        # 11 variables: the degree-0 table holds 11 exponents, the
+        # degree-3 one 3,146; the first table checked names the error
+        with mock.patch.object(apolar, "MAX_MONOMIAL_CELLS", 10):
+            with pytest.raises(WorkBudgetError, match="degree-0 monomials"):
+                GorensteinAlgebra(rmono(11, (3,) + (0,) * 10))
 
     def test_matches_gauss_oracle(self):
         rng = random.Random(60)
         for _ in range(15):
             f = _random_form(rng, 3, 4)
             for j in range(3):
-                m = catalecticant(f, j, 4)
+                m = algebra_cat(f, j, 4)
                 assert rank(m) == gauss_rank(m.entries)
 
 

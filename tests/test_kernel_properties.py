@@ -27,14 +27,15 @@ from gorlef.apolar import (LinearFormS, Poly, RING_R, cat_block, contract,
                            power_sum)
 from gorlef.construct import construct_slp_algebra
 from gorlef.errors import HessianRankMismatchError
-from gorlef.gorenstein import GorensteinAlgebra, catalecticant
+from gorlef.gorenstein import GorensteinAlgebra
 from gorlef.hvector import HVector, is_SI
 from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
 from gorlef.points import PointSet
 from gorlef.theorems import verify_corollary_families, verify_rnc_slp
 
-from oracles import (gauss_pivot_columns, gauss_rank, hessian_by_contraction,
-                     laplace_det, linear_power_contraction, transpose)
+from oracles import (catalecticant, gauss_pivot_columns, gauss_rank,
+                     hessian_by_contraction, laplace_det,
+                     linear_power_contraction, transpose)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -296,9 +297,9 @@ _WIDE = Poly(24, RING_R, {
 @example((Poly(3, RING_R, {(0, 0, 2): 2, (1, 1, 0): 3}), 2,
           LinearFormS([0, 0, 1]), 1, [(0, 0, 1), (1, 0, 0)], [(0, 0, 0)]))
 def test_packed_pass_and_reader_match_the_definitions(case):
-    # the pass against Fraction derivatives, the reader against
-    # (u+v)! g_(u+v), both on the chain's base d + 1 and through
-    # catalecticant, which chooses its own base
+    # the pass against Fraction derivatives and the reader against
+    # (u+v)! g_(u+v), both on the chain's base d + 1; the catalecticant
+    # oracle, which packs nothing, against the same entries
     f, d, ell, k, rows, cols = case
     g = linear_power_contraction(ell.coeffs, k, f.terms)
     packed = contract(ell, k, divided_powers(f, d + 1), d + 1)
