@@ -18,9 +18,9 @@ key - (d+1)^(n-1-i), with no exponent factor; keys add without carries
 while deg(u + v) <= d, so cat_block reads (x^u x^v) o G as h[key(u) +
 key(v)]; no general operator in S is applied.  Every table of
 monomials comes from monomials_of_degree or power_sum's walk, and both
-refuse one of more than MAX_MONOMIAL_CELLS exponents with a
-WorkBudgetError (exit 2), so a request in billions of variables fails
-at once instead of running out of memory.
+refuse a degree of more than MAX_MONOMIAL_CELLS exponents with a
+WorkBudgetError (exit 2), however few the walk visits, so a request in
+billions of variables fails at once instead of running out of memory.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ RING_R = "R"  # forms being differentiated, variables X_i
 
 
 # Exponents in one table of monomials, about 10 MB of tuples: 130 times
-# the largest table the test suite or the benchmark builds (6 variables,
-# degree 8, in power_sum).
+# the largest table the test suite or the benchmark asks for (6
+# variables, degree 8, in power_sum).
 MAX_MONOMIAL_CELLS = 10 ** 6
 
 
@@ -82,11 +82,6 @@ def _monomials(n_vars: int, degree: int) -> Tuple[Monomial, ...]:
     return tuple(table) if degree >= 0 else ()
 
 
-def _sort_key(m: Monomial):
-    # total degree, then descending lex (negated exponents sort lex-descending)
-    return (sum(m), tuple(-e for e in m))
-
-
 class Poly:
     """Sparse multivariate polynomial over Q, tagged with its ring."""
 
@@ -105,7 +100,10 @@ class Poly:
                     continue
                 if len(m) != n_vars:
                     raise ValueError(f"exponent {m} has wrong arity for {n_vars} variables")
-                self.terms[tuple(int(e) for e in m)] = c
+                for e in m:
+                    if type(e) is not int or e < 0:
+                        raise ValueError(f"exponent {m} holds {e!r}, not a nonnegative int")
+                self.terms[tuple(m)] = c
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,7 +115,9 @@ class Poly:
         return max(sum(m) for m in self.terms)
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: _sort_key(mc[0]))
+        # ascending degree, then descending lex; distinct monomials never tie
+        return sorted(self.terms.items(), key=lambda mc: (-sum(mc[0]), mc[0]),
+                      reverse=True)
 
     def _check_compat(self, other: "Poly"):
         if self.ring != other.ring or self.n_vars != other.n_vars:
@@ -209,26 +209,42 @@ def power_sum(points: Sequence[Sequence], alphas: Sequence, d: int,
     The per-point products share their prefixes along a descending-lex
     walk over the exponents, one variable at a time; a zero exponent
     moves on in the same call, so the recursion is at most d + 1 deep.
-    It visits every degree-d exponent, so it keeps to the same budget as
-    monomials_of_degree.
+    It carries only the points whose prefix product is still nonzero, and
+    skips a prefix that none keeps nonzero, as every term below it is 0.
+    The budget of monomials_of_degree still bounds the work.  Each point
+    needs n_vars coordinates and a weight of its own.
     """
     _check_budget(n_vars, d)
-    pows = [[[p[k] ** e for e in range(d + 1)] for p in points]
-            for k in range(n_vars)]
+    if d < 0 or n_vars < 1:
+        raise ValueError(f"need d >= 0 and n_vars >= 1, got {d} and {n_vars}")
+    if len(points) != len(alphas):
+        raise ValueError(f"need one weight per point, got {len(points)} points"
+                         f" and {len(alphas)} weights")
+    for p in points:
+        if len(p) != n_vars:
+            raise ValueError(f"point {list(p)} needs {n_vars} coordinates,"
+                             f" has {len(p)}")
     fact = [factorial(e) for e in range(d + 1)]
+    # A point's powers p_k^e sit at k * step + e of one flat list, and the
+    # walk runs over o = k * step, the start of variable k's powers.
+    step, last = d + 1, (n_vars - 1) * (d + 1)
     terms = {}
 
-    def walk(k: int, left: int, exps: Monomial, vec: list, denom: int):
-        for k in range(k, n_vars - 1):
-            for e in range(left, 0, -1):
-                nxt = [v * pw[e] for v, pw in zip(vec, pows[k])]
-                walk(k + 1, left - e, exps + (e,), nxt, denom * fact[e])
+    def walk(o: int, left: int, exps: Monomial, live: list, denom: int):
+        for o in range(o, last, step):
+            kept = [vp for vp in live if vp[1][o + 1]] if left else None
+            for e in range(left, 0, -1) if kept else ():
+                i = o + e
+                walk(o + step, left - e, exps + (e,),
+                     [(v * pw[i], pw) for v, pw in kept], denom * fact[e])
             exps += (0,)
-        total = sum(v * pw[left] for v, pw in zip(vec, pows[-1]))
+        i = last + left
+        total = sum([v * pw[i] for v, pw in live])
         if total:
             terms[exps + (left,)] = fact[d] // (denom * fact[left]) * total
 
-    walk(0, d, (), list(alphas), 1)
+    walk(0, d, (), [(a, [c ** e for c in p for e in range(step)])
+                    for a, p in zip(alphas, points) if a], 1)
     return Poly(n_vars, RING_R, terms)
 
 

@@ -388,6 +388,12 @@ def poly_times_linear(poly_terms: Dict[Tuple[int, ...], Fraction],
     return {k: v for k, v in out.items() if v != 0}
 
 
+def degree_then_descending_lex(m: Tuple[int, ...]):
+    """Sort key of the term order: total degree, then descending lex
+    (negated exponents sort lex-descending)."""
+    return (sum(m), tuple(-e for e in m))
+
+
 def linear_power_terms(coeffs: Sequence[Fraction], d: int) -> Dict[Tuple[int, ...], Fraction]:
     """L^d by repeated multiplication, no multinomial shortcut."""
     terms = {tuple([0] * len(coeffs)): Fraction(1)}

@@ -1,20 +1,22 @@
 """Polynomials and the differentiation pairing, against a dict oracle."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gorlef import apolar
 from gorlef.apolar import (LinearFormS, Poly, RING_R, RING_S,
                            divided_powers, monomials_of_degree, power_sum)
 from gorlef.errors import RingMismatchError, WorkBudgetError
 
-from oracles import (apply_monomial, contract, contract_monomial, evaluate,
-                     is_homogeneous, linear_form_poly, linear_power_terms,
-                     scale)
+from oracles import (apply_monomial, contract, contract_monomial,
+                     degree_then_descending_lex, evaluate, is_homogeneous,
+                     linear_form_poly, linear_power_terms, scale)
 
 
 def rpoly(terms):
@@ -56,7 +58,9 @@ class TestMonomials:
 class TestWorkBudget:
     def test_default_is_pinned(self):
         # far above the 7,722 exponents of the largest table the tests
-        # or the benchmark build, power_sum in 6 variables at degree 8
+        # or the benchmark ask for, power_sum in 6 variables at degree 8:
+        # its walk visits only the prefixes some point keeps nonzero (376
+        # terms for the benchmark's F), but the budget counts them all
         assert apolar.MAX_MONOMIAL_CELLS == 10 ** 6
 
     def test_a_table_at_the_budget_is_built(self):
@@ -201,6 +205,59 @@ class TestPowersOfLinearForms:
             LinearFormS([Fraction(0), Fraction(0)])
 
 
+# Mostly zero coordinates, as in distraction points, so the walk skips
+# most prefixes; some coordinates are Fractions.
+_COORDS = st.sampled_from([0] * 6 + [1, -1, 2, -3, Fraction(1, 2),
+                                     Fraction(-2, 3)])
+
+
+@st.composite
+def _point_sums(draw):
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.lists(_COORDS, min_size=n, max_size=n),
+                           min_size=1, max_size=5))
+    alphas = draw(st.lists(st.sampled_from([1, -1, 2, 0, Fraction(3, 2)]),
+                           min_size=len(points), max_size=len(points)))
+    return points, alphas, draw(st.integers(0, 6)), n
+
+
+class TestPowerSum:
+    """power_sum against sum_i alpha_i L_i^d by repeated multiplication."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_point_sums())
+    @example(([[0, 1, 2], [1, 0, 0]], [1, 2], 3, 3))         # x0 = 0
+    @example(([[0, 0, 5], [0, 2, 0]], [3, -1], 4, 3))        # one nonzero
+    @example(([[Fraction(1, 3), 0, Fraction(-5, 2)]], [Fraction(2, 7)], 3,
+              3))                                            # Fractions
+    @example(([[1, 1], [1, -1]], [1, 1], 3, 2))  # the odd powers of X1 cancel
+    @example(([[2, 3], [1, 0]], [5, -7], 0, 2))              # d = 0
+    @example(([[3], [-2], [0]], [1, 4, 9], 5, 1))            # n_vars = 1
+    def test_matches_the_sum_of_powers(self, case):
+        points, alphas, d, n = case
+        expected = {}
+        for p, a in zip(points, alphas):
+            for m, c in linear_power_terms(p, d).items():
+                expected[m] = expected.get(m, 0) + a * c
+        f = power_sum(points, alphas, d, n)
+        assert f.terms == {m: c for m, c in expected.items() if c}
+        assert list(f.terms) == sorted(f.terms, reverse=True)
+
+    @pytest.mark.parametrize("args, message", [
+        (([[1, 2], [1, 3]], [1], 2, 2), "2 points and 1 weights"),
+        (([[1, 2]], [1, 5], 2, 2), "1 points and 2 weights"),
+        (([[1, 2, 7]], [1], 2, 2), r"\[1, 2, 7\] needs 2 coordinates, has 3"),
+        (([[1]], [1], 2, 2), r"\[1\] needs 2 coordinates, has 1"),
+        (([[1, 2]], [1], -1, 2), "got -1 and 2"),
+        (([[]], [1], 2, 0), "got 2 and 0"),
+    ], ids=["a-point-without-weight", "a-weight-without-point",
+            "a-coordinate-too-many", "a-coordinate-too-few",
+            "negative-degree", "no-variables"])
+    def test_mismatched_input_is_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            power_sum(*args)
+
+
 class TestPolyBasics:
     def test_degree_and_homogeneity(self):
         p = rpoly({(2, 0): 1, (1, 1): 2})
@@ -215,6 +272,31 @@ class TestPolyBasics:
     def test_evaluate(self):
         p = rpoly({(2, 1): 3})  # 3 X0^2 X1
         assert evaluate(p, [Fraction(2), Fraction(5)]) == 60
+
+    @pytest.mark.parametrize("exp, bad", [
+        ((Fraction(5, 2), 0), "Fraction(5, 2)"), ((2.7, 0), "2.7"),
+        ((True, 1), "True"), ((-1, 3), "-1"), (("2", 0), "'2'")])
+    def test_exponents_are_nonnegative_ints(self, exp, bad):
+        with pytest.raises(ValueError, match=f"holds {re.escape(bad)}, not a"
+                                             " nonnegative int"):
+            Poly(2, RING_R, {exp: 1})
+
+    @pytest.mark.parametrize("exp", [[2.7, 0], [True, 1], [-1, 3]])
+    def test_json_exponents_keep_their_message(self, exp):
+        doc = {"n_vars": 2, "ring": "R", "terms": [{"exp": exp, "coef": "1"}]}
+        with pytest.raises(ValueError) as info:
+            Poly.from_json_dict(doc)
+        assert str(info.value) == ('polynomial terms must be a list of '
+                                   '{"exp": [int, ...], "coef": ...} objects')
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), st.integers(-3, 3), max_size=25)))
+    def test_sorted_terms_follow_degree_then_descending_lex(self, terms):
+        n = len(next(iter(terms), (0,)))
+        p = Poly(n, RING_R, terms)
+        assert p.sorted_terms() == sorted(
+            p.terms.items(), key=lambda mc: degree_then_descending_lex(mc[0]))
 
     def test_json_roundtrip(self):
         p = rpoly({(1, 1, 1): 1, (3, 0, 0): -2})
