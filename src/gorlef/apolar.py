@@ -96,14 +96,13 @@ class Poly:
         if terms:
             for m, c in terms.items():
                 c = exact(c)
-                if c == 0:
-                    continue
                 if len(m) != n_vars:
                     raise ValueError(f"exponent {m} has wrong arity for {n_vars} variables")
                 for e in m:
                     if type(e) is not int or e < 0:
                         raise ValueError(f"exponent {m} holds {e!r}, not a nonnegative int")
-                self.terms[tuple(m)] = c
+                if c != 0:
+                    self.terms[tuple(m)] = c
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -111,9 +111,7 @@ def _run_seq(args) -> Tuple[dict, int]:
 def _run_construct(args) -> Tuple[dict, int]:
     rng = _substream(args.seed, "construct")
     result = construct_slp_algebra(HVector.parse(args.h), rng,
-                                   attempts=args.attempts,
-                                   box=args.coord_box,
-                                   alpha_box=args.alpha_box, seed=args.seed)
+                                   attempts=args.attempts, seed=args.seed)
     return result.to_json_dict(), 0
 
 
@@ -134,10 +132,8 @@ def _run_analyze(args) -> Tuple[dict, int]:
     doc["d"] = algebra.d
     doc["hilbert"] = list(algebra.hilbert)
     doc["codimension"] = algebra.codimension()
-    slp = check_slp(algebra, rng, attempts=args.attempts, box=args.coord_box,
-                    seed=args.seed)
-    wlp = check_wlp(algebra, rng, attempts=args.attempts, box=args.coord_box,
-                    seed=args.seed)
+    slp = check_slp(algebra, rng, attempts=args.attempts, seed=args.seed)
+    wlp = check_wlp(algebra, rng, attempts=args.attempts, seed=args.seed)
     doc["slp"] = slp.to_json_dict()
     doc["wlp"] = wlp.to_json_dict()
     return doc, 0 if slp.verdict or wlp.verdict or not args.expect_slp else 1
@@ -167,7 +163,7 @@ def _run_points(args) -> Tuple[dict, int]:
     kind = args.kind
     _require_flags(args, kind)
     if kind == "generic":
-        x = gen_generic(args.n, args.s, rng, box=args.coord_box)
+        x = gen_generic(args.n, args.s, rng)
     elif kind == "collinear":
         x = gen_collinear(args.n, args.s)
     elif kind == "two-lines":
@@ -196,16 +192,13 @@ def _run_verify(args) -> Tuple[dict, int]:
     _require_flags(args, t)
     if t == "rnc":
         cert, d = verify_rnc_slp(args.n, args.s, args.d, rng,
-                                 attempts=args.attempts,
-                                 alpha_box=args.alpha_box, box=args.coord_box)
+                                 attempts=args.attempts)
         doc = {"theorem": "rnc", "n": args.n, "s": args.s, "d": d,
                "verdict": True, "certificate": cert.to_json_dict()}
     elif t == "conic":
         report = verify_conic_slp(args.s1, args.s2, args.share, args.d, rng,
                                   attempts=args.attempts,
-                                  eval_points=args.eval_points,
-                                  alpha_box=args.alpha_box,
-                                  box=args.coord_box)
+                                  eval_points=args.eval_points)
         doc = {"theorem": "conic", "s1": args.s1, "s2": args.s2,
                "share": args.share, "d": report.d, "tau": report.tau,
                "verdict": True, "display_match": report.display_match,
@@ -214,9 +207,7 @@ def _run_verify(args) -> Tuple[dict, int]:
     elif t == "tails":
         x = make_tail_config(args.kind, args.tau, args.off, rng)
         report = verify_tail_nonvanishing(args.kind, x, args.d, rng,
-                                          trials=args.trials,
-                                          alpha_box=args.alpha_box,
-                                          box=args.coord_box)
+                                          trials=args.trials)
         doc = {"theorem": "tails", "kind": args.kind, "d": report.d,
                "k": report.k, "tau": report.tau, "verdict": True,
                "points": x.to_json_dict()["points"],
@@ -229,9 +220,7 @@ def _run_verify(args) -> Tuple[dict, int]:
                "zero_forcing_checks": report.zero_forcing_checks}
     elif t == "families":
         ms = parse_list(args.m) if args.m is not None else [2, 3, 4]
-        reports = verify_corollary_families(ms, rng, attempts=args.attempts,
-                                            alpha_box=args.alpha_box,
-                                            box=args.coord_box)
+        reports = verify_corollary_families(ms, rng, attempts=args.attempts)
         doc = {"theorem": "families", "verdict": True,
                "results": [{"name": r.name, "m": r.m,
                             "delta": list(r.delta), "d": r.d,
@@ -239,11 +228,9 @@ def _run_verify(args) -> Tuple[dict, int]:
                             "verdict": r.certificate.verdict}
                            for r in reports]}
     else:  # s-minus
-        x = gen_generic(args.n, args.s, rng, box=args.coord_box)
+        x = gen_generic(args.n, args.s, rng)
         report = verify_prop_s_minus(x, args.d, args.j, args.kind_num, rng,
-                                     trials=args.trials,
-                                     alpha_box=args.alpha_box,
-                                     box=args.coord_box)
+                                     trials=args.trials)
         doc = {"theorem": "s-minus", "kind": args.kind_num, "j": args.j,
                "d": args.d, "verdict": True,
                "ell": [exact_str(c) for c in report.ell.coeffs],
@@ -255,8 +242,7 @@ def _run_verify(args) -> Tuple[dict, int]:
 # Parser
 
 
-_SHARED_DEFAULTS = {"seed": 0, "attempts": 50, "trials": 20, "coord-box": 50,
-                    "alpha-box": 20}
+_SHARED_DEFAULTS = {"seed": 0, "attempts": 50, "trials": 20}
 _SHARED_HELP = {"attempts": "Lefschetz draws; uncapped, work you ask for",
                 "trials": "witness draws; uncapped, work you ask for"}
 
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="realize an SI-sequence by an SLP algebra")
     p_con.add_argument("--h", dest="h", required=True,
                        help="target Hilbert function, comma-separated")
-    _add_common(p_con, "seed", "attempts", "coord-box", "alpha-box")
+    _add_common(p_con, "seed", "attempts")
 
     p_an = sub.add_parser("analyze",
                           help="Hilbert function and Lefschetz certificates")
@@ -308,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--d", type=int, default=None)
     p_an.add_argument("--expect-slp", action="store_true",
                       help="exit 1 when neither Lefschetz check verifies")
-    _add_common(p_an, "seed", "attempts", "coord-box")
+    _add_common(p_an, "seed", "attempts")
 
     p_pts = sub.add_parser("points", help="point-set generators")
     pts_sub = p_pts.add_subparsers(dest="points_command", required=True)
@@ -327,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rnc: comma-separated curve parameters")
     p_gen.add_argument("--delta", default=None,
                        help="distraction: target first difference")
-    _add_common(p_gen, "seed", "coord-box")
+    _add_common(p_gen, "seed")
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("--theorem", required=True,

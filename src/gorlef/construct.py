@@ -44,6 +44,9 @@ def hilbert_formula_check(algebra: GorensteinAlgebra) -> Tuple[bool, Tuple[int, 
     predicted).
     """
     x, d = algebra.x, algebra.d
+    if x is None:
+        raise PreconditionViolatedError(
+            "hilbert_formula_check needs an algebra built by of_points")
     t = x.tau()
     if d < 2 * t - 1:
         raise PreconditionViolatedError(
@@ -89,7 +92,6 @@ def _trivial_construction(hv: HVector, seed: Optional[int]) -> ConstructionResul
 
 
 def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
-                          box: int = 50, alpha_box: int = 20,
                           seed: Optional[int] = None) -> ConstructionResult:
     """Realize an SI-sequence as the Hilbert function of an SLP algebra.
 
@@ -115,8 +117,8 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
             f"distraction has tau={t}, s={x.size}; expected {bar.t}, {bar.s}")
 
     def draw() -> Tuple[GorensteinAlgebra, LinearFormS]:
-        algebra = random_power_sum(x, d, rng, alpha_box)
-        ell = _separating_form(x, rng, box)
+        algebra = random_power_sum(x, d, rng)
+        ell = _separating_form(x, rng)
         if tuple(algebra.hilbert) != hv.entries:
             raise RealizationMismatchError(
                 f"h_A = {list(algebra.hilbert)} != target {list(hv.entries)}")
@@ -134,31 +136,30 @@ def construct_slp_algebra(h, rng: random.Random, attempts: int = 50,
 
 # Draws of a point-separating form before _separating_form gives up.
 _SEPARATING_TRIES = 1000
+# The paper's weights are general; this range only fixes a seed's weights.
+_WEIGHT_BOX = 20
 
 
-def _nonzero_int(rng: random.Random, box: int) -> int:
-    if box < 1:
-        raise ValueError(f"weight box must be at least 1, got {box}")
+def _nonzero_int(rng: random.Random) -> int:
     while True:
-        v = rng.randint(-box, box)
+        v = rng.randint(-_WEIGHT_BOX, _WEIGHT_BOX)
         if v:
             return v
 
 
-def random_power_sum(x: PointSet, d: int, rng: random.Random,
-                     box: int = 20) -> GorensteinAlgebra:
-    """A for F = sum alpha_i L_i^d over x, alpha_i nonzero in [-box, box]."""
-    alphas = tuple(_nonzero_int(rng, box) for _ in range(x.size))
+def random_power_sum(x: PointSet, d: int,
+                     rng: random.Random) -> GorensteinAlgebra:
+    """A for F = sum alpha_i L_i^d over x, 0 < |alpha_i| <= _WEIGHT_BOX."""
+    alphas = tuple(_nonzero_int(rng) for _ in range(x.size))
     return GorensteinAlgebra.of_points(x, alphas, d)
 
 
-def _separating_form(x: PointSet, rng: random.Random,
-                     box: int) -> LinearFormS:
+def _separating_form(x: PointSet, rng: random.Random) -> LinearFormS:
     """Integer form with ell o L_i = <ell, P_i> != 0 for every point P_i,
     from at most _SEPARATING_TRIES draws."""
     found = first_witness(
         lambda ell: prod(sum(map(mul, ell.coeffs, p)) for p in x.points),
-        x.n + 1, rng, _SEPARATING_TRIES, box)
+        x.n + 1, rng, _SEPARATING_TRIES)
     if found is None:
         raise NoWitnessFoundError("could not sample a point-separating linear form")
     return found[0]
@@ -166,8 +167,7 @@ def _separating_form(x: PointSet, rng: random.Random,
 
 def hess_coefficient_criterion(x: PointSet, j: int, d: int,
                                subset: Sequence[int], rng: random.Random,
-                               trials: int = 20,
-                               box: int = 50) -> Tuple[bool, bool]:
+                               trials: int = 20) -> Tuple[bool, bool]:
     """Both sides of the determinant-coefficient criterion.
 
     For |I| = h_{A(X)}(j), the coefficient of prod_{i in I} alpha_i in
@@ -205,6 +205,6 @@ def hess_coefficient_criterion(x: PointSet, j: int, d: int,
         lambda ell: linalg.det(gram(x, frame,
                                     point_weights(x, indicator, k, ell),
                                     factorial(d) // factorial(k))[0]),
-        x.n + 1, rng, trials, box) is not None
+        x.n + 1, rng, trials) is not None
     hilbert_route = x.subset(idx).hilbert(j) == x.hilbert(j)
     return (det_route, hilbert_route)

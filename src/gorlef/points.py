@@ -230,24 +230,28 @@ def gen_two_lines(s1: int, s2: int, share_intersection: bool) -> PointSet:
 
 # Draws of a point set before gen_generic gives up.
 _GENERIC_DRAWS = 200
+# Almost every point set is generic; this range only fixes a seed's points.
+_GENERIC_BOX = 50
 
 
-def gen_generic(n: int, s: int, rng: random.Random,
-                box: int = 30) -> PointSet:
+def gen_generic(n: int, s: int, rng: random.Random) -> PointSet:
     """s points with the generic Hilbert function min(C(n+i, i), s).
 
-    Rejection-sampled with integer affine coordinates, at most
-    _GENERIC_DRAWS sets, and verified exactly before returning.
+    Rejection-sampled with integer affine coordinates in [-_GENERIC_BOX,
+    _GENERIC_BOX], at most _GENERIC_DRAWS sets, and verified exactly
+    before returning.
     """
-    if n < 0 or s > (2 * box + 1) ** min(n, s.bit_length()):
+    side = 2 * _GENERIC_BOX + 1
+    if n < 0 or s > side ** min(n, s.bit_length()):
         raise PreconditionViolatedError(
-            f"{s} distinct points need n >= 0 and s <= {2 * box + 1}^n, got n = {n}")
+            f"{s} distinct points need n >= 0 and s <= {side}^n, got n = {n}")
     linalg.check_cells(s, n + 1)
     for _ in range(_GENERIC_DRAWS):
         seen = set()
         pts = []
         while len(pts) < s:
-            p = (1,) + tuple(rng.randint(-box, box) for _ in range(n))
+            p = (1,) + tuple(rng.randint(-_GENERIC_BOX, _GENERIC_BOX)
+                             for _ in range(n))
             if p not in seen:
                 seen.add(p)
                 pts.append(p)

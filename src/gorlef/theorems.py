@@ -98,18 +98,17 @@ def _socle_degree(t: int, d: Optional[int]) -> int:
     return 2 * t if d is None else d
 
 
-def _certified(algebra, rng: random.Random, attempts: int, box: int,
+def _certified(algebra, rng: random.Random, attempts: int,
                exhausted: str) -> SlpCertificate:
     """check_slp's verdict-true certificate, else NoWitnessFoundError."""
-    cert = check_slp(algebra, rng, attempts=attempts, box=box)
+    cert = check_slp(algebra, rng, attempts=attempts)
     if not cert.verdict:
         raise NoWitnessFoundError(exhausted, {"attempts": attempts})
     return cert
 
 
 def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
-                   attempts: int = 50, alpha_box: int = 20,
-                   box: int = 50) -> Tuple[SlpCertificate, int]:
+                   attempts: int = 50) -> Tuple[SlpCertificate, int]:
     """Points on a rational normal curve give SLP algebras.
 
     Refuses n < 1, and s points above the elimination budget, before
@@ -128,8 +127,8 @@ def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
     if t != expected_tau:
         raise ShapeMismatchError(f"tau = {t}, expected {expected_tau}")
     d = _socle_degree(t, d)
-    cert = _certified(random_power_sum(x, d, rng, alpha_box), rng, attempts,
-                      box, f"no Lefschetz witness for {s} curve points in "
+    cert = _certified(random_power_sum(x, d, rng), rng, attempts,
+                      f"no Lefschetz witness for {s} curve points in "
                       f"P^{n}, d={d}")
     return cert, d
 
@@ -161,8 +160,7 @@ def _line_masks(x: PointSet) -> tuple:
 
 def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
                      rng: random.Random, attempts: int = 50,
-                     eval_points: int = 20, alpha_box: int = 20,
-                     box: int = 50) -> ConicReport:
+                     eval_points: int = 20) -> ConicReport:
     """Points on the singular conic give SLP algebras, decomposably.
 
     At d >= 2 tau (None: 2 tau, the d kept in the report), verifies the
@@ -184,7 +182,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     s = x.size
     t = x.tau()
     d = _socle_degree(t, d)
-    algebra = random_power_sum(x, d, rng, alpha_box)
+    algebra = random_power_sum(x, d, rng)
     h = algebra.hilbert
     display = tuple(min(2 * i + 1, 2 * (d - i) + 1, s) for i in range(d + 1))
     for i in range(d + 1):
@@ -193,8 +191,8 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
                 f"h_A({i}) = {h[i]} exceeds the on-conic bound {display[i]}")
     display_match = tuple(h) == display
 
-    cert = _certified(algebra, rng, attempts, box, f"no Lefschetz witness "
-                      f"for two-line config ({s1},{s2},share={share})")
+    cert = _certified(algebra, rng, attempts, f"no Lefschetz witness for "
+                      f"two-line config ({s1},{s2},share={share})")
 
     # Split F = F1 + F2 along the lines: F1 weighs the points of line 1 by
     # alpha_i and the rest by 0, F2 likewise.  x0^2 o L^d = d(d-1) a0^2
@@ -216,7 +214,7 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
         scale = factorial(d) // factorial(d - 2 * j)
         minor_scale = factorial(d - 2) // factorial(d - 2 * j)
         for _ in range(eval_points):
-            ell = sample_linear_form(3, rng, box)
+            ell = sample_linear_form(3, rng)
             w = point_weights(x, algebra.alphas, d - 2 * j, ell)
             w1, w2 = list(map(mul, w, on1)), list(map(mul, w, on2))
             big, lhs = gram(x, frame, w, scale)
@@ -262,6 +260,8 @@ _ON_TAIL_CURVE = {"line": lambda q: q[2] == 0,
                   "conic": lambda q: q[0] * q[2] == q[1] ** 2}
 # Draws of a point set before make_tail_config gives up.
 _TAIL_DRAWS = 200
+# The off-curve points are general; this range only fixes a seed's points.
+_TAIL_BOX = 12
 
 
 def _tail_start(delta: Sequence[int], r: int) -> Optional[int]:
@@ -274,28 +274,28 @@ def _tail_start(delta: Sequence[int], r: int) -> Optional[int]:
 
 
 def make_tail_config(kind: str, tau_target: int, off: int,
-                     rng: random.Random, box: int = 12) -> PointSet:
+                     rng: random.Random) -> PointSet:
     """Curve points plus generic off-curve points with a valid tail shape.
 
     Returns X whose Delta h_{A(X)} ends with the value r from some degree
     1 <= k <= tau through tau (_tail_start; verify_tail_nonvanishing
-    reads k off X).  Raises when _TAIL_DRAWS draws produce no such shape
-    (small caps make some impossible), and ValueError before any draw on
-    an unknown kind, off < 0, tau_target < 1, a request no draw can
-    satisfy (tau_target = 1, or a line tail with off = 0) or more
-    off-curve points than the box [-box, box]^2 holds, and a
-    WorkBudgetError before any draw when the points are above the
-    elimination budget.
+    reads k off X); its off-curve points have affine coordinates in
+    [-_TAIL_BOX, _TAIL_BOX].  Raises when _TAIL_DRAWS draws produce no
+    such shape (small caps make some impossible), and ValueError before
+    any draw on an unknown kind, off < 0, tau_target < 1, a request no
+    draw can satisfy (tau_target = 1, or a line tail with off = 0) or
+    more off-curve points than that box holds, and a WorkBudgetError
+    before any draw when the points are above the elimination budget.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
         raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
                          f"tau >= 1; got {kind!r}, off={off}, tau={tau_target}")
     on_curve = _ON_TAIL_CURVE[kind]
-    span = range(-box, box + 1)
+    span = range(-_TAIL_BOX, _TAIL_BOX + 1)
     room = sum(not on_curve((1, a, b)) for a in span for b in span)
     if off > room:
-        raise ValueError(f"the box [-{box}, {box}]^2 holds {room} points off "
-                         f"the {kind}, got off={off}")
+        raise ValueError(f"the box [-{_TAIL_BOX}, {_TAIL_BOX}]^2 holds {room} "
+                         f"points off the {kind}, got off={off}")
     # A line tail with off = 0 is collinear: Delta h(1) = 1, not a plane
     # shape.  At tau = 1 a line tail needs Delta h(1) = 1 and 2 at once,
     # and a conic tail has s <= 3 points, all on the curve, which no
@@ -314,7 +314,8 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         pts = list(base)
         seen = set(pts)
         while len(pts) < on_count + off:
-            q = (1, rng.randint(-box, box), rng.randint(-box, box))
+            q = (1, rng.randint(-_TAIL_BOX, _TAIL_BOX),
+                 rng.randint(-_TAIL_BOX, _TAIL_BOX))
             if q in seen or on_curve(q):
                 continue
             seen.add(q)
@@ -329,9 +330,8 @@ def make_tail_config(kind: str, tau_target: int, off: int,
 
 
 def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
-                             rng: random.Random, trials: int = 30,
-                             alpha_box: int = 20,
-                             box: int = 50) -> TailReport:
+                             rng: random.Random,
+                             trials: int = 30) -> TailReport:
     """Flat Delta-tails force nonzero Hessian determinants.
 
     For a tail of r's (r = 1 line, r = 2 conic) in Delta h_{A(X)} from
@@ -370,13 +370,13 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
             f"no degree-{r} curve through exactly {curve_count} points")
     off = tuple(i for i in range(x.size) if i not in set(curve))
 
-    algebra = random_power_sum(x, d, rng, alpha_box)
+    algebra = random_power_sum(x, d, rng)
 
     report = TailReport(d=d, tau=t, k=k, curve_indices=tuple(curve),
                         off_indices=off)
     for j in range(k - 1, d // 2 + 1):
         found = first_witness(lambda ell: algebra.hessian(j, ell)[1],
-                              3, rng, trials, box)
+                              3, rng, trials)
         if found is None:
             raise NoWitnessFoundError(
                 f"no nonzero Hess^{j} witness in {trials} trials",
@@ -421,20 +421,22 @@ class FamilyReport:
 
 
 def verify_corollary_families(m_values: Sequence[int], rng: random.Random,
-                              attempts: int = 50, alpha_box: int = 20,
-                              box: int = 50) -> List[FamilyReport]:
+                              attempts: int = 50) -> List[FamilyReport]:
     """All five flat-tail Delta families give SLP algebras at d = 2 tau:
-    construct_slp_algebra realizes Delta summed through tau, mirrored."""
+    construct_slp_algebra realizes Delta summed through tau, mirrored.
+    Refuses a negative m, and a family above the elimination budget,
+    before any draw."""
     if any(m < 0 for m in m_values):
         raise ValueError(f"need every m >= 0, got {list(m_values)}")
+    # the largest family, 1,2,3,2^m, has 2m + 6 points in P^2
+    check_cells(2 * max(m_values, default=0) + 6, 3)
     out = []
     for name, make in _FAMILIES:
         for m in m_values:
             delta = make(m)
             half = list(accumulate(delta))
             result = construct_slp_algebra(half + half[-2::-1], rng,
-                                           attempts=attempts, box=box,
-                                           alpha_box=alpha_box)
+                                           attempts=attempts)
             out.append(FamilyReport(name=name, m=m, delta=delta,
                                     x=result.algebra.x, d=result.algebra.d,
                                     certificate=result.certificate))
@@ -452,8 +454,7 @@ class PropReport:
 
 
 def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
-                        rng: random.Random, trials: int = 30,
-                        alpha_box: int = 20, box: int = 50) -> PropReport:
+                        rng: random.Random, trials: int = 30) -> PropReport:
     """Hessian nonvanishing when h_A(j) is s-1 (kind 1) or s-2 (kind 2).
 
     kind 2 additionally requires plane points in general linear
@@ -475,12 +476,12 @@ def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
         if has_collinear_triple(x):
             raise PreconditionViolatedError("points must be in general linear position")
     target = x.size - kind
-    algebra = random_power_sum(x, d, rng, alpha_box)
+    algebra = random_power_sum(x, d, rng)
     if algebra.hilbert[j] != target:
         raise PreconditionViolatedError(
             f"h_A({j}) = {algebra.hilbert[j]}, need {target}")
     found = first_witness(lambda ell: algebra.hessian(j, ell)[1],
-                          x.n + 1, rng, trials, box)
+                          x.n + 1, rng, trials)
     if found is not None:
         return PropReport(*found)
     raise NoWitnessFoundError(

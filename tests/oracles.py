@@ -538,8 +538,7 @@ def hessian_by_contraction(f: Poly, frame: Sequence[Tuple[int, ...]],
 
 def sampled_zero_forcing(x, d: int, j: int, frame: Sequence[Tuple[int, ...]],
                          i: int, rng,
-                         trials: int, alpha_box: int = 20,
-                         box: int = 50) -> int:
+                         trials: int) -> int:
     """How many of `trials` draws with weight i zeroed leave det Hess^j != 0.
 
     Each draw takes fresh nonzero weights over the PointSet x, sets weight
@@ -550,9 +549,9 @@ def sampled_zero_forcing(x, d: int, j: int, frame: Sequence[Tuple[int, ...]],
     nonzero = 0
     k = d - 2 * j
     for _ in range(trials):
-        trial_alphas = [_nonzero_int(rng, alpha_box) for _ in range(x.size)]
+        trial_alphas = [_nonzero_int(rng) for _ in range(x.size)]
         trial_alphas[i] = 0
-        ell = sample_linear_form(3, rng, box)
+        ell = sample_linear_form(3, rng)
         val = linalg.det(Mat(point_gram(x.points, trial_alphas, k, ell.coeffs,
                                         frame, factorial(d) // factorial(k))))
         if val != 0:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+from gorlef import gorenstein
 from gorlef.apolar import LinearFormS, Poly, RING_R
 from gorlef.cli import main as cli_main
 from gorlef.construct import (hess_coefficient_criterion,
@@ -249,7 +250,8 @@ def test_criterion_05_coefficient_criterion_iff():
 # 6. Multilinearity of the Hessian determinant in the weights
 
 
-def test_criterion_06_multilinearity():
+def test_criterion_06_multilinearity(monkeypatch):
+    monkeypatch.setattr(gorenstein, "_COEFF_BOX", 20)
     rng = random.Random(60606)
     for trial in range(50):
         x = random_point_set(rng)
@@ -260,7 +262,7 @@ def test_criterion_06_multilinearity():
         j = rng.randint(0, min(tau, d // 2))
         ones = GorensteinAlgebra.of_points(x, (Fraction(1),) * x.size, d)
         frame = GorensteinAlgebra(ones.f, d).basis(j)
-        ell = sample_linear_form(x.n + 1, rng, 20)
+        ell = sample_linear_form(x.n + 1, rng)
         k = d - 2 * j
         base = [Fraction(rng.randint(-9, 9)) for _ in range(x.size)]
         for i in range(x.size):

@@ -281,6 +281,13 @@ class TestPolyBasics:
                                              " nonnegative int"):
             Poly(2, RING_R, {exp: 1})
 
+    @pytest.mark.parametrize("terms, message", [
+        ({(1, 2, 3): 0, (1, 1): 2}, "wrong arity"),
+        ({(-1, 2.5): 0, (1, 1): 2}, "not a nonnegative int")])
+    def test_a_zero_term_is_checked_before_it_is_dropped(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            Poly(2, RING_R, terms)
+
     @pytest.mark.parametrize("exp", [[2.7, 0], [True, 1], [-1, 3]])
     def test_json_exponents_keep_their_message(self, exp):
         doc = {"n_vars": 2, "ring": "R", "terms": [{"exp": exp, "coef": "1"}]}

@@ -493,6 +493,10 @@ class TestErrorContract:
         ["construct", "--h", f"1,{2 ** 64},1"],
         ["construct", "--h", "1,2000,2000,1"],
         ["points", "gen", "--kind", "distraction", "--delta", "1,5000"],
+        # a term with a zero coefficient used to be dropped unchecked
+        ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": ['
+         '{"exp": [2, 0], "coef": "1"}, {"exp": [0, 2], "coef": "1"}, '
+         '{"exp": [1, 1, 1], "coef": "0"}]}', "--d", "2"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
@@ -509,7 +513,8 @@ class TestErrorContract:
             "params-empty-entry", "delta-trailing-comma", "m-empty",
             "params-empty",
             "h-ten-billion-variables", "h-two-to-the-64-variables",
-            "h-2000-variables", "delta-5000-variables"])
+            "h-2000-variables", "delta-5000-variables",
+            "poly-zero-term-wrong-arity"])
     def test_malformed_input_is_exit_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         monkeypatch.chdir(tmp_path)
@@ -522,7 +527,7 @@ class TestErrorContract:
     def test_an_exhausted_verifier_search_is_exit_one(self, capsys,
                                                       monkeypatch):
         monkeypatch.setattr(theorems, "check_slp",
-                            lambda algebra, rng, attempts, box: SlpCertificate(
+                            lambda algebra, rng, attempts: SlpCertificate(
                                 kind="slp", ell=None, attempts=attempts))
         code = main(["verify", "--theorem", "rnc", "--s", "5",
                      "--attempts", "2"])
@@ -660,29 +665,38 @@ class TestErrorContract:
         assert doc["error"]["type"] == "WorkBudgetError"
 
     @pytest.mark.parametrize("argv", [
-        ["construct", "--h", "1,2,1", "--alpha-box", "0"],
-        ["construct", "--h", "1,3,1", "--coord-box", "0"],
-        ["verify", "--theorem", "rnc", "--s", "5", "--coord-box", "0"],
-        ["verify", "--theorem", "tails", "--kind", "line", "--tau", "3",
-         "--off", "1", "--coord-box", "0"],
-        ["analyze", "--points", '{"points": [[1, 0], [1, 1], [1, 2]]}',
-         "--alphas", "1,2,3", "--d", "2", "--coord-box", "0"],
         ["verify", "--theorem", "families", "--m", "-1"],
         ["analyze", "--poly",
          '{"n_vars": 0, "ring": "R", "terms": [{"exp": [], "coef": 1}]}'],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "2",
          "--off", "1000"],
-    ], ids=["construct-alpha-box-zero", "construct-coord-box-zero",
-            "rnc-coord-box-zero", "tails-coord-box-zero",
-            "analyze-coord-box-zero", "families-m-negative",
-            "analyze-no-variables", "tails-off-beyond-the-box"])
+    ], ids=["families-m-negative", "analyze-no-variables",
+            "tails-off-beyond-the-box"])
     def test_empty_sampling_box_is_exit_two(self, argv):
-        # a zero box used to spin forever drawing a nonzero value, as did a
-        # form in no variables and more distinct off-curve points than the
+        # a form in no variables used to spin forever drawing a nonzero
+        # coefficient vector, as did more distinct off-curve points than the
         # coordinate box holds
         code, doc = run_subprocess(argv)
         assert code == 2
         assert doc["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--h", "1,2,1", "--coord-box", "50"],
+        ["construct", "--h", "1,2,1", "--alpha-box", "20"],
+        ["analyze", "--points", '{"points": [[1, 0], [1, 1], [1, 2]]}',
+         "--alphas", "1,2,3", "--d", "2", "--coord-box", "50"],
+        ["points", "gen", "--kind", "generic", "--n", "2", "--s", "3",
+         "--coord-box", "50"],
+        ["verify", "--theorem", "rnc", "--s", "5", "--coord-box", "50"],
+        ["verify", "--theorem", "rnc", "--s", "5", "--alpha-box", "20"],
+    ])
+    def test_the_sampling_boxes_are_no_flags(self, capsys, argv):
+        # the ranges ell, the weights and the points are drawn from are
+        # constants: the general choice the paper takes needs no setting
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "ValueError"
+        assert argv[-2] in doc["error"]["message"]
 
     def test_huge_entry_is_checked_at_once(self):
         # the Macaulay bound of 10^12 in degree 1 used to step through
@@ -856,6 +870,112 @@ class TestListArgumentFuzz:
         assert "Traceback" not in out.getvalue() + err.getvalue()
         doc = json.loads(out.getvalue())
         assert ("error" in doc) == (code != 0)
+
+
+# The grammar fuzz draws each value from a small pool: ints -2..6, short
+# lists of them, the choices of a choice flag, short JSON documents, malformed
+# or not, for --poly and --points, and, in half the argvs, also an empty or
+# non-numeric string, a decimal past any float or a huge int.  The counts of
+# draws stay at 1..3: they are work you ask for.
+_INTS = st.integers(-2, 6).map(str)
+_ODD = st.sampled_from(["", "x", "1e999999999", str(10 ** 30)])
+_LISTS_OF_INTS = st.lists(st.integers(-2, 6) | st.just(10 ** 30), min_size=1,
+                          max_size=4).map(lambda v: ",".join(map(str, v)))
+_DOCS = st.sampled_from([
+    "{", "[1]", '{"n_vars": 2}', XY, '{"points": [[1, 0], [1, 1]]}',
+    '{"points": [[1, 0], [1, 1]', '{"points": [[1, "x"], [1]]}',
+    '{"points": [[1, NaN], [1, Infinity]]}',
+    '{"n_vars": 2, "ring": "R", "terms": [{"exp": [1], "coef": "1"}]}'])
+# no file is written: the one path names a file inside a file
+_OUTS = st.sampled_from(["", str(Path(__file__) / "out.json")])
+_COUNTS = st.sampled_from(["1", "2", "3"])
+_SI_SEQUENCES = st.sampled_from(["1", "1,2,1", "1,3,3,1", "1,2,3,2,1",
+                                 "1,3,5,3,1", "1,3,4,4,3,1"])
+
+# Each subcommand's required arguments (None: the positional one), then its
+# other flags, each with the values it draws; a switch draws none.  Any argv
+# may also carry --out, a removed box flag or an unknown flag.
+_GRAMMAR = {
+    ("seq", "check"): ({None: _LISTS_OF_INTS}, {}),
+    ("construct",): ({"--h": _SI_SEQUENCES | _LISTS_OF_INTS},
+                     {"--seed": _INTS, "--attempts": _COUNTS}),
+    ("analyze",): ({}, {
+        "--poly": _DOCS, "--points": _DOCS, "--alphas": _LISTS_OF_INTS,
+        "--d": _INTS, "--expect-slp": None, "--seed": _INTS,
+        "--attempts": _COUNTS}),
+    ("points", "gen"): (
+        {"--kind": st.sampled_from(["generic", "collinear", "two-lines",
+                                    "rnc", "distraction"])},
+        {"--n": _INTS, "--s": _INTS, "--s1": _INTS, "--s2": _INTS,
+         "--share": None, "--params": _LISTS_OF_INTS,
+         "--delta": _SI_SEQUENCES | _LISTS_OF_INTS, "--seed": _INTS}),
+    ("verify",): (
+        {"--theorem": st.sampled_from(["rnc", "conic", "tails", "families",
+                                       "s-minus"])},
+        {"--n": _INTS, "--s": _INTS, "--s1": _INTS, "--s2": _INTS,
+         "--share": None, "--d": _INTS, "--j": _INTS,
+         "--kind": st.sampled_from(["line", "conic"]),
+         "--kind-num": st.sampled_from(["1", "2"]), "--tau": _INTS,
+         "--off": _INTS, "--m": _LISTS_OF_INTS, "--eval-points": _COUNTS,
+         "--seed": _INTS, "--attempts": _COUNTS, "--trials": _COUNTS}),
+}
+_FOREIGN = st.sampled_from(["--coord-box", "--alpha-box", "--bogus", "--h1"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[command]
+    odd = draw(st.booleans())
+
+    def value(values):
+        return draw(values | _ODD if odd and values is not _COUNTS
+                    else values)
+
+    argv = list(command)
+    for flag, values in required.items():
+        argv += ([] if flag is None else [flag]) + [value(values)]
+    # mostly the flags the drawn kind or theorem needs, so that most argvs
+    # get past the checks that refuse a missing one
+    if command == ("analyze",):
+        needed = draw(st.sampled_from([["--poly"],
+                                       ["--points", "--alphas", "--d"]]))
+    else:
+        needed = [f"--{flag}" for flag in
+                  cli._NEEDED_FLAGS.get(command[0], {}).get(argv[-1], ())]
+    picked = [flag for flag in needed if draw(st.integers(0, 7))]
+    picked += draw(st.lists(st.sampled_from(sorted(optional)),
+                            max_size=6)) if optional else []
+    for flag in picked:
+        argv += [flag] if optional[flag] is None else [flag,
+                                                       value(optional[flag])]
+    if draw(st.integers(0, 3)) == 3:
+        argv += ["--out", draw(_OUTS)]
+    if draw(st.integers(0, 3)) == 3:
+        argv += [draw(_FOREIGN), value(_INTS)]
+    return argv
+
+
+class TestGrammarFuzz:
+    """Any argv built from a subcommand's flags, repeated or missing, the
+    removed box flags and unknown flags gives exit 0, 1 or 2 and one JSON
+    document, never a traceback.  Both work budgets are lowered, as in
+    TestListArgumentFuzz, so a large request is refused within the
+    deadline."""
+
+    @settings(max_examples=300, deadline=10_000)
+    @given(argv=_argvs())
+    # 10^30 copies of a tail entry used to be an OverflowError, exit 3
+    @example(argv=["verify", "--theorem", "families", "--m", str(10 ** 30)])
+    def test_exit_code_and_one_json_document(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.object(apolar, "MAX_MONOMIAL_CELLS", 10_000), \
+                mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 4_000):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        json.loads(out.getvalue())  # exactly one document: no extra data
 
 
 class TestParserReuse:

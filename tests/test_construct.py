@@ -164,6 +164,13 @@ class TestHilbertFormulaCheck:
         with pytest.raises(PreconditionViolatedError):
             hilbert_formula_check(g)
 
+    def test_an_algebra_from_a_polynomial_is_refused(self):
+        # it used to be an AttributeError on the missing points
+        x = gen_two_lines(3, 3, False)
+        f = GorensteinAlgebra.of_points(x, F(1, 1, 1, 1, 1, 1), 6).f
+        with pytest.raises(PreconditionViolatedError, match="of_points"):
+            hilbert_formula_check(GorensteinAlgebra(f))
+
 
 class TestCoefficientCriterion:
     def test_routes_agree_everywhere_small(self):
@@ -261,7 +268,7 @@ class TestConstructSlpAlgebra:
         assert res.attempts_used == res.certificate.attempts == 1
         rng = random.Random(90)
         algebra = random_power_sum(res.algebra.x, 5, rng)
-        ell = _separating_form(res.algebra.x, rng, 50)
+        ell = _separating_form(res.algebra.x, rng)
         assert res.algebra.alphas == algebra.alphas
         assert res.certificate.ell.coeffs == ell.coeffs
 

@@ -10,6 +10,13 @@ three paper checks that the acceptance tests call are the exceptions.
 A member is read when some gorlef module but `__init__.py`, or the
 benchmark harness in perfbench/, reads an attribute of its name; dunders
 and the members of private classes are exempt.
+
+Every parameter with a default, of every function and method in gorlef,
+is passed by position or keyword at some call in a gorlef module but
+`__init__.py`, or in perfbench/; a setting no caller sets is a constant.
+Calls are matched by the called name alone.  The check cannot see a knob
+threaded through at a single value: a caller that hands on its own
+default, as the CLI once did with each sampling box, counts as setting it.
 """
 
 import ast
@@ -126,6 +133,96 @@ def test_an_unread_member_is_dead():
         "m.py:Result.build", "m.py:Result.unread"]
     assert _unread_members(sources, []) == [
         "m.py:Result.attempts_used", "m.py:Result.build", "m.py:Result.unread"]
+
+
+def _calls(tree, cls=None):
+    """(called name, call) for every call in tree: the name of a function,
+    of an attribute, or of the class whose body calls `cls(...)`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, ast.ClassDef) else cls
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield (cls if func.id == "cls" else func.id), node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+        yield from _calls(node, inner)
+
+
+def _knobs(tree, cls=None):
+    """(name, shown name, parameter, position or None) for each parameter
+    with a default in tree's functions and methods.  A method's position
+    counts from the first argument after self or cls, and __init__ is
+    called by its class's name; None marks a keyword-only parameter."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            name, shown, offset = node.name, node.name, 0
+            if cls is not None:
+                name = cls if name == "__init__" else name
+                shown = cls if name == cls else f"{cls}.{name}"
+                offset = 1
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, shown, arg.arg, i - offset
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, shown, arg.arg, None
+            yield from _knobs(node)
+        else:
+            yield from _knobs(node, node.name if isinstance(
+                node, ast.ClassDef) else cls)
+
+
+def _unpassed_defaults(sources, readers):
+    """(file, shown name, parameter) for each parameter with a default in
+    `sources`, a map of file name to source text, that no call in
+    `sources` but `__init__.py`, nor in the source texts `readers`,
+    passes by position or keyword; sorted."""
+    knobs = [(name, *knob) for name, source in sources.items()
+             for knob in _knobs(ast.parse(source))]
+    reach, keywords = {}, {}  # positions passed, keywords passed, per name
+    for text in [s for name, s in sources.items() if name != "__init__.py"
+                 ] + list(readers):
+        for name, call in _calls(ast.parse(text)):
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            reach[name] = max(reach.get(name, 0),
+                              float("inf") if starred else len(call.args))
+            keywords.setdefault(name, set()).update(
+                k.arg for k in call.keywords)  # None stands for **kwargs
+    return sorted((file, shown, param)
+                  for file, name, shown, param, pos in knobs
+                  if not (pos is not None and reach.get(name, 0) > pos
+                          or keywords.get(name, set()) & {param, None}))
+
+
+def test_every_default_is_passed_somewhere():
+    unpassed = _unpassed_defaults(
+        _package_sources(),
+        [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))])
+    assert [knob for knob in unpassed if knob[1] not in PAPER_CHECKS] == []
+
+
+def test_a_default_no_call_passes_is_a_dead_knob():
+    module = (
+        "def draw(n, rng, box=50, trials=3, *, seed=None):\n"
+        "    def one(k=1):\n        return k\n"
+        "    return one()\n"
+        "class Grid:\n"
+        "    def __init__(self, size=1):\n        self.size = size\n"
+        "    def grow(self, by=1, twice=False):\n        return by\n"
+        "    @classmethod\n    def unit(cls):\n        return cls(size=1)\n"
+        "draw(1, None, 5)\nGrid.unit().grow(2)\n")
+    # only __init__.py passes `trials`, and only the harness `seed`
+    sources = {"m.py": module, "__init__.py": "m.draw(1, None, 5, 4)\n"}
+    harness = "def run(m):\n    return m.draw(1, None, seed=7)\n"
+    assert _unpassed_defaults(sources, [harness]) == [
+        ("m.py", "Grid.grow", "twice"), ("m.py", "draw", "trials"),
+        ("m.py", "one", "k")]
+    assert _unpassed_defaults(sources, []) == [
+        ("m.py", "Grid.grow", "twice"), ("m.py", "draw", "seed"),
+        ("m.py", "draw", "trials"), ("m.py", "one", "k")]
 
 
 def test_the_exemptions_are_still_defined():

@@ -335,13 +335,14 @@ class TestTailConfigs:
             make_tail_config(kind, tau, off, rng)
         assert rng.getstate() == state
 
-    def test_a_full_box_is_not_refused(self):
+    def test_a_full_box_is_not_refused(self, monkeypatch):
         # [-1, 1]^2 holds 6 points off the line: off = 6 is searched (and
         # gives no tail shape), off = 7 is refused before any draw
+        monkeypatch.setattr(theorems, "_TAIL_BOX", 1)
         with pytest.raises(ShapeMismatchError):
-            make_tail_config("line", 2, 6, random.Random(113), box=1)
+            make_tail_config("line", 2, 6, random.Random(113))
         with pytest.raises(ValueError):
-            make_tail_config("line", 2, 7, random.Random(113), box=1)
+            make_tail_config("line", 2, 7, random.Random(113))
 
     def test_verify_line_tail(self):
         rng = random.Random(111)
@@ -496,7 +497,7 @@ class TestFailureVerdicts:
         ids=["rnc", "conic"])
     def test_exhausted_lefschetz_search(self, monkeypatch, run):
         monkeypatch.setattr(theorems, "check_slp",
-                            lambda algebra, rng, attempts, box: SlpCertificate(
+                            lambda algebra, rng, attempts: SlpCertificate(
                                 kind="slp", ell=None, attempts=attempts))
         with pytest.raises(NoWitnessFoundError,
                            match="no Lefschetz witness") as info:
