@@ -169,6 +169,8 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "two-lines":
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
+        if args.n < 1:
+            raise ValueError(f"need n >= 1, got {args.n}")
         check_cells(args.s, args.n + 1)
         params = (parse_list(args.params) if args.params is not None
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
@@ -336,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", default=None,
                        help="families: comma-separated tail lengths")
     p_ver.add_argument("--eval-points", type=int, default=20,
-                       help="conic: evaluation points per degree; "
-                            "uncapped, work you ask for")
+                       help="conic: evaluation points per degree that the "
+                            "exact proof covers; at least 1, costs nothing")
     _add_common(p_ver, *_SHARED_DEFAULTS)
 
     return parser

@@ -120,9 +120,9 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
 
         det = scale^m sum_{T in S, |T| = m} det(V_T)^2 prod_(i in T) c_i,
 
-    so |S| < m gives 0 with no elimination, and |S| = m the one term,
-    with det(V_S) eliminated once per frame and support
-    (PointSet.frame_det).  A larger support eliminates G0 and gives
+    so |S| < m gives 0 with no elimination, m = 1 the one entry, and
+    |S| = m the one term, with det(V_S) eliminated once per frame and
+    support (PointSet.frame_det).  A larger support eliminates G0 and gives
     scale^m det(G0): every row of scale G0 has content at least scale,
     and the fraction-free pass would carry that factor into every minor
     it forms.  When the points, the weights on S and the scale are
@@ -150,6 +150,8 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
     hess = Mat.of_ints(out) if integral else Mat(out)
     if len(support) < m:
         return hess, Fraction(0)
+    if m == 1:
+        return hess, Fraction(out[0][0])
     if len(support) == m:
         return hess, Fraction(scale ** m * x.frame_det(frame, support) ** 2
                               * prod(cs))

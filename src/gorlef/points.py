@@ -194,6 +194,8 @@ class PointSet:
 
 def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
     """s points (1 : t : t^2 : ... : t^n) on the rational normal curve."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     ts = list(params)
     if len(ts) != s:
         raise ValueError(f"need {s} parameters, got {len(ts)}")

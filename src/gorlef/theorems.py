@@ -10,10 +10,10 @@ which carries its points and weights.  Each of its Hessians is one
 gorenstein.gram call, which returns the matrix and its det by the
 Cauchy-Binet rule, on one pass of point weights per ell:
 algebra.hessian(j, ell) for the tail witnesses and verify_prop_s_minus,
-gram itself for the five Hessians of the conic decomposition.  They
-and the zero-forcing ranks evaluate each frame at the points once
-(PointSet.values caches it), not per ell; only the SLP certificates'
-rank route reads the expanded F.
+gram itself, per point and matrix only, for the conic decomposition.
+They and the zero-forcing ranks evaluate each frame at the points once
+(PointSet.values caches it); only the SLP certificates' rank route
+reads the expanded F.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -32,8 +31,7 @@ from .construct import construct_slp_algebra, random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
-from .gorenstein import (SlpCertificate, check_slp, first_witness, gram,
-                         point_weights, sample_linear_form)
+from .gorenstein import SlpCertificate, check_slp, first_witness, gram
 from .hvector import first_difference
 from .linalg import Mat, check_cells
 from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
@@ -145,7 +143,7 @@ class ConicReport:
     tau: int
     display_match: bool  # h_A(i) == min(2i+1, s) pattern
     certificate: Optional[SlpCertificate] = None
-    decomposition_checks: int = 0
+    decomposition_checks: int = 0  # eval_points per j, draws the proof covers
 
 
 def _line_masks(x: PointSet) -> tuple:
@@ -166,15 +164,16 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     At d >= 2 tau (None: 2 tau, the d kept in the report), verifies the
     on-conic bound h_A(i) <= min(2i+1, s) (hard failure), records
     whether the rising-odd display matches exactly (it does not for
-    lopsided splits), certifies SLP, and checks the Hessian
-    decomposition identity at random evaluation points: with F = F1 + F2
-    split along the lines,
+    lopsided splits), certifies SLP, and proves by exact blocks at each
+    point, with no ell drawn, the Hessian decomposition identity for
+    every ell: with F = F1 + F2 split along the lines,
 
       det Hess^j(F) = det Hess^(j-1)(F1') det Hess^j(F2)
                     + det Hess^(j-1)(F2') det Hess^j(F1),
 
     F1' = x0^2 o F1, F2' = x1^2 o F2, over the monomial frame
     {x0^j, .., x0 x2^(j-1), x2^j, x2^(j-1) x1, .., x1^j}.
+    eval_points >= 1 only scales decomposition_checks.
     """
     if eval_points < 1:
         raise ValueError(f"need eval_points >= 1, got {eval_points}")
@@ -194,16 +193,19 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     cert = _certified(algebra, rng, attempts, f"no Lefschetz witness for "
                       f"two-line config ({s1},{s2},share={share})")
 
-    # Split F = F1 + F2 along the lines: F1 weighs the points of line 1 by
-    # alpha_i and the rest by 0, F2 likewise.  x0^2 o L^d = d(d-1) a0^2
-    # L^(d-2), so F1' weighs P_i by d(d-1) p_i0^2 alpha_i on line 1, and
-    # Hess^(j-1) of degree d-2 raises L_i(P_ell) to d-2j as well: all five
-    # Hessians of one (j, ell) reweigh c_i = alpha_i L_i(P_ell)^(d-2j).
+    # Split F = F1 + F2 along the lines; x0^2 o L^d = d(d-1) a0^2 L^(d-2),
+    # so F1' weighs P_i on line 1 by d(d-1) p_i0^2 alpha_i, and Hess^(j-1)
+    # of degree d-2 raises L_i(P_ell) to d-2j too.  So the five Hessians of
+    # (j, ell) are scale V^T diag(c) V, linear in c_i = alpha_i
+    # L_i(P_ell)^(d-2j): blocks that match at each c = e_i match at every
+    # alpha and ell, and block_det_identity's lemma gives the det identity.
     on1, on2 = _line_masks(x)
-    f1 = [d * (d - 1) * p[0] ** 2 * o for p, o in zip(x.points, on1)]
-    f2 = [d * (d - 1) * p[1] ** 2 * o for p, o in zip(x.points, on2)]
+    k = d * (d - 1)
+    # each point's weights for Hess^j of F, F1, F2 and Hess^(j-1) of F1', F2'
+    units = [[[c if q == i else 0 for q in range(s)]
+              for c in (1, a, b, k * p[0] ** 2 * a, k * p[1] ** 2 * b)]
+             for i, (p, a, b) in enumerate(zip(x.points, on1, on2))]
 
-    checks = 0
     for j in range(1, d // 2 + 1):
         # x0^j .. x0 x2^(j-1), then x2^j shared, then x2^(j-1) x1 .. x1^j
         b_frame = [(j - i, 0, i) for i in range(j + 1)]
@@ -213,28 +215,20 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
         cm_frame = [(0, i, j - 1 - i) for i in range(j)]
         scale = factorial(d) // factorial(d - 2 * j)
         minor_scale = factorial(d - 2) // factorial(d - 2 * j)
-        for _ in range(eval_points):
-            ell = sample_linear_form(3, rng)
-            w = point_weights(x, algebra.alphas, d - 2 * j, ell)
-            w1, w2 = list(map(mul, w, on1)), list(map(mul, w, on2))
-            big, lhs = gram(x, frame, w, scale)
-            b, det_b = gram(x, b_frame, w1, scale)
-            c, det_c = gram(x, c_frame, w2, scale)
-            if BlockPair(b, c).assemble() != big:
+        for p, (w, w1, w2, wm1, wm2) in zip(x.points, units):
+            b = gram(x, b_frame, w1, scale)[0]
+            c = gram(x, c_frame, w2, scale)[0]
+            if BlockPair(b, c).assemble() != gram(x, frame, w, scale)[0]:
+                raise TheoremTensionError(f"block assembly mismatch at j={j}")
+            if (gram(x, bm_frame, wm1, minor_scale)[0] != _minor(b, j, j)
+                    or gram(x, cm_frame, wm2, minor_scale)[0]
+                    != _minor(c, 0, 0)):
                 raise TheoremTensionError(
-                    f"block assembly mismatch at j={j}")
-            det_b_minor = gram(x, bm_frame, list(map(mul, w, f1)),
-                               minor_scale)[1]
-            det_c_minor = gram(x, cm_frame, list(map(mul, w, f2)),
-                               minor_scale)[1]
-            rhs = det_b_minor * det_c + det_b * det_c_minor
-            if lhs != rhs:
-                raise TheoremTensionError(
-                    f"Hessian decomposition fails at j={j}, ell={ell}")
-            checks += 1
+                    f"Hessian decomposition fails at j={j}, point={p}")
 
     return ConicReport(d=d, tau=t, display_match=display_match,
-                       certificate=cert, decomposition_checks=checks)
+                       certificate=cert,
+                       decomposition_checks=eval_points * (d // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_criterion_09_conic_decomposition():
                 assert report.decomposition_checks > 0
                 count += 1
     assert count == 32
-    print("criterion 09: PASS (32 instances, 20 evaluation points each)")
+    print("criterion 09: PASS (32 instances, decomposition proven per point)")
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,16 @@ class TestVerify:
         assert doc["d"] == 6 and doc["display_match"] is True
         assert doc["decomposition_checks"] > 0
 
+    def test_conic_eval_points_cost_nothing(self, capsys):
+        # the decomposition is proven per point; this ran past 20 s when
+        # each of the 10^8 evaluation points per degree was sampled
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "verify", "--theorem", "conic",
+                             "--s1", "2", "--s2", "2", "--d", "4",
+                             "--eval-points", "100000000")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and doc["decomposition_checks"] == 2 * 10 ** 8
+
     def test_tails(self, capsys):
         code, doc = run_json(capsys, "verify", "--theorem", "tails",
                              "--kind", "line", "--tau", "3", "--off", "1",
@@ -434,6 +444,9 @@ class TestErrorContract:
         ["points", "gen", "--kind", "generic", "--s", "5"],
         ["points", "gen", "--kind", "collinear", "--n", "2"],
         ["verify", "--theorem", "rnc", "--s", "5", "--n", "0"],
+        ["points", "gen", "--kind", "rnc", "--n", "0", "--s", "3"],
+        # n + 1 <= 0 let any s past the cell check: an OverflowError, exit 3
+        ["points", "gen", "--kind", "rnc", "--n", "-1", "--s", str(10 ** 30)],
         ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": 5}'],
         ["analyze", "--poly",
          '{"n_vars": 2, "ring": "R", "terms": [{"exp": 5, "coef": "1"}]}'],
@@ -499,7 +512,8 @@ class TestErrorContract:
          '{"exp": [1, 1, 1], "coef": "0"}]}', "--d", "2"],
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
-            "collinear-no-s", "rnc-n-zero", "poly-terms-not-a-list",
+            "collinear-no-s", "rnc-n-zero", "points-rnc-n-zero",
+            "points-rnc-n-negative-huge-s", "poly-terms-not-a-list",
             "poly-exp-not-a-list", "poly-coef-zero-denominator",
             "alphas-zero-denominator", "poly-d-below-degree",
             "poly-d-above-degree", "poly-not-homogeneous",
@@ -967,6 +981,9 @@ class TestGrammarFuzz:
     @given(argv=_argvs())
     # 10^30 copies of a tail entry used to be an OverflowError, exit 3
     @example(argv=["verify", "--theorem", "families", "--m", str(10 ** 30)])
+    # n + 1 <= 0 let any s past the cell check: OverflowError, exit 3
+    @example(argv=["points", "gen", "--kind", "rnc", "--n", "-1",
+                   "--s", str(10 ** 30)])
     def test_exit_code_and_one_json_document(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), \

@@ -666,10 +666,10 @@ def _gram_cases(draw):
 
 
 class TestGramDet:
-    """gram's matrix, and its det by the rule 0 below the frame size, one
-    Cauchy-Binet term at it and an elimination above it, against the
-    Gram that oracles.point_gram builds from rank-one pieces and its
-    cofactor det."""
+    """gram's matrix, and its det by the rule 0 below the frame size, the
+    entry itself for one monomial, one Cauchy-Binet term at the frame
+    size and an elimination above it, against the Gram that
+    oracles.point_gram builds from rank-one pieces and its cofactor det."""
 
     @settings(max_examples=300, deadline=None)
     @given(_gram_cases())
@@ -708,6 +708,20 @@ class TestGramDet:
                 for _ in range(2)] == [oracle] * 2
         assert sizes == eliminated
 
+
+    @pytest.mark.parametrize("weights", [[1, 2, 0, 3], [0, 0, 5, 0]],
+                             ids=["above", "at"])
+    def test_one_monomial_is_its_entry(self, monkeypatch, weights):
+        def forbid(*args):
+            raise AssertionError("a 1 x 1 frame was eliminated")
+
+        monkeypatch.setattr(linalg, "integer_det", forbid)
+        monkeypatch.setattr(linalg, "det", forbid)
+        x = PointSet([[1, t, t * t] for t in (1, 2, 3, 5)])
+        hess, val = gram(x, [(0, 1, 0)], weights, 7)
+        entry = 7 * sum(c * t * t for c, t in zip(weights, (1, 2, 3, 5)))
+        assert hess.entries == [[entry]]
+        assert type(val) is Fraction and val == entry
 
     @pytest.mark.parametrize("points, alphas", [
         ([[1, t, t * t] for t in (1, 2, 3, 5)], [1, 2, 3, 4]),

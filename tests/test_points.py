@@ -226,6 +226,12 @@ class TestRnc:
         with pytest.raises(DuplicateParameterError):
             gen_rnc(2, 3, [1, 1, 2])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_curve_below_p1(self, n):
+        # n = 0 used to read as duplicate points, n = -1 as empty ones
+        with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
+            gen_rnc(n, 3, [1, 2, 3])
+
 
 class TestGenGeneric:
     def test_generic_hilbert(self):

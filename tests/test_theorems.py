@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlef import construct, linalg, theorems
 from gorlef.gorenstein import DegreeRecord, GorensteinAlgebra, SlpCertificate
@@ -74,6 +75,25 @@ class TestBlockIdentity:
                 if 2 * m - 1 <= 5:
                     assert lhs == laplace_det(
                         BlockPair(b, c).assemble().entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6))
+    def test_lemma_on_singular_blocks(self, data, m):
+        # m <= floor(d/2) + 1 over criterion 09's grid; the conic proof's
+        # blocks are sums of rank-one c v v^T, so singular ones are drawn
+        # as often as general ones
+        ints = st.integers(-30, 30)
+        vec = st.lists(ints, min_size=m, max_size=m)
+        block = st.one_of(
+            st.lists(vec, min_size=m, max_size=m),
+            st.tuples(ints, vec).map(
+                lambda cv: [[cv[0] * a * b for b in cv[1]] for a in cv[1]]),
+            st.just([[0] * m for _ in range(m)]))
+        pair = BlockPair(fmat(data.draw(block)), fmat(data.draw(block)))
+        lhs, rhs, ok = block_det_identity(pair)
+        assert ok and lhs == rhs
+        if m <= 3:
+            assert lhs == laplace_det(pair.assemble().entries)
 
     def test_block_size_validated(self):
         # m is B's size: B and C must be square and of one size
@@ -199,6 +219,61 @@ class TestConicVerifier:
             assert len(requests) > len(rows_of)
         assert evaluated[1] == evaluated[4]
 
+    def test_per_point_grams_are_definitional(self, monkeypatch):
+        # each Gram the proof builds is scale c_i v_i v_i^T at one point i,
+        # and after the certificate nothing is eliminated and no ell drawn
+        calls, after = [], []
+        real_gram, real_certified = theorems.gram, theorems._certified
+
+        def spy(x, frame, weights, scale):
+            hess, val = real_gram(x, frame, weights, scale)
+            calls.append((x, frame, weights, scale, hess))
+            return hess, val
+
+        def forbid(*args):
+            raise AssertionError("a determinant after the certificate")
+
+        def certified(algebra, rng, attempts, exhausted):
+            cert = real_certified(algebra, rng, attempts, exhausted)
+            after.append((rng, rng.getstate()))
+            monkeypatch.setattr(linalg, "det", forbid)
+            monkeypatch.setattr(linalg, "integer_det", forbid)
+            return cert
+
+        monkeypatch.setattr(theorems, "gram", spy)
+        monkeypatch.setattr(theorems, "_certified", certified)
+        rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
+                               eval_points=3)
+        (rng, state), = after
+        assert rng.getstate() == state
+        x = calls[0][0]
+        assert rep.decomposition_checks == 3 * (rep.d // 2)
+        assert len(calls) == 5 * x.size * (rep.d // 2)
+        for _, frame, weights, scale, hess in calls:
+            support = [i for i, c in enumerate(weights) if c]
+            assert len(support) <= 1
+            i = support[0] if support else 0
+            v, c = x.values(frame)[i], weights[i]
+            assert hess.entries == [[scale * c * a * b for b in v] for a in v]
+
+    def test_eval_points_do_not_scale_the_work(self, monkeypatch):
+        log = []
+        real_gram, real_values = theorems.gram, PointSet.values
+        monkeypatch.setattr(theorems, "gram", lambda x, frame, w, scale: (
+            log.append(("gram", tuple(frame), tuple(w), scale))
+            or real_gram(x, frame, w, scale)))
+        monkeypatch.setattr(PointSet, "values", lambda x, frame: (
+            log.append(("values", tuple(frame))) or real_values(x, frame)))
+        runs = {}
+        for eval_points in (1, 10 ** 6):
+            log.clear()
+            rep = verify_conic_slp(3, 4, False, 6, random.Random(108),
+                                   eval_points=eval_points)
+            assert rep.decomposition_checks == eval_points * 3
+            runs[eval_points] = (list(log), rep.certificate.to_json_dict())
+        assert runs[1] == runs[10 ** 6]
+        assert any(op == "gram" for op, *_ in runs[1][0])
+
 
 class TestDeterminantRule:
     """The verifiers' Hessian dets, taken by gram's rule (0, one
@@ -232,30 +307,6 @@ class TestDeterminantRule:
                 assert val == linalg.det(algebra.hessian(j, ell)[0]) != 0
                 plateau += len(algebra.basis(j)) == x.size
         assert plateau > 0  # some witnesses took the single-term branch
-
-    def test_conic_decomposition_dets_are_eliminated_dets(self, monkeypatch):
-        calls = []
-        real = theorems.gram
-
-        def spy(x, frame, weights, scale):
-            hess, val = real(x, frame, weights, scale)
-            calls.append((x, frame, weights, scale, hess, val))
-            return hess, val
-
-        monkeypatch.setattr(theorems, "gram", spy)
-        rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
-                               eval_points=3)
-        assert len(calls) == 5 * rep.decomposition_checks
-        branches = set()
-        for x, frame, weights, scale, hess, val in calls:
-            v = x.values(frame)
-            built = [[scale * sum(c * r[a] * r[b] for c, r in zip(weights, v))
-                      for b in range(len(frame))] for a in range(len(frame))]
-            assert hess.entries == built
-            assert val == linalg.det(hess)
-            support = sum(map(bool, weights))
-            branches.add((support > len(frame)) - (support < len(frame)))
-        assert branches == {-1, 0, 1}
 
 
 def rep_tau(s1, s2, share):
@@ -526,17 +577,24 @@ class TestFailureVerdicts:
             verify_conic_slp(3, 2, False, None, random.Random(132),
                              eval_points=1)
 
-    def test_hessian_decomposition_failure(self, monkeypatch):
-        # lhs doubles, rhs (a sum of products of two dets) quadruples
+    @pytest.mark.parametrize("i, point", [(1, r"\(1, 0, 1\)"),
+                                          (3, r"\(0, 1, 0\)")],
+                             ids=["f1", "f2"])
+    def test_hessian_decomposition_failure(self, monkeypatch, i, point):
+        # F1' (F2') weighed twice at P_i on line 1 (2): at j = 1 the only
+        # frames of one monomial are the minors', and only F1' (F2')
+        # weighs P_i there
         real = theorems.gram
 
-        def doubled(*args):
-            hess, val = real(*args)
-            return hess, 2 * val
+        def doubled(x, frame, weights, scale):
+            if len(frame) == 1 and weights[i]:
+                weights = [2 * c for c in weights]
+            return real(x, frame, weights, scale)
 
         monkeypatch.setattr(theorems, "gram", doubled)
         with pytest.raises(TheoremTensionError,
-                           match="Hessian decomposition fails at j=1"):
+                           match=f"Hessian decomposition fails at j=1, "
+                                 f"point={point}$"):
             verify_conic_slp(3, 2, False, None, random.Random(133),
                              eval_points=1)
 
