@@ -171,6 +171,8 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "rnc":
         if args.n < 1:
             raise ValueError(f"need n >= 1, got {args.n}")
+        if args.s < 1:
+            raise ValueError(f"need s >= 1, got {args.s}")
         check_cells(args.s, args.n + 1)
         params = (parse_list(args.params) if args.params is not None
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))

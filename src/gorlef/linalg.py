@@ -9,15 +9,24 @@ the kernels convert nothing.  `det` returns a Fraction, `integer_det`
 an int.  `exact_str` is the one place that writes a scalar as output
 text, with no digit limit.
 
-Every elimination runs through one exact forward pass: each row is
-cleared of denominators on entry, and the fraction-free pass (Bareiss
-1968, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination") gives rank, pivot columns and the determinant together.
-`nullspace` solves one kernel vector per free column from the
-echelon rows, in fractions.
+Every elimination of a whole matrix runs through one exact forward
+pass: each row is cleared of denominators on entry, and the
+fraction-free pass (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination") gives rank, pivot columns and
+the determinant together.  `nullspace` solves one kernel vector per
+free column from the echelon rows, in fractions.
 A matrix of more than MAX_ELIMINATION_CELLS entries is refused with a
 WorkBudgetError (exit 2) before the pass, whose cost grows with the
 cube of the size, starts.
+
+`extend_echelon` is the one other elimination: an incremental column
+echelon that a caller keeps and extends column by column, as the
+Buchberger-Moller algorithm for ideals of points does (the point bases
+of `points.PointSet.basis`).  Its vectors outlive any one matrix, so
+there is no previous pivot to divide by: each kept vector is divided
+by the gcd of its entries instead, which on Vandermonde columns also
+removes the large common factors that Bareiss's division would keep.
+Its callers check the budget.
 
 Pivoting is deterministic (left-to-right, first nonzero row), which
 downstream modules rely on for reproducible basis selection.  Every
@@ -31,7 +40,7 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import NonSquareError, WorkBudgetError
@@ -220,6 +229,40 @@ def pivot_columns(m: Mat) -> List[int]:
     """Pivot columns under deterministic left-to-right elimination."""
     a, _ = _integer_rows(m.entries)
     return _eliminate(a, m.cols)[0]
+
+
+def extend_echelon(echelon: List[Tuple[int, List[int]]], columns,
+                   limit: int) -> List[int]:
+    """Indices of the columns independent of the echelon and of the
+    columns kept before them, in order; each one kept joins the echelon.
+
+    The echelon holds (pivot row, integer vector) pairs, each vector
+    zero at the pivot rows of the pairs before it.  A column is cleared
+    of its denominators by their lcm (scaling one column keeps its
+    independence), then reduced fraction-free against every pair whose
+    pivot row it does not vanish at: v <- e_p v - v_p e, both factors
+    divided by their gcd.  A nonzero remainder, divided by the gcd of
+    its entries, joins with its first nonzero row as pivot.  Stops once
+    the echelon holds `limit` vectors.
+    """
+    kept = []
+    for j, col in enumerate(columns):
+        if len(echelon) >= limit:
+            break
+        den = lcm(*[x.denominator for x in col])
+        v = [x.numerator * (den // x.denominator) for x in col]
+        for p, e in echelon:
+            f = v[p]
+            if f:
+                g = gcd(e[p], f)
+                q, f = e[p] // g, f // g
+                v = [q * x - f * y for x, y in zip(v, e)]
+        g = gcd(*v)
+        if g:
+            echelon.append((next(i for i, x in enumerate(v) if x),
+                            [x // g for x in v]))
+            kept.append(j)
+    return kept
 
 
 def nullspace(m: Mat) -> List[List[Fraction]]:

@@ -5,8 +5,12 @@ monomials at the points; it increases to s = |X| and stabilizes there
 from the regularity degree tau(X) on.  The pivot columns of V_i, kept
 as monomials, are a basis B_i of A(X)_i.  Points are normalized to
 leading coordinate 1, so when no point has x0 = 0 every x0 is 1 and
-B_i is carried up from B_(i-1) (PointSet.basis); sets with a point on
-x0 = 0 (two lines, some tails) eliminate the whole V_i.
+B_i is carried up from B_(i-1) (PointSet.basis) in one incremental
+column echelon (linalg.extend_echelon) that reduces only each degree's
+x0-free columns; sets with a point on x0 = 0 (two lines, some tails)
+reduce the whole V_i in a fresh one.  The echelon divides by gcds, not
+by Bareiss's previous pivot, since a carried echelon outlives any one
+matrix.
 PointSet.values is the one place that evaluates monomials at points:
 it caches per monomial its values at all the points, its parent's
 times one coordinate, and per frame the rows; frame_det keeps det V_S
@@ -69,6 +73,7 @@ class PointSet:
         self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
         self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
         self._dets: Dict[tuple, Fraction] = {}
+        self._echelon = [(0, [1] * len(norm))]  # B_0, carried when x0 = 1
         self._tau = 0  # eager; fills the basis cache through degree tau
         while self.hilbert(self._tau) < self.size:
             self._tau += 1
@@ -123,12 +128,13 @@ class PointSet:
             self._dets[key] = linalg.det(Mat([values[i] for i in rows]))
         return self._dets[key]
 
-    def _pivots(self, frame: Tuple[Monomial, ...]) -> Tuple[Monomial, ...]:
-        """The frame's monomials whose columns pivot, left to right; the
-        elimination budget is checked before anything is evaluated."""
-        linalg.check_cells(self.size, len(frame))
-        return tuple(frame[c] for c in linalg.pivot_columns(
-            Mat(self.values(frame))))
+    def _independent(self, echelon: list,
+                     frame: Tuple[Monomial, ...]) -> Tuple[Monomial, ...]:
+        """The frame's monomials whose columns are independent of the
+        echelon and of the columns before them, left to right; those
+        columns join the echelon (linalg.extend_echelon)."""
+        return tuple(frame[c] for c in linalg.extend_echelon(
+            echelon, zip(*self.values(frame)), self.size))
 
     def basis(self, i: int) -> Tuple[Monomial, ...]:
         """Degree-i monomials whose columns of V_i pivot, in descending lex.
@@ -136,19 +142,28 @@ class PointSet:
         When every x0 = 1, the column of x0*m in V_i is the column of m in
         V_(i-1), so the pivots of V_i are x0 B_(i-1) followed by the
         pivots among the x0-free monomials, in that (descending lex)
-        order: only that frame is eliminated, and nothing once h(i-1) = s.
-        The bases are built upward in a loop, degree by degree.
+        order.  The set's incremental column echelon
+        (linalg.extend_echelon) holds B_(i-1)'s columns, from B_0's
+        all-ones column on, so only the x0-free columns are reduced, and
+        nothing once h(i-1) = s; other sets reduce the whole V_i in a
+        fresh echelon.  It divides by gcds, not by a previous pivot as
+        Bareiss does, because it outlives any one matrix.  The budget is
+        checked on the whole frame before anything is evaluated.  The
+        bases are built upward in a loop, degree by degree.
         """
         if i in self._bases:
             return self._bases[i]
         if not (self._carried and i > 0):
-            self._bases[i] = self._pivots(monomials_of_degree(self.n + 1, i))
+            frame = monomials_of_degree(self.n + 1, i)
+            linalg.check_cells(self.size, len(frame))
+            self._bases[i] = self._independent([], frame)
             return self._bases[i]
         for k in range(max(self._bases) + 1, i + 1):  # cached through k - 1
             lifted = tuple((m[0] + 1,) + m[1:] for m in self._bases[k - 1])
             if len(lifted) < self.size:
-                lifted = self._pivots(lifted + tuple(
-                    (0,) + m for m in monomials_of_degree(self.n, k)))
+                new = tuple((0,) + m for m in monomials_of_degree(self.n, k))
+                linalg.check_cells(self.size, len(lifted) + len(new))
+                lifted += self._independent(self._echelon, new)
             self._bases[k] = lifted
         return self._bases[i]
 

@@ -447,6 +447,11 @@ class TestErrorContract:
         ["points", "gen", "--kind", "rnc", "--n", "0", "--s", "3"],
         # n + 1 <= 0 let any s past the cell check: an OverflowError, exit 3
         ["points", "gen", "--kind", "rnc", "--n", "-1", "--s", str(10 ** 30)],
+        # s < 1 reached the draw: random.sample's message or "empty point set"
+        ["verify", "--theorem", "rnc", "--n", "2", "--s", "-5"],
+        ["verify", "--theorem", "rnc", "--n", "2", "--s", "0"],
+        ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "-5"],
+        ["points", "gen", "--kind", "rnc", "--n", "2", "--s", "0"],
         ["analyze", "--poly", '{"n_vars": 2, "ring": "R", "terms": 5}'],
         ["analyze", "--poly",
          '{"n_vars": 2, "ring": "R", "terms": [{"exp": 5, "coef": "1"}]}'],
@@ -513,7 +518,9 @@ class TestErrorContract:
     ], ids=["poly-file-missing", "poly-no-terms", "poly-bad-term",
             "points-no-points", "rnc-no-s", "rnc-no-n", "generic-no-n",
             "collinear-no-s", "rnc-n-zero", "points-rnc-n-zero",
-            "points-rnc-n-negative-huge-s", "poly-terms-not-a-list",
+            "points-rnc-n-negative-huge-s", "rnc-s-negative", "rnc-s-zero",
+            "points-rnc-s-negative", "points-rnc-s-zero",
+            "poly-terms-not-a-list",
             "poly-exp-not-a-list", "poly-coef-zero-denominator",
             "alphas-zero-denominator", "poly-d-below-degree",
             "poly-d-above-degree", "poly-not-homogeneous",
@@ -537,6 +544,16 @@ class TestErrorContract:
         assert code == 2
         assert "error" in json.loads(captured.out)
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [["verify", "--theorem", "rnc"],
+                                         ["points", "gen", "--kind", "rnc"]],
+                             ids=["verify", "points"])
+    @pytest.mark.parametrize("s", ["0", "-5"])
+    def test_rnc_names_s_below_one(self, capsys, command, s):
+        code, doc = run_json(capsys, *command, "--n", "2", "--s", s)
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError",
+                                "message": f"need s >= 1, got {s}"}
 
     def test_an_exhausted_verifier_search_is_exit_one(self, capsys,
                                                       monkeypatch):

@@ -6,13 +6,15 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlef import linalg
 from gorlef.errors import NonSquareError, WorkBudgetError
 from gorlef.linalg import (Mat, det, exact_str, nullspace, pivot_columns,
                            rank)
 
-from oracles import gauss_rank, identity, laplace_det, matmul, transpose
+from oracles import (gauss_pivot_columns, gauss_rank, identity, laplace_det,
+                     matmul, transpose)
 
 
 def F(v):
@@ -123,6 +125,68 @@ class TestPivots:
             rows = pivot_columns(transpose(m))
             if rows:
                 assert rank(Mat([m.entries[i] for i in rows])) == len(rows)
+
+
+entries = st.one_of(st.just(0), st.integers(-6, 6),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                    st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def column_runs(draw):
+    """Columns of one length: fresh, zero, or a duplicate, a multiple or
+    a sum of earlier ones, so that dependent columns are common."""
+    length = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(
+            ["fresh", "zero", "copy", "multiple", "sum"] if cols
+            else ["fresh", "zero"]))
+        if kind == "fresh":
+            col = draw(st.lists(entries, min_size=length, max_size=length))
+        elif kind == "zero":
+            col = [0] * length
+        else:
+            a = draw(st.sampled_from(cols))
+            b = draw(st.sampled_from(cols))
+            c = draw(entries.filter(bool))
+            col = {"copy": a, "multiple": [c * x for x in a],
+                   "sum": [x + c * y for x, y in zip(a, b)]}[kind]
+        cols.append([linalg.exact(x) for x in col])
+    return length, cols
+
+
+class TestExtendEchelon:
+    """The kept columns are the greedy left-to-right independent set of
+    the columns the echelon was built from followed by the new ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_runs(), st.data())
+    def test_kept_columns_are_the_greedy_independent_set(self, run, data):
+        length, cols = run
+        seeded = data.draw(st.integers(0, len(cols)))
+        limit = data.draw(st.integers(0, length + 1))
+        echelon = []
+        assert linalg.extend_echelon(echelon, cols[:seeded], length) == (
+            gauss_pivot_columns(list(zip(*cols[:seeded]))))
+        start = len(echelon)
+        kept = linalg.extend_echelon(echelon, cols[seeded:], limit)
+        greedy = [c - seeded for c in gauss_pivot_columns(list(zip(*cols)))
+                  if c >= seeded]
+        assert kept == greedy[:max(limit - start, 0)]
+        assert len(echelon) == start + len(kept) <= max(limit, start)
+        pivots = []
+        for p, e in echelon:
+            assert all(type(x) is int for x in e) and len(e) == length
+            assert e[p] and all(x == 0 for x in e[:p])
+            assert all(e[q] == 0 for q in pivots)
+            pivots.append(p)
+
+    def test_kept_vectors_are_divided_by_their_gcd(self):
+        echelon = [(0, [1, 1, 1])]
+        cols = [[1, 2, 3], [Fraction(1, 2), 2, Fraction(9, 2)]]
+        assert linalg.extend_echelon(echelon, cols, 3) == [0, 1]
+        assert echelon[1:] == [(1, [0, 1, 2]), (2, [0, 0, 1])]
 
 
 class TestNullspace:

@@ -89,8 +89,19 @@ def point_sets(draw):
     return PointSet(pts)
 
 
-@settings(max_examples=120, deadline=None)
-@given(point_sets())
+@st.composite
+def carried_sets(draw):
+    """7-15 distinct points of P^1 or P^2, every x0 = 1, with int and
+    Fraction coordinates and many zeros: h(2) < 7 <= s, so the echelon
+    is carried through at least three degrees."""
+    n = draw(st.integers(1, 2))
+    other = st.one_of(st.just(0), coordinates)
+    return PointSet(draw(st.lists(st.tuples(st.just(1), *[other] * n),
+                                  min_size=7, max_size=15, unique=True)))
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(point_sets(), carried_sets()))
 def test_bases_are_the_pivots_of_the_full_evaluation_matrix(x):
     # V_i built term by term from the oracle, over every degree-i monomial
     for i in range(x.tau() + 3):
@@ -129,6 +140,32 @@ class TestCarriedBases:
                 PointSet(pts)
         assert evaluated and max(evaluated) <= 3
         assert PointSet(pts).tau() == 2
+
+    def test_only_the_x0_free_columns_are_reduced(self, monkeypatch):
+        x = gen_distraction(lex_order_ideal([1, 2, 3, 1], 2))
+        assert x.hilbert_vector(4) == (1, 3, 6, 7, 7) and x.tau() == 3
+        evaluated, reduced = [], []
+        values, extend = PointSet.values, linalg.extend_echelon
+
+        def spy_values(self, frame):
+            evaluated.append(tuple(frame))
+            return values(self, frame)
+
+        def spy_extend(echelon, columns, limit):
+            columns = list(columns)
+            reduced.append(len(columns))
+            return extend(echelon, columns, limit)
+
+        monkeypatch.setattr(PointSet, "values", spy_values)
+        monkeypatch.setattr(linalg, "extend_echelon", spy_extend)
+        x = PointSet(x.points)
+        # one call per degree 1..tau, on the x0-free monomials alone
+        assert evaluated == [tuple((0,) + m for m in monomials_of_degree(2, k))
+                             for k in (1, 2, 3)]
+        assert reduced == [2, 3, 4]
+        # nothing is reduced once h(i-1) = s
+        assert x.basis(9) == tuple((m[0] + 6,) + m[1:] for m in x.basis(3))
+        assert len(reduced) == 3
 
     def test_plateau_frames_share_one_det(self, monkeypatch):
         x = gen_distraction(lex_order_ideal([1, 2, 1], 2))

@@ -126,6 +126,15 @@ class TestRncVerifier:
             verify_rnc_slp(n, 1, 4, rng)
         assert rng.getstate() == state  # refused before any draw
 
+    @pytest.mark.parametrize("s", [0, -5])
+    def test_no_curve_of_fewer_than_one_point(self, s):
+        # s < 1 used to reach the draw, which refused it without naming s
+        rng = random.Random(107)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^need s >= 1, got {s}$"):
+            verify_rnc_slp(2, s, 4, rng)
+        assert rng.getstate() == state
+
 
 class TestSocleDegree:
     """The point-set verifiers run at d = 2 tau when d is None, exactly as
