@@ -28,16 +28,75 @@ from .gorenstein import GorensteinAlgebra, check_slp, check_wlp
 from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
                       is_differentiable, parse_list)
 from .apolar import Poly
-from .linalg import check_cells, exact, exact_str
-from .points import (PointSet, davis_hint, gen_collinear, gen_distraction,
-                     gen_generic, gen_rnc, gen_two_lines, lex_order_ideal)
+from .linalg import exact, exact_str
+from .points import (PointSet, check_rnc, davis_hint, gen_collinear,
+                     gen_distraction, gen_generic, gen_rnc, gen_two_lines,
+                     lex_order_ideal)
 from .theorems import (make_tail_config, verify_conic_slp,
                        verify_corollary_families, verify_prop_s_minus,
                        verify_rnc_slp, verify_tail_nonvanishing)
 
+_escape = json.encoder.encode_basestring_ascii  # json's own C escaper
+_int = int.__repr__
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_STR, _INT = {str}, {int}
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, or an int, float, bool or None
+    in its JSON spelling, quoted; json's TypeError for any other."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + json.dumps(k) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=2), built by joins; nl is the newline and the
+    indent of the line that o starts on.
+
+    The exact scalar types go first, and a list of only str or only int
+    is one join over a map.  Containers, subclasses included, are found
+    by isinstance; floats and other scalars go through json.dumps, which
+    raises json's TypeError for anything it cannot write.
+    """
+    t = type(o)
+    if t is str:
+        return _escape(o)
+    if t is int:
+        return _int(o)
+    if t is bool or o is None:
+        return _CONSTANTS[o]
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = ("," + inner).join(
+            [f"{_key(k)}: {_dumps(v, inner)}" for k, v in o.items()])
+        return f"{{{inner}{items}{nl}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        types = set(map(type, o))
+        items = ("," + inner).join(map(_escape, o) if types == _STR else
+                                   map(_int, o) if types == _INT else
+                                   [_dumps(v, inner) for v in o])
+        return f"[{inner}{items}{nl}]"
+    return json.dumps(o)
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
-    """Write the document to `out`, then to stdout: a bad path prints nothing."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write the document to `out`, then to stdout: a bad path prints nothing.
+
+    The text is json.dumps(doc, indent=2) byte for byte, plus a newline,
+    but _dumps builds it by joins: on CPython 3.11 the stdlib's indented
+    encoder is pure Python (its C encoder runs only without an indent),
+    and it was the largest single stage of a small construct run.
+    """
+    text = _dumps(doc) + "\n"
     if out:
         Path(out).write_text(text)
     sys.stdout.write(text)
@@ -169,11 +228,7 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "two-lines":
         x = gen_two_lines(args.s1, args.s2, args.share)
     elif kind == "rnc":
-        if args.n < 1:
-            raise ValueError(f"need n >= 1, got {args.n}")
-        if args.s < 1:
-            raise ValueError(f"need s >= 1, got {args.s}")
-        check_cells(args.s, args.n + 1)
+        check_rnc(args.n, args.s)
         params = (parse_list(args.params) if args.params is not None
                   else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
         x = gen_rnc(args.n, args.s, params)

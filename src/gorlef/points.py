@@ -20,7 +20,9 @@ Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.  Those given a size
 refuse s points of n + 1 coordinates above the elimination budget, the
-size of V_1, before a coordinate is drawn or built.
+size of V_1, before a coordinate is drawn or built; rational normal
+curves, whose Hilbert function is known in advance, refuse every carried
+frame above it (check_rnc).
 """
 
 from __future__ import annotations
@@ -207,16 +209,33 @@ class PointSet:
 # Generators
 
 
-def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
-    """s points (1 : t : t^2 : ... : t^n) on the rational normal curve."""
+def check_rnc(n: int, s: int) -> None:
+    """Refuse s points on the rational normal curve in P^n before any is
+    drawn: ValueError for n < 1 or s < 1, and WorkBudgetError, with the
+    message PointSet.basis would give, for the first carried frame above
+    the budget.
+
+    With distinct parameters h(i) = min(n i + 1, s), so the frame of
+    degree k, h(k-1) lifted columns and the C(n+k-1, k) x0-free ones, is
+    known for every k = 1..tau before a coordinate is built; V_1's
+    s x (n+1) is checked even when tau = 0.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    for k in range(1, max(1, -(-(s - 1) // n)) + 1):
+        linalg.check_cells(s, n * (k - 1) + 1 + comb(n + k - 1, k))
+
+
+def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
+    """s points (1 : t : t^2 : ... : t^n) on the rational normal curve."""
+    check_rnc(n, s)
     ts = list(params)
     if len(ts) != s:
         raise ValueError(f"need {s} parameters, got {len(ts)}")
     if len(set(ts)) != len(ts):
         raise DuplicateParameterError("curve parameters must be distinct")
-    linalg.check_cells(s, n + 1)
     return PointSet([[t ** k for k in range(n + 1)] for t in ts])
 
 

@@ -34,8 +34,8 @@ from .errors import (NoWitnessFoundError, NotPlaneConfigError,
 from .gorenstein import SlpCertificate, check_slp, first_witness, gram
 from .hvector import first_difference
 from .linalg import Mat, check_cells
-from .points import (PointSet, find_subset_on_curve, gen_rnc, gen_two_lines,
-                     has_collinear_triple)
+from .points import (PointSet, check_rnc, find_subset_on_curve, gen_rnc,
+                     gen_two_lines, has_collinear_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +109,14 @@ def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
                    attempts: int = 50) -> Tuple[SlpCertificate, int]:
     """Points on a rational normal curve give SLP algebras.
 
-    Refuses n < 1, s < 1, and s points above the elimination budget,
-    before any draw, checks tau = ceil((s-1)/n), requires d >= 2 tau
-    (None: 2 tau), then certifies the SLP for random nonzero weights;
-    returns the certificate and d.  A search that finds no Lefschetz element
+    Refuses n < 1, s < 1, and every carried frame of the s points above
+    the elimination budget, before any draw (check_rnc), checks
+    tau = ceil((s-1)/n), requires d >= 2 tau (None: 2 tau), then
+    certifies the SLP for random nonzero weights; returns the
+    certificate and d.  A search that finds no Lefschetz element
     raises NoWitnessFoundError rather than returning quietly.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    check_cells(s, n + 1)
+    check_rnc(n, s)
     params = rng.sample(range(-(s + 3), s + 4), s)
     x = gen_rnc(n, s, params)
     t = x.tau()

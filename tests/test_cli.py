@@ -390,6 +390,59 @@ class TestPlumbing:
         assert "gorlef" in out
 
 
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(), st.integers(0xD800, 0xDFFF).map(chr),
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t é€\U0001F600')))
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.floats(), st.booleans(),
+                       st.none())
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(-10 ** 300, 10 ** 300), st.booleans(),
+              st.none(), st.floats(),
+              st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -0.0])),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.lists(children).map(_List),
+        st.dictionaries(_JSON_KEYS, children),
+        st.dictionaries(_JSON_KEYS, children).map(_Dict)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """cli._dumps, the one writer of output documents, is
+    json.dumps(o, indent=2) byte for byte on whatever json accepts, and
+    raises json's TypeError on the rest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_TREES)
+    @example({"é\ud800\"\\\x00": [[], {}, (), ["a", "b"], [1, -2],
+                                   -10 ** 300, 2.5, float("nan"), None, True,
+                                   False], 1: {}, 2.5: "x", None: 0,
+              False: _List(["\x7f"]), "": _Dict({"k": ("é",)})})
+    def test_it_is_json_dumps_indent_2(self, o):
+        assert cli._dumps(o) == json.dumps(o, indent=2)
+
+    @pytest.mark.parametrize("o", [
+        {(1, 2): 0}, [{"a": 1, frozenset(): 2}], {"a": object()},
+        [1, [2, {3j}]], _Dict({"k": _List([b"bytes"])})],
+        ids=["tuple-key", "frozenset-key", "object-value", "set-value",
+             "bytes-in-subclasses"])
+    def test_what_json_refuses_raises_its_type_error(self, o):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(o, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(o)
+        assert str(got.value) == str(expected.value)
+
+
 class TestErrorContract:
     # 1: a search ran out or a checked property failed; 2: malformed input;
     # 3: an internal bug
@@ -554,6 +607,49 @@ class TestErrorContract:
         assert code == 2
         assert doc["error"] == {"type": "ValueError",
                                 "message": f"need s >= 1, got {s}"}
+
+    @staticmethod
+    def _refused_untouched(capsys, monkeypatch, argv):
+        """The error of an rnc request, made with no draw and no echelon."""
+        def spy(*args, **kwargs):
+            raise AssertionError("rnc points drawn or reduced")
+
+        monkeypatch.setattr(random.Random, "sample", spy)
+        monkeypatch.setattr(linalg, "extend_echelon", spy)
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        return doc["error"]
+
+    @pytest.mark.parametrize("command", [["verify", "--theorem", "rnc"],
+                                         ["points", "gen", "--kind", "rnc"]],
+                             ids=["verify", "points"])
+    def test_rnc_refuses_a_later_frame_before_any_work(self, capsys,
+                                                       monkeypatch, command):
+        # V_1 of 10 conic points is 10x3, within a budget of 100; the
+        # degree-4 frame, h(3) = 7 lifted and 5 new columns, is not
+        pts = [[1, t, t * t] for t in range(10)]
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 100):
+            with pytest.raises(errors.WorkBudgetError) as basis:
+                PointSet(pts)
+            error = self._refused_untouched(
+                capsys, monkeypatch, [*command, "--n", "2", "--s", "10"])
+        assert error == {"type": "WorkBudgetError",
+                         "message": str(basis.value)}
+        assert str(basis.value) == ("a 10x12 elimination is above the "
+                                    "budget of 100 entries")
+
+    @pytest.mark.parametrize("command", [["verify", "--theorem", "rnc"],
+                                         ["points", "gen", "--kind", "rnc"]],
+                             ids=["verify", "points"])
+    def test_rnc_at_s_208_is_refused_up_front(self, capsys, monkeypatch,
+                                              command):
+        # the degree-103 frame, 205 + 104 columns, was refused only after
+        # some 35 s of echelon work on the degrees below, with this message
+        error = self._refused_untouched(capsys, monkeypatch,
+                                        [*command, "--n", "2", "--s", "208"])
+        assert error == {"type": "WorkBudgetError",
+                         "message": "a 208x309 elimination is above the "
+                                    "budget of 64000 entries"}
 
     def test_an_exhausted_verifier_search_is_exit_one(self, capsys,
                                                       monkeypatch):

@@ -16,8 +16,10 @@ cubic in 40 variables and the degree-12 form in 3 pin the polynomial
 route on packed divided-power keys of 80 bits and of 13 digits per
 variable.  The rnc, conic and tails cases with an explicit --d pin
 the socle degree each verifier takes from the caller, above 2 tau and
-below it (a PreconditionViolatedError document, exit 2).  Every op of
-the benchmark reference is replayed here too.
+below it (a PreconditionViolatedError document, exit 2).  The malformed
+sequence with a quote, a non-ASCII letter and a backslash pins the
+string escapes of the JSON writer.  Every op of the benchmark reference
+is replayed here too.
 """
 
 import hashlib
@@ -85,6 +87,10 @@ GOLDEN = [
      0, "6cb4a71d7e6b83a341e9ce1f5b41c294f24f1354ffa42872685c716611454a43"),
     ("seq-large", ["seq", "check", "1,4,10,15,15,15,10,4,1"],
      0, "468fd32d1474f72b5c64f24d0e06086fe177d7afbe3748b1b71c0fc4e50ac2a3"),
+    # a ValueError document whose message holds a quote, a non-ASCII
+    # letter and a backslash: the JSON escapes \", \u00e9 and \\
+    ("seq-json-escapes", ["seq", "check", '1,"\u00e9\\'],
+     2, "e342f98fa218c391c44004f5bbbceb7a540f292afd2e35a0eb3af106dce338e6"),
     ("analyze-poly", ["analyze", "--poly", _POLY_INT, "--seed", "3"],
      0, "3a2588ff8a2d3c9a4ce8c563705883d6a7e173e52122b4a8e92140b3502f6a88"),
     ("analyze-poly-rational",

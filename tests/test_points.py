@@ -12,7 +12,7 @@ from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
                            NotPlaneConfigError, RealizationMismatchError,
                            WorkBudgetError)
-from gorlef.points import (OrderIdeal, PointSet, davis_hint,
+from gorlef.points import (OrderIdeal, PointSet, check_rnc, davis_hint,
                            find_subset_on_curve, gen_collinear,
                            gen_distraction, gen_generic, gen_rnc,
                            gen_two_lines, has_collinear_triple,
@@ -268,6 +268,29 @@ class TestRnc:
         # n = 0 used to read as duplicate points, n = -1 as empty ones
         with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
             gen_rnc(n, 3, [1, 2, 3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 14), st.integers(1, 300))
+    def test_the_budget_check_refuses_the_frame_basis_refuses(
+            self, n, s, budget):
+        # h(i) = min(n i + 1, s) gives every carried frame up front, so the
+        # first refusal is the one PointSet.basis meets, message and all
+        pts = [[t ** k for k in range(n + 1)] for t in range(-3, s - 3)]
+        refusals = []
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", budget):
+            for build in (lambda: PointSet(pts), lambda: check_rnc(n, s)):
+                try:
+                    build()
+                    refusals.append(None)
+                except WorkBudgetError as exc:
+                    refusals.append(str(exc))
+        assert refusals[0] == refusals[1]
+
+    def test_one_point_checks_v1(self):
+        # tau = 0, so no frame is carried, but the point is n + 1 long
+        with pytest.raises(WorkBudgetError, match="^a 1x64001 elimination"):
+            check_rnc(64_000, 1)
+        check_rnc(63_999, 1)
 
 
 class TestGenGeneric:
