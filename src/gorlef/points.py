@@ -21,8 +21,8 @@ curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.  Those given a size
 refuse s points of n + 1 coordinates above the elimination budget, the
 size of V_1, before a coordinate is drawn or built; rational normal
-curves, whose Hilbert function is known in advance, refuse every carried
-frame above it (check_rnc).
+curves and distractions, whose Hilbert functions are known in advance,
+refuse every carried frame above it first (check_frames).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .apolar import Monomial, monomials_of_degree
@@ -209,23 +209,26 @@ class PointSet:
 # Generators
 
 
+def check_frames(n: int, s: int, lifted: Iterable[int]) -> None:
+    """WorkBudgetError, as PointSet.basis would raise it, for the first
+    carried frame above the budget of s points in P^n with every x0 = 1:
+    frame k is h(k-1) lifted and C(n+k-1, k) x0-free columns, and
+    `lifted` yields h(0), .., h(tau - 1)."""
+    for k, h in enumerate(lifted, 1):
+        linalg.check_cells(s, h + comb(n + k - 1, k))
+
+
 def check_rnc(n: int, s: int) -> None:
     """Refuse s points on the rational normal curve in P^n before any is
-    drawn: ValueError for n < 1 or s < 1, and WorkBudgetError, with the
-    message PointSet.basis would give, for the first carried frame above
-    the budget.
-
-    With distinct parameters h(i) = min(n i + 1, s), so the frame of
-    degree k, h(k-1) lifted columns and the C(n+k-1, k) x0-free ones, is
-    known for every k = 1..tau before a coordinate is built; V_1's
-    s x (n+1) is checked even when tau = 0.
-    """
+    drawn: ValueError for n < 1 or s < 1, and WorkBudgetError for the
+    first carried frame above the budget (check_frames), as distinct
+    parameters give h(i) = min(n i + 1, s); V_1's s x (n+1) is checked
+    even when tau = 0."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    for k in range(1, max(1, -(-(s - 1) // n)) + 1):
-        linalg.check_cells(s, n * (k - 1) + 1 + comb(n + k - 1, k))
+    check_frames(n, s, (n * i + 1 for i in range(max(1, -(-(s - 1) // n)))))
 
 
 def gen_rnc(n: int, s: int, params: Sequence) -> PointSet:
@@ -355,7 +358,9 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
     Per degree, take the delta(i) smallest monomials in lex order; their
     union is downward closed whenever delta is an O-sequence (taking the
     largest monomials instead can dead-end, e.g. on (1,3,3,4)).
-    Succeeds exactly when delta is an O-sequence with delta(1) <= n_vars.
+    Succeeds exactly when delta is an O-sequence with delta(1) <= n_vars
+    and its distraction's carried frames are within the elimination
+    budget, checked before any table (check_frames).
     """
     counts = [int(x) for x in delta]
     while counts and counts[-1] == 0:
@@ -365,6 +370,7 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
     if len(counts) > 1 and counts[1] > n_vars:
         raise NotOSequenceError(
             f"delta(1) = {counts[1]} needs at least that many variables, have {n_vars}")
+    check_frames(n_vars, sum(counts), accumulate(counts[:-1]))
     chosen: List[Monomial] = list(monomials_of_degree(n_vars, 0))
     prev = set(chosen)
     for i in range(1, len(counts)):

@@ -9,8 +9,9 @@ other configuration is an of_points algebra built by random_power_sum,
 which carries its points and weights.  Each of its Hessians is one
 gorenstein.gram call, which returns the matrix and its det by the
 Cauchy-Binet rule, on one pass of point weights per ell:
-algebra.hessian(j, ell) for the tail witnesses and verify_prop_s_minus,
-gram itself, per point and matrix only, for the conic decomposition.
+algebra.hessian(j, ell) for the tail witnesses and verify_prop_s_minus.
+The conic decomposition needs no Hessian: each is a sum of rank-one
+terms over the points, so it compares the points' rows of its frames.
 They and the zero-forcing ranks evaluate each frame at the points once
 (PointSet.values caches it); only the SLP certificates' rank route
 reads the expanded F.
@@ -22,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -31,7 +31,7 @@ from .construct import construct_slp_algebra, random_power_sum
 from .errors import (NoWitnessFoundError, NotPlaneConfigError,
                      PreconditionViolatedError, ShapeMismatchError,
                      TheoremTensionError)
-from .gorenstein import SlpCertificate, check_slp, first_witness, gram
+from .gorenstein import SlpCertificate, check_slp, first_witness
 from .hvector import first_difference
 from .linalg import Mat, check_cells
 from .points import (PointSet, check_rnc, find_subset_on_curve, gen_rnc,
@@ -145,14 +145,13 @@ class ConicReport:
     decomposition_checks: int = 0  # eval_points per j, draws the proof covers
 
 
-def _line_masks(x: PointSet) -> tuple:
-    """0/1 masks over x of the line {x1 = 0}, (0:0:1) included, and of
-    the rest of {x0 = 0}."""
+def _line_mask(x: PointSet) -> List[int]:
+    """0/1 mask over x of the line {x1 = 0}, (0:0:1) included; the rest
+    is on {x0 = 0}."""
     for p in x.points:
         if p[0] != 0 and p[1] != 0:
             raise ShapeMismatchError(f"point {p} on neither line")
-    on1 = [int(p[1] == 0) for p in x.points]
-    return on1, [1 - o for o in on1]
+    return [int(p[1] == 0) for p in x.points]
 
 
 def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
@@ -163,15 +162,16 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     At d >= 2 tau (None: 2 tau, the d kept in the report), verifies the
     on-conic bound h_A(i) <= min(2i+1, s) (hard failure), records
     whether the rising-odd display matches exactly (it does not for
-    lopsided splits), certifies SLP, and proves by exact blocks at each
-    point, with no ell drawn, the Hessian decomposition identity for
-    every ell: with F = F1 + F2 split along the lines,
+    lopsided splits), certifies SLP, and proves, with no ell drawn and
+    nothing eliminated, the Hessian decomposition identity for every
+    ell: with F = F1 + F2 split along the lines,
 
       det Hess^j(F) = det Hess^(j-1)(F1') det Hess^j(F2)
                     + det Hess^(j-1)(F2') det Hess^j(F1),
 
     F1' = x0^2 o F1, F2' = x1^2 o F2, over the monomial frame
-    {x0^j, .., x0 x2^(j-1), x2^j, x2^(j-1) x1, .., x1^j}.
+    {x0^j, .., x0 x2^(j-1), x2^j, x2^(j-1) x1, .., x1^j}, by comparing
+    each point's rows of the five frames (PointSet.values, once per j).
     eval_points >= 1 only scales decomposition_checks.
     """
     if eval_points < 1:
@@ -195,33 +195,26 @@ def verify_conic_slp(s1: int, s2: int, share: bool, d: Optional[int],
     # Split F = F1 + F2 along the lines; x0^2 o L^d = d(d-1) a0^2 L^(d-2),
     # so F1' weighs P_i on line 1 by d(d-1) p_i0^2 alpha_i, and Hess^(j-1)
     # of degree d-2 raises L_i(P_ell) to d-2j too.  So the five Hessians of
-    # (j, ell) are scale V^T diag(c) V, linear in c_i = alpha_i
-    # L_i(P_ell)^(d-2j): blocks that match at each c = e_i match at every
-    # alpha and ell, and block_det_identity's lemma gives the det identity.
-    on1, on2 = _line_masks(x)
-    k = d * (d - 1)
-    # each point's weights for Hess^j of F, F1, F2 and Hess^(j-1) of F1', F2'
-    units = [[[c if q == i else 0 for q in range(s)]
-              for c in (1, a, b, k * p[0] ** 2 * a, k * p[1] ** 2 * b)]
-             for i, (p, a, b) in enumerate(zip(x.points, on1, on2))]
-
+    # (j, ell) are scale V^T diag(c) V, c_i = alpha_i L_i(P_ell)^(d-2j), one
+    # scale as d(d-1) (d-2)!/(d-2j)! = d!/(d-2j)!; at c = e_i each is
+    # scale c u u^T for P_i's row u in its frame.  So the blocks match at
+    # every alpha and ell when each point's rows match as below, and
+    # block_det_identity's lemma gives the det identity.
+    on1 = _line_mask(x)
     for j in range(1, d // 2 + 1):
         # x0^j .. x0 x2^(j-1), then x2^j shared, then x2^(j-1) x1 .. x1^j
         b_frame = [(j - i, 0, i) for i in range(j + 1)]
         c_frame = [(0, i, j - i) for i in range(j + 1)]
-        frame = b_frame + c_frame[1:]
-        bm_frame = [(j - 1 - i, 0, i) for i in range(j)]
-        cm_frame = [(0, i, j - 1 - i) for i in range(j)]
-        scale = factorial(d) // factorial(d - 2 * j)
-        minor_scale = factorial(d - 2) // factorial(d - 2 * j)
-        for p, (w, w1, w2, wm1, wm2) in zip(x.points, units):
-            b = gram(x, b_frame, w1, scale)[0]
-            c = gram(x, c_frame, w2, scale)[0]
-            if BlockPair(b, c).assemble() != gram(x, frame, w, scale)[0]:
+        rows = zip(x.points, on1, x.values(b_frame + c_frame[1:]),
+                   x.values(b_frame), x.values(c_frame),
+                   x.values([(j - 1 - i, 0, i) for i in range(j)]),
+                   x.values([(0, i, j - 1 - i) for i in range(j)]))
+        pad = (0,) * j
+        for p, a, u, ub, uc, um1, um2 in rows:
+            if u != (ub + pad if a else pad + uc):
                 raise TheoremTensionError(f"block assembly mismatch at j={j}")
-            if (gram(x, bm_frame, wm1, minor_scale)[0] != _minor(b, j, j)
-                    or gram(x, cm_frame, wm2, minor_scale)[0]
-                    != _minor(c, 0, 0)):
+            q, um, cut = (p[0], um1, ub[:-1]) if a else (p[1], um2, uc[1:])
+            if tuple(q * v for v in um) != cut:
                 raise TheoremTensionError(
                     f"Hessian decomposition fails at j={j}, point={p}")
 
@@ -323,8 +316,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
 
 
 def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
-                             rng: random.Random,
-                             trials: int = 30) -> TailReport:
+                             rng: random.Random, trials: int) -> TailReport:
     """Flat Delta-tails force nonzero Hessian determinants.
 
     For a tail of r's (r = 1 line, r = 2 conic) in Delta h_{A(X)} from
@@ -447,7 +439,7 @@ class PropReport:
 
 
 def verify_prop_s_minus(x: PointSet, d: int, j: int, kind: int,
-                        rng: random.Random, trials: int = 30) -> PropReport:
+                        rng: random.Random, trials: int) -> PropReport:
     """Hessian nonvanishing when h_A(j) is s-1 (kind 1) or s-2 (kind 2).
 
     kind 2 additionally requires plane points in general linear

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gorlef
-from gorlef import apolar, cli, construct, errors, linalg, theorems
+from gorlef import (apolar, cli, construct, errors, linalg, points,
+                    theorems)
 from gorlef.cli import main
 from gorlef.gorenstein import DegreeRecord, SlpCertificate
 from gorlef.points import PointSet, gen_two_lines
@@ -650,6 +651,29 @@ class TestErrorContract:
         assert error == {"type": "WorkBudgetError",
                          "message": "a 208x309 elimination is above the "
                                     "budget of 64000 entries"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--theorem", "families", "--m", "1500"],
+         "a 1503x44 elimination is above the budget of 64000 entries"),
+        (["points", "gen", "--kind", "distraction", "--delta",
+          "1,2" + ",1" * 600],
+         "a 603x108 elimination is above the budget of 64000 entries")],
+        ids=["families", "points"])
+    def test_a_distraction_is_refused_before_any_table(self, capsys,
+                                                       monkeypatch, argv,
+                                                       message):
+        # these frames were refused only once the order ideal was built,
+        # one whole monomial table per degree: 30 s for the families
+        def spy(*args, **kwargs):
+            raise AssertionError("a monomial table built")
+
+        for module, name in ((points, "monomials_of_degree"),
+                             (apolar, "monomials_of_degree"),
+                             (apolar, "_monomials")):
+            monkeypatch.setattr(module, name, spy)
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == {"type": "WorkBudgetError", "message": message}
 
     def test_an_exhausted_verifier_search_is_exit_one(self, capsys,
                                                       monkeypatch):

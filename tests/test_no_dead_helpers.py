@@ -1,7 +1,8 @@
-"""Every public top-level def, class and constant in gorlef has a reader
-in gorlef, so does every method, classmethod and property of a public
-class, no module but `__init__.py` imports a name it never references,
-and `__init__.py` exports exactly the names it imports.
+"""Every top-level def, class and constant in gorlef, public or private
+(dunders aside), has a reader in gorlef, so does every method,
+classmethod and property of a public class, no module but `__init__.py`
+imports a name it never references, and `__init__.py` exports exactly
+the names it imports.
 
 A name that only `__init__.py` re-exports, or only the tests call, is a
 helper that no CLI command or verifier reaches; tests that need such a
@@ -30,9 +31,9 @@ PAPER_CHECKS = {"hilbert_formula_check", "hess_coefficient_criterion",
 
 
 def _definitions_and_reads(sources):
-    """Public top-level names defined in, and names read by, the modules
-    of `sources`, a map of file name to source text; `__init__.py` is
-    not a reader."""
+    """Top-level names, dunders aside, defined in, and names read by, the
+    modules of `sources`, a map of file name to source text;
+    `__init__.py` is not a reader."""
     defined, referenced = {}, set()
     for name, source in sources.items():
         tree = ast.parse(source)
@@ -45,7 +46,8 @@ def _definitions_and_reads(sources):
                          if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined.update((n, name) for n in names if not n.startswith("_"))
+            defined.update((n, name) for n in names
+                           if not (n.startswith("__") and n.endswith("__")))
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -89,15 +91,37 @@ def _package_sources():
             for path in sorted(Path(gorlef.__file__).parent.glob("*.py"))}
 
 
-def _public_definitions_and_references():
+def _definitions_and_references():
     return _definitions_and_reads(_package_sources())
 
 
+def _unread(defined, referenced, private):
+    return sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name.startswith("_") == private
+                  and name not in referenced and name not in PAPER_CHECKS)
+
+
 def test_every_public_helper_has_a_caller():
-    defined, referenced = _public_definitions_and_references()
-    unreached = sorted(f"{module}:{name}" for name, module in defined.items()
-                       if name not in referenced and name not in PAPER_CHECKS)
-    assert unreached == []
+    assert _unread(*_definitions_and_references(), private=False) == []
+
+
+def test_every_private_helper_has_a_reader():
+    # a private helper left behind by a refactor reads as dead as a
+    # public one; members of private classes stay exempt (argparse calls
+    # _Parser.error)
+    assert _unread(*_definitions_and_references(), private=True) == []
+
+
+def test_an_unread_private_helper_is_dead():
+    defined, read = _definitions_and_reads({
+        "m.py": "_STEP = 2\n_USED = 3\n__all__ = []\n\n"
+                "def _minor(m):\n    return m\n\n"
+                "class _Box:\n    def unread(self):\n        return _USED\n",
+        "__init__.py": "m._minor(1)\n"})
+    assert set(defined) == {"_STEP", "_USED", "_minor", "_Box"}
+    assert _unread(defined, read, private=True) == [
+        "m.py:_Box", "m.py:_STEP", "m.py:_minor"]
+    assert _unread(defined, read, private=False) == []
 
 
 def test_a_constant_without_a_reader_is_dead():
@@ -226,7 +250,7 @@ def test_a_default_no_call_passes_is_a_dead_knob():
 
 
 def test_the_exemptions_are_still_defined():
-    defined, _ = _public_definitions_and_references()
+    defined, _ = _definitions_and_references()
     assert PAPER_CHECKS <= defined.keys()
 
 

@@ -12,6 +12,7 @@ from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
                            NotPlaneConfigError, RealizationMismatchError,
                            WorkBudgetError)
+from gorlef.hvector import macaulay_bound
 from gorlef.points import (OrderIdeal, PointSet, check_rnc, davis_hint,
                            find_subset_on_curve, gen_collinear,
                            gen_distraction, gen_generic, gen_rnc,
@@ -368,6 +369,30 @@ class TestDistraction:
                 assert x.hilbert(i) == total
             assert x.tau() == len(delta) - 1
             assert x.size == total
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 300), st.data())
+    def test_the_budget_check_refuses_the_frame_basis_refuses(
+            self, n, budget, data):
+        # Delta summed is h, so every carried frame is known before the
+        # order ideal is built, and lex_order_ideal refuses the first one
+        # over the budget as PointSet.basis of the distraction does
+        delta = [1, data.draw(st.integers(1, n))]
+        for i in range(1, data.draw(st.integers(1, 5))):
+            delta.append(data.draw(st.integers(
+                1, min(macaulay_bound(delta[i], i), 6))))
+        ideal = lex_order_ideal(delta, n)
+        refusals = []
+        with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", budget):
+            for build in (lambda: gen_distraction(ideal),
+                          lambda: lex_order_ideal(delta, n)):
+                try:
+                    build()
+                    refusals.append(None)
+                except WorkBudgetError as exc:
+                    refusals.append(str(exc))
+        assert refusals[0] == refusals[1]
 
 
 class TestCurveSearch:

@@ -1,12 +1,14 @@
 """Structural theorem verifiers: block identity, curves, tails, families."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlef import construct, linalg, theorems
+from gorlef import construct, gorenstein, linalg, theorems
 from gorlef.gorenstein import DegreeRecord, GorensteinAlgebra, SlpCertificate
 from gorlef.hvector import first_difference
 from gorlef.errors import (NoWitnessFoundError, NotPlaneConfigError,
@@ -15,7 +17,7 @@ from gorlef.errors import (NoWitnessFoundError, NotPlaneConfigError,
 from gorlef.linalg import Mat
 from gorlef.points import (PointSet, find_subset_on_curve, gen_generic,
                            gen_two_lines)
-from gorlef.theorems import (BlockPair, _line_masks, block_det_identity,
+from gorlef.theorems import (BlockPair, _line_mask, block_det_identity,
                              make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_prop_s_minus, verify_rnc_slp,
@@ -166,7 +168,7 @@ class TestSocleDegree:
     @staticmethod
     def _line_tail(d, rng):
         x = make_tail_config("line", 3, 1, rng)  # tau = 3
-        return verify_tail_nonvanishing("line", x, d, rng)
+        return verify_tail_nonvanishing("line", x, d, rng, trials=30)
 
     @pytest.mark.parametrize("run, d, message", [
         (lambda d, rng: verify_rnc_slp(2, 5, d, rng), 3,
@@ -228,47 +230,49 @@ class TestConicVerifier:
             assert len(requests) > len(rows_of)
         assert evaluated[1] == evaluated[4]
 
-    def test_per_point_grams_are_definitional(self, monkeypatch):
-        # each Gram the proof builds is scale c_i v_i v_i^T at one point i,
-        # and after the certificate nothing is eliminated and no ell drawn
-        calls, after = [], []
-        real_gram, real_certified = theorems.gram, theorems._certified
+    def test_the_proof_reads_each_frame_once_per_j(self):
+        # after the certificate: no gram, no elimination, no draw, and per
+        # j one read of each of the five frames, the minors' being B's and
+        # C's of degree j - 1
+        reads, after = [], []
+        real_values, real_certified = PointSet.values, theorems._certified
 
-        def spy(x, frame, weights, scale):
-            hess, val = real_gram(x, frame, weights, scale)
-            calls.append((x, frame, weights, scale, hess))
-            return hess, val
+        def values(x, frame):
+            if after:
+                reads.append(tuple(frame))
+            return real_values(x, frame)
 
-        def forbid(*args):
-            raise AssertionError("a determinant after the certificate")
+        def forbid(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                if after:
+                    raise AssertionError(f"{name} after the certificate")
+                return real(*args)
+            return mock.patch.object(module, name, call)
 
         def certified(algebra, rng, attempts, exhausted):
             cert = real_certified(algebra, rng, attempts, exhausted)
             after.append((rng, rng.getstate()))
-            monkeypatch.setattr(linalg, "det", forbid)
-            monkeypatch.setattr(linalg, "integer_det", forbid)
             return cert
 
-        monkeypatch.setattr(theorems, "gram", spy)
-        monkeypatch.setattr(theorems, "_certified", certified)
-        rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
-                               eval_points=3)
+        with mock.patch.object(PointSet, "values", values), \
+                forbid(gorenstein, "gram"), forbid(linalg, "det"), \
+                forbid(linalg, "integer_det"), \
+                mock.patch.object(theorems, "_certified", certified):
+            rep = verify_conic_slp(4, 3, True, None, random.Random(1920),
+                                   eval_points=3)
         (rng, state), = after
         assert rng.getstate() == state
-        x = calls[0][0]
         assert rep.decomposition_checks == 3 * (rep.d // 2)
-        assert len(calls) == 5 * x.size * (rep.d // 2)
-        for _, frame, weights, scale, hess in calls:
-            support = [i for i, c in enumerate(weights) if c]
-            assert len(support) <= 1
-            i = support[0] if support else 0
-            v, c = x.values(frame)[i], weights[i]
-            assert hess.entries == [[scale * c * a * b for b in v] for a in v]
+        assert sorted(reads) == sorted(
+            frame for j in range(1, rep.d // 2 + 1)
+            for frame in conic_frames(j))
 
     def test_eval_points_do_not_scale_the_work(self, monkeypatch):
         log = []
-        real_gram, real_values = theorems.gram, PointSet.values
-        monkeypatch.setattr(theorems, "gram", lambda x, frame, w, scale: (
+        real_gram, real_values = gorenstein.gram, PointSet.values
+        monkeypatch.setattr(gorenstein, "gram", lambda x, frame, w, scale: (
             log.append(("gram", tuple(frame), tuple(w), scale))
             or real_gram(x, frame, w, scale)))
         monkeypatch.setattr(PointSet, "values", lambda x, frame: (
@@ -281,7 +285,82 @@ class TestConicVerifier:
             assert rep.decomposition_checks == eval_points * 3
             runs[eval_points] = (list(log), rep.certificate.to_json_dict())
         assert runs[1] == runs[10 ** 6]
-        assert any(op == "gram" for op, *_ in runs[1][0])
+        # the proof is five frame reads per j, and no Gram
+        assert {op for op, *_ in runs[1][0][-5 * 3:]} == {"values"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(),
+           st.integers(0, 3), st.data())
+    def test_every_weighted_entry_is_checked(self, s1, s2, share, extra,
+                                             data):
+        # the verifier passes, and one entry off by one at a point, in a
+        # row that carries weight there, raises the matching message
+        x = gen_two_lines(s1, s2, share)
+        d = 2 * x.tau() + extra
+        rep = verify_conic_slp(s1, s2, share, d, random.Random(s1 + s2),
+                               eval_points=1)
+        assert rep.certificate.verdict is True and rep.d == d
+        if d < 2:
+            return
+        j = data.draw(st.integers(1, d // 2), label="j")
+        i = data.draw(st.integers(0, x.size - 1), label="point")
+        p = x.points[i]
+        frame, b, c, bm, cm = conic_frames(j)
+        assembly = f"block assembly mismatch at j={j}"
+        decomposition = f"Hessian decomposition fails at j={j}, point={p}"
+        rows = [(frame, assembly)]
+        if p[1] == 0:  # line 1
+            rows += [(b, assembly)] + [(bm, decomposition)] * (p[0] != 0)
+        else:
+            rows += [(c, assembly), (cm, decomposition)]
+        target, message = data.draw(st.sampled_from(rows), label="row")
+        entry = data.draw(st.integers(0, len(target) - 1), label="entry")
+        with corrupted(target, j, i, entry):
+            with pytest.raises(TheoremTensionError) as info:
+                verify_conic_slp(s1, s2, share, d, random.Random(s1 + s2),
+                                 eval_points=1)
+        assert str(info.value) == message
+
+
+def conic_frames(j):
+    """The conic proof's frames at j: the whole frame, B, C and the F1'
+    and F2' minors' frames, which are B's and C's at j - 1."""
+    b = tuple((j - i, 0, i) for i in range(j + 1))
+    c = tuple((0, i, j - i) for i in range(j + 1))
+    bm = tuple((j - 1 - i, 0, i) for i in range(j))
+    cm = tuple((0, i, j - 1 - i) for i in range(j))
+    return b + c[1:], b, c, bm, cm
+
+
+@contextmanager
+def corrupted(frame, j, i, entry):
+    """PointSet.values with entry `entry` of point i's row of `frame` one
+    more, from the certificate on and once a frame of degree j is read:
+    the minors' frames at j are read as B and C at j - 1 first, and the
+    verifier reads degree j's own frames before the minors'."""
+    real_values, real_certified = PointSet.values, theorems._certified
+    live, top = False, 0  # top: the highest degree read since
+
+    def values(x, f):
+        nonlocal top
+        rows = real_values(x, f)
+        if live:
+            top = max(top, *(sum(m) for m in f))
+            if tuple(f) == frame and top >= j:
+                row = list(rows[i])
+                row[entry] += 1
+                rows = rows[:i] + (tuple(row),) + rows[i + 1:]
+        return rows
+
+    def certified(*args):
+        nonlocal live
+        cert = real_certified(*args)
+        live = True
+        return cert
+
+    with mock.patch.object(PointSet, "values", values), \
+            mock.patch.object(theorems, "_certified", certified):
+        yield
 
 
 class TestDeterminantRule:
@@ -309,7 +388,7 @@ class TestDeterminantRule:
         plateau = 0
         for kind, tau, off in self.TAIL_CELLS:
             x = make_tail_config(kind, tau, off, rng)
-            report = verify_tail_nonvanishing(kind, x, None, rng)
+            report = verify_tail_nonvanishing(kind, x, None, rng, trials=30)
             algebra = algebras[-1]
             assert set(report.witnesses) == set(range(report.k - 1, tau + 1))
             for j, (ell, val) in report.witnesses.items():
@@ -325,24 +404,24 @@ def rep_tau(s1, s2, share):
 class TestConicSplit:
     @pytest.mark.parametrize("share", [False, True])
     def test_parts_sum_to_the_weights_with_disjoint_supports(self, share):
+        # F1 weighs the points of the mask, F2 the rest
         x = gen_two_lines(3, 4, share)
-        on1, on2 = _line_masks(x)
-        assert [a + b for a, b in zip(on1, on2)] == [1] * x.size
+        on1 = _line_mask(x)
         assert set(on1) <= {0, 1}
         assert all(p[1] == 0 for p, a in zip(x.points, on1) if a)
-        assert all(p[0] == 0 for p, a in zip(x.points, on2) if a)
+        assert all(p[0] == 0 for p, a in zip(x.points, on1) if not a)
 
     def test_shared_intersection_is_in_f1_only(self):
         x = gen_two_lines(3, 4, True)
         q = x.points.index((0, 0, 1))
-        on1, on2 = _line_masks(x)
-        assert (on1[q], on2[q]) == (1, 0)
-        assert sum(on1) == 3 and sum(on2) == 3
+        on1 = _line_mask(x)
+        assert on1[q] == 1
+        assert sum(on1) == 3 and x.size - sum(on1) == 3
 
     def test_point_on_neither_line_raises(self):
         x = PointSet([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
         with pytest.raises(ShapeMismatchError, match="neither line"):
-            _line_masks(x)
+            _line_mask(x)
 
 
 def tail_start(x, kind):
@@ -440,7 +519,7 @@ class TestTailConfigs:
                for p in ((1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
                          (1, 0, 1, 0), (1, 0, 0, 1))]
         with pytest.raises(NotPlaneConfigError):
-            verify_tail_nonvanishing("line", PointSet(pts), 6, rng)
+            verify_tail_nonvanishing("line", PointSet(pts), 6, rng, trials=30)
 
 
 # The (kind, tau, off) cells of acceptance criterion 10.
@@ -509,13 +588,13 @@ class TestPropSMinus:
     def test_kind_one(self):
         rng = random.Random(117)
         x = gen_generic(2, 7, rng)
-        rep = verify_prop_s_minus(x, 6, 2, 1, rng)
+        rep = verify_prop_s_minus(x, 6, 2, 1, rng, trials=30)
         assert rep.det != 0
 
     def test_kind_two(self):
         rng = random.Random(118)
         x = gen_generic(2, 8, rng)
-        rep = verify_prop_s_minus(x, 6, 2, 2, rng)
+        rep = verify_prop_s_minus(x, 6, 2, 2, rng, trials=30)
         assert rep.det != 0
 
     def test_kind_two_rejects_collinear(self):
@@ -524,21 +603,22 @@ class TestPropSMinus:
                for p in ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 1),
                          (1, 1, 2), (1, 3, 1), (1, 4, 3), (1, 5, 7))]
         with pytest.raises(PreconditionViolatedError):
-            verify_prop_s_minus(PointSet(pts), 6, 2, 2, rng)
+            verify_prop_s_minus(PointSet(pts), 6, 2, 2, rng, trials=30)
 
     def test_wrong_hilbert_value(self):
         rng = random.Random(120)
         x = gen_generic(2, 7, rng)
         with pytest.raises(PreconditionViolatedError):
-            verify_prop_s_minus(x, 6, 1, 1, rng)  # h(1) = 3 != 6
+            verify_prop_s_minus(x, 6, 1, 1, rng,  # h(1) = 3 != 6
+                                trials=30)
 
     def test_kind_validated(self):
         rng = random.Random(121)
         x = gen_generic(2, 7, rng)
         with pytest.raises(ValueError):
-            verify_prop_s_minus(x, 6, 2, 3, rng)
+            verify_prop_s_minus(x, 6, 2, 3, rng, trials=30)
         with pytest.raises(PreconditionViolatedError):
-            verify_prop_s_minus(x, 6, 4, 1, rng)
+            verify_prop_s_minus(x, 6, 4, 1, rng, trials=30)
 
 
 class TestFailureVerdicts:
@@ -571,41 +651,29 @@ class TestFailureVerdicts:
         with pytest.raises(NoWitnessFoundError, match="in 2 attempts$"):
             verify_corollary_families([1], random.Random(131), attempts=2)
 
-    def test_block_assembly_mismatch(self, monkeypatch):
-        real = theorems.gram
-
-        def corner_plus_one(*args):
-            hess, val = real(*args)
-            rows = hess.entries
-            return Mat([[rows[0][0] + 1] + rows[0][1:]] + rows[1:]), val
-
-        # B's corner moves with the whole Gram's, C's lands on the shared cell
-        monkeypatch.setattr(theorems, "gram", corner_plus_one)
-        with pytest.raises(TheoremTensionError,
-                           match="block assembly mismatch at j=1$"):
-            verify_conic_slp(3, 2, False, None, random.Random(132),
-                             eval_points=1)
+    def test_block_assembly_mismatch(self):
+        # P_0 = (1:0:0) is on line 1, so its whole row at j = 1 must be its
+        # B row followed by one zero; that zero made one
+        frame = conic_frames(1)[0]
+        with corrupted(frame, 1, 0, 2):
+            with pytest.raises(TheoremTensionError,
+                               match="block assembly mismatch at j=1$"):
+                verify_conic_slp(3, 2, False, None, random.Random(132),
+                                 eval_points=1)
 
     @pytest.mark.parametrize("i, point", [(1, r"\(1, 0, 1\)"),
                                           (3, r"\(0, 1, 0\)")],
                              ids=["f1", "f2"])
-    def test_hessian_decomposition_failure(self, monkeypatch, i, point):
-        # F1' (F2') weighed twice at P_i on line 1 (2): at j = 1 the only
-        # frames of one monomial are the minors', and only F1' (F2')
-        # weighs P_i there
-        real = theorems.gram
-
-        def doubled(x, frame, weights, scale):
-            if len(frame) == 1 and weights[i]:
-                weights = [2 * c for c in weights]
-            return real(x, frame, weights, scale)
-
-        monkeypatch.setattr(theorems, "gram", doubled)
-        with pytest.raises(TheoremTensionError,
-                           match=f"Hessian decomposition fails at j=1, "
-                                 f"point={point}$"):
-            verify_conic_slp(3, 2, False, None, random.Random(133),
-                             eval_points=1)
+    def test_hessian_decomposition_failure(self, i, point):
+        # at j = 1 both minors' frame is the one monomial 1, and P_i's row
+        # of it is read as F1''s on line 1 (i = 1) and as F2''s on line 2
+        # (i = 3): made 2, p0 (p1) times it is no longer B's (C's) entry
+        with corrupted(conic_frames(1)[3], 1, i, 0):
+            with pytest.raises(TheoremTensionError,
+                               match=f"Hessian decomposition fails at j=1, "
+                                     f"point={point}$"):
+                verify_conic_slp(3, 2, False, None, random.Random(133),
+                                 eval_points=1)
 
     def test_exhausted_tail_witness_search(self, monkeypatch):
         x = make_tail_config("line", 3, 1, random.Random(134))  # k = 2
