@@ -113,9 +113,10 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
          scale: int) -> Tuple[Mat, Fraction]:
     """scale V^T diag(c) V over V = x.values(frame), and its det.
 
-    Only the rows with c_i != 0 are read.  G0 = V^T diag(c) V has its
-    upper triangle filled from columns, entry (a, b) = <c * V[:, a],
-    V[:, b]>, and mirrored; the matrix returned is scale G0.  With
+    G0 = V^T diag(c) V has its upper triangle filled from the frame's
+    cached columns (PointSet.columns), cut to the rows with c_i != 0
+    when a weight is zero, entry (a, b) = <c * V[:, a], V[:, b]>, and
+    mirrored; the matrix returned is scale G0.  With
     m = |B| and S the support of the weights, Cauchy-Binet gives
 
         det = scale^m sum_{T in S, |T| = m} det(V_T)^2 prod_(i in T) c_i,
@@ -127,17 +128,18 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
     and the fraction-free pass would carry that factor into every minor
     it forms.  When the points, the weights on S and the scale are
     ints, the matrix is built unchecked and G0 goes straight to
-    linalg.integer_det, with no denominators to clear.  That path
-    stays: folded into linalg.det it kept every output byte, but the
-    perfbench verifiers workload slowed in 7 of 7 runs (wall_ref_s
+    linalg.integer_det, which eliminates it in the symmetric mode, with
+    no denominators to clear.  That path stays: through linalg.det
+    the perfbench verifiers workload slowed in 7 of 7 runs (wall_ref_s
     0.111-0.118 s to 0.125-0.135 s, on a shared Xeon host) and
     si_corpus by about 3%.
     """
-    values = x.values(frame)
     m = len(frame)
+    cols = x.columns(frame)
     support = tuple(i for i, c in enumerate(weights) if c)
     cs = [weights[i] for i in support]
-    cols = list(zip(*[values[i] for i in support]))
+    if len(support) < len(weights):
+        cols = [[col[i] for i in support] for col in cols]
     g0 = [[0] * m for _ in range(m)]
     for a, col in enumerate(cols):
         wcol = list(map(mul, cs, col))
@@ -343,8 +345,10 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     Hess^j(F)(P_ell).  For an algebra built from a polynomial that is
     the only Hessian, so the det is det(M) / ((d-2j)!)^h(j).  For an
     of_points algebra, algebra.hessian(j, ell) gives the Hessian and its
-    det from the points, and M must equal (d-2j)! times it entry for
-    entry, or HessianRankMismatchError is raised.  M is the matrix of
+    det (gram), and every entry of M, read straight off g's packed dict,
+    must be (d-2j)! times the Hessian's, or HessianRankMismatchError is
+    raised; M is built as a matrix only for a polynomial's det or a zero
+    det's rank.  M is the matrix of
     x ell^(d-2j): A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank
     at most h(j), so a nonzero det proves rank h(j) with no elimination;
     a zero det records the exact rank of M.
@@ -359,20 +363,21 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     for j in range(d // 2, -1, -1):
         g, deg = contract(ell, deg - 2 * j, g, d + 1), 2 * j
         B = algebra.basis(j)
-        m = algebra._block(g, B, B)
         k_fact = factorial(d - deg)
         if algebra.x is None:
-            dv = linalg.det(m) / k_fact ** len(B)
+            dv = linalg.det(algebra._block(g, B, B)) / k_fact ** len(B)
         else:
             hess, dv = algebra.hessian(j, ell)
-            if m.entries != [[k_fact * x for x in row] for row in hess.entries]:
+            keys = packed_keys(B, algebra.n_vars, d + 1)
+            if any([g.get(u + v, 0) for v in keys] != [k_fact * x for x in row]
+                   for u, row in zip(keys, hess.entries)):
                 raise HessianRankMismatchError(
                     f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                     f" {d - deg}! Hess^j(F)(P_ell)")
         method = "hessian-det" if t is None or j < t else "map-rank"
-        records.append(DegreeRecord(j=j, method=method, det=dv,
-                                    rank=h[j] if dv else linalg.rank(m),
-                                    required=h[j]))
+        records.append(DegreeRecord(
+            j=j, method=method, det=dv, required=h[j],
+            rank=h[j] if dv else linalg.rank(algebra._block(g, B, B))))
     return records[::-1]
 
 

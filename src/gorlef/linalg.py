@@ -13,8 +13,11 @@ Every elimination of a whole matrix runs through one exact forward
 pass: each row is cleared of denominators on entry, and the
 fraction-free pass (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination") gives rank, pivot columns and
-the determinant together.  `nullspace` solves one kernel vector per
-free column from the echelon rows, in fractions.
+the determinant together.  `integer_det` runs a symmetric matrix (the
+Grams of `gorenstein.gram`) in the symmetric mode: with no row swap
+every minor stays symmetric, so row i is formed from column i on, until
+a zero diagonal pivot mirrors the live block for the general pass.
+`nullspace` back-solves a kernel vector per free column, in fractions.
 A matrix of more than MAX_ELIMINATION_CELLS entries is refused with a
 WorkBudgetError (exit 2) before the pass, whose cost grows with the
 cube of the size, starts.
@@ -155,7 +158,8 @@ def _integer_rows(rows) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
-def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
+def _eliminate(a: List[List[int]], cols: int,
+               symmetric: bool = False) -> Tuple[List[int], int, int]:
     """Fraction-free forward elimination of integer rows, in place.
 
     Returns the pivot columns, the sign of the row permutation and the
@@ -164,7 +168,8 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
     by the previous pivot is exact and the last pivot of a nonsingular
     square matrix is its determinant.  A row with a zero in the pivot
     column is still scaled by pivot/previous, or later divisions would
-    not be exact.
+    not be exact; entries left of a row's pivot are not kept.  The
+    symmetric mode (module docstring) reads a[i][c] as a[c][i].
     """
     n = len(a)
     check_cells(n, cols)
@@ -175,6 +180,10 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
     for c in range(cols):
         if r == n:
             break
+        if symmetric and not a[c][c]:  # r == c while symmetric
+            for i in range(c + 1, n):
+                a[i][c:i] = [a[k][i] for k in range(c, i)]
+            symmetric = False
         for i in range(r, n):
             if a[i][c]:
                 break
@@ -185,15 +194,14 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
             sign = -sign
         top = a[r]
         p = top[c]
-        tail = top[c + 1:]
         for i in range(r + 1, n):
             row = a[i]
-            f = row[c]
+            lo, f = (i, top[i]) if symmetric else (c + 1, row[c])
             if f:
-                row[c:] = [0] + [(p * x - f * y) // prev
-                                 for x, y in zip(row[c + 1:], tail)]
+                row[lo:] = [(p * x - f * y) // prev
+                            for x, y in zip(row[lo:], top[lo:])]
             elif p != prev:
-                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+                row[lo:] = [p * x // prev for x in row[lo:]]
         prev = p
         pivots.append(c)
         r += 1
@@ -202,8 +210,10 @@ def _eliminate(a: List[List[int]], cols: int) -> Tuple[List[int], int, int]:
 
 def integer_det(a: List[List[int]]) -> int:
     """Determinant of square integer rows, which are eliminated in place:
-    the signed last pivot of the fraction-free pass, or 0."""
-    pivots, sign, last = _eliminate(a, len(a))
+    the signed last pivot of the fraction-free pass, or 0.  A symmetric
+    matrix is eliminated in the symmetric mode."""
+    symmetric = list(zip(*a)) == list(map(tuple, a))
+    pivots, sign, last = _eliminate(a, len(a), symmetric)
     return sign * last if len(pivots) == len(a) else 0
 
 

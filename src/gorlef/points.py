@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -115,6 +115,10 @@ class PointSet:
             self._values[key] = (tuple(zip(*map(self._column, key))) if key
                                  else ((),) * self.size)
         return self._values[key]
+
+    def columns(self, frame: Sequence[Monomial]) -> List[tuple]:
+        """The frame's monomials at the points, one cached column each."""
+        return list(map(self._column, self._key(frame)))
 
     def evaluation_matrix(self, i: int) -> Mat:
         return Mat(self.values(monomials_of_degree(self.n + 1, i)))
@@ -426,8 +430,10 @@ def find_subset_on_curve(x: PointSet, degree: int,
     for idxs in combinations(range(x.size), probe):
         sub = Mat([list(ev.entries[i]) for i in idxs])
         for v in linalg.nullspace(sub):
+            den = lcm(*[c.denominator for c in v])  # same zeros, in ints
+            w = [c.numerator * (den // c.denominator) for c in v]
             inc = tuple(idx for idx, row in enumerate(ev.entries)
-                        if sum(c * e for c, e in zip(v, row)) == 0)
+                        if sum(map(mul, w, row)) == 0)
             if inc in seen:
                 continue
             seen.add(inc)

@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -259,6 +260,13 @@ def _tail_start(delta: Sequence[int], r: int) -> Optional[int]:
     return k if k < len(delta) else None
 
 
+@lru_cache(maxsize=None)
+def _off_curve_room(kind: str, box: int) -> int:
+    """Points of the box [-box, box]^2 off the tail curve of `kind`."""
+    return sum(not _ON_TAIL_CURVE[kind]((1, a, b))
+               for a, b in product(range(-box, box + 1), repeat=2))
+
+
 def make_tail_config(kind: str, tau_target: int, off: int,
                      rng: random.Random) -> PointSet:
     """Curve points plus generic off-curve points with a valid tail shape.
@@ -277,8 +285,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
         raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
                          f"tau >= 1; got {kind!r}, off={off}, tau={tau_target}")
     on_curve = _ON_TAIL_CURVE[kind]
-    span = range(-_TAIL_BOX, _TAIL_BOX + 1)
-    room = sum(not on_curve((1, a, b)) for a in span for b in span)
+    room = _off_curve_room(kind, _TAIL_BOX)
     if off > room:
         raise ValueError(f"the box [-{_TAIL_BOX}, {_TAIL_BOX}]^2 holds {room} "
                          f"points off the {kind}, got off={off}")

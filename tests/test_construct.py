@@ -326,6 +326,22 @@ class TestRouteCheck:
         with pytest.raises(HessianRankMismatchError):
             construct_slp_algebra(HVector.parse(h), random.Random(96))
 
+    def test_a_lie_below_the_diagonal_raises(self, monkeypatch):
+        # every entry is compared, not one triangle: the lie sits below
+        # the diagonal only, on every line with more than one row
+        true_hessian = GorensteinAlgebra.hessian
+
+        def lie(algebra, j, ell):
+            m, dv = true_hessian(algebra, j, ell)
+            if m.rows > 1:
+                m.entries[-1][0] += 1
+            return m, dv
+
+        monkeypatch.setattr(GorensteinAlgebra, "hessian", lie)
+        with pytest.raises(HessianRankMismatchError):
+            construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
+                                  random.Random(96))
+
     def test_check_slp_raises(self, lying_hessian):
         algebra = GorensteinAlgebra.of_points(
             PointSet([[1, 2, 3], [1, -1, 1]]), [1, 1], 3)

@@ -234,9 +234,9 @@ class TestMultiplicationRank:
                          for i in range(3)]
         assert all(ranks)
 
-    def test_construct_audit_ranks_the_basis_blocks(self, monkeypatch):
+    def test_construct_audit_builds_no_block(self, monkeypatch):
         # every det is nonzero on a verdict-true certificate, so the audit
-        # builds one h(j) x h(j) block per line and eliminates none of them
+        # compares each line off the contraction and builds no block
         shapes, ranked = [], []
         real = gorenstein.cat_block
 
@@ -250,8 +250,7 @@ class TestMultiplicationRank:
         h = HVector.parse("1,3,5,5,3,1")
         res = construct_slp_algebra(h, random.Random(7))
         assert res.certificate.verdict
-        assert set(shapes) == {(h[j], h[j]) for j in range(3)}
-        assert ranked == []
+        assert shapes == [] and ranked == []
 
 
 class TestLefschetzChecks:
@@ -708,6 +707,17 @@ class TestGramDet:
                 for _ in range(2)] == [oracle] * 2
         assert sizes == eliminated
 
+    def test_above_eliminates_in_the_symmetric_mode(self, monkeypatch):
+        x = PointSet([[1, t, t * t] for t in (1, 2, 3, 5)])
+        frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        weights = [1, 2, 3, 4]
+        modes = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda a, cols, sym:
+                            modes.append(sym) or eliminate(a, cols, sym))
+        hess, val = gram(x, frame, weights, 12)
+        assert modes == [True]
+        assert val == laplace_det(hess.entries)
 
     @pytest.mark.parametrize("weights", [[1, 2, 0, 3], [0, 0, 5, 0]],
                              ids=["above", "at"])

@@ -77,6 +77,83 @@ class TestDet:
             assert det(m) == 0
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric int matrices of size 0..7 with entries up to 2^70.
+
+    A third are drawn entry by entry, some diagonal entries then zeroed.
+    The rest are U^T D U for U unit upper triangular, whose leading
+    principal minors are D's, so the symmetric pass meets its first zero
+    pivot where D has its first zero: at the first, a middle or the last
+    step.  Unless that is the last, D holds a 2x2 block [[0, c], [c, c]]
+    there, which keeps the matrix nonsingular and leaves the general
+    pass work after the fallback; a second zero on D's diagonal may make
+    it singular.
+    """
+    n = draw(st.integers(0, 7))
+    if draw(st.integers(0, 2)) == 0:
+        entry = st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70))
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(entry)
+        for k in draw(st.sets(st.integers(0, n - 1))) if n else ():
+            a[k][k] = 0
+        return a
+    d = [[0] * n for _ in range(n)]
+    for k in range(n):  # not +-1, so a skipped scaling shows
+        d[k][k] = draw(st.integers(2, 2**62)) * draw(st.sampled_from((1, -1)))
+    if n:
+        k = draw(st.sampled_from(sorted({0, n // 2, n - 1})))
+        d[k][k] = 0
+        if k + 1 < n:
+            d[k][k + 1] = d[k + 1][k] = d[k + 1][k + 1]
+        if draw(st.booleans()):
+            z = draw(st.integers(0, n - 1))
+            d[z][z] = 0
+    u = [[int(i == j) if j <= i else draw(st.integers(-3, 3))
+          for j in range(n)] for i in range(n)]  # unit upper triangular
+    return [[sum(u[k][i] * d[k][l] * u[l][j]
+                 for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+class TestSymmetricDet:
+    """integer_det eliminates a symmetric matrix in the symmetric mode,
+    forming each row from its diagonal on and mirroring the live block
+    before the general pass at the first zero pivot."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices())
+    def test_matches_laplace_oracle(self, a):
+        assert all(a[i][j] == a[j][i] for i in range(len(a))
+                   for j in range(i))
+        modes = []
+        eliminate = linalg._eliminate
+        with mock.patch.object(linalg, "_eliminate", lambda a, cols, sym:
+                               modes.append(sym) or eliminate(a, cols, sym)):
+            assert linalg.integer_det([row[:] for row in a]) == laplace_det(a)
+        assert modes == [True]
+
+    @pytest.mark.parametrize("a, value", [
+        ([[0, 1], [1, 0]], -1),                       # first step
+        ([[1, 1, 2], [1, 1, 3], [2, 3, 1]], -1),      # middle step
+        ([[2, 1, 0], [1, 3, 0], [0, 0, 0]], 0),       # last step
+        ([[1, 2], [2, 4]], 0),                        # zero last pivot
+    ], ids=["first", "middle", "last", "singular"])
+    def test_zero_pivots_fall_back(self, a, value):
+        assert laplace_det(a) == value
+        assert linalg.integer_det([row[:] for row in a]) == value
+
+    def test_a_matrix_that_is_not_symmetric_takes_the_general_pass(self):
+        modes = []
+        eliminate = linalg._eliminate
+        with mock.patch.object(linalg, "_eliminate", lambda a, cols, sym:
+                               modes.append(sym) or eliminate(a, cols, sym)):
+            assert linalg.integer_det([[1, 2], [3, 4]]) == -2
+        assert modes == [False]
+
+
 class TestRank:
     def test_hand_cases(self):
         assert rank(mat([[1, 2], [2, 4]])) == 1
