@@ -3,7 +3,9 @@
 h_{A(X)}(i) is the rank of the evaluation matrix V_i of degree-i
 monomials at the points; it increases to s = |X| and stabilizes there
 from the regularity degree tau(X) on.  The pivot columns of V_i, kept
-as monomials, are a basis B_i of A(X)_i.  Points are normalized to
+as monomials, are a basis B_i of A(X)_i; a distraction's B_i are read
+off its order ideal instead, whose monomials are exactly those pivots
+(gen_distraction), with nothing eliminated.  Points are normalized to
 leading coordinate 1, so when no point has x0 = 0 every x0 is 1 and
 B_i is carried up from B_(i-1) (PointSet.basis) in one incremental
 column echelon (linalg.extend_echelon) that reduces only each degree's
@@ -30,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from math import comb, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -57,7 +59,8 @@ def _normalize(coords: Sequence) -> Tuple[Fraction, ...]:
 class PointSet:
     """Distinct points of P^n, normalized to leading coordinate 1."""
 
-    def __init__(self, points: Sequence[Sequence]):
+    def __init__(self, points: Sequence[Sequence], *,
+                 _bases: Optional[Sequence[Tuple[Monomial, ...]]] = None):
         if not points:
             raise ValueError("empty point set")
         norm = [_normalize(p) for p in points]
@@ -72,13 +75,17 @@ class PointSet:
         self.integral = all(type(c) is int for p in norm for c in p)
         self._axes = tuple(zip(*norm))[int(self._carried):]  # as _key indexes
         self._columns = {(0,) * len(self._axes): (1,) * len(norm)}
-        self._bases: Dict[int, Tuple[Monomial, ...]] = {0: ((0,) * n_coords,)}
         self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
         self._dets: Dict[tuple, Fraction] = {}
-        self._echelon = [(0, [1] * len(norm))]  # B_0, carried when x0 = 1
-        self._tau = 0  # eager; fills the basis cache through degree tau
-        while self.hilbert(self._tau) < self.size:
-            self._tau += 1
+        # B_0 .. B_tau when known in advance (gen_distraction); else B_0,
+        # and the eager loop fills the basis cache through degree tau
+        self._bases: Dict[int, Tuple[Monomial, ...]] = dict(enumerate(
+            _bases or [((0,) * n_coords,)]))
+        self._tau = len(self._bases) - 1
+        if not _bases:
+            self._echelon = [(0, [1] * len(norm))]  # B_0, carried when x0 = 1
+            while self.hilbert(self._tau) < self.size:
+                self._tau += 1
 
     @property
     def size(self) -> int:
@@ -335,16 +342,6 @@ class OrderIdeal:
     def size(self) -> int:
         return len(self.monomials)
 
-    def max_degree(self) -> int:
-        return max(sum(m) for m in self.monomials)
-
-    def degree_counts(self) -> Tuple[int, ...]:
-        d = self.max_degree()
-        counts = [0] * (d + 1)
-        for m in self.monomials:
-            counts[sum(m)] += 1
-        return tuple(counts)
-
     def sorted_monomials(self) -> List[Monomial]:
         """Degree-major, descending lex within a degree."""
         return sorted(self.monomials,
@@ -362,10 +359,13 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
     Per degree, take the delta(i) smallest monomials in lex order; their
     union is downward closed whenever delta is an O-sequence (taking the
     largest monomials instead can dead-end, e.g. on (1,3,3,4)).
-    Succeeds exactly when delta is an O-sequence with delta(1) <= n_vars
-    and its distraction's carried frames are within the elimination
-    budget, checked before any table (check_frames).
+    Succeeds exactly when n_vars >= 0 (checked first), delta is an
+    O-sequence with delta(1) <= n_vars and its distraction's carried
+    frames are within the elimination budget, checked before any table
+    (check_frames).
     """
+    if n_vars < 0:
+        raise ValueError(f"need n >= 0, got {n_vars}")
     counts = [int(x) for x in delta]
     while counts and counts[-1] == 0:
         counts.pop()
@@ -395,18 +395,36 @@ def lex_order_ideal(delta: Sequence[int], n_vars: int) -> OrderIdeal:
 
 
 def gen_distraction(ideal: OrderIdeal) -> PointSet:
-    """Distraction of an order ideal: x^a maps to (1 : a_1 : ... : a_n).
+    """Distraction of an order ideal O: x^a maps to (1 : a_1 : ... : a_n).
 
-    The resulting points satisfy h_{A(X)}(i) = sum of the ideal's degree
-    counts through i (capped at s); verified exactly before returning.
+    Its bases are read off O, with no elimination: B_0 = (1), and for
+    1 <= k <= tau = O's top degree, B_k is x0 B_(k-1) followed by O's
+    degree-k monomials (x0-free), in descending lex, which is the order
+    PointSet.basis gives by pivoting; so h_{A(X)}(k) = |O_<=k|, and
+    basis(k) lifts B_tau above tau.  Proof (Hartshorne 1966; Geramita,
+    Gregory and Roberts 1986): as every x0 = 1, the columns of V_k span
+    the affine functions of degree <= k on X, and x0 B_(k-1)'s span
+    those of degree <= k - 1.  Write x^(a) = prod_k prod_(t < a_k)
+    (x_k - t x0); it is x^a plus multiples of x0^j x^b with b < a, and
+    x^(a)(1 : b) != 0 exactly when b >= a in every coordinate.
+    (i) For a not in O, x^(a) vanishes on X, as b >= a with b in O would
+        put a in O; its one x0-free term is x^a, so the column of x^a
+        lies in the span of x0 B_(|a|-1)'s and never pivots.
+    (ii) [x^(a)(b)] over a, b in O is triangular under any linear
+        extension of that order, with diagonal prod_k a_k! != 0.
+    O is downward closed, so the x^(a) and the x^a with a in O_<=k span
+    the same space; by (ii) its dimension is |O_<=k|, and by (i) it is
+    every affine function of degree <= k on X.  So h(k) = |O_<=k|, and
+    the pivots new in degree k are exactly O's degree-k monomials.
+    Nothing is eliminated, so no budget is checked here; lex_order_ideal
+    checks every frame as PointSet.basis would (check_frames).
     """
-    x = PointSet([(1,) + m for m in ideal.sorted_monomials()])
-    expected = list(accumulate(ideal.degree_counts())) + [ideal.size]
-    for i, expect in enumerate(expected):
-        if x.hilbert(i) != expect:
-            raise RealizationMismatchError(
-                f"distraction Hilbert value {x.hilbert(i)} != {expect} in degree {i}")
-    return x
+    monomials = ideal.sorted_monomials()  # O_0, .., O_tau: none is empty
+    fresh = (tuple((0,) + m for m in level)
+             for _, level in groupby(monomials, key=sum))
+    bases = accumulate(fresh, lambda b, new: tuple(
+        (m[0] + 1,) + m[1:] for m in b) + new)
+    return PointSet([(1,) + m for m in monomials], _bases=list(bases))
 
 
 # ---------------------------------------------------------------------------

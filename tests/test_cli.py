@@ -105,6 +105,16 @@ class TestConstruct:
         _, out2 = run(capsys, "construct", "--h", "1,2,2,1", "--seed", "2")
         assert out1 != out2
 
+    def test_the_distraction_is_not_eliminated(self, capsys, monkeypatch):
+        # its bases are read off the order ideal (points.gen_distraction)
+        reduced = []
+        monkeypatch.setattr(linalg, "extend_echelon",
+                            lambda *args: reduced.append(args))
+        code, doc = run_json(capsys, "construct", "--h", "1,3,6,10,6,3,1",
+                             "--seed", "0")
+        assert code == 0 and doc["certificate"]["verdict"] is True
+        assert reduced == []
+
     def test_not_si_is_exit_two(self, capsys):
         code, doc = run_json(capsys, "construct", "--h", "1,13,12,13,1")
         assert code == 2
@@ -211,6 +221,14 @@ class TestPointsGen:
         assert doc["size"] == 5
         assert len(doc["order_ideal"]) == 5
         assert [0, 0] in doc["order_ideal"]
+
+    @pytest.mark.parametrize("delta", ["1", "1,2"])
+    def test_distraction_names_n_below_zero(self, capsys, delta):
+        code, doc = run_json(capsys, "points", "gen", "--kind", "distraction",
+                             "--delta", delta, "--n", "-1")
+        assert code == 2
+        assert doc["error"] == {"type": "ValueError",
+                                "message": "need n >= 0, got -1"}
 
     def test_collinear(self, capsys):
         code, doc = run_json(capsys, "points", "gen", "--kind", "collinear",

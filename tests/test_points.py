@@ -1,7 +1,10 @@
 """Point configurations, order ideals, distractions, curve search."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +15,7 @@ from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
                            NotPlaneConfigError, RealizationMismatchError,
                            WorkBudgetError)
-from gorlef.hvector import macaulay_bound
+from gorlef.hvector import hbar, macaulay_bound
 from gorlef.points import (OrderIdeal, PointSet, check_rnc, davis_hint,
                            find_subset_on_curve, gen_collinear,
                            gen_distraction, gen_generic, gen_rnc,
@@ -20,6 +23,8 @@ from gorlef.points import (OrderIdeal, PointSet, check_rnc, davis_hint,
                            lex_order_ideal)
 
 from oracles import collinear_triples, evaluate, gauss_pivot_columns
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def P(*coords):
@@ -322,7 +327,8 @@ class TestOrderIdeals:
         # taking the largest compatible monomials would stall at 3 in
         # degree 3 here; the lex-smallest segments realize the counts
         ideal = lex_order_ideal((1, 3, 3, 4), 3)
-        assert ideal.degree_counts() == (1, 3, 3, 4)
+        assert sorted(map(sum, ideal.monomials)) == [0, 1, 1, 1, 2, 2, 2,
+                                                     3, 3, 3, 3]
 
     def test_ideal_is_downward_closed(self):
         ideal = lex_order_ideal((1, 3, 4, 2), 3)
@@ -337,7 +343,8 @@ class TestOrderIdeals:
     def test_degree_counts_match_input(self):
         delta = (1, 3, 4, 2)
         ideal = lex_order_ideal(delta, 3)
-        assert ideal.degree_counts() == delta
+        assert sorted(map(sum, ideal.monomials)) == [
+            i for i, count in enumerate(delta) for _ in range(count)]
 
     def test_not_o_sequence_rejected(self):
         with pytest.raises(NotOSequenceError):
@@ -350,7 +357,71 @@ class TestOrderIdeals:
             OrderIdeal(2, [(1, 0)])  # missing the unit monomial
 
 
+@st.composite
+def o_sequences(draw, n):
+    """Delta of up to 6 degrees with Delta(1) <= n and entries up to 6."""
+    delta = [1, draw(st.integers(1, n))]
+    for i in range(1, draw(st.integers(1, 5))):
+        delta.append(draw(st.integers(1, min(macaulay_bound(delta[i], i), 6))))
+    return delta
+
+
+@st.composite
+def order_ideals(draw):
+    """An order ideal in 0-4 variables: the lex segments of an O-sequence
+    (lex_order_ideal), or the downward closure of up to 4 monomials of
+    degree <= 4, lex only by chance."""
+    n = draw(st.integers(0, 4))
+    if n and draw(st.booleans()):
+        return lex_order_ideal(draw(o_sequences(n)), n)
+    closure = {(0,) * n}
+    for _ in range(draw(st.integers(0, 4))):
+        top = []
+        for _ in range(n):
+            top.append(draw(st.integers(0, min(3, 4 - sum(top)))))
+        closure.update(product(*(range(e + 1) for e in top)))
+    return OrderIdeal(n, closure)
+
+
+def _assert_read_bases_are_the_pivots(ideal):
+    x = gen_distraction(ideal)
+    eliminated = PointSet(list(x.points))
+    assert x.tau() == eliminated.tau() == max(map(sum, ideal.monomials))
+    for k in range(x.tau() + 3):
+        assert x.basis(k) == eliminated.basis(k), k
+
+
 class TestDistraction:
+    # gen_distraction reads its bases off the order ideal; these tests
+    # check them against the pivots PointSet.basis eliminates, a check a
+    # run no longer makes
+    @settings(max_examples=200, deadline=None)
+    @given(order_ideals())
+    def test_read_bases_are_the_eliminated_pivots(self, ideal):
+        _assert_read_bases_are_the_pivots(ideal)
+
+    def test_every_benchmark_distraction_reads_the_pivots(self):
+        # the 229 corpus sequences and the 3 large cases of perfbench
+        hs = [[int(v) for v in key.split()[2].split(",")]
+              for key in json.loads(REFERENCE.read_text())
+              if key.startswith("construct ")]
+        assert len(hs) == 232
+        for h in hs:
+            if len(h) > 1 and h[1] > 1:
+                _assert_read_bases_are_the_pivots(
+                    lex_order_ideal(hbar(h).delta(), h[1] - 1))
+
+    def test_nothing_is_eliminated_or_budgeted(self, monkeypatch):
+        def forbid(*args):
+            raise AssertionError("a distraction basis was eliminated")
+
+        ideal = lex_order_ideal((1, 3, 6, 10, 6, 3), 3)
+        monkeypatch.setattr(linalg, "extend_echelon", forbid)
+        monkeypatch.setattr(linalg, "check_cells", forbid)
+        x = gen_distraction(ideal)
+        assert x.hilbert_vector(7) == (1, 4, 10, 20, 26, 29, 29, 29)
+        assert x.tau() == 5
+
     def test_frozen_example(self):
         x = gen_distraction(lex_order_ideal((1, 2, 2), 2))
         assert set(x.points) == {(1, 0, 0), (1, 1, 0), (1, 0, 1),
@@ -377,15 +448,13 @@ class TestDistraction:
             self, n, budget, data):
         # Delta summed is h, so every carried frame is known before the
         # order ideal is built, and lex_order_ideal refuses the first one
-        # over the budget as PointSet.basis of the distraction does
-        delta = [1, data.draw(st.integers(1, n))]
-        for i in range(1, data.draw(st.integers(1, 5))):
-            delta.append(data.draw(st.integers(
-                1, min(macaulay_bound(delta[i], i), 6))))
-        ideal = lex_order_ideal(delta, n)
+        # over the budget as PointSet.basis does when it eliminates on
+        # the distraction's points
+        delta = data.draw(o_sequences(n))
+        points = gen_distraction(lex_order_ideal(delta, n)).points
         refusals = []
         with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", budget):
-            for build in (lambda: gen_distraction(ideal),
+            for build in (lambda: PointSet(points),
                           lambda: lex_order_ideal(delta, n)):
                 try:
                     build()
