@@ -162,6 +162,8 @@ class Poly:
         n_vars, terms = data["n_vars"], data["terms"]
         if type(n_vars) is not int:
             raise ValueError(f"polynomial n_vars must be an int, got {n_vars!r}")
+        if n_vars < 1:
+            raise ValueError(f"polynomial n_vars must be at least 1, got {n_vars}")
         if not isinstance(terms, list) or not all(
                 isinstance(t, dict) and {"exp", "coef"} <= t.keys()
                 and isinstance(t["exp"], list)

@@ -26,8 +26,9 @@ point dual to a linear form ell decide the strong Lefschetz property:
 Since G(P_ell) = (ell^k o G) / k! for a form G of degree k, one
 contraction gives the whole Hessian over a basis B of A_j.  For a power
 sum it is a Gram matrix over the points (Iarrobino-Kanev 1999): with
-V = x.values(B), cached across draws of ell, and the point weights
-c_i = alpha_i L_i(P_ell)^(d-2j) (point_weights),
+V = x.values(B), whose columns the points cache across draws of ell
+(PointSet.columns), and the point weights c_i = alpha_i L_i(P_ell)^(d-2j)
+(point_weights),
 
     Hess^j(F)(P_ell) = Cat^j(ell^(d-2j) o F)[B, B] / (d-2j)!
                      = d!/(d-2j)! V^T diag(c) V

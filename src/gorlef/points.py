@@ -13,9 +13,10 @@ x0-free columns; sets with a point on x0 = 0 (two lines, some tails)
 reduce the whole V_i in a fresh one.  The echelon divides by gcds, not
 by Bareiss's previous pivot, since a carried echelon outlives any one
 matrix.
-PointSet.values is the one place that evaluates monomials at points:
-it caches per monomial its values at all the points, its parent's
-times one coordinate, and per frame the rows; frame_det keeps det V_S
+PointSet.columns is the one place that evaluates monomials at points,
+and its cache the one cache of values: per monomial its values at all
+the points, its parent's times one coordinate.  values transposes a
+frame's columns to one row per point, uncached; frame_det keeps det V_S
 of a frame B at |B| points S, the single Cauchy-Binet term of a
 Hessian whose point weights are supported on S (gorenstein.gram).
 Generators produce the standard configurations (rational normal
@@ -75,7 +76,6 @@ class PointSet:
         self.integral = all(type(c) is int for p in norm for c in p)
         self._axes = tuple(zip(*norm))[int(self._carried):]  # as _key indexes
         self._columns = {(0,) * len(self._axes): (1,) * len(norm)}
-        self._values: Dict[Tuple[Monomial, ...], Tuple[tuple, ...]] = {}
         self._dets: Dict[tuple, Fraction] = {}
         # B_0 .. B_tau when known in advance (gen_distraction); else B_0,
         # and the eager loop fills the basis cache through degree tau
@@ -114,18 +114,14 @@ class PointSet:
             col = cols[mono] = tuple(map(mul, col, self._axes[k]))
         return col
 
-    def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
-        """The frame's monomials at each point, one row per point; cached
-        per frame, and its columns per monomial (_column)."""
-        key = self._key(frame)
-        if key not in self._values:
-            self._values[key] = (tuple(zip(*map(self._column, key))) if key
-                                 else ((),) * self.size)
-        return self._values[key]
-
     def columns(self, frame: Sequence[Monomial]) -> List[tuple]:
         """The frame's monomials at the points, one cached column each."""
         return list(map(self._column, self._key(frame)))
+
+    def values(self, frame: Sequence[Monomial]) -> Tuple[tuple, ...]:
+        """The frame's monomials at each point, one row per point: its
+        cached columns transposed, not cached themselves."""
+        return tuple(zip(*self.columns(frame))) if frame else ((),) * self.size
 
     def evaluation_matrix(self, i: int) -> Mat:
         return Mat(self.values(monomials_of_degree(self.n + 1, i)))
@@ -134,11 +130,12 @@ class PointSet:
                   rows: Sequence[int]) -> Fraction:
         """det V_S for a frame B of |S| monomials at the points S = rows,
         cached per key and rows: one elimination serves B and every
-        x0^k B when every x0 = 1."""
+        x0^k B when every x0 = 1.  It eliminates V_S^T, read off the
+        cached columns, whose det is the same."""
         key = (self._key(frame), tuple(rows))
         if key not in self._dets:
-            values = self.values(frame)
-            self._dets[key] = linalg.det(Mat([values[i] for i in rows]))
+            self._dets[key] = linalg.det(Mat(
+                [[col[i] for i in rows] for col in self.columns(frame)]))
         return self._dets[key]
 
     def _independent(self, echelon: list,
@@ -147,7 +144,7 @@ class PointSet:
         echelon and of the columns before them, left to right; those
         columns join the echelon (linalg.extend_echelon)."""
         return tuple(frame[c] for c in linalg.extend_echelon(
-            echelon, zip(*self.values(frame)), self.size))
+            echelon, self.columns(frame), self.size))
 
     def basis(self, i: int) -> Tuple[Monomial, ...]:
         """Degree-i monomials whose columns of V_i pivot, in descending lex.

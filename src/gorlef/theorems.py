@@ -12,9 +12,9 @@ Cauchy-Binet rule, on one pass of point weights per ell:
 algebra.hessian(j, ell) for the tail witnesses and verify_prop_s_minus.
 The conic decomposition needs no Hessian: each is a sum of rank-one
 terms over the points, so it compares the points' rows of its frames.
-They and the zero-forcing ranks evaluate each frame at the points once
-(PointSet.values caches it); only the SLP certificates' rank route
-reads the expanded F.
+Its rows and the zero-forcing rows are built from the points' cached
+columns (PointSet.columns), so each monomial is evaluated at the points
+once; only the SLP certificates' rank route reads the expanded F.
 """
 
 from __future__ import annotations
@@ -274,12 +274,15 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     Returns X whose Delta h_{A(X)} ends with the value r from some degree
     1 <= k <= tau through tau (_tail_start; verify_tail_nonvanishing
     reads k off X); its off-curve points have affine coordinates in
-    [-_TAIL_BOX, _TAIL_BOX].  Raises when _TAIL_DRAWS draws produce no
-    such shape (small caps make some impossible), and ValueError before
-    any draw on an unknown kind, off < 0, tau_target < 1, a request no
-    draw can satisfy (tau_target = 1, or a line tail with off = 0) or
-    more off-curve points than that box holds, and a WorkBudgetError
-    before any draw when the points are above the elimination budget.
+    [-_TAIL_BOX, _TAIL_BOX].  Raises ShapeMismatchError when _TAIL_DRAWS
+    draws produce no such shape (a small box makes some impossible).
+    Before any draw it raises ValueError on an unknown kind, off < 0,
+    tau_target < 1, more off-curve points than that box holds, a request
+    no draw can satisfy (tau_target = 1, or a line tail with off = 0),
+    and more off-curve points than any plane shape with that tail holds,
+    (tau-1)(tau-2)/2 for a conic and tau(tau-1)/2 for a line; and it
+    raises WorkBudgetError when the points are above the elimination
+    budget.
     """
     if kind not in _TAIL_R or off < 0 or tau_target < 1:
         raise ValueError(f"need a kind in {sorted(_TAIL_R)}, off >= 0 and "
@@ -296,6 +299,12 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     if tau_target == 1 or (kind == "line" and off == 0):
         raise ValueError(f"no {kind} tail has tau={tau_target}, off={off}")
     r = _TAIL_R[kind]
+    # plane points have Delta h(i) <= i + 1, and the tail Delta h(tau) = r,
+    # so s = r tau + 1 + off <= tau (tau + 1) / 2 + r
+    most = tau_target * (tau_target + 1) // 2 - r * (tau_target - 1) - 1
+    if off > most:
+        raise ValueError(f"a {kind} tail with tau={tau_target} has at most "
+                         f"{most} off-curve points, got off={off}")
     on_count = r * tau_target + 1
     check_cells(on_count + off, 3)
     for _ in range(_TAIL_DRAWS):
@@ -331,9 +340,10 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
     report), at d >= 2 tau (None: 2 tau, the d kept in the report):
     every j in [k-1, floor(d/2)] gets a nonzero-det witness, and zeroing
     any off-curve weight kills the determinant identically.  The latter
-    is proven by one exact rank per (weight, degree), not sampled: the
-    other points' evaluation matrix on the basis of A_j has rank below
-    h_A(j).  `zero_forcing_checks` counts the `trials` draws per (weight,
+    is proven by one exact rank per weight, not sampled: the other
+    points' evaluation matrix on the basis of A_(k-1) has rank below
+    h_A(k-1), and that decides every higher degree (the proof is at the
+    check).  `zero_forcing_checks` counts the `trials` draws per (weight,
     degree) that the proof covers.  The curve subset of exactly r*tau+1
     points is found by exact search, not taken from make_tail_config;
     that is what keeps the boundary case k = tau sound, where the
@@ -378,14 +388,20 @@ def verify_tail_nonvanishing(kind: str, x: PointSet, d: Optional[int],
     # Zero-forcing: Hess^j = V^T diag(c) V, c_s ~ alpha_s L_s(P_ell)^(d-2j), so
     # det = sum_S prod_S c_s det(V_S)^2 (Cauchy-Binet) dies for all weights
     # and ell with alpha_i = 0 iff the rows of V off P_i have rank < |B|.
+    # B = basis(j) spans the columns of V_j(X), so that rank is
+    # h_(X - P_i)(j), and it is below h_X(j) exactly when P_i has a
+    # separator of degree j: a form vanishing on X - P_i but not at P_i.
+    # A separator of degree j times a coordinate nonzero at P_i is one of
+    # degree j + 1 (Geramita, Kreuzer and Robbiano, Trans. AMS 339, 1993).
+    # So forcing at k - 1 forces every j in [k-1, floor(d/2)], and the one
+    # rank at k - 1 decides them all.
+    frame = algebra.basis(k - 1)
+    rows = x.values(frame)
     for i in off:
-        for j in range(k - 1, d // 2 + 1):
-            frame = algebra.basis(j)
-            v = Mat([r for q, r in enumerate(x.values(frame)) if q != i])
-            if linalg.rank(v) == len(frame):
-                raise TheoremTensionError(
-                    f"det survives zeroing off-curve weight {i} at j={j}")
-            report.zero_forcing_checks += trials
+        if linalg.rank(Mat(rows[:i] + rows[i + 1:])) == len(frame):
+            raise TheoremTensionError(
+                f"det survives zeroing off-curve weight {i} at j={k - 1}")
+    report.zero_forcing_checks = trials * len(off) * (d // 2 - k + 2)
     return report
 
 

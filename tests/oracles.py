@@ -557,3 +557,21 @@ def sampled_zero_forcing(x, d: int, j: int, frame: Sequence[Tuple[int, ...]],
         if val != 0:
             nonzero += 1
     return nonzero
+
+
+def first_unforced_weight(points: Sequence[Sequence[Fraction]],
+                          frames: Dict[int, Sequence[Tuple[int, ...]]],
+                          off: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The per-(weight, degree) zero-forcing loop, as the tail verifier
+    once ran it: for each off-curve index i, then each degree j of
+    `frames` in order, the frame (a basis of A_j) evaluated term by term
+    at every point but P_i; the first (i, j) where that keeps full rank,
+    so zeroing weight i leaves det Hess^j alive, or None."""
+    for i in off:
+        rest = [p for q, p in enumerate(points) if q != i]
+        for j, frame in frames.items():
+            v = [[evaluate(Poly(len(p), RING_R, {m: 1}), p) for m in frame]
+                 for p in rest]
+            if gauss_rank(v) == len(frame):
+                return i, j
+    return None

@@ -271,9 +271,12 @@ class TestVerify:
         assert [w["j"] for w in doc["witnesses"]] == [1, 2, 3]
         assert all(w["det"] != "0" for w in doc["witnesses"])
 
-    def test_tails_infeasible_is_exit_one(self, capsys):
+    def test_tails_infeasible_is_exit_one(self, capsys, monkeypatch):
+        # in [-1, 1]^2 the 6 points off the line x2 = 0 are all drawn, and
+        # with the 5 on it they lie on three lines: no draw has the shape
+        monkeypatch.setattr(theorems, "_TAIL_BOX", 1)
         code, doc = run_json(capsys, "verify", "--theorem", "tails",
-                             "--kind", "conic", "--tau", "2", "--off", "1")
+                             "--kind", "line", "--tau", "4", "--off", "6")
         assert code == 1
         assert doc["error"]["type"] == "ShapeMismatchError"
 
@@ -486,6 +489,31 @@ class TestErrorContract:
         assert code == 2
         assert doc["error"]["type"] == "WorkBudgetError"
         assert run_json(capsys, "construct", "--h", "1,20,1")[0] == 0
+
+    @pytest.mark.parametrize("off, code", [(10, 0), (11, 2)])
+    def test_the_conic_tail_bound_is_sharp_at_tau_six(self, capsys, off,
+                                                       code):
+        # (tau-1)(tau-2)/2 = 10 points fit off the conic at tau = 6; one
+        # more is refused before any draw
+        got, doc = run_json(capsys, "verify", "--theorem", "tails", "--kind",
+                            "conic", "--tau", "6", "--off", str(off))
+        assert got == code
+        if code:
+            assert doc["error"] == {
+                "type": "ValueError", "message": "a conic tail with tau=6 "
+                "has at most 10 off-curve points, got off=11"}
+        else:
+            assert doc["verdict"] is True and len(doc["off_indices"]) == 10
+
+    def test_a_polynomial_needs_a_variable(self, capsys):
+        # n_vars is refused before the terms are read, whatever they hold
+        for n_vars, terms in ((-1, []), (0, [{"exp": [], "coef": 1}])):
+            poly = json.dumps({"n_vars": n_vars, "ring": "R", "terms": terms})
+            code, doc = run_json(capsys, "analyze", "--poly", poly)
+            assert code == 2
+            assert doc["error"] == {
+                "type": "ValueError",
+                "message": f"polynomial n_vars must be at least 1, got {n_vars}"}
 
     def test_every_error_class_has_its_code(self):
         found = {name: cls.exit_code for name, cls in vars(errors).items()
@@ -774,13 +802,20 @@ class TestErrorContract:
          "--off", "0"],
         ["verify", "--theorem", "tails", "--kind", "line", "--tau", "1",
          "--off", "1"],
+        # more off-curve points than a plane shape with the tail holds;
+        # these exited 1 after 200 draws, the last after minutes
+        ["verify", "--theorem", "tails", "--kind", "conic", "--tau", "2",
+         "--off", "1"],
+        ["verify", "--theorem", "tails", "--kind", "conic", "--tau", "5",
+         "--off", "100"],
     ], ids=["construct-attempts-negative", "construct-attempts-zero",
             "construct-trivial-attempts-zero", "construct-not-si-attempts-zero",
             "analyze-attempts-zero", "tails-trials-zero",
             "s-minus-trials-zero", "conic-eval-points-negative",
             "tails-off-negative", "tails-tau-zero", "tails-tau-negative",
             "tails-line-off-zero", "tails-conic-tau-one",
-            "tails-line-tau-one"])
+            "tails-line-tau-one", "tails-conic-off-past-the-shape",
+            "tails-conic-off-far-past-the-shape"])
     def test_budget_below_one_is_exit_two(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

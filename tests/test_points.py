@@ -58,13 +58,21 @@ def test_values_are_the_frame_evaluated_at_each_point(case):
     # the frames of one PointSet share its cached columns, and a frame
     # lifted by x0 shares them too when every x0 = 1
     x, frames = case
+    carried = all(p[0] == 1 for p in x.points)
     for frame in frames:
-        for f in (frame, [(m[0] + 1,) + m[1:] for m in frame]):
+        lifted = [(m[0] + 1,) + m[1:] for m in frame]
+        for f in (frame, lifted):
             rows = x.values(f)
             assert rows == tuple(
                 tuple(evaluate(Poly(x.n + 1, RING_R, {m: 1}), p) for m in f)
                 for p in x.points)
-            assert x.values(list(f)) is rows  # cached per frame
+            cols = x.columns(f)
+            assert rows == (tuple(zip(*cols)) if f else ((),) * x.size)
+            # cached per monomial
+            assert list(map(id, x.columns(list(f)))) == list(map(id, cols))
+        if carried:
+            assert (list(map(id, x.columns(lifted)))
+                    == list(map(id, x.columns(frame))))
     for i in range(3):
         mons = monomials_of_degree(x.n + 1, i)
         assert x.evaluation_matrix(i).entries == [list(r) for r in
@@ -134,13 +142,13 @@ class TestCarriedBases:
                                   for a, b in ((0, 0), (1, 0), (2, 1),
                                                (-1, 3), (3, -2))]
         evaluated = []
-        values = PointSet.values
+        columns = PointSet.columns
 
         def spy(self, frame):
             evaluated.append(len(frame))
-            return values(self, frame)
+            return columns(self, frame)
 
-        monkeypatch.setattr(PointSet, "values", spy)
+        monkeypatch.setattr(PointSet, "columns", spy)
         with mock.patch.object(linalg, "MAX_ELIMINATION_CELLS", 20):
             with pytest.raises(WorkBudgetError, match="6x6"):
                 PointSet(pts)
@@ -151,18 +159,18 @@ class TestCarriedBases:
         x = gen_distraction(lex_order_ideal([1, 2, 3, 1], 2))
         assert x.hilbert_vector(4) == (1, 3, 6, 7, 7) and x.tau() == 3
         evaluated, reduced = [], []
-        values, extend = PointSet.values, linalg.extend_echelon
+        real_columns, extend = PointSet.columns, linalg.extend_echelon
 
-        def spy_values(self, frame):
+        def spy_columns(self, frame):
             evaluated.append(tuple(frame))
-            return values(self, frame)
+            return real_columns(self, frame)
 
         def spy_extend(echelon, columns, limit):
             columns = list(columns)
             reduced.append(len(columns))
             return extend(echelon, columns, limit)
 
-        monkeypatch.setattr(PointSet, "values", spy_values)
+        monkeypatch.setattr(PointSet, "columns", spy_columns)
         monkeypatch.setattr(linalg, "extend_echelon", spy_extend)
         x = PointSet(x.points)
         # one call per degree 1..tau, on the x0-free monomials alone
@@ -184,7 +192,7 @@ class TestCarriedBases:
         lifted = [tuple((m[0] + 3,) + m[1:]) for m in b]
         every = range(x.size)
         assert x.frame_det(b, every) == x.frame_det(lifted, every) != 0
-        assert x.values(b) is x.values(lifted)
+        assert list(map(id, x.columns(b))) == list(map(id, x.columns(lifted)))
         assert eliminated == [x.size]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gorlef import construct, gorenstein, linalg, theorems
 from gorlef.gorenstein import DegreeRecord, GorensteinAlgebra, SlpCertificate
@@ -17,13 +17,14 @@ from gorlef.errors import (NoWitnessFoundError, NotPlaneConfigError,
 from gorlef.linalg import Mat
 from gorlef.points import (PointSet, find_subset_on_curve, gen_generic,
                            gen_two_lines)
-from gorlef.theorems import (BlockPair, _line_mask, block_det_identity,
-                             make_tail_config,
+from gorlef.theorems import (BlockPair, _TAIL_R, _line_mask,
+                             block_det_identity, make_tail_config,
                              verify_conic_slp, verify_corollary_families,
                              verify_prop_s_minus, verify_rnc_slp,
                              verify_tail_nonvanishing)
 
-from oracles import laplace_det, sampled_zero_forcing
+from oracles import (first_unforced_weight, laplace_det,
+                     sampled_zero_forcing)
 
 
 def fmat(rows):
@@ -209,25 +210,26 @@ class TestConicVerifier:
     def test_each_frame_is_evaluated_once_whatever_eval_points(self,
                                                               monkeypatch):
         requests = []
-        real = PointSet.values
+        real = PointSet.columns
 
         def spy(x, frame):
-            rows = real(x, frame)
-            requests.append((x, tuple(frame), rows))
-            return rows
+            cols = real(x, frame)
+            requests.append((x, tuple(frame), cols))
+            return cols
 
-        monkeypatch.setattr(PointSet, "values", spy)
+        monkeypatch.setattr(PointSet, "columns", spy)
         evaluated = {}
         for eval_points in (1, 4):
             requests.clear()
             verify_conic_slp(3, 4, False, 6, random.Random(107),
                              eval_points=eval_points)
-            rows_of = {}
-            for x, frame, rows in requests:
-                # a second evaluation would build new rows
-                assert rows_of.setdefault((id(x), frame), rows) is rows
-            evaluated[eval_points] = sorted(frame for _, frame in rows_of)
-            assert len(requests) > len(rows_of)
+            col_of = {}
+            for x, frame, cols in requests:
+                for m, col in zip(frame, cols):
+                    # a second evaluation would build a new column
+                    assert col_of.setdefault((id(x), m), col) is col
+            evaluated[eval_points] = sorted({frame for _, frame, _ in requests})
+            assert sum(len(frame) for _, frame, _ in requests) > len(col_of)
         assert evaluated[1] == evaluated[4]
 
     def test_the_proof_reads_each_frame_once_per_j(self):
@@ -456,17 +458,22 @@ class TestTailConfigs:
     def test_tail_start_is_the_least_k(self, delta, r, k):
         assert theorems._tail_start(delta, r) == k
 
-    def test_infeasible_shape_raises(self):
+    def test_infeasible_shape_raises(self, monkeypatch):
+        # [-1, 1]^2 holds 6 points off the line x2 = 0, so the line tail
+        # tau = 4, off = 6 puts all 11 points on the lines x2 = 0, 1, -1,
+        # and no draw has the tail's shape
+        monkeypatch.setattr(theorems, "_TAIL_BOX", 1)
         rng = random.Random(110)
         with pytest.raises(ShapeMismatchError):
-            make_tail_config("conic", 2, 1, rng)
+            make_tail_config("line", 4, 6, rng)
 
     # the box [-12, 12]^2 holds 625 points: 25 on the line x2 = 0 and 7 on
-    # the conic x0 x2 = x1^2, so at most 600 and 618 fit off the curve
+    # the conic x0 x2 = x1^2, so at most 600 and 618 fit off the curve;
+    # a conic tail at tau = 5 holds at most 6
     @pytest.mark.parametrize("kind, tau, off", [
         ("cubic", 3, 1), ("line", 2, -1), ("line", 0, 1), ("conic", -1, 0),
         ("line", 2, 601), ("conic", 3, 619), ("line", 3, 0), ("conic", 1, 0),
-        ("line", 1, 1)])
+        ("line", 1, 1), ("conic", 5, 100)])
     def test_malformed_request_raises_before_any_draw(self, kind, tau, off):
         rng = random.Random(110)
         state = rng.getstate()
@@ -474,14 +481,30 @@ class TestTailConfigs:
             make_tail_config(kind, tau, off, rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("kind, tau", [(kind, tau) for kind in _TAIL_R
+                                           for tau in range(2, 7)])
+    def test_one_past_the_off_curve_bound_is_refused(self, kind, tau):
+        # (tau-1)(tau-2)/2 off a conic and tau(tau-1)/2 off a line: one
+        # more is refused before any draw, and the bound itself is not
+        most = {"conic": (tau - 1) * (tau - 2), "line": tau * (tau - 1)}[kind]
+        most //= 2
+        rng = random.Random(117)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"at most {most} off-curve"):
+            make_tail_config(kind, tau, most + 1, rng)
+        assert rng.getstate() == state
+        with mock.patch.object(theorems, "_TAIL_DRAWS", 0):
+            with pytest.raises(ShapeMismatchError):
+                make_tail_config(kind, tau, most, rng)
+
     def test_a_full_box_is_not_refused(self, monkeypatch):
         # [-1, 1]^2 holds 6 points off the line: off = 6 is searched (and
         # gives no tail shape), off = 7 is refused before any draw
         monkeypatch.setattr(theorems, "_TAIL_BOX", 1)
         with pytest.raises(ShapeMismatchError):
-            make_tail_config("line", 2, 6, random.Random(113))
-        with pytest.raises(ValueError):
-            make_tail_config("line", 2, 7, random.Random(113))
+            make_tail_config("line", 4, 6, random.Random(113))
+        with pytest.raises(ValueError, match=r"holds 6 points off the line"):
+            make_tail_config("line", 4, 7, random.Random(113))
 
     def test_verify_line_tail(self):
         rng = random.Random(111)
@@ -555,6 +578,68 @@ class TestZeroForcing:
             for j in degrees:
                 assert sampled_zero_forcing(x, d, j, x.basis(j), i,
                                             rng, trials) == 0, (i, j)
+
+    @pytest.mark.parametrize("idx", range(len(CRITERION_10_CELLS)))
+    def test_one_degree_gives_the_per_degree_verdict(self, monkeypatch, idx):
+        # the verifier ranks at k - 1 only; the loop over every (weight,
+        # degree) gives the same verdict and message, on the true curve
+        # and with each of three curve points swapped for the first
+        # off-curve one; some of those swaps are refuted
+        kind, tau, off = CRITERION_10_CELLS[idx]
+        x = make_tail_config(kind, tau, off, random.Random(idx))
+        d = 2 * tau
+        frames = {j: x.basis(j)
+                  for j in range(tail_start(x, kind) - 1, d // 2 + 1)}
+        curve = find_subset_on_curve(x, _TAIL_R[kind], _TAIL_R[kind] * tau + 1)
+        rest = [i for i in range(x.size) if i not in curve]
+        subsets = [curve] + [tuple(sorted(set(curve) - {c} | {rest[0]}))
+                             for c in curve[:3] if rest]
+        verdicts = set()
+        for subset in subsets:
+            monkeypatch.setattr(theorems, "find_subset_on_curve",
+                                lambda *args: subset)
+            others = tuple(i for i in range(x.size) if i not in subset)
+            found = first_unforced_weight(x.points, frames, others)
+            try:
+                rep = verify_tail_nonvanishing(kind, x, d, random.Random(idx),
+                                               trials=30)
+            except TheoremTensionError as exc:
+                assert found is not None
+                assert str(exc) == ("det survives zeroing off-curve weight "
+                                    f"{found[0]} at j={found[1]}")
+            else:
+                assert found is None and rep.off_indices == others
+            verdicts.add(found is None)
+        assert verdicts == ({True, False} if off else {True})
+
+    def test_one_rank_per_off_curve_point(self, monkeypatch):
+        x = make_tail_config("line", 4, 3, random.Random(5))
+        ranks, real = [], linalg.rank
+        monkeypatch.setattr(linalg, "rank",
+                            lambda m: ranks.append(m.rows) or real(m))
+        rep = verify_tail_nonvanishing("line", x, None, random.Random(6),
+                                       trials=30)
+        degrees = rep.d // 2 - rep.k + 2
+        assert degrees > 1 and len(rep.off_indices) == 3
+        assert ranks == [x.size - 1] * 3
+        assert rep.zero_forcing_checks == 3 * degrees * 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3),
+                              st.integers(-3, 3)).filter(any),
+                    min_size=2, max_size=9,
+                    unique_by=lambda p: PointSet([p]).points))
+    @example(pts=[(0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 2, 3)])
+    def test_a_separator_stays_one_in_every_higher_degree(self, pts):
+        # h_X(j) - h_(X - P)(j) is 1 exactly when P has a separator of
+        # degree j, and a separator times a coordinate nonzero at P is one
+        # of degree j + 1: so the drop is 0 or 1 and never falls again
+        x = PointSet(pts)
+        for i in range(x.size):
+            y = x.subset([q for q in range(x.size) if q != i])
+            drops = [x.hilbert(j) - y.hilbert(j) for j in range(x.tau() + 2)]
+            assert set(drops) <= {0, 1}
+            assert drops == sorted(drops) and drops[-1] == 1
 
     def test_wrong_curve_subset_is_refuted(self, monkeypatch):
         x = make_tail_config("line", 2, 1, random.Random(0))
