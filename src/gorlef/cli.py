@@ -29,9 +29,9 @@ from .hvector import (HVector, first_difference, hbar, is_O_sequence, is_SI,
                       is_differentiable, parse_list)
 from .apolar import Poly
 from .linalg import exact, exact_str
-from .points import (PointSet, check_rnc, davis_hint, gen_collinear,
-                     gen_distraction, gen_generic, gen_rnc, gen_two_lines,
-                     lex_order_ideal)
+from .points import (PointSet, check_rnc, curve_params, davis_hint,
+                     gen_collinear, gen_distraction, gen_generic, gen_rnc,
+                     gen_two_lines, lex_order_ideal)
 from .theorems import (make_tail_config, verify_conic_slp,
                        verify_corollary_families, verify_prop_s_minus,
                        verify_rnc_slp, verify_tail_nonvanishing)
@@ -230,7 +230,7 @@ def _run_points(args) -> Tuple[dict, int]:
     elif kind == "rnc":
         check_rnc(args.n, args.s)
         params = (parse_list(args.params) if args.params is not None
-                  else rng.sample(range(-(args.s + 3), args.s + 4), args.s))
+                  else curve_params(args.s, rng))
         x = gen_rnc(args.n, args.s, params)
     else:  # distraction
         delta = parse_list(args.delta)

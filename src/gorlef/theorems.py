@@ -35,8 +35,8 @@ from .errors import (NoWitnessFoundError, NotPlaneConfigError,
 from .gorenstein import SlpCertificate, check_slp, first_witness
 from .hvector import first_difference
 from .linalg import Mat, check_cells
-from .points import (PointSet, check_rnc, find_subset_on_curve, gen_rnc,
-                     gen_two_lines, has_collinear_triple)
+from .points import (PointSet, check_rnc, curve_params, find_subset_on_curve,
+                     gen_rnc, gen_two_lines, has_collinear_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,7 @@ def verify_rnc_slp(n: int, s: int, d: Optional[int], rng: random.Random,
     raises NoWitnessFoundError rather than returning quietly.
     """
     check_rnc(n, s)
-    params = rng.sample(range(-(s + 3), s + 4), s)
-    x = gen_rnc(n, s, params)
+    x = gen_rnc(n, s, curve_params(s, rng))
     t = x.tau()
     expected_tau = -(-(s - 1) // n)
     if t != expected_tau:
@@ -309,8 +308,7 @@ def make_tail_config(kind: str, tau_target: int, off: int,
     check_cells(on_count + off, 3)
     for _ in range(_TAIL_DRAWS):
         if kind == "conic":
-            params = rng.sample(range(-(on_count + 3), on_count + 4), on_count)
-            base = [(1, p, p * p) for p in params]
+            base = [(1, p, p * p) for p in curve_params(on_count, rng)]
         else:
             base = [(1, i, 0) for i in range(on_count)]
         pts = list(base)

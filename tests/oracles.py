@@ -4,8 +4,10 @@ Everything here recomputes results through a route different from the
 package: plain Gaussian elimination instead of Bareiss, Laplace
 expansion instead of fraction-free pivoting, exhaustive search instead
 of greedy selection, direct enumeration of monomial order ideals
-instead of Macaulay's growth bound, and sequence classes checked clause
-by clause with every Macaulay step expanded instead of in one pass.
+instead of Macaulay's growth bound, a closure search for the lex order
+ideal instead of reading Macaulay's lex segments, and sequence classes
+checked clause by clause with every Macaulay step expanded instead of
+in one pass.
 General contraction by an operator in S, evaluation of a form at a
 point and whole catalecticants of a Poly live only here: the package
 contracts only by powers of a linear form, and reads catalecticant
@@ -14,9 +16,9 @@ blocks only off an algebra's packed F.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, prod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from gorlef import linalg
 from gorlef.apolar import Poly, RING_R, RING_S, monomials_of_degree
@@ -350,6 +352,31 @@ def order_ideal_degree_counts(max_cells: int = 25) -> Set[Tuple[int, ...]]:
         frontier = deeper
         level += 1
     return results
+
+
+def lex_order_ideal_by_search(delta: Sequence[int],
+                              n_vars: int) -> Optional[FrozenSet[Tuple[int, ...]]]:
+    """The order ideal with delta(i) monomials of degree i, searched for
+    degree by degree: walk degree i in ascending lex (x_0 > x_1 > ...,
+    so tuple order), keep each monomial whose every predecessor was kept
+    in degree i - 1, and stop at delta(i); None when a degree falls
+    short.  The monomials come from itertools.product, not the package's
+    tables."""
+    chosen = {(0,) * n_vars}
+    prev = set(chosen)
+    for i, need in enumerate(delta[1:], 1):
+        level = set()
+        for m in product(range(i + 1), repeat=n_vars):  # ascending lex
+            if len(level) == need:
+                break
+            if sum(m) == i and all(m[:v] + (m[v] - 1,) + m[v + 1:] in prev
+                                   for v in range(n_vars) if m[v]):
+                level.add(m)
+        if len(level) < need:
+            return None
+        chosen |= level
+        prev = level
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------

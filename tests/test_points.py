@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from unittest import mock
 
@@ -21,8 +21,10 @@ from gorlef.points import (OrderIdeal, PointSet, check_rnc, davis_hint,
                            gen_distraction, gen_generic, gen_rnc,
                            gen_two_lines, has_collinear_triple,
                            lex_order_ideal)
+from gorlef.theorems import _FAMILIES
 
-from oracles import collinear_triples, evaluate, gauss_pivot_columns
+from oracles import (collinear_triples, evaluate, gauss_pivot_columns,
+                     lex_order_ideal_by_search, macaulay_bound_by_scan)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -389,6 +391,68 @@ def order_ideals(draw):
             top.append(draw(st.integers(0, min(3, 4 - sum(top)))))
         closure.update(product(*(range(e + 1) for e in top)))
     return OrderIdeal(n, closure)
+
+
+def _o_sequences_upto(n, length=6, top=12):
+    """Every O-sequence with delta(1) <= n, at most `length` entries and
+    each entry in 1..top, grown by Macaulay's bound from the linear scan."""
+    out, stack = [], [(1,)]
+    while stack:
+        delta = stack.pop()
+        out.append(delta)
+        if len(delta) < length:
+            i = len(delta) - 1
+            most = n if i == 0 else macaulay_bound_by_scan(delta[i], i)
+            stack.extend(delta + (v,) for v in range(1, min(most, top) + 1))
+    return out
+
+
+def _assert_lex_segments_are_the_search(delta, n):
+    assert lex_order_ideal(delta, n).monomials == \
+        lex_order_ideal_by_search(delta, n), (delta, n)
+
+
+class TestLexSegments:
+    # lex_order_ideal reads each degree's lex-smallest delta(i) monomials
+    # off the table, by Macaulay's theorem; these tests check them
+    # against the closure search they replaced, a check a run never makes
+    def test_every_small_o_sequence_matches_the_search(self):
+        pairs = [(delta, n) for n in range(5) for delta in _o_sequences_upto(n)]
+        assert len(pairs) == 4921
+        for delta, n in pairs:
+            _assert_lex_segments_are_the_search(delta, n)
+
+    def test_every_benchmark_and_family_delta_matches_the_search(self):
+        # the 232 construct sequences of perfbench and the five flat-tail
+        # families through m = 6, each Delta as construct takes it
+        hs = [[int(v) for v in key.split()[2].split(",")]
+              for key in json.loads(REFERENCE.read_text())
+              if key.startswith("construct ")]
+        for _, make in _FAMILIES:
+            for m in range(7):
+                half = list(accumulate(make(m)))
+                hs.append(half + half[-2::-1])
+        assert len(hs) == 232 + 35
+        for h in hs:
+            if len(h) > 1 and h[1] > 1:
+                _assert_lex_segments_are_the_search(hbar(h).delta(), h[1] - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_drawn_o_sequences_match_the_search(self, n, data):
+        _assert_lex_segments_are_the_search(data.draw(o_sequences(n)), n)
+
+    @pytest.mark.parametrize("delta, entry", [
+        ((1, 2.9), r"2\.9"), (["1", "2"], "'1'"), ((1, True), "True"),
+        ((1, 2, 0.0), r"0\.0")])  # refused before zeros are trimmed
+    def test_non_int_counts_are_refused_not_truncated(self, delta, entry):
+        with pytest.raises(ValueError, match=f"^h-vector entry {entry} is not an int$"):
+            lex_order_ideal(delta, 2)
+
+    @pytest.mark.parametrize("bad", [(True, 0), (1.0, 0), ("a", 0)])
+    def test_non_int_exponents_are_refused(self, bad):
+        with pytest.raises(ValueError, match="^bad exponent vector "):
+            OrderIdeal(2, [(0, 0), bad])
 
 
 def _assert_read_bases_are_the_pivots(ideal):
