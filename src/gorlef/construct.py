@@ -5,11 +5,12 @@ the flattened sequence as the Hilbert function of a distraction point
 set, and take F = sum alpha_i L_i^d with random nonzero weights
 (random_power_sum, which every power-sum verifier shares).  An
 SI-sequence has d >= 2 tau, so GorensteinAlgebra.of_points reads the
-bases off the points, and the determinants that gorenstein.certify_at
-reads from algebra.hessian follow gorenstein.gram's Cauchy-Binet
-rule: at and above the stabilization (h(j) = s) each is a single
-product over the points, nonzero whenever ell separates them;
-gorenstein owns both formulas.
+bases off the points.  gorenstein.certify_at takes the determinants
+below the stabilization (h(j) < s) off F's own catalecticant blocks,
+and at and above it from algebra.hessian by gorenstein.gram's
+Cauchy-Binet rule: a single product over the points, whose det V^2
+the distraction reads off its order ideal (points.gen_distraction),
+nonzero whenever ell separates them; gorenstein owns both rules.
 Only hilbert_formula_check, the audit of the point formula, takes the
 catalecticants of the expanded F.  The attempts run in
 gorenstein._search, the one certificate loop: each draws the weights,

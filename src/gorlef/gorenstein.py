@@ -40,7 +40,8 @@ and, by Cauchy-Binet, with m = |B| and S the support of c,
 
 gram is the one call for that matrix and its det: 0 when |S| < m, the
 single term when |S| = m, with det(V_S) eliminated once per frame and
-support (PointSet.frame_det), and when |S| > m
+support (PointSet.frame_det; a distraction's plateau frame at all its
+points reads it off the order ideal instead), and when |S| > m
 
     det Hess^j(F)(P_ell) = (d!/(d-2j)!)^m det(V^T diag(c) V),
 
@@ -51,10 +52,15 @@ det nonzero with no elimination of the Hessian.
 GorensteinAlgebra.hessian, for an of_points algebra, is one gram call
 on one pass of point weights.  certify_at builds every SLP certificate
 line from one chain of contractions of the algebra's packed F (apolar),
-ell^2 per step of j, and the block M = Cat^j(ell^(d-2j) o F)[B, B] of
-each link: its det gives the Hessian's for an algebra built from a
-polynomial, and for a power sum M must equal (d-2j)! times
-algebra.hessian(j, ell).  _wlp_lines ranks Cat^i(ell o F)[B_i, B_lo],
+ell^2 per step of j, with one det rule per line shape.  The block
+M = Cat^j(ell^(d-2j) o F)[B, B] of the link gives the det for an
+algebra built from a polynomial and on a power sum's lines with
+h(j) < s, where Cauchy-Binet has more than one term and gram would
+eliminate M / d! anyway.  A plateau line, h(j) = s, takes gram's
+closed form from algebra.hessian(j, ell), and M must equal (d-2j)!
+times that Hessian.  Every construct certificate has a plateau line,
+j = floor(d/2) >= tau, the first the chain walks, so the printed F
+stays tied to the points.  _wlp_lines ranks Cat^i(ell o F)[B_i, B_lo],
 lo = d-1-i >= i (all degree-lo monomials when lo > floor(d/2)), from
 one contraction of the packed F.  GorensteinAlgebra._block reads every
 catalecticant block, the constructor's Cat^(d-j) and both lines', off
@@ -124,7 +130,8 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
 
     so |S| < m gives 0 with no elimination, m = 1 the one entry, and
     |S| = m the one term, with det(V_S) eliminated once per frame and
-    support (PointSet.frame_det).  A larger support eliminates G0 and gives
+    support (PointSet.frame_det), or read off a distraction's order
+    ideal on its plateau frame.  A larger support eliminates G0 and gives
     scale^m det(G0): every row of scale G0 has content at least scale,
     and the fraction-free pass would carry that factor into every minor
     it forms.  When the points, the weights on S and the scale are
@@ -133,7 +140,9 @@ def gram(x, frame: Sequence[Monomial], weights: Sequence,
     no denominators to clear.  That path stays: through linalg.det
     the perfbench verifiers workload slowed in 7 of 7 runs (wall_ref_s
     0.111-0.118 s to 0.125-0.135 s, on a shared Xeon host) and
-    si_corpus by about 3%.
+    si_corpus by about 3%.  certify_at calls gram (through
+    GorensteinAlgebra.hessian) only on plateau lines, m = s = |X|;
+    below them it takes the det off F's own catalecticant block.
     """
     m = len(frame)
     cols = x.columns(frame)
@@ -344,15 +353,16 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
     floor(d/2): g = ell^(d-2j) o F, then g <- ell^2 o g.  The rank
     route's matrix M = Cat^j(g)[B, B] over B = basis(j) is (d-2j)!
     Hess^j(F)(P_ell).  For an algebra built from a polynomial that is
-    the only Hessian, so the det is det(M) / ((d-2j)!)^h(j).  For an
-    of_points algebra, algebra.hessian(j, ell) gives the Hessian and its
-    det (gram), and every entry of M, read straight off g's packed dict,
-    must be (d-2j)! times the Hessian's, or HessianRankMismatchError is
-    raised; M is built as a matrix only for a polynomial's det or a zero
-    det's rank.  M is the matrix of
-    x ell^(d-2j): A_j -> A_(d-j) (B spans A_j; see _wlp_lines), of rank
-    at most h(j), so a nonzero det proves rank h(j) with no elimination;
-    a zero det records the exact rank of M.
+    the only Hessian, so the det is det(M) / ((d-2j)!)^h(j); so it is on
+    an of_points algebra's lines with h(j) < s = |X|, which compute no
+    point weights and build no Gram.  On a plateau line, h(j) = s,
+    algebra.hessian(j, ell) gives the Hessian and its det (gram's closed
+    form), and every entry of M, read straight off g's packed dict, must
+    be (d-2j)! times the Hessian's, or HessianRankMismatchError is
+    raised; M is built as a matrix there only for a zero det's rank.
+    M is the matrix of x ell^(d-2j): A_j -> A_(d-j) (B spans A_j; see
+    _wlp_lines), of rank at most h(j), so a nonzero det proves rank h(j)
+    with no elimination; a zero det records the exact rank of M.
     Degrees j < t are labelled "hessian-det" and the rest "map-rank";
     t=None labels all "hessian-det".  Lines come in ascending j.
     """
@@ -365,8 +375,9 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
         g, deg = contract(ell, deg - 2 * j, g, d + 1), 2 * j
         B = algebra.basis(j)
         k_fact = factorial(d - deg)
-        if algebra.x is None:
-            dv = linalg.det(algebra._block(g, B, B)) / k_fact ** len(B)
+        if algebra.x is None or len(B) < algebra.x.size:
+            block = algebra._block(g, B, B)
+            dv = linalg.det(block) / k_fact ** len(B)
         else:
             hess, dv = algebra.hessian(j, ell)
             keys = packed_keys(B, algebra.n_vars, d + 1)
@@ -375,10 +386,11 @@ def certify_at(algebra: GorensteinAlgebra, ell: LinearFormS,
                 raise HessianRankMismatchError(
                     f"j={j}: Cat^j(ell^{d - deg} o F)[B, B] is not"
                     f" {d - deg}! Hess^j(F)(P_ell)")
+            block = None if dv else algebra._block(g, B, B)
         method = "hessian-det" if t is None or j < t else "map-rank"
         records.append(DegreeRecord(
             j=j, method=method, det=dv, required=h[j],
-            rank=h[j] if dv else linalg.rank(algebra._block(g, B, B))))
+            rank=h[j] if dv else linalg.rank(block)))
     return records[::-1]
 
 

@@ -22,7 +22,9 @@ coordinate zeroes it: for 1,6,21,30,30,30,21,6,1 it expands F in about
 a 2-core Xeon).  values transposes a frame's columns to one row per
 point, uncached; frame_det keeps det V_S of a frame B at |B| points S,
 the single Cauchy-Binet term of a Hessian whose point weights are
-supported on S (gorenstein.gram).
+supported on S (gorenstein.gram).  It eliminates V_S, except for a
+distraction's plateau frame at all its points, whose det
+gen_distraction reads off the order ideal as a product of factorials.
 Generators produce the standard configurations (rational normal
 curves, two lines, distractions of monomial order ideals) used by the
 realization pipeline and the theorem verifiers.  The order ideal with
@@ -41,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,7 +70,8 @@ class PointSet:
     """Distinct points of P^n, normalized to leading coordinate 1."""
 
     def __init__(self, points: Sequence[Sequence], *,
-                 _bases: Optional[Sequence[Tuple[Monomial, ...]]] = None):
+                 _bases: Optional[Sequence[Tuple[Monomial, ...]]] = None,
+                 _plateau_det: Optional[int] = None):
         if not points:
             raise ValueError("empty point set")
         norm = [_normalize(p) for p in points]
@@ -93,6 +96,9 @@ class PointSet:
             self._echelon = [(0, [1] * len(norm))]  # B_0, carried when x0 = 1
             while self.hilbert(self._tau) < self.size:
                 self._tau += 1
+        if _plateau_det is not None:  # det V of B_tau at every point
+            self._dets[(self._key(self._bases[self._tau]),
+                        tuple(range(self.size)))] = Fraction(_plateau_det)
 
     @property
     def size(self) -> int:
@@ -138,7 +144,9 @@ class PointSet:
         """det V_S for a frame B of |S| monomials at the points S = rows,
         cached per key and rows: one elimination serves B and every
         x0^k B when every x0 = 1.  It eliminates V_S^T, read off the
-        cached columns, whose det is the same."""
+        cached columns, whose det is the same; a distraction's B_tau at
+        all its points is not eliminated, as gen_distraction gives its
+        det, read off the order ideal, under the same key."""
         key = (self._key(frame), tuple(rows))
         if key not in self._dets:
             self._dets[key] = linalg.det(Mat(
@@ -422,6 +430,16 @@ def gen_distraction(ideal: OrderIdeal) -> PointSet:
     the same space; by (ii) its dimension is |O_<=k|, and by (i) it is
     every affine function of degree <= k on X.  So h(k) = |O_<=k|, and
     the pivots new in degree k are exactly O's degree-k monomials.
+    The plateau det is read off O as well.  The points (1 : b) and B_tau
+    without x0 both come in O's order, ascending degree and descending
+    lex within one, and in that order det V = prod_(a in O) prod_k a_k!,
+    which is positive; PointSet keeps it as frame_det's entry for B_tau
+    at all s points, so every B_j = x0^(j - tau) B_tau reads it.  Proof:
+    x^a = sum_(c <= a) S(a, c) x^(c), with S(a, c) = prod_k S(a_k, c_k)
+    Stirling numbers of the second kind and S(a, a) = 1; each c <= a is
+    in O, which is downward closed, and comes before a in that order,
+    so [b^a] = U [b^(c)] over a, b in O with U unitriangular, and by
+    (ii) [b^(c)] is triangular with diagonal prod_k c_k!.
     Nothing is eliminated, so no budget is checked here; lex_order_ideal
     checks every frame as PointSet.basis would (check_frames).
     """
@@ -430,7 +448,9 @@ def gen_distraction(ideal: OrderIdeal) -> PointSet:
              for _, level in groupby(monomials, key=sum))
     bases = accumulate(fresh, lambda b, new: tuple(
         (m[0] + 1,) + m[1:] for m in b) + new)
-    return PointSet([(1,) + m for m in monomials], _bases=list(bases))
+    return PointSet([(1,) + m for m in monomials], _bases=list(bases),
+                    _plateau_det=prod(factorial(e) for m in monomials
+                                      for e in m))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ The conic decomposition needs no Hessian: each is a sum of rank-one
 terms over the points, so it compares the points' rows of its frames.
 Its rows and the zero-forcing rows are built from the points' cached
 columns (PointSet.columns), so each monomial is evaluated at the points
-once; only the SLP certificates' rank route reads the expanded F.
+once; only the SLP certificates read the expanded F, for their ranks
+and for their dets below the plateau (gorenstein.certify_at).
 """
 
 from __future__ import annotations

@@ -71,6 +71,26 @@ def gauss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(gauss_pivot_columns(rows))
 
 
+def gauss_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Plain Gaussian elimination in Fractions, no Bareiss: the product
+    of the pivots, negated per row swap, or 0 when a column has none."""
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            if m[r][c] != 0:
+                factor = m[r][c] / m[c][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
+    return det
+
+
 def transpose(m: Mat) -> Mat:
     """The transpose of m."""
     return Mat([list(col) for col in zip(*m.entries)])
@@ -119,8 +139,9 @@ def point_gram(points: Sequence[Sequence[Fraction]], alphas: Sequence,
         v = [prod((Fraction(y) ** e for y, e in zip(p, m)), start=Fraction(1))
              for m in frame]
         for r in range(n):
+            cv = c * v[r]
             for q in range(n):
-                acc[r][q] += c * v[r] * v[q]
+                acc[r][q] += cv * v[q]
     return [[scale * e for e in row] for row in acc]
 
 

@@ -11,7 +11,9 @@ cases, whose digests are those of the benchmark reference, are drawn by
 the benchmark only in some passes.  The plane sequence through 45 and
 the points case with x0 = 0 pin plateau lines (h(j) = |X|) outside the
 reference; the plane sequence through 55 and the families at m = 10
-pin Gram eliminations whose scale d!/(d-2j)! is tens of bits.  The
+pin determinants whose scale d!/(d-2j)! is tens of bits, which below
+the plateau (h(j) < s) are eliminated off F's own catalecticant block,
+det(M)/((d-2j)!)^h(j), and on it are gram's closed form.  The
 cubic in 40 variables and the degree-12 form in 3 pin the polynomial
 route on packed divided-power keys of 80 bits and of 13 digits per
 variable.  The rnc, conic and tails cases with an explicit --d pin

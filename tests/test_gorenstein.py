@@ -1,8 +1,10 @@
 """Catalecticants, Hilbert functions, Hessians, Lefschetz certificates."""
 
+import json
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,15 +18,17 @@ from gorlef.errors import (DegreeOutOfRangeError, HessianRankMismatchError,
                            ZeroGeneratorError)
 from gorlef.gorenstein import (GorensteinAlgebra, certify_at, check_slp, check_wlp, gram,
                                point_weights, sample_linear_form)
-from gorlef import apolar, gorenstein, linalg, points as points_module
+from gorlef import apolar, cli, gorenstein, linalg, points as points_module
 from gorlef.construct import construct_slp_algebra
 from gorlef.hvector import HVector
 from gorlef.linalg import det, rank
 from gorlef.points import PointSet
 
 from oracles import (catalecticant, evaluate, exact_multiplication_rank,
-                     gauss_pivot_columns, gauss_rank, laplace_det,
+                     gauss_det, gauss_pivot_columns, gauss_rank, laplace_det,
                      linear_power_contraction, point_gram, transpose)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def rmono(n, exp, c=1):
@@ -234,9 +238,12 @@ class TestMultiplicationRank:
                          for i in range(3)]
         assert all(ranks)
 
-    def test_construct_audit_builds_no_block(self, monkeypatch):
-        # every det is nonzero on a verdict-true certificate, so the audit
-        # compares each line off the contraction and builds no block
+    def test_construct_builds_one_block_per_line_below_the_plateau(
+            self, monkeypatch):
+        # every det is nonzero on a verdict-true certificate, so nothing
+        # is ranked; a line with h(j) < s takes its det from its one
+        # block, and a plateau line compares the Gram off the contraction
+        # and builds none
         shapes, ranked = [], []
         real = gorenstein.cat_block
 
@@ -250,7 +257,12 @@ class TestMultiplicationRank:
         h = HVector.parse("1,3,5,5,3,1")
         res = construct_slp_algebra(h, random.Random(7))
         assert res.certificate.verdict
-        assert shapes == [] and ranked == []
+        algebra = res.algebra
+        below = [(m, m) for m in (len(algebra.basis(j))
+                                  for j in range(algebra.d // 2, -1, -1))
+                 if m < algebra.x.size]
+        assert below == [(3, 3), (1, 1)]
+        assert shapes == below * res.certificate.attempts and ranked == []
 
 
 class TestLefschetzChecks:
@@ -635,6 +647,104 @@ class TestPlateauDeterminants:
         assert sizes.count(x.size) == 1 and sizes.count(3) == 2
 
 
+def _assert_lines_are_the_point_grams(points, alphas, d, ell, lines, frame):
+    """Each (j, det, rank) line against the Gram of the points over
+    frame(j), scaled by d!/(d-2j)!: its Gauss det, and its rank, which
+    is gauss_rank's when that det is 0 and else the Gram's size, the
+    rank that a nonzero Gauss det proves."""
+    for j, dv, rank in lines:
+        k = d - 2 * j
+        g = point_gram(points, alphas, k, ell, frame(j),
+                       factorial(d) // factorial(k))
+        assert dv == gauss_det(g), j
+        assert rank == (gauss_rank(g) if dv == 0 else len(g)), j
+
+
+@st.composite
+def _power_sums_below_the_plateau(draw):
+    """F = sum alpha_i L_i^d over 3-6 points of P^1 or P^2 with Fraction
+    coordinates, some with x0 = 0, Fraction weights, and 2 tau > d + 1,
+    so the bases are catalecticant pivots and h(j) < s on every line."""
+    n = draw(st.integers(1, 2))
+    coord = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    x = PointSet(draw(st.lists(
+        st.lists(coord, min_size=n + 1, max_size=n + 1).filter(any),
+        min_size=3, max_size=6, unique_by=lambda p: PointSet([p]).points)))
+    assume(x.tau() >= 2)
+    d = draw(st.integers(1, 2 * x.tau() - 2))
+    alphas = draw(st.lists(st.fractions(-4, 4, max_denominator=5)
+                           .filter(bool), min_size=x.size, max_size=x.size))
+    assume(not power_sum(x.points, alphas, d, n + 1).is_zero())
+    return GorensteinAlgebra.of_points(x, alphas, d)
+
+
+class TestBelowThePlateau:
+    """On a line with h(j) < s, certify_at takes an of_points algebra's
+    det from F's own block, det(Cat^j(g)[B, B]) / ((d-2j)!)^h(j), and no
+    longer compares that block with the points' Gram.  These tests make
+    the compare: each line's det against the Gauss det of the Gram that
+    oracles.point_gram sums over the points, and its rank against the
+    Gram's rank."""
+
+    def test_every_benchmark_certificate(self, capsys):
+        keys = [key for key in json.loads(REFERENCE.read_text())
+                if key.startswith("construct ")]
+        assert len(keys) == 232
+        shapes = set()
+        for key in keys:
+            assert cli.main(key.split()) == 0
+            doc = json.loads(capsys.readouterr().out)
+            points = [list(map(Fraction, p)) for p in doc["points"]["points"]]
+            cert = doc["certificate"]
+            # the bases the distraction reads off its order ideal, which
+            # TestDistraction checks against these eliminated ones
+            x = PointSet(points)
+            frames = {r["j"]: x.basis(r["j"]) for r in cert["degrees"]}
+            _assert_lines_are_the_point_grams(
+                points, list(map(Fraction, doc["alphas"])), doc["d"],
+                list(map(Fraction, cert["ell"])),
+                [(r["j"], Fraction(r["det"]), r["rank"])
+                 for r in cert["degrees"]], frames.get)
+            shapes |= {len(b) < len(points) for b in frames.values()}
+            # the top line, the first certify_at walks, is on the plateau,
+            # where the Gram is compared: the printed F stays tied to the
+            # points on every run
+            assert len(frames[doc["d"] // 2]) == len(points)
+        assert shapes == {True, False}  # lines below and on the plateau
+
+    @settings(max_examples=60, deadline=None)
+    @given(_power_sums_below_the_plateau(), st.data())
+    def test_rational_power_sums_at_an_ell_through_a_point(self, algebra,
+                                                            data):
+        x = algebra.x
+        ell = _through(data.draw(st.permutations(x.points)))
+        records = certify_at(algebra, LinearFormS(ell))
+        assert all(len(algebra.basis(r.j)) < x.size for r in records)
+        _assert_lines_are_the_point_grams(
+            x.points, algebra.alphas, algebra.d, ell,
+            [(r.j, r.det, r.rank) for r in records], algebra.basis)
+
+    def test_an_ell_through_two_points_gives_det_zero_and_the_rank(
+            self, monkeypatch):
+        # 4 points of P^2 with h_X = 1,3,4 and d = 3: both lines have
+        # h(j) < s, and at j = 1 an ell through two points leaves a
+        # support of 2 < h(1) = 3; neither line builds a Gram
+        x = PointSet([[1, 1, -1], [1, 0, -1], [1, -2, 2], [1, 1, 1]])
+        algebra = GorensteinAlgebra.of_points(x, [1, 2, -1, 3], 3)
+        ell = _through(x.points)
+        grams = []
+        real = gorenstein.gram
+        monkeypatch.setattr(gorenstein, "gram",
+                            lambda *args: grams.append(args) or real(*args))
+        records = certify_at(algebra, LinearFormS(ell))
+        assert [(r.det, r.rank, r.required) for r in records][1] == (0, 2, 3)
+        assert grams == []
+        _assert_lines_are_the_point_grams(
+            x.points, algebra.alphas, algebra.d, ell,
+            [(r.j, r.det, r.rank) for r in records], algebra.basis)
+
+
 @st.composite
 def _gram_cases(draw):
     """Points of P^1 or P^2 with int and Fraction coordinates, some with
@@ -837,7 +947,9 @@ class TestOneHessianCall:
             hess, dv = algebra.hessian(j, ell)
             assert dv == laplace_det(hess.entries) == records[j].det
 
-    def test_one_weight_pass_per_line(self, monkeypatch):
+    def test_one_weight_pass_per_plateau_line(self, monkeypatch):
+        # a line with h(j) < s takes its det from the catalecticant block
+        # and computes no weights
         calls = []
         real = gorenstein.point_weights
         monkeypatch.setattr(gorenstein, "point_weights",
@@ -851,11 +963,13 @@ class TestOneHessianCall:
             for coeffs in ([3, 1, 2], [5, -1, 7], [1, 0, 1]):
                 calls.clear()
                 certify_at(algebra, LinearFormS(coeffs[:algebra.n_vars]))
-                assert len(calls) == algebra.d // 2 + 1
+                assert [args[2] for args in calls] == [
+                    algebra.d - 2 * j for j in range(algebra.d // 2, -1, -1)
+                    if len(algebra.basis(j)) == algebra.x.size]
         calls.clear()
         res = construct_slp_algebra(HVector.parse("1,3,5,5,3,1"),
                                     random.Random(2020))
-        assert len(calls) == res.certificate.attempts * 3
+        assert len(calls) == res.certificate.attempts
 
     @pytest.mark.parametrize("d", [3, 8, 9])
     def test_one_contraction_per_line_on_the_polynomial_route(self, monkeypatch,

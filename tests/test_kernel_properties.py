@@ -33,8 +33,8 @@ from gorlef.linalg import Mat, det, nullspace, pivot_columns, rank
 from gorlef.points import PointSet
 from gorlef.theorems import verify_corollary_families, verify_rnc_slp
 
-from oracles import (catalecticant, gauss_pivot_columns, gauss_rank,
-                     hessian_by_contraction, laplace_det,
+from oracles import (catalecticant, gauss_det, gauss_pivot_columns,
+                     gauss_rank, hessian_by_contraction, laplace_det,
                      linear_power_contraction, transpose)
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -106,6 +106,16 @@ def test_det_matches_laplace(rows):
     value = det(Mat(rows))
     assert isinstance(value, Fraction)
     assert value == laplace_det(rows)
+
+
+@SETTINGS
+@given(matrices(square=True))
+@example(SWAP)
+@example(SKIP)
+@example(HALVES)
+def test_the_gauss_oracle_is_the_cofactor_det(rows):
+    # gauss_det checks dets too large for the cofactor expansion
+    assert gauss_det(rows) == laplace_det(rows)
 
 
 @SETTINGS

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlef import linalg
+from gorlef import cli, linalg
 from gorlef.apolar import Poly, RING_R, monomials_of_degree
 from gorlef.errors import (DuplicateParameterError, NotOSequenceError,
                            NotPlaneConfigError, RealizationMismatchError,
@@ -184,7 +184,9 @@ class TestCarriedBases:
         assert len(reduced) == 3
 
     def test_plateau_frames_share_one_det(self, monkeypatch):
-        x = gen_distraction(lex_order_ideal([1, 2, 1], 2))
+        # the distraction's points, in a set that eliminates its dets
+        read = gen_distraction(lex_order_ideal([1, 2, 1], 2))
+        x = PointSet(list(read.points))
         b = x.basis(x.tau())
         assert len(b) == x.size
         eliminated = []
@@ -463,10 +465,28 @@ def _assert_read_bases_are_the_pivots(ideal):
         assert x.basis(k) == eliminated.basis(k), k
 
 
+def _forbid_elimination(m):
+    raise AssertionError("a distraction's plateau det was eliminated")
+
+
+def _assert_given_det_is_the_eliminated_det(ideal):
+    """frame_det of B_tau and of x0 B_tau at all the points, read off the
+    order ideal with no elimination, against the signed det that a set
+    of the same points eliminates."""
+    x = gen_distraction(ideal)
+    every = range(x.size)
+    frames = [x.basis(x.tau()), x.basis(x.tau() + 1)]
+    with mock.patch.object(linalg, "det", _forbid_elimination):
+        given = [x.frame_det(b, every) for b in frames]
+    eliminated = PointSet(list(x.points)).frame_det(frames[0], every)
+    assert given == [eliminated] * 2 and eliminated > 0
+
+
 class TestDistraction:
-    # gen_distraction reads its bases off the order ideal; these tests
-    # check them against the pivots PointSet.basis eliminates, a check a
-    # run no longer makes
+    # gen_distraction reads its bases and its plateau det off the order
+    # ideal; these tests check them against the pivots PointSet.basis
+    # eliminates and the det that frame_det eliminates, checks a run no
+    # longer makes
     @settings(max_examples=200, deadline=None)
     @given(order_ideals())
     def test_read_bases_are_the_eliminated_pivots(self, ideal):
@@ -482,6 +502,37 @@ class TestDistraction:
             if len(h) > 1 and h[1] > 1:
                 _assert_read_bases_are_the_pivots(
                     lex_order_ideal(hbar(h).delta(), h[1] - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_ideals())
+    def test_given_plateau_det_is_the_eliminated_det(self, ideal):
+        _assert_given_det_is_the_eliminated_det(ideal)
+
+    def test_every_benchmark_distraction_gives_the_eliminated_det(self):
+        hs = [[int(v) for v in key.split()[2].split(",")]
+              for key in json.loads(REFERENCE.read_text())
+              if key.startswith("construct ")]
+        for h in hs:
+            if len(h) > 1 and h[1] > 1:
+                _assert_given_det_is_the_eliminated_det(
+                    lex_order_ideal(hbar(h).delta(), h[1] - 1))
+
+    def test_construct_eliminates_no_plateau_det(self, capsys, monkeypatch):
+        # h = 1,3,6,10,6,3,1: s = 10 points, tau = 3, and the line j = 3
+        # takes det V_X of B_3 from the order ideal
+        rows = []
+        frame_det = PointSet.frame_det
+
+        def without_elimination(x, frame, support):
+            rows.append(len(support))
+            with mock.patch.object(linalg, "det", _forbid_elimination):
+                return frame_det(x, frame, support)
+
+        monkeypatch.setattr(PointSet, "frame_det", without_elimination)
+        assert cli.main(["construct", "--h", "1,3,6,10,6,3,1",
+                         "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert rows and set(rows) == {10}
 
     def test_nothing_is_eliminated_or_budgeted(self, monkeypatch):
         def forbid(*args):
